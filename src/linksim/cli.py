@@ -2,7 +2,7 @@
 
 Commands:
 
-* ``sweep``    -- 1-D noise sweep (q locked to p) for a builtin or custom
+* ``sweep``    -- 1-D noise sweep (q locked to p) for a builtin or inline
   scenario; writes ``p,q,outcome,fidelity,oracle_fidelity,conc_pairwise,
   conc_one_vs_rest`` CSV rows.
 * ``grid``     -- 2-D (p, q) sweep, same row format.

@@ -7,8 +7,6 @@ every reported result is reproducible by name from the CLI.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,6 +37,7 @@ from .metrics import (
     w_state,
 )
 from .superposition import (
+    ZERO_PROB,
     MeasurementOutcome,
     SuperpositionScenario,
     fourier_basis,
@@ -57,7 +56,6 @@ FAMILIES = (
     "ghz_depolarizing",
     "ghz_bitphase",
     "w_memoryless",
-    "custom",
 )
 
 _DEPOL_FAMILIES = ("bell_depolarizing", "ghz_depolarizing")
@@ -293,15 +291,14 @@ def build_scenario(spec: ScenarioSpec, p: float | None = None,
                                      used_slots=(0, 3)),
         )
         return SuperpositionScenario(channels, inp, plus_control(), pm_basis())
-    if family == "w_memoryless":
-        probs = tuple(p) if np.ndim(p) == 1 else (p,) * n
-        if len(probs) != n:
-            raise ScenarioError(f"expected {n} per-channel probabilities")
-        channels = tuple(
-            memoryless_bitflip(i, n, probs[i], cfg.vectors[i]) for i in range(n)
-        )
-        return SuperpositionScenario(channels, inp, uniform_control(n), fourier_basis(n))
-    raise ScenarioError(f"cannot build family {family!r} without explicit channels")
+    # w_memoryless
+    probs = tuple(p) if np.ndim(p) == 1 else (p,) * n
+    if len(probs) != n:
+        raise ScenarioError(f"expected {n} per-channel probabilities")
+    channels = tuple(
+        memoryless_bitflip(i, n, probs[i], cfg.vectors[i]) for i in range(n)
+    )
+    return SuperpositionScenario(channels, inp, uniform_control(n), fourier_basis(n))
 
 
 def outcome_fidelity(spec: ScenarioSpec, outcome: MeasurementOutcome) -> float:
@@ -335,7 +332,7 @@ def oracle_fidelity(spec: ScenarioSpec, p: float, q: float) -> float | None:
     return None
 
 
-def evaluate_point(spec: ScenarioSpec, p: float, q: float,
+def evaluate_point(spec: ScenarioSpec, p: float, q: float, *,
                    emit_oracle: bool = True) -> list[SweepRecord]:
     """All reported outcome records for a spec at one noise point."""
     outcomes = run(build_scenario(spec, p, q))
@@ -367,37 +364,21 @@ def default_grid(points: int = 101) -> np.ndarray:
     return np.linspace(0.0, 1.0, points)
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def sweep(spec: ScenarioSpec, p_grid=None, q_grid=None,
+def sweep(spec: ScenarioSpec, p_grid=None, q_grid=None, *,
           emit_oracle: bool = True) -> list[SweepRecord]:
     """Evaluate a spec over a noise grid.
 
     With no ``q_grid`` the sweep is one-dimensional with q locked to p.
-    Records are ordered p-major, then q, then outcome, independent of the
-    worker count.
+    Records are ordered p-major, then q, then outcome.
     """
     if p_grid is None:
         p_grid = default_grid()
-    points = [
-        (float(p), float(q))
+    return [
+        rec
         for p in p_grid
         for q in (q_grid if q_grid is not None else [p])
+        for rec in evaluate_point(spec, float(p), float(q), emit_oracle=emit_oracle)
     ]
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(
-                pool.map(lambda pq: evaluate_point(spec, *pq, emit_oracle), points)
-            )
-    else:
-        chunks = [evaluate_point(spec, p, q, emit_oracle) for p, q in points]
-    return [rec for chunk in chunks for rec in chunk]
 
 
 def verify_sweep_oracle(records) -> float:
@@ -446,6 +427,68 @@ def published_configs(family: str) -> list[VacuumConfig]:
     }.get(family, [])
 
 
+def _vector_to_config(spec: ScenarioSpec, x: np.ndarray) -> VacuumConfig | None:
+    """Project a free amplitude vector onto the per-channel unit spheres.
+
+    Returns None when a block has vanishing norm.
+    """
+    blocks, start = [], 0
+    for size in _free_blocks(spec.family, spec.n):
+        part = x[start:start + size]
+        start += size
+        norm = np.linalg.norm(part)
+        if norm < 1e-9:
+            return None
+        blocks.append(part / norm)
+    return _blocks_to_config(spec.family, blocks)
+
+
+def _fixed_noise_objective(spec: ScenarioSpec, p, q, x0: np.ndarray):
+    """Negative plus-outcome fidelity at fixed noise, as a function of the
+    free amplitude vector.
+
+    The Kraus operators K^l_i, input rho, control c and plus-outcome basis
+    vector b do not depend on the vacuum amplitudes, so the channels are
+    built once (at the amplitudes of ``x0``) and the unnormalized
+    plus-outcome block is scored as
+
+        D + sum_{l != m} w_lm sum_ij conj(a^l_i) a^m_j K^l_i rho K^m_j^dag
+
+    with D = sum_l |c_l b_l|^2 E_l(rho) and w_lm = conj(b_l) b_m c_l conj(c_m):
+    a constant plus a bilinear form in the amplitudes a.
+    """
+    plus = replace(spec, config=_vector_to_config(spec, x0),
+                   outcome_policy="plus_only")
+    scenario = build_scenario(plus, p, q)
+    channels = scenario.channels
+    # one row per Kraus operator, labelled by its branch l
+    kraus = np.concatenate([ch.kraus for ch in channels])
+    branch = np.repeat(np.arange(len(channels)), [len(ch.kraus) for ch in channels])
+    cb = (scenario.control.amplitudes * scenario.measurement_basis[0].conj())[branch]
+    # tables[x, y] = w_xy K_x rho K_y^dag
+    tables = np.matmul((kraus @ scenario.input.mat)[:, None],
+                       kraus.conj().transpose(0, 2, 1)[None])
+    tables *= np.outer(cb, cb.conj())[:, :, None, None]
+    const = np.einsum("xxab->ab", tables)
+    tables[branch[:, None] == branch[None, :]] = 0.0
+    tables = tables.reshape(len(kraus) ** 2, -1)
+
+    def objective(x: np.ndarray) -> float:
+        cfg = _vector_to_config(spec, x)
+        if cfg is None:
+            return 1.0
+        a = np.concatenate(cfg.vectors)
+        block = const + (np.outer(a.conj(), a).ravel() @ tables).reshape(const.shape)
+        prob = float(np.trace(block).real)
+        if prob < ZERO_PROB:
+            return 1.0
+        post = DensityMatrix(scenario.input.dims,
+                             (block + block.conj().T) / (2.0 * prob))
+        return -outcome_fidelity(plus, MeasurementOutcome(0, prob, post))
+
+    return objective
+
+
 def optimize_amplitudes(spec: ScenarioSpec, p: float, q: float | None = None,
                         seed: int = 0, restarts: int = 20,
                         max_iter: int = 500) -> OptimizationResult:
@@ -453,41 +496,24 @@ def optimize_amplitudes(spec: ScenarioSpec, p: float, q: float | None = None,
 
     Uses a Nelder-Mead simplex over unconstrained real vectors; every
     proposal is projected to the per-channel unit spheres before the
-    plus-outcome fidelity is evaluated. The published configurations are
+    plus-outcome fidelity is evaluated. The channels are built once per
+    call (see ``_fixed_noise_objective``). The published configurations are
     always injected as the first restarts so the result is never worse
     than the paper's own operating point. Deterministic for a fixed seed.
     """
     if q is None:
         q = p
+    if restarts < 1:
+        raise ScenarioError("restarts must be at least 1")
     family = spec.family
-    sizes = _free_blocks(family, spec.n)
-    splits = np.cumsum(sizes)[:-1]
-    dim = sum(sizes)
-
-    def to_config(x: np.ndarray) -> VacuumConfig | None:
-        blocks = []
-        for part in np.split(x, splits):
-            norm = np.linalg.norm(part)
-            if norm < 1e-9:
-                return None
-            blocks.append(part / norm)
-        return _blocks_to_config(family, blocks)
-
-    def objective(x: np.ndarray) -> float:
-        cfg = to_config(x)
-        if cfg is None:
-            return 1.0
-        trial = replace(spec, config=cfg, outcome_policy="plus_only")
-        outs = run(build_scenario(trial, p, q))
-        if outs[0].post_state is None:
-            return 1.0
-        return -outcome_fidelity(trial, outs[0])
+    dim = sum(_free_blocks(family, spec.n))
 
     rng = np.random.default_rng(seed)
     starts = [_config_to_vector(family, c) for c in published_configs(family)]
     while len(starts) < restarts:
         starts.append(rng.standard_normal(dim))
     starts = starts[:restarts]
+    objective = _fixed_noise_objective(spec, p, q, starts[0])
 
     best_x, best_val, iterations = None, np.inf, 0
     for x0 in starts:
@@ -500,7 +526,7 @@ def optimize_amplitudes(spec: ScenarioSpec, p: float, q: float | None = None,
         if val < best_val:
             best_val, best_x = val, res.x
     return OptimizationResult(
-        best_config=to_config(best_x),
+        best_config=_vector_to_config(spec, best_x),
         best_fidelity=-best_val,
         iterations=iterations,
         seed=seed,

@@ -109,6 +109,17 @@ def test_config_file_with_inline_scenario(tmp_path):
     assert float(rows[0][3]) == pytest.approx(1.0, abs=1e-8)
 
 
+def test_inline_custom_family_is_a_config_error(tmp_path, capsys):
+    cfg = {"scenario": {"family": "custom", "n": 2,
+                        "alpha": [1, 0, 0, 0], "beta": [1, 0, 0, 0]}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["sweep", "--config", str(path)])
+    assert exc.value.code == 2
+    assert "bad inline scenario" in capsys.readouterr().err
+
+
 def test_dump_config_round_trip(tmp_path, capsys):
     code = run_cli(["sweep", "--scenario", "fig4a_red", "--points", "5",
                     "--dump-config"])

@@ -3,6 +3,7 @@ import pytest
 
 from linksim import scenarios
 from linksim.metrics import VacuumConfig
+from linksim.superposition import run
 from linksim.scenarios import (
     ScenarioError,
     ScenarioSpec,
@@ -115,15 +116,20 @@ def test_sweep_matches_oracle_everywhere():
         assert verify_sweep_oracle(recs) < 1e-10, name
 
 
-def test_sweep_is_deterministic_and_thread_invariant(monkeypatch):
+def test_sweep_is_deterministic():
     spec = builtin("fig4a_red")
     grid = np.linspace(0.0, 1.0, 11)
-    base = sweep(spec, grid)
-    monkeypatch.setenv("THREADS", "4")
-    threaded = sweep(spec, grid)
-    assert len(base) == len(threaded)
-    for a, b in zip(base, threaded):
-        assert a == b
+    assert sweep(spec, grid) == sweep(spec, grid)
+
+
+def test_emit_oracle_is_keyword_only():
+    spec = builtin("prop7_p1")
+    # a 3-tuple noise spec must not bind emit_oracle positionally
+    with pytest.raises(TypeError):
+        evaluate_point(spec, *spec.noise)
+    with pytest.raises(TypeError):
+        sweep(spec, [0.5], None, False)
+    assert evaluate_point(spec, 0.5, 0.5, emit_oracle=False)[0].oracle_fidelity is None
 
 
 def test_two_dimensional_sweep_ordering():
@@ -151,8 +157,9 @@ def test_scenario_spec_validation():
     assert build_scenario(
         ScenarioSpec("x", "bell_depolarizing", 2, cfg, None), 0.5, 0.5
     ) is not None
-    with pytest.raises(ScenarioError):
-        ScenarioSpec("x", "no_such_family", 2, cfg, None)
+    for family in ("no_such_family", "custom"):
+        with pytest.raises(ScenarioError):
+            ScenarioSpec("x", family, 2, cfg, None)
     with pytest.raises(ScenarioError):
         ScenarioSpec("x", "bell_depolarizing", 2, cfg, None,
                      outcome_policy="sometimes")
@@ -171,12 +178,46 @@ def test_random_configs_match_oracles():
 
 
 def test_optimizer_deterministic_for_seed():
-    spec = builtin("prop4_p1")
-    a = optimize_amplitudes(spec, 1.0, 1.0, seed=5, restarts=3, max_iter=100)
-    b = optimize_amplitudes(spec, 1.0, 1.0, seed=5, restarts=3, max_iter=100)
-    assert a.best_fidelity == b.best_fidelity
-    for va, vb in zip(a.best_config.vectors, b.best_config.vectors):
-        assert np.array_equal(va, vb)
+    for name, p in (("prop4_p1", 1.0), ("fig8_green", 0.5)):
+        spec = builtin(name)
+        a = optimize_amplitudes(spec, p, p, seed=5, restarts=3, max_iter=100)
+        b = optimize_amplitudes(spec, p, p, seed=5, restarts=3, max_iter=100)
+        assert (a.best_fidelity, a.iterations) == (b.best_fidelity, b.iterations)
+        for va, vb in zip(a.best_config.vectors, b.best_config.vectors):
+            assert np.array_equal(va, vb)
+
+
+def test_optimizer_needs_a_restart():
+    with pytest.raises(ScenarioError):
+        optimize_amplitudes(builtin("prop4_p1"), 1.0, restarts=0)
+
+
+# one builtin per optimizable family: bell_depolarizing, bell_bitphase,
+# ghz_depolarizing (n=4), ghz_bitphase (n=3), w_memoryless (n=3)
+OPTIMIZABLE = ("fig4a_red", "fig4b_red", "prop5_p05", "cor2_p05", "fig8_green")
+
+
+@pytest.mark.parametrize("name", OPTIMIZABLE)
+def test_fixed_noise_objective_matches_run_path(name):
+    spec = builtin(name)
+    sizes = scenarios._free_blocks(spec.family, spec.n)
+    rng = np.random.default_rng(2024)
+    noise = [(0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.0, 0.0),
+             (0.0, rng.uniform()), (rng.uniform(), 1.0)]
+    noise += [tuple(rng.uniform(size=2)) for _ in range(10)]
+    for p, q in noise:
+        objective = scenarios._fixed_noise_objective(
+            spec, p, q, rng.standard_normal(sum(sizes)))
+        for _ in range(3):
+            x = rng.standard_normal(sum(sizes))
+            cfg = scenarios._vector_to_config(spec, x)
+            plus = ScenarioSpec(spec.name, spec.family, spec.n, cfg, None)
+            out = run(build_scenario(plus, p, q))[0]
+            expected = 1.0 if out.post_state is None else \
+                -scenarios.outcome_fidelity(plus, out)
+            assert abs(objective(x) - expected) <= 1e-12, (p, q, x)
+        x[:sizes[0]] = 0.0  # first block has zero norm
+        assert objective(x) == 1.0
 
 
 def test_optimizer_never_below_published_floor():
