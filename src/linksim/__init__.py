@@ -16,7 +16,14 @@ from .channels import (
     unitary_channel,
     validate,
 )
-from .linalg import DensityMatrix, eig_hermitian, kron, partial_trace, sqrt_psd
+from .linalg import (
+    DensityMatrix,
+    LinksimError,
+    eig_hermitian,
+    kron,
+    partial_trace,
+    sqrt_psd,
+)
 from .metrics import (
     VacuumConfig,
     avg_one_vs_rest_concurrence,

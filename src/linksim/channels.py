@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import kron_all
+from .linalg import LinksimError, kron_all
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -32,7 +32,7 @@ CPTP_TOL = 1e-10
 AMP_TOL = 1e-12
 
 
-class ChannelError(Exception):
+class ChannelError(LinksimError):
     pass
 
 
@@ -44,7 +44,7 @@ class BadProbabilityError(ChannelError):
     pass
 
 
-class BadNormalizationError(ChannelError):
+class BadNormalizationError(ChannelError, ValueError):
     pass
 
 
@@ -91,7 +91,6 @@ class VacuumExtendedChannel:
 
     kraus: tuple[np.ndarray, ...]
     vacuum_amplitudes: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         kraus = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
@@ -140,7 +139,7 @@ def _check_prob(p: float, name: str = "p") -> float:
     return p
 
 
-def depolarizing_correlated(p: float, n: int, amps, label: str = "") -> VacuumExtendedChannel:
+def depolarizing_correlated(p: float, n: int, amps) -> VacuumExtendedChannel:
     """Correlated n-qubit depolarizing channel.
 
     Kraus set {sqrt(1-p) I, sqrt(p/3) X^n, sqrt(p/3) Y^n, sqrt(p/3) Z^n}
@@ -148,10 +147,10 @@ def depolarizing_correlated(p: float, n: int, amps, label: str = "") -> VacuumEx
     """
     p = _check_prob(p)
     weights = (1.0 - p, p / 3.0, p / 3.0, p / 3.0)
-    return pauli_channel_correlated(weights, n, amps, label or f"depolarizing(p={p})")
+    return pauli_channel_correlated(weights, n, amps)
 
 
-def pauli_channel_correlated(weights, n: int, amps, label: str = "",
+def pauli_channel_correlated(weights, n: int, amps,
                              used_slots=(0, 1, 2, 3)) -> VacuumExtendedChannel:
     """Correlated Pauli channel with Kraus sqrt(w_k) P_k^{(x)n}.
 
@@ -178,10 +177,10 @@ def pauli_channel_correlated(weights, n: int, amps, label: str = "",
         np.sqrt(max(w, 0.0)) * pauli_string(letter * n)
         for w, letter in zip(weights, PAULI_INDEX)
     )
-    return VacuumExtendedChannel(kraus, amps, label or f"pauli{tuple(weights)}")
+    return VacuumExtendedChannel(kraus, amps)
 
 
-def memoryless_bitflip(i: int, n: int, p_i: float, amps, label: str = "") -> VacuumExtendedChannel:
+def memoryless_bitflip(i: int, n: int, p_i: float, amps) -> VacuumExtendedChannel:
     """Bit-flip channel acting on qubit ``i`` of ``n`` only.
 
     Kraus set {sqrt(1-p_i) I, sqrt(p_i) X_i} with a length-2 amplitude
@@ -196,12 +195,12 @@ def memoryless_bitflip(i: int, n: int, p_i: float, amps, label: str = "") -> Vac
         np.sqrt(1.0 - p_i) * np.eye(2**n, dtype=complex),
         np.sqrt(p_i) * x_i,
     )
-    return VacuumExtendedChannel(kraus, amps, label or f"bitflip(qubit={i}, p={p_i})")
+    return VacuumExtendedChannel(kraus, amps)
 
 
-def unitary_channel(u: np.ndarray, label: str = "") -> VacuumExtendedChannel:
+def unitary_channel(u: np.ndarray) -> VacuumExtendedChannel:
     """Single-Kraus channel from a unitary; its vacuum amplitude is 1."""
     u = np.asarray(u, dtype=complex)
     if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) > CPTP_TOL:
         raise NotUnitaryError("operator is not unitary")
-    return VacuumExtendedChannel((u,), np.array([1.0 + 0j]), label or "unitary")
+    return VacuumExtendedChannel((u,), np.array([1.0 + 0j]))

@@ -13,8 +13,10 @@ Commands:
 * ``walk``     -- discrete-time quantum walk position distributions.
 
 Configuration is a JSON file plus flag overrides; ``--dump-config`` echoes
-the effective config without running. Exit codes: 2 for config errors,
-3 for scenario errors.
+the effective config without running. ``main`` maps errors to exit codes:
+2 for an invalid config, flag or inline scenario (checked before anything
+runs), 3 for a valid config that fails while running. Any other exception
+is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ import sys
 import numpy as np
 
 from . import scenarios, walk
+from .linalg import LinksimError
 from .metrics import VacuumConfig
-from .scenarios import ScenarioSpec, ScenarioError, UnknownScenarioError
+from .scenarios import ScenarioSpec, ScenarioError
 
 CSV_HEADER = "p,q,outcome,fidelity,oracle_fidelity,conc_pairwise,conc_one_vs_rest"
 
@@ -42,9 +45,19 @@ def _fmt(x) -> str:
     return format(float(x), ".9g")
 
 
-def _fail(code: int, message: str) -> "NoReturn":  # noqa: F821
-    print(f"error: {message}", file=sys.stderr)
-    raise SystemExit(code)
+class ConfigError(LinksimError):
+    """The config file, a flag or an inline scenario is invalid."""
+
+
+def _number(value, name: str, low, high=np.inf, integer: bool = False):
+    """``value`` if it is a JSON number (an integer when asked) in [low, high]."""
+    kinds = int if integer else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        kind = "an integer" if integer else "a number"
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    if not low <= value <= high:
+        raise ConfigError(f"{name}={value} outside [{low}, {high}]")
+    return value
 
 
 def _load_config(path: str | None) -> dict:
@@ -53,20 +66,17 @@ def _load_config(path: str | None) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        _fail(EXIT_CONFIG, f"cannot read config {path}: {exc}")
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
     if not isinstance(cfg, dict):
-        _fail(EXIT_CONFIG, f"config {path} must be a JSON object")
+        raise ConfigError(f"config {path} must be a JSON object")
     return cfg
 
 
 def _spec_from_config(cfg: dict) -> ScenarioSpec:
     scen = cfg.get("scenario")
     if isinstance(scen, str):
-        try:
-            spec = scenarios.builtin(scen)
-        except UnknownScenarioError as exc:
-            _fail(EXIT_SCENARIO, str(exc))
+        spec = scenarios.builtin(scen)
     elif isinstance(scen, dict):
         try:
             vectors = scen.get("amps")
@@ -75,20 +85,24 @@ def _spec_from_config(cfg: dict) -> ScenarioSpec:
             spec = ScenarioSpec(
                 name=scen.get("name", "custom"),
                 family=scen["family"],
-                n=int(scen.get("n", 2)),
+                n=_number(scen.get("n", 2), "n", 2, integer=True),
                 config=VacuumConfig(tuple(np.asarray(v, float) for v in vectors)),
                 noise=tuple(scen["noise"]) if "noise" in scen else None,
             )
-        except (KeyError, ValueError, ScenarioError) as exc:
-            _fail(EXIT_CONFIG, f"bad inline scenario: {exc}")
+            # building at p = 0 runs every channel and amplitude check once
+            scenarios.build_scenario(spec, 0.0)
+        except KeyError as exc:
+            raise ConfigError(f"bad inline scenario: missing {exc}") from None
+        except (TypeError, ValueError, LinksimError) as exc:
+            raise ConfigError(f"bad inline scenario: {exc}") from None
     else:
-        _fail(EXIT_CONFIG, "config must name a scenario (string or inline object)")
+        raise ConfigError("config must name a scenario (string or inline object)")
     policy = cfg.get("outcome_policy")
     if policy:
         try:
             spec = scenarios.replace_policy(spec, policy)
         except ScenarioError as exc:
-            _fail(EXIT_CONFIG, str(exc))
+            raise ConfigError(str(exc)) from None
     return spec
 
 
@@ -110,12 +124,13 @@ def _write_records(records, out_path: str | None) -> None:
 
 def _grid(cfg: dict, args, key: str = "sweep") -> np.ndarray:
     sweep_cfg = cfg.get(key, {})
+    if not isinstance(sweep_cfg, dict):
+        raise ConfigError(f"{key} must be a JSON object")
     start = args.start if args.start is not None else sweep_cfg.get("start", 0.0)
     stop = args.stop if args.stop is not None else sweep_cfg.get("stop", 1.0)
     points = args.points if args.points is not None else sweep_cfg.get("points", 101)
-    if not (0.0 <= start <= 1.0 and 0.0 <= stop <= 1.0) or points < 1:
-        _fail(EXIT_CONFIG, "grid must lie in [0, 1] with at least one point")
-    return np.linspace(start, stop, points)
+    return np.linspace(_number(start, "start", 0, 1), _number(stop, "stop", 0, 1),
+                       _number(points, "points", 1, integer=True))
 
 
 def cmd_sweep(args) -> int:
@@ -132,10 +147,7 @@ def cmd_sweep(args) -> int:
             "outcome_policy": spec.outcome_policy,
         }, indent=2))
         return 0
-    try:
-        records = scenarios.sweep(spec, grid, emit_oracle=not args.no_oracle)
-    except ScenarioError as exc:
-        _fail(EXIT_SCENARIO, str(exc))
+    records = scenarios.sweep(spec, grid, emit_oracle=not args.no_oracle)
     _write_records(records, args.out)
     if args.out:
         fids = [r.fidelity for r in records]
@@ -156,11 +168,8 @@ def cmd_grid(args) -> int:
             "out": args.out,
         }, indent=2))
         return 0
-    try:
-        records = scenarios.sweep(spec, p_grid, q_grid=p_grid,
-                                  emit_oracle=not args.no_oracle)
-    except ScenarioError as exc:
-        _fail(EXIT_SCENARIO, str(exc))
+    records = scenarios.sweep(spec, p_grid, q_grid=p_grid,
+                              emit_oracle=not args.no_oracle)
     _write_records(records, args.out)
     if args.out:
         print(f"{spec.name}: {len(records)} grid records -> {args.out}")
@@ -188,18 +197,18 @@ def cmd_optimize(args) -> int:
     spec = _spec_from_config(_with_scenario(cfg, args))
     p = args.p if args.p is not None else cfg.get("p")
     if p is None:
-        _fail(EXIT_CONFIG, "optimize requires --p")
-    q = args.q if args.q is not None else cfg.get("q", p)
+        raise ConfigError("optimize requires --p")
+    p = _number(p, "p", 0, 1)
+    q = _number(args.q if args.q is not None else cfg.get("q", p), "q", 0, 1)
+    _number(args.seed, "seed", 0, integer=True)
+    _number(args.restarts, "restarts", 1, integer=True)
     if args.dump_config:
         print(json.dumps({"scenario": cfg.get("scenario", args.scenario),
                           "p": p, "q": q, "seed": args.seed,
                           "restarts": args.restarts, "out": args.out}, indent=2))
         return 0
-    try:
-        result = scenarios.optimize_amplitudes(
-            spec, p, q, seed=args.seed, restarts=args.restarts)
-    except ScenarioError as exc:
-        _fail(EXIT_SCENARIO, str(exc))
+    result = scenarios.optimize_amplitudes(
+        spec, p, q, seed=args.seed, restarts=args.restarts)
     payload = {
         "scenario": spec.name,
         "family": spec.family,
@@ -227,17 +236,31 @@ _COINS = {"hadamard": walk.HADAMARD,
           "x": np.array([[0, 1], [1, 0]], dtype=complex)}
 
 
+def _coin_state(value) -> np.ndarray:
+    """``value`` as a normalized coin state; it must be a non-zero 2-vector."""
+    try:
+        state = np.array(value, dtype=complex)
+    except (TypeError, ValueError):
+        state = np.zeros(0)
+    norm = np.linalg.norm(state)
+    if state.shape != (2,) or not 0.0 < norm < np.inf:
+        raise ConfigError(f"coin_state must be a non-zero 2-vector, got {value!r}")
+    return state / norm
+
+
 def cmd_walk(args) -> int:
     cfg = _load_config(args.config)
     coin_name = args.coin or cfg.get("coin", "hadamard")
-    coin = _COINS.get(coin_name)
+    coin = _COINS.get(coin_name) if isinstance(coin_name, str) else None
     if coin is None:
-        _fail(EXIT_CONFIG, f"unknown coin {coin_name!r}")
-    n = args.positions or cfg.get("positions", 64)
+        raise ConfigError(f"unknown coin {coin_name!r}")
+    n = args.positions if args.positions is not None else cfg.get("positions", 64)
+    n = _number(n, "positions", 1, integer=True)
     steps = args.steps if args.steps is not None else cfg.get("steps", 20)
-    start = cfg.get("start_position", n // 2)
-    coin_state = np.array(cfg.get("coin_state", [1.0, 1.0j]), dtype=complex)
-    coin_state /= np.linalg.norm(coin_state)
+    steps = _number(steps, "steps", 0, integer=True)
+    start = _number(cfg.get("start_position", n // 2), "start_position", 0, n - 1,
+                    integer=True)
+    coin_state = _coin_state(cfg.get("coin_state", [1.0, 1.0j]))
     initial = np.zeros(2 * n, dtype=complex)
     initial[2 * start: 2 * start + 2] = coin_state
     spec = walk.WalkSpec(n, coin, steps, initial)
@@ -260,7 +283,7 @@ def _with_scenario(cfg: dict, args) -> dict:
     if getattr(args, "scenario", None):
         out["scenario"] = args.scenario
     if "scenario" not in out:
-        _fail(EXIT_CONFIG, "no scenario given (use --scenario or a config file)")
+        raise ConfigError("no scenario given (use --scenario or a config file)")
     return out
 
 
@@ -318,7 +341,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except LinksimError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_SCENARIO
+        raise SystemExit(code) from None
 
 
 if __name__ == "__main__":

@@ -18,7 +18,11 @@ HERMITIAN_TOL = 1e-10
 PSD_TOL = 1e-8
 
 
-class LinalgError(Exception):
+class LinksimError(Exception):
+    """Base class for every error the linksim library raises."""
+
+
+class LinalgError(LinksimError):
     """Base class for numerical-layer failures."""
 
 

@@ -16,31 +16,23 @@ from math import sqrt
 
 import numpy as np
 
-from .channels import Y, BadProbabilityError
+from .channels import Y, BadNormalizationError, _check_prob
 from .linalg import (
     DensityMatrix,
     DimMismatchError,
+    LinksimError,
     eig_hermitian,
     partial_trace,
     sqrt_psd,
 )
 
 
-class DivisionByZeroError(ZeroDivisionError):
+class DivisionByZeroError(LinksimError, ZeroDivisionError):
     """Closed-form fidelity denominator vanished (zero-probability outcome)."""
 
 
 # ---------------------------------------------------------------------------
 # target states
-
-
-@dataclass(frozen=True)
-class TargetState:
-    """Named pure target with its amplitude vector."""
-
-    kind: str  # 'bell+', 'bell-', 'ghz+', 'ghz-', 'w'
-    n: int
-    vector: np.ndarray
 
 
 def bell_state(sign: int = +1) -> np.ndarray:
@@ -72,25 +64,13 @@ def w_state(n: int, outcome: int = 0) -> np.ndarray:
     return v / np.sqrt(n)
 
 
-def target_bell(sign: int = +1) -> TargetState:
-    return TargetState("bell+" if sign > 0 else "bell-", 2, bell_state(sign))
-
-
-def target_ghz(n: int, phase: float = 0.0) -> TargetState:
-    return TargetState("ghz+" if phase == 0.0 else "ghz-", n, ghz_state(n, phase))
-
-
-def target_w(n: int) -> TargetState:
-    return TargetState("w", n, w_state(n))
-
-
 # ---------------------------------------------------------------------------
 # fidelity
 
 
 def fidelity_pure(rho: DensityMatrix, target) -> float:
     """sqrt(<psi|rho|psi>) against a pure target state."""
-    psi = target.vector if isinstance(target, TargetState) else np.asarray(target)
+    psi = np.asarray(target)
     if rho.dim != len(psi):
         raise DimMismatchError("state and target dimensions differ")
     val = (psi.conj() @ rho.mat @ psi).real
@@ -193,7 +173,7 @@ class VacuumConfig:
         object.__setattr__(self, "vectors", vecs)
         for v in vecs:
             if abs(np.linalg.norm(v) - 1.0) > 1e-10:
-                raise ValueError("vacuum amplitude vectors must be unit norm")
+                raise BadNormalizationError("vacuum amplitude vectors must be unit norm")
 
     @property
     def alpha(self) -> np.ndarray:
@@ -210,13 +190,7 @@ def _sym(a, b) -> float:
 
 
 def _check_probs(*ps) -> list[float]:
-    out = []
-    for p in ps:
-        p = float(p)
-        if not 0.0 <= p <= 1.0:
-            raise BadProbabilityError(f"probability {p} outside [0, 1]")
-        out.append(p)
-    return out
+    return [_check_prob(p, "probability") for p in ps]
 
 
 def fid_closed_depolarizing(p: float, q: float, cfg: VacuumConfig) -> float:

@@ -12,7 +12,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import minimize
 
-from . import metrics
 from .channels import (
     depolarizing_correlated,
     memoryless_bitflip,
@@ -20,20 +19,17 @@ from .channels import (
     pauli_string,
     unitary_channel,
 )
-from .linalg import DensityMatrix
+from .linalg import DensityMatrix, LinksimError
 from .metrics import (
-    TargetState,
     VacuumConfig,
     avg_one_vs_rest_concurrence,
     avg_pairwise_concurrence,
+    bell_state,
     fid_closed_bitphase,
     fid_closed_depolarizing,
     fid_closed_w3,
     fidelity_pure,
     fidelity_up_to_phase,
-    target_bell,
-    target_ghz,
-    target_w,
     w_state,
 )
 from .superposition import (
@@ -58,15 +54,16 @@ FAMILIES = (
     "w_memoryless",
 )
 
+_BELL_FAMILIES = ("ideal_bell", "bell_depolarizing", "bell_bitphase")
 _DEPOL_FAMILIES = ("bell_depolarizing", "ghz_depolarizing")
 _BITPHASE_FAMILIES = ("bell_bitphase", "ghz_bitphase")
 
 
-class UnknownScenarioError(KeyError):
+class ScenarioError(LinksimError):
     pass
 
 
-class ScenarioError(Exception):
+class UnknownScenarioError(ScenarioError, KeyError):
     pass
 
 
@@ -82,16 +79,10 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ScenarioError(f"unknown family {self.family!r}")
+        if self.n < 2 or (self.family in _BELL_FAMILIES and self.n != 2):
+            raise ScenarioError(f"family {self.family!r} cannot have n={self.n}")
         if self.outcome_policy not in ("plus_only", "all_outcomes"):
             raise ScenarioError(f"bad outcome policy {self.outcome_policy!r}")
-
-    @property
-    def target(self) -> TargetState:
-        if self.family in ("ideal_bell", "bell_depolarizing", "bell_bitphase"):
-            return target_bell(+1)
-        if self.family in ("ideal_ghz", "ghz_depolarizing", "ghz_bitphase"):
-            return target_ghz(self.n)
-        return target_w(self.n)
 
 
 @dataclass(frozen=True)
@@ -267,27 +258,27 @@ def build_scenario(spec: ScenarioSpec, p: float | None = None,
     inp = _zero_input(n)
     if family == "ideal_bell" or family == "ideal_ghz":
         channels = (
-            unitary_channel(pauli_string("X" * n), "bit-flip"),
-            unitary_channel(pauli_string("Z" * n), "phase-flip"),
+            unitary_channel(pauli_string("X" * n)),
+            unitary_channel(pauli_string("Z" * n)),
         )
         return SuperpositionScenario(channels, inp, plus_control(), pm_basis())
     if family == "ideal_w":
         channels = tuple(
-            unitary_channel(pauli_string("I" * i + "X" + "I" * (n - i - 1)), f"X_{i}")
+            unitary_channel(pauli_string("I" * i + "X" + "I" * (n - i - 1)))
             for i in range(n)
         )
         return SuperpositionScenario(channels, inp, uniform_control(n), fourier_basis(n))
     if family in _DEPOL_FAMILIES:
         channels = (
-            depolarizing_correlated(p, n, cfg.alpha, "F"),
-            depolarizing_correlated(q, n, cfg.beta, "N"),
+            depolarizing_correlated(p, n, cfg.alpha),
+            depolarizing_correlated(q, n, cfg.beta),
         )
         return SuperpositionScenario(channels, inp, plus_control(), pm_basis())
     if family in _BITPHASE_FAMILIES:
         channels = (
-            pauli_channel_correlated((1 - p, p, 0, 0), n, cfg.alpha, "bit-flip",
+            pauli_channel_correlated((1 - p, p, 0, 0), n, cfg.alpha,
                                      used_slots=(0, 1)),
-            pauli_channel_correlated((1 - q, 0, 0, q), n, cfg.beta, "phase-flip",
+            pauli_channel_correlated((1 - q, 0, 0, q), n, cfg.beta,
                                      used_slots=(0, 3)),
         )
         return SuperpositionScenario(channels, inp, plus_control(), pm_basis())
@@ -295,6 +286,8 @@ def build_scenario(spec: ScenarioSpec, p: float | None = None,
     probs = tuple(p) if np.ndim(p) == 1 else (p,) * n
     if len(probs) != n:
         raise ScenarioError(f"expected {n} per-channel probabilities")
+    if len(cfg.vectors) != n:
+        raise ScenarioError(f"expected {n} amplitude vectors, got {len(cfg.vectors)}")
     channels = tuple(
         memoryless_bitflip(i, n, probs[i], cfg.vectors[i]) for i in range(n)
     )
@@ -314,9 +307,8 @@ def outcome_fidelity(spec: ScenarioSpec, outcome: MeasurementOutcome) -> float:
     family = spec.family
     if family in ("ideal_w", "w_memoryless"):
         return fidelity_pure(outcome.post_state, w_state(spec.n, outcome.outcome_index))
-    if family in ("ideal_bell", "bell_depolarizing", "bell_bitphase") and \
-            outcome.outcome_index == 0:
-        return fidelity_pure(outcome.post_state, spec.target)
+    if family in _BELL_FAMILIES and outcome.outcome_index == 0:
+        return fidelity_pure(outcome.post_state, bell_state(+1))
     fid, _ = fidelity_up_to_phase(outcome.post_state, spec.n)
     return fid
 
@@ -551,7 +543,7 @@ def verify_propositions() -> list[PropositionCheck]:
     spec = builtin("prop1_ideal_bell")
     outs = run(build_scenario(spec))
     for out, sign, label in zip(outs, (+1, -1), ("+", "-")):
-        fid = fidelity_pure(out.post_state, metrics.bell_state(sign))
+        fid = fidelity_pure(out.post_state, bell_state(sign))
         checks.append(_check(
             "prop1", f"ideal Bell, control outcome |{label}>, fid vs Phi{label}",
             fid, 1.0 - tol))

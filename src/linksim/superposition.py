@@ -22,7 +22,7 @@ from math import prod
 import numpy as np
 
 from .channels import VacuumExtendedChannel
-from .linalg import DensityMatrix, DimMismatchError
+from .linalg import DensityMatrix, DimMismatchError, LinksimError
 
 #: target dim x control dim beyond which we refuse to build joint operators
 JOINT_DIM_CAP = 4096
@@ -31,7 +31,7 @@ JOINT_DIM_CAP = 4096
 ZERO_PROB = 1e-12
 
 
-class SuperpositionError(Exception):
+class SuperpositionError(LinksimError):
     pass
 
 
@@ -144,18 +144,11 @@ def global_kraus(channels) -> list[np.ndarray]:
             )
             if coeff == 0:
                 continue
-            block = coeff * channels[l].kraus[idx[l]]
             # target (x) control with control as the rightmost factor:
-            # branch projector |l><l| selects a d x d block
-            s[:, :] += np.kron(block, _proj(l, n))
+            # block (x) |l><l| fills the entries with row, column = l mod n
+            s[l::n, l::n] += coeff * channels[l].kraus[idx[l]]
         ops.append(s)
     return ops
-
-
-def _proj(l: int, n: int) -> np.ndarray:
-    p = np.zeros((n, n), dtype=complex)
-    p[l, l] = 1.0
-    return p
 
 
 def apply(scenario: SuperpositionScenario) -> DensityMatrix:

@@ -95,10 +95,8 @@ def verify_embedding(u1: np.ndarray, u2: np.ndarray, tol: float = 1e-12) -> bool
     p0 = np.diag([1.0, 0.0]).astype(complex)
     p1 = np.diag([0.0, 1.0]).astype(complex)
     s = np.kron(u1, p0) + np.kron(u2, p1)
-    up = np.roll(np.eye(n, dtype=complex), 1, axis=0)
-    down = np.roll(np.eye(n, dtype=complex), -1, axis=0)
     candidates = [
-        np.kron(up, p0) + np.kron(down, p1),  # cyclic shift pair
+        shift_operator(n),  # cyclic shift pair
         np.eye(2 * n, dtype=complex),  # degenerate trivial-shift pair
     ]
     return any(np.max(np.abs(s - t)) <= tol for t in candidates)

@@ -1,9 +1,17 @@
+import importlib
+import inspect
 import json
+import pkgutil
 
 import numpy as np
 import pytest
 
+import linksim
+from linksim import scenarios
 from linksim.cli import CSV_HEADER, main
+from linksim.linalg import LinksimError
+
+S2 = 1.0 / np.sqrt(2.0)
 
 
 def run_cli(args):
@@ -176,3 +184,89 @@ def test_walk_csv(tmp_path):
 def test_walk_unknown_coin():
     with pytest.raises(SystemExit):
         run_cli(["walk", "--coin", "nope"])
+
+
+_BAD_ALPHA = {"scenario": {"family": "bell_depolarizing", "alpha": [1, 0, 0],
+                           "beta": [1, 0, 0, 0]}}
+
+# (argv, config or None, exit code): every input here once ended in a
+# traceback, exited 1, or exited 0 with a silently wrong result
+BAD_INPUTS = {
+    "inline_alpha_wrong_length": (["sweep"], _BAD_ALPHA, 2),
+    "w_memoryless_too_few_amps": (
+        ["sweep"], {"scenario": {"family": "w_memoryless", "n": 3,
+                                 "amps": [[S2, S2], [S2, S2]]}}, 2),
+    "points_not_a_number": (["sweep", "--scenario", "fig4a_red"],
+                            {"sweep": {"points": "x"}}, 2),
+    "points_not_an_integer": (["sweep", "--scenario", "fig4a_red"],
+                              {"sweep": {"points": 2.5}}, 2),
+    "start_not_a_number": (["grid", "--scenario", "fig4a_red"],
+                           {"sweep": {"start": "x"}}, 2),
+    "walk_start_outside_lattice": (["walk", "--positions", "16"],
+                                   {"start_position": 100}, 2),
+    "walk_start_negative": (["walk", "--positions", "16"],
+                            {"start_position": -1}, 2),
+    "optimize_inline_bad_alpha": (["optimize", "--p", "0.5"], _BAD_ALPHA, 2),
+    "optimize_p_above_one": (["optimize", "--scenario", "prop4_p05",
+                              "--p", "1.5"], None, 2),
+    "optimize_q_below_zero": (["optimize", "--scenario", "prop4_p05",
+                               "--p", "0.5", "--q", "-0.1"], None, 2),
+    "optimize_p_not_a_number": (["optimize", "--scenario", "prop4_p05"],
+                                {"p": "x"}, 2),
+    "optimize_negative_seed": (["optimize", "--scenario", "prop4_p05",
+                                "--p", "0.5", "--seed", "-1"], None, 2),
+    "walk_zero_positions": (["walk", "--positions", "0"], None, 2),
+    "walk_negative_steps": (["walk", "--steps", "-1"], None, 2),
+    "walk_zero_coin_state": (["walk", "--positions", "4"],
+                             {"coin_state": [0, 0]}, 2),
+    "ghz_depolarizing_one_qubit": (
+        ["sweep"], {"scenario": {"family": "ghz_depolarizing", "n": 1,
+                                 "amps": [[1, 0, 0, 0], [1, 0, 0, 0]]}}, 2),
+    "unknown_outcome_policy": (["sweep", "--scenario", "fig4a_red"],
+                               {"outcome_policy": "sometimes"}, 2),
+    "no_restarts": (["optimize", "--scenario", "prop4_p05", "--p", "0.5",
+                     "--restarts", "0"], None, 2),
+    "inline_n_not_an_integer": (
+        ["sweep"], {"scenario": {"family": "ghz_bitphase", "n": 2.5,
+                                 "amps": [[1, 0, 0, 0], [1, 0, 0, 0]]}}, 2),
+    "joint_dimension_over_cap": (
+        ["sweep"], {"scenario": {"family": "ideal_w", "n": 9,
+                                 "amps": [[1]] * 9}}, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_input_is_a_one_line_error(name, tmp_path, capsys):
+    argv, cfg, code = BAD_INPUTS[name]
+    if cfg is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        argv = [*argv, "--config", str(path)]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == code
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_unexpected_exception_keeps_its_traceback(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("a bug, not an input error")
+
+    monkeypatch.setattr(scenarios, "sweep", broken)
+    with pytest.raises(RuntimeError):
+        run_cli(["sweep", "--scenario", "fig4a_red", "--points", "3"])
+
+
+def test_every_library_exception_is_a_linksim_error():
+    found = []
+    for info in pkgutil.iter_modules(linksim.__path__):
+        module = importlib.import_module(f"linksim.{info.name}")
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if issubclass(cls, BaseException) and cls.__module__ == module.__name__:
+                found.append(cls)
+                assert issubclass(cls, LinksimError), cls
+    assert len(found) >= 15

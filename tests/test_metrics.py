@@ -16,9 +16,6 @@ from linksim.metrics import (
     fidelity_pure,
     fidelity_up_to_phase,
     ghz_state,
-    target_bell,
-    target_ghz,
-    target_w,
     uhlmann_fidelity,
     w_state,
 )
@@ -70,12 +67,6 @@ def test_w_state():
     assert np.linalg.norm(w1) == pytest.approx(1.0)
     assert abs(w1[4]) == pytest.approx(S3)
     assert w1[2] / w1[4] == pytest.approx(np.exp(-2j * np.pi / 3))
-
-
-def test_target_wrappers():
-    assert np.allclose(target_bell(+1).vector, bell_state(+1))
-    assert target_ghz(4).vector.shape == (16,)
-    assert np.allclose(target_w(3).vector, w_state(3))
 
 
 # ---------------------------------------------------------------------------

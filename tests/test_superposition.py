@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from linksim.channels import (
     VacuumExtendedChannel,
     depolarizing_correlated,
+    memoryless_bitflip,
+    pauli_channel_correlated,
     unitary_channel,
 )
 from linksim.linalg import DensityMatrix, partial_trace
@@ -32,6 +36,36 @@ def random_channel(rng, d=2, m=3):
     amps = rng.normal(size=m) + 1j * rng.normal(size=m)
     amps /= np.linalg.norm(amps)
     return VacuumExtendedChannel(kraus, amps)
+
+
+def _unit_vector(draw, size):
+    v = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=size,
+                               max_size=size)))
+    assume(np.linalg.norm(v) > 1e-3)
+    return v / np.linalg.norm(v)
+
+
+@st.composite
+def pauli_and_bitflip_channels(draw):
+    """Two or three random correlated-Pauli or memoryless bit-flip channels
+    on the same one or two qubits."""
+    n = draw(st.integers(1, 2))
+    channels = []
+    for _ in range(draw(st.integers(2, 3))):
+        if draw(st.booleans()):
+            w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=4,
+                                       max_size=4)))
+            assume(w.sum() > 1e-3)
+            channels.append(pauli_channel_correlated(w / w.sum(), n,
+                                                     _unit_vector(draw, 4)))
+        else:
+            channels.append(memoryless_bitflip(
+                draw(st.integers(0, n - 1)), n, draw(st.floats(0.0, 1.0)),
+                _unit_vector(draw, 2)))
+    return tuple(channels)
+
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
 
 
 def random_density(rng, d):
@@ -177,3 +211,22 @@ def test_depolarizing_pair_plus_outcome_is_bell_diagonal():
     off = m - np.diag(np.diag(m))
     off[0, 3] = off[3, 0] = 0.0
     assert np.max(np.abs(off)) < 1e-12
+
+
+@PROPERTY
+@given(pauli_and_bitflip_channels())
+def test_global_kraus_complete_on_random_pauli_and_bitflip(channels):
+    ops = global_kraus(channels)
+    acc = sum(s.conj().T @ s for s in ops)
+    assert np.max(np.abs(acc - np.eye(acc.shape[0]))) < 1e-12
+
+
+@PROPERTY
+@given(pauli_and_bitflip_channels())
+def test_run_outcome_probabilities_sum_to_one(channels):
+    n = len(channels)
+    qubits = int(np.log2(channels[0].dim))
+    inp = DensityMatrix.pure((2,) * qubits, np.eye(channels[0].dim)[0])
+    outs = run(SuperpositionScenario(channels, inp, uniform_control(n),
+                                     fourier_basis(n)))
+    assert sum(o.probability for o in outs) == pytest.approx(1.0, abs=1e-10)
