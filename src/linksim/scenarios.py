@@ -33,6 +33,7 @@ from .metrics import (
     w_state,
 )
 from .superposition import (
+    JOINT_DIM_CAP,
     ZERO_PROB,
     MeasurementOutcome,
     SuperpositionScenario,
@@ -64,7 +65,9 @@ class ScenarioError(LinksimError):
 
 
 class UnknownScenarioError(ScenarioError, KeyError):
-    pass
+    def __str__(self) -> str:
+        # KeyError would quote the message
+        return self.args[0]
 
 
 @dataclass(frozen=True)
@@ -247,6 +250,14 @@ def build_scenario(spec: ScenarioSpec, p: float | None = None,
     n = spec.n
     family = spec.family
     cfg = spec.config
+    # reject before building 2^n x 2^n Kraus operators; a huge n never
+    # reaches the power
+    branches = n if family in ("ideal_w", "w_memoryless") else 2
+    if n >= JOINT_DIM_CAP.bit_length() or 2**n * branches > JOINT_DIM_CAP:
+        raise ScenarioError(
+            f"{spec.name}: {branches} branches on {n} qubits exceed the "
+            f"joint dimension cap {JOINT_DIM_CAP}"
+        )
     if p is None:
         if spec.noise is None and family not in ("ideal_bell", "ideal_ghz", "ideal_w"):
             raise ScenarioError(f"{spec.name}: noise level required")

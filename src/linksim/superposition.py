@@ -11,12 +11,15 @@ amplitudes of every channel that is *not* traversed. For N = 2 this is the
 familiar  b_j F_i (x) |0><0| + a_i N_j (x) |1><1|  construction. The joint
 state sum_i S_i (rho_t (x) rho_c) S_i^dag is trace one, and measuring the
 control in an orthonormal basis projects the target.
+
+``apply`` builds only the columns of each S_i that meet the support of
+rho_t (x) rho_c, which is a few rows for the paper's pure product inputs;
+``global_kraus`` builds the dense operators and serves as the reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import prod
 
 import numpy as np
@@ -123,10 +126,14 @@ class MeasurementOutcome:
     post_state: DensityMatrix | None
 
 
-def global_kraus(channels) -> list[np.ndarray]:
-    """Joint Kraus operators S_i on target (x) control, one per multi-index.
+def _joint_columns(channels, cols=None, drop_zero: bool = False) -> np.ndarray:
+    """Columns ``cols`` (default: all) of every joint Kraus operator S_i.
 
-    Multi-indices are enumerated lexicographically over (i_0, ..., i_{N-1}).
+    Returns an array of shape (M, d*n, len(cols)), one slice per
+    multi-index, enumerated lexicographically over (i_0, ..., i_{N-1}).
+    Column t*n + l of S_i is coeff_l(i) K^(l)_{i_l}[:, t] at rows l::n, with
+    coeff_l(i) = prod_{k != l} a^(k)_{i_k}. With ``drop_zero`` the
+    multi-indices whose coefficients all vanish are left out.
     """
     channels = tuple(channels)
     if len(channels) < 2:
@@ -135,30 +142,60 @@ def global_kraus(channels) -> list[np.ndarray]:
     if any(c.dim != d for c in channels):
         raise DimMismatchError("channels act on different target dimensions")
     n = len(channels)
-    ops = []
-    for idx in product(*(range(len(c.kraus)) for c in channels)):
-        s = np.zeros((d * n, d * n), dtype=complex)
-        for l in range(n):
-            coeff = prod(
-                channels[k].vacuum_amplitudes[idx[k]] for k in range(n) if k != l
-            )
-            if coeff == 0:
-                continue
-            # target (x) control with control as the rightmost factor:
-            # block (x) |l><l| fills the entries with row, column = l mod n
-            s[l::n, l::n] += coeff * channels[l].kraus[idx[l]]
-        ops.append(s)
-    return ops
+    if cols is None:
+        cols = np.arange(d * n)
+    t, branch = np.divmod(cols, n)
+    idx = np.indices([len(c.kraus) for c in channels]).reshape(n, -1)
+    amps = [c.vacuum_amplitudes[i] for c, i in zip(channels, idx)]
+    coeff = np.array([prod(amps[k] for k in range(n) if k != l) for l in range(n)])
+    if drop_zero:
+        keep = coeff.any(axis=0)
+        idx, coeff = idx[:, keep], coeff[:, keep]
+    # target (x) control with control as the rightmost factor: row r*n + l
+    out = np.empty((idx.shape[1], d, n, len(cols)), dtype=complex)
+    for l, channel in enumerate(channels):
+        # index the Kraus columns first, so the multi-index gather copies
+        # only those columns and never a (M, d, d) stack
+        kcols = np.array([k[:, t] for k in channel.kraus])[idx[l]]
+        out[:, :, l] = np.where(branch == l, coeff[l, :, None, None] * kcols, 0)
+    return out.reshape(-1, d * n, len(cols))
+
+
+def global_kraus(channels) -> list[np.ndarray]:
+    """Dense joint Kraus operators S_i on target (x) control, one per
+    multi-index, enumerated lexicographically over (i_0, ..., i_{N-1}).
+
+    ``apply`` does not use them; they are the reference it is tested against.
+    """
+    return list(_joint_columns(channels))
 
 
 def apply(scenario: SuperpositionScenario) -> DensityMatrix:
-    """Evolve rho_t (x) rho_c under the superposed channels."""
-    c = scenario.control.amplitudes
-    joint_in = np.kron(scenario.input.mat, np.outer(c, c.conj()))
+    """Evolve rho_t (x) rho_c under the superposed channels.
+
+    Only the columns of each S_i on the support ``sup`` of the input J are
+    built: sum_i S_i J S_i^dag = sum_i S_i[:, sup] J[sup, sup] S_i[:, sup]^dag,
+    and it is summed only over the rows those columns reach.
+    """
+    rho, c = scenario.input.mat, scenario.control.amplitudes
+    # kron(rho, |c><c|) as one broadcast product: np.kron costs more than
+    # the product itself at these sizes
+    joint_in = rho[:, None, :, None] * np.outer(c, c.conj())[:, None, :]
+    joint_in = joint_in.reshape(len(rho) * len(c), -1)
+    sup = np.flatnonzero(joint_in.any(axis=1))
+    cols = _joint_columns(scenario.channels, sup, drop_zero=True)
+    rows = np.flatnonzero(cols.any(axis=(0, 2)))
+    cols = cols[:, rows]
+    left = cols @ joint_in[sup][:, sup]
+    right = cols.conj().transpose(0, 2, 1)
+    block = np.zeros((len(rows), len(rows)), dtype=complex)
+    term = np.empty_like(block)
+    # one term at a time, in multi-index order: fusing the sum into one
+    # product would reorder it and change the rounding of the output
+    for a, b in zip(left, right):
+        block += np.matmul(a, b, out=term)
     out = np.zeros_like(joint_in)
-    for s in global_kraus(scenario.channels):
-        tmp = s @ joint_in
-        out += tmp @ s.conj().T
+    out[rows[:, None], rows] = block
     dims = scenario.input.dims + (scenario.control.dim,)
     # symmetrize away accumulated rounding before the invariant checks
     out = (out + out.conj().T) / 2.0

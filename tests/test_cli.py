@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import linksim
-from linksim import scenarios
+from linksim import channels, scenarios
 from linksim.cli import CSV_HEADER, main
 from linksim.linalg import LinksimError
 
@@ -76,10 +76,13 @@ def test_grid_command(tmp_path):
     assert {r[1] for r in rows[:3]} == {"0", "0.5", "1"}
 
 
-def test_unknown_scenario_exit_code():
+def test_unknown_scenario_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["sweep", "--scenario", "missing_scenario"])
     assert exc.value.code == 3
+    # printed plain, not quoted as a KeyError would be
+    assert capsys.readouterr().err.startswith(
+        "error: unknown scenario 'missing_scenario'; known: ")
 
 
 def test_missing_scenario_exit_code():
@@ -250,6 +253,28 @@ def test_bad_input_is_a_one_line_error(name, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: ")
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_joint_dimension_cap_is_checked_before_building(tmp_path, capsys,
+                                                        monkeypatch):
+    builds = []
+    original = channels.pauli_string
+
+    def counted(spec):
+        builds.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(channels, "pauli_string", counted)
+    monkeypatch.setattr(scenarios, "pauli_string", counted)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"scenario": {
+        "family": "ghz_depolarizing", "n": 12,
+        "amps": [[1, 0, 0, 0], [1, 0, 0, 0]]}}))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["sweep", "--config", str(path)])
+    assert exc.value.code == 2
+    assert "joint dimension cap" in capsys.readouterr().err
+    assert builds == []
 
 
 def test_unexpected_exception_keeps_its_traceback(monkeypatch):

@@ -11,6 +11,7 @@ from linksim.channels import (
     unitary_channel,
 )
 from linksim.linalg import DensityMatrix, partial_trace
+from linksim.scenarios import build_scenario, builtin, builtin_names
 from linksim.superposition import (
     ControlState,
     SuperpositionError,
@@ -230,3 +231,70 @@ def test_run_outcome_probabilities_sum_to_one(channels):
     outs = run(SuperpositionScenario(channels, inp, uniform_control(n),
                                      fourier_basis(n)))
     assert sum(o.probability for o in outs) == pytest.approx(1.0, abs=1e-10)
+
+
+def dense_apply(scenario):
+    """Reference evolution sum_i S_i J S_i^dag over the dense operators of
+    ``global_kraus``, summed in multi-index order and symmetrized."""
+    c = scenario.control.amplitudes
+    joint_in = np.kron(scenario.input.mat, np.outer(c, c.conj()))
+    out = np.zeros_like(joint_in)
+    for s in global_kraus(scenario.channels):
+        out += (s @ joint_in) @ s.conj().T
+    return (out + out.conj().T) / 2.0
+
+
+BUILTIN_SPECS = {spec.name: spec for spec in map(builtin, builtin_names())}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SPECS))
+def test_apply_equals_dense_reference_on_builtins(name):
+    # every builtin joint operator is monomial with real or imaginary
+    # entries, so each output entry is one product and the sums agree exactly
+    spec = BUILTIN_SPECS[name]
+    for p in (0.0, 0.13, 0.5, 0.77, 1.0):
+        for q in (0.0, 0.31, 1.0):
+            scen = build_scenario(spec, p, q)
+            assert np.array_equal(apply(scen).mat, dense_apply(scen)), (p, q)
+
+
+def _random_input(rng, d, kind):
+    """Full-rank mixed, pure with some zero amplitudes, or rank two on a
+    random subset of the basis (zero rows elsewhere)."""
+    if kind == "mixed":
+        return random_density(rng, d)
+    support = np.sort(rng.choice(d, size=rng.integers(2, d + 1), replace=False))
+    if kind == "pure":
+        v = np.zeros(d, dtype=complex)
+        v[support] = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
+        v /= np.linalg.norm(v)
+        return np.outer(v, v.conj())
+    a = np.zeros((d, 2), dtype=complex)
+    a[support] = (rng.normal(size=(len(support), 2))
+                  + 1j * rng.normal(size=(len(support), 2)))
+    m = a @ a.conj().T
+    return m / np.trace(m).real
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.integers(2, 3),
+       st.sampled_from(["mixed", "pure", "rank_deficient"]))
+def test_apply_matches_dense_reference_on_random_channels(seed, count, kind):
+    rng = np.random.default_rng(seed)
+    d = int(rng.choice([2, 4]))
+    channels = []
+    for _ in range(count):
+        ch = random_channel(rng, d=d, m=int(rng.integers(1, 4)))
+        amps = ch.vacuum_amplitudes.copy()
+        if len(amps) > 1 and rng.random() < 0.5:
+            # zero amplitudes on two channels make some joint operators vanish
+            amps[0] = 0.0
+            amps /= np.linalg.norm(amps)
+        channels.append(VacuumExtendedChannel(ch.kraus, amps))
+    c = rng.normal(size=count) + 1j * rng.normal(size=count)
+    if rng.random() < 0.5:
+        c[rng.integers(count)] = 0.0
+    scen = SuperpositionScenario(
+        tuple(channels), DensityMatrix((d,), _random_input(rng, d, kind)),
+        ControlState(c / np.linalg.norm(c)), fourier_basis(count))
+    assert np.allclose(apply(scen).mat, dense_apply(scen), atol=1e-12, rtol=0)
