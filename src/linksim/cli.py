@@ -37,6 +37,10 @@ CSV_HEADER = "p,q,outcome,fidelity,oracle_fidelity,conc_pairwise,conc_one_vs_res
 EXIT_CONFIG = 2
 EXIT_SCENARIO = 3
 
+# size limits; a walk builds dense (2 positions)^2 complex matrices
+MAX_POINTS = 10**6
+MAX_POSITIONS = 1024
+
 
 def _fmt(x) -> str:
     """Serialize a float with 9 significant digits."""
@@ -87,7 +91,6 @@ def _spec_from_config(cfg: dict) -> ScenarioSpec:
                 family=scen["family"],
                 n=_number(scen.get("n", 2), "n", 2, integer=True),
                 config=VacuumConfig(tuple(np.asarray(v, float) for v in vectors)),
-                noise=tuple(scen["noise"]) if "noise" in scen else None,
             )
             # building at p = 0 runs every channel and amplitude check once
             scenarios.build_scenario(spec, 0.0)
@@ -130,7 +133,7 @@ def _grid(cfg: dict, args, key: str = "sweep") -> np.ndarray:
     stop = args.stop if args.stop is not None else sweep_cfg.get("stop", 1.0)
     points = args.points if args.points is not None else sweep_cfg.get("points", 101)
     return np.linspace(_number(start, "start", 0, 1), _number(stop, "stop", 0, 1),
-                       _number(points, "points", 1, integer=True))
+                       _number(points, "points", 1, MAX_POINTS, integer=True))
 
 
 def cmd_sweep(args) -> int:
@@ -255,7 +258,7 @@ def cmd_walk(args) -> int:
     if coin is None:
         raise ConfigError(f"unknown coin {coin_name!r}")
     n = args.positions if args.positions is not None else cfg.get("positions", 64)
-    n = _number(n, "positions", 1, integer=True)
+    n = _number(n, "positions", 1, MAX_POSITIONS, integer=True)
     steps = args.steps if args.steps is not None else cfg.get("steps", 20)
     steps = _number(steps, "steps", 0, integer=True)
     start = _number(cfg.get("start_position", n // 2), "start_position", 0, n - 1,

@@ -58,6 +58,7 @@ FAMILIES = (
 _BELL_FAMILIES = ("ideal_bell", "bell_depolarizing", "bell_bitphase")
 _DEPOL_FAMILIES = ("bell_depolarizing", "ghz_depolarizing")
 _BITPHASE_FAMILIES = ("bell_bitphase", "ghz_bitphase")
+_W_FAMILIES = ("ideal_w", "w_memoryless")
 
 
 class ScenarioError(LinksimError):
@@ -76,7 +77,7 @@ class ScenarioSpec:
     family: str
     n: int
     config: VacuumConfig
-    noise: tuple[float, ...] | None = None  # (p, q) or per-channel p_i
+    noise: tuple[float, ...] | None = None  # published operating point
     outcome_policy: str = "plus_only"  # or "all_outcomes"
 
     def __post_init__(self):
@@ -240,69 +241,77 @@ def _zero_input(n: int) -> DensityMatrix:
     return DensityMatrix.pure((2,) * n, v)
 
 
-def build_scenario(spec: ScenarioSpec, p: float | None = None,
+def _free_slots(family: str, n: int) -> list[np.ndarray]:
+    """Which vacuum amplitudes of each channel may be non-zero.
+
+    The single statement of each family's amplitude layout: depolarizing
+    channels use all four Pauli slots, the bit flip uses (I, X) and the
+    phase flip (I, Z), and each memoryless W channel its two Kraus slots.
+    """
+    if family in _DEPOL_FAMILIES:
+        return [np.ones(4, dtype=bool)] * 2
+    if family in _BITPHASE_FAMILIES:
+        return [np.array([True, True, False, False]),
+                np.array([True, False, False, True])]
+    if family == "w_memoryless":
+        return [np.ones(2, dtype=bool)] * n
+    raise ScenarioError(f"family {family!r} has no free vacuum amplitudes")
+
+
+def build_scenario(spec: ScenarioSpec, p: float,
                    q: float | None = None) -> SuperpositionScenario:
     """Instantiate channels, control and basis for a spec at noise (p, q).
 
-    For ``w_memoryless`` all per-channel probabilities are set to ``p``
-    unless the spec carries an explicit per-channel noise tuple.
+    ``q`` defaults to ``p``; ``w_memoryless`` sets every channel to ``p``
+    and ideal families ignore the noise.
     """
     n = spec.n
     family = spec.family
     cfg = spec.config
     # reject before building 2^n x 2^n Kraus operators; a huge n never
     # reaches the power
-    branches = n if family in ("ideal_w", "w_memoryless") else 2
+    branches = n if family in _W_FAMILIES else 2
     if n >= JOINT_DIM_CAP.bit_length() or 2**n * branches > JOINT_DIM_CAP:
         raise ScenarioError(
             f"{spec.name}: {branches} branches on {n} qubits exceed the "
             f"joint dimension cap {JOINT_DIM_CAP}"
         )
-    if p is None:
-        if spec.noise is None and family not in ("ideal_bell", "ideal_ghz", "ideal_w"):
-            raise ScenarioError(f"{spec.name}: noise level required")
-        p = spec.noise[0] if spec.noise else 0.0
-        q = spec.noise[1] if spec.noise and len(spec.noise) > 1 else p
     if q is None:
         q = p
 
-    inp = _zero_input(n)
+    if family in _W_FAMILIES:
+        control, basis = uniform_control(n), fourier_basis(n)
+    else:
+        control, basis = plus_control(), pm_basis()
     if family == "ideal_bell" or family == "ideal_ghz":
         channels = (
             unitary_channel(pauli_string("X" * n)),
             unitary_channel(pauli_string("Z" * n)),
         )
-        return SuperpositionScenario(channels, inp, plus_control(), pm_basis())
-    if family == "ideal_w":
+    elif family == "ideal_w":
         channels = tuple(
             unitary_channel(pauli_string("I" * i + "X" + "I" * (n - i - 1)))
             for i in range(n)
         )
-        return SuperpositionScenario(channels, inp, uniform_control(n), fourier_basis(n))
-    if family in _DEPOL_FAMILIES:
+    elif family in _DEPOL_FAMILIES:
         channels = (
             depolarizing_correlated(p, n, cfg.alpha),
             depolarizing_correlated(q, n, cfg.beta),
         )
-        return SuperpositionScenario(channels, inp, plus_control(), pm_basis())
-    if family in _BITPHASE_FAMILIES:
+    elif family in _BITPHASE_FAMILIES:
+        bit, phase = (np.flatnonzero(m) for m in _free_slots(family, n))
         channels = (
-            pauli_channel_correlated((1 - p, p, 0, 0), n, cfg.alpha,
-                                     used_slots=(0, 1)),
-            pauli_channel_correlated((1 - q, 0, 0, q), n, cfg.beta,
-                                     used_slots=(0, 3)),
+            pauli_channel_correlated((1 - p, p, 0, 0), n, cfg.alpha, bit),
+            pauli_channel_correlated((1 - q, 0, 0, q), n, cfg.beta, phase),
         )
-        return SuperpositionScenario(channels, inp, plus_control(), pm_basis())
-    # w_memoryless
-    probs = tuple(p) if np.ndim(p) == 1 else (p,) * n
-    if len(probs) != n:
-        raise ScenarioError(f"expected {n} per-channel probabilities")
-    if len(cfg.vectors) != n:
-        raise ScenarioError(f"expected {n} amplitude vectors, got {len(cfg.vectors)}")
-    channels = tuple(
-        memoryless_bitflip(i, n, probs[i], cfg.vectors[i]) for i in range(n)
-    )
-    return SuperpositionScenario(channels, inp, uniform_control(n), fourier_basis(n))
+    else:  # w_memoryless
+        if len(cfg.vectors) != n:
+            raise ScenarioError(
+                f"expected {n} amplitude vectors, got {len(cfg.vectors)}")
+        channels = tuple(
+            memoryless_bitflip(i, n, p, cfg.vectors[i]) for i in range(n)
+        )
+    return SuperpositionScenario(channels, _zero_input(n), control, basis)
 
 
 def outcome_fidelity(spec: ScenarioSpec, outcome: MeasurementOutcome) -> float:
@@ -316,7 +325,7 @@ def outcome_fidelity(spec: ScenarioSpec, outcome: MeasurementOutcome) -> float:
     if outcome.post_state is None:
         raise ScenarioError("zero-probability outcome has no post state")
     family = spec.family
-    if family in ("ideal_w", "w_memoryless"):
+    if family in _W_FAMILIES:
         return fidelity_pure(outcome.post_state, w_state(spec.n, outcome.outcome_index))
     if family in _BELL_FAMILIES and outcome.outcome_index == 0:
         return fidelity_pure(outcome.post_state, bell_state(+1))
@@ -395,30 +404,6 @@ def verify_sweep_oracle(records) -> float:
 # amplitude optimization
 
 
-def _free_blocks(family: str, n: int) -> list[int]:
-    if family in _DEPOL_FAMILIES:
-        return [4, 4]
-    if family in _BITPHASE_FAMILIES:
-        return [2, 2]
-    if family == "w_memoryless":
-        return [2] * n
-    raise ScenarioError(f"family {family!r} has no free vacuum amplitudes")
-
-
-def _blocks_to_config(family: str, blocks: list[np.ndarray]) -> VacuumConfig:
-    if family in _BITPHASE_FAMILIES:
-        a, b = blocks
-        return VacuumConfig(((a[0], a[1], 0, 0), (b[0], 0, 0, b[1])))
-    return VacuumConfig(tuple(blocks))
-
-
-def _config_to_vector(family: str, cfg: VacuumConfig) -> np.ndarray:
-    if family in _BITPHASE_FAMILIES:
-        a, b = cfg.alpha.real, cfg.beta.real
-        return np.array([a[0], a[1], b[0], b[3]])
-    return np.concatenate([v.real for v in cfg.vectors])
-
-
 def published_configs(family: str) -> list[VacuumConfig]:
     """Paper-reported configurations, used to anchor optimizer restarts."""
     return {
@@ -430,29 +415,33 @@ def published_configs(family: str) -> list[VacuumConfig]:
     }.get(family, [])
 
 
-def _vector_to_config(spec: ScenarioSpec, x: np.ndarray) -> VacuumConfig | None:
-    """Project a free amplitude vector onto the per-channel unit spheres.
+def _amplitudes(slots: list[np.ndarray], x: np.ndarray) -> list[np.ndarray] | None:
+    """Unit amplitude vector of each channel from a free real vector.
 
-    Returns None when a block has vanishing norm.
+    ``x`` holds one block per channel, sized by its ``_free_slots`` mask;
+    each block is projected onto the unit sphere and scattered into its
+    mask. Returns None when a block has vanishing norm.
     """
-    blocks, start = [], 0
-    for size in _free_blocks(spec.family, spec.n):
-        part = x[start:start + size]
-        start += size
+    vectors, start = [], 0
+    for mask in slots:
+        part = x[start:start + np.count_nonzero(mask)]
+        start += len(part)
         norm = np.linalg.norm(part)
         if norm < 1e-9:
             return None
-        blocks.append(part / norm)
-    return _blocks_to_config(spec.family, blocks)
+        v = np.zeros(len(mask), dtype=complex)
+        v[mask] = part / norm
+        vectors.append(v)
+    return vectors
 
 
-def _fixed_noise_objective(spec: ScenarioSpec, p, q, x0: np.ndarray):
+def _fixed_noise_objective(spec: ScenarioSpec, p, q):
     """Negative plus-outcome fidelity at fixed noise, as a function of the
-    free amplitude vector.
+    free amplitude vector (see ``_amplitudes``).
 
     The Kraus operators K^l_i, input rho, control c and plus-outcome basis
     vector b do not depend on the vacuum amplitudes, so the channels are
-    built once (at the amplitudes of ``x0``) and the unnormalized
+    built once (at the spec's own amplitudes) and the unnormalized
     plus-outcome block is scored as
 
         D + sum_{l != m} w_lm sum_ij conj(a^l_i) a^m_j K^l_i rho K^m_j^dag
@@ -460,9 +449,8 @@ def _fixed_noise_objective(spec: ScenarioSpec, p, q, x0: np.ndarray):
     with D = sum_l |c_l b_l|^2 E_l(rho) and w_lm = conj(b_l) b_m c_l conj(c_m):
     a constant plus a bilinear form in the amplitudes a.
     """
-    plus = replace(spec, config=_vector_to_config(spec, x0),
-                   outcome_policy="plus_only")
-    scenario = build_scenario(plus, p, q)
+    scenario = build_scenario(spec, p, q)
+    slots = _free_slots(spec.family, spec.n)
     channels = scenario.channels
     # one row per Kraus operator, labelled by its branch l
     kraus = np.concatenate([ch.kraus for ch in channels])
@@ -477,17 +465,17 @@ def _fixed_noise_objective(spec: ScenarioSpec, p, q, x0: np.ndarray):
     tables = tables.reshape(len(kraus) ** 2, -1)
 
     def objective(x: np.ndarray) -> float:
-        cfg = _vector_to_config(spec, x)
-        if cfg is None:
+        vectors = _amplitudes(slots, x)
+        if vectors is None:
             return 1.0
-        a = np.concatenate(cfg.vectors)
+        a = np.concatenate(vectors)
         block = const + (np.outer(a.conj(), a).ravel() @ tables).reshape(const.shape)
         prob = float(np.trace(block).real)
         if prob < ZERO_PROB:
             return 1.0
         post = DensityMatrix(scenario.input.dims,
                              (block + block.conj().T) / (2.0 * prob))
-        return -outcome_fidelity(plus, MeasurementOutcome(0, prob, post))
+        return -outcome_fidelity(spec, MeasurementOutcome(0, prob, post))
 
     return objective
 
@@ -500,23 +488,26 @@ def optimize_amplitudes(spec: ScenarioSpec, p: float, q: float | None = None,
     Uses a Nelder-Mead simplex over unconstrained real vectors; every
     proposal is projected to the per-channel unit spheres before the
     plus-outcome fidelity is evaluated. The channels are built once per
-    call (see ``_fixed_noise_objective``). The published configurations are
-    always injected as the first restarts so the result is never worse
-    than the paper's own operating point. Deterministic for a fixed seed.
+    call (see ``_fixed_noise_objective``). The published configurations
+    with one vector per channel are always injected as the first restarts
+    so the result is never worse than the paper's own operating point.
+    Deterministic for a fixed seed.
     """
     if q is None:
         q = p
     if restarts < 1:
         raise ScenarioError("restarts must be at least 1")
-    family = spec.family
-    dim = sum(_free_blocks(family, spec.n))
+    slots = _free_slots(spec.family, spec.n)
 
     rng = np.random.default_rng(seed)
-    starts = [_config_to_vector(family, c) for c in published_configs(family)]
+    starts = [np.concatenate([v.real[m] for v, m in zip(c.vectors, slots)])
+              for c in published_configs(spec.family)
+              if len(c.vectors) == len(slots)]
+    dim = sum(np.count_nonzero(m) for m in slots)
     while len(starts) < restarts:
         starts.append(rng.standard_normal(dim))
     starts = starts[:restarts]
-    objective = _fixed_noise_objective(spec, p, q, starts[0])
+    objective = _fixed_noise_objective(spec, p, q)
 
     best_x, best_val, iterations = None, np.inf, 0
     for x0 in starts:
@@ -529,7 +520,7 @@ def optimize_amplitudes(spec: ScenarioSpec, p: float, q: float | None = None,
         if val < best_val:
             best_val, best_x = val, res.x
     return OptimizationResult(
-        best_config=_vector_to_config(spec, best_x),
+        best_config=VacuumConfig(tuple(_amplitudes(slots, best_x))),
         best_fidelity=-best_val,
         iterations=iterations,
         seed=seed,
@@ -552,7 +543,7 @@ def verify_propositions() -> list[PropositionCheck]:
     tol = 1e-9
 
     spec = builtin("prop1_ideal_bell")
-    outs = run(build_scenario(spec))
+    outs = run(build_scenario(spec, 0.0))
     for out, sign, label in zip(outs, (+1, -1), ("+", "-")):
         fid = fidelity_pure(out.post_state, bell_state(sign))
         checks.append(_check(
@@ -561,7 +552,7 @@ def verify_propositions() -> list[PropositionCheck]:
 
     for n in (2, 3, 4, 5):
         spec = builtin(f"prop2_ideal_ghz_n{n}")
-        for out in run(build_scenario(spec)):
+        for out in run(build_scenario(spec, 0.0)):
             fid, _ = fidelity_up_to_phase(out.post_state, n)
             checks.append(_check(
                 "prop2", f"ideal GHZ n={n}, outcome {out.outcome_index}, "
@@ -569,7 +560,7 @@ def verify_propositions() -> list[PropositionCheck]:
 
     for n in (3, 4):
         spec = builtin(f"prop3_ideal_w_n{n}")
-        for out in run(build_scenario(spec)):
+        for out in run(build_scenario(spec, 0.0)):
             fid = fidelity_pure(out.post_state, w_state(n, out.outcome_index))
             checks.append(_check(
                 "prop3", f"ideal W n={n}, outcome {out.outcome_index}, "

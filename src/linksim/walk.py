@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import NotUnitaryError
+from .channels import NotUnitaryError, unitary_channel
 from .linalg import DimMismatchError
+from .superposition import global_kraus
 
 UNITARY_TOL = 1e-10
 
@@ -80,7 +81,8 @@ def simulate(spec: WalkSpec) -> list[np.ndarray]:
 def verify_embedding(u1: np.ndarray, u2: np.ndarray, tol: float = 1e-12) -> bool:
     """Check whether superposing (u1, u2) reproduces a two-vertex walk step.
 
-    Builds S = u1 (x) |0><0| + u2 (x) |1><1| and compares it against
+    Builds S = u1 (x) |0><0| + u2 (x) |1><1|, the one joint Kraus operator
+    of the two superposed unitary channels, and compares it against
     T (I (x) C) with trivial coin C = I, where T is either the cyclic
     shift pair on the position space or the degenerate identity pair.
     """
@@ -89,12 +91,7 @@ def verify_embedding(u1: np.ndarray, u2: np.ndarray, tol: float = 1e-12) -> bool
     if u1.shape != u2.shape or u1.shape[0] != u1.shape[1]:
         raise DimMismatchError("unitaries must be square and same-dim")
     n = u1.shape[0]
-    for u in (u1, u2):
-        if np.max(np.abs(u.conj().T @ u - np.eye(n))) > UNITARY_TOL:
-            raise NotUnitaryError("inputs must be unitary")
-    p0 = np.diag([1.0, 0.0]).astype(complex)
-    p1 = np.diag([0.0, 1.0]).astype(complex)
-    s = np.kron(u1, p0) + np.kron(u2, p1)
+    s = global_kraus((unitary_channel(u1), unitary_channel(u2)))[0]
     candidates = [
         shift_operator(n),  # cyclic shift pair
         np.eye(2 * n, dtype=complex),  # degenerate trivial-shift pair

@@ -235,6 +235,10 @@ BAD_INPUTS = {
     "joint_dimension_over_cap": (
         ["sweep"], {"scenario": {"family": "ideal_w", "n": 9,
                                  "amps": [[1]] * 9}}, 2),
+    "sweep_points_too_many": (["sweep", "--scenario", "fig4a_red",
+                               "--points", "1000000000000"], None, 2),
+    "walk_positions_too_many": (["walk", "--positions", "1000000000000",
+                                 "--steps", "1"], None, 2),
 }
 
 

@@ -187,6 +187,14 @@ def test_optimizer_deterministic_for_seed():
             assert np.array_equal(va, vb)
 
 
+def test_optimizer_skips_published_configs_of_another_size():
+    # the published W configurations have three channels
+    cfg = VacuumConfig(((0.6, 0.8),) * 4)
+    spec = ScenarioSpec("w4", "w_memoryless", 4, cfg, None)
+    res = optimize_amplitudes(spec, 0.5, seed=3, restarts=2, max_iter=20)
+    assert len(res.best_config.vectors) == 4
+
+
 def test_optimizer_needs_a_restart():
     with pytest.raises(ScenarioError):
         optimize_amplitudes(builtin("prop4_p1"), 1.0, restarts=0)
@@ -200,24 +208,41 @@ OPTIMIZABLE = ("fig4a_red", "fig4b_red", "prop5_p05", "cor2_p05", "fig8_green")
 @pytest.mark.parametrize("name", OPTIMIZABLE)
 def test_fixed_noise_objective_matches_run_path(name):
     spec = builtin(name)
-    sizes = scenarios._free_blocks(spec.family, spec.n)
+    slots = scenarios._free_slots(spec.family, spec.n)
+    dim = sum(np.count_nonzero(m) for m in slots)
     rng = np.random.default_rng(2024)
     noise = [(0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.0, 0.0),
              (0.0, rng.uniform()), (rng.uniform(), 1.0)]
     noise += [tuple(rng.uniform(size=2)) for _ in range(10)]
     for p, q in noise:
-        objective = scenarios._fixed_noise_objective(
-            spec, p, q, rng.standard_normal(sum(sizes)))
+        objective = scenarios._fixed_noise_objective(spec, p, q)
         for _ in range(3):
-            x = rng.standard_normal(sum(sizes))
-            cfg = scenarios._vector_to_config(spec, x)
+            x = rng.standard_normal(dim)
+            cfg = VacuumConfig(tuple(scenarios._amplitudes(slots, x)))
             plus = ScenarioSpec(spec.name, spec.family, spec.n, cfg, None)
             out = run(build_scenario(plus, p, q))[0]
             expected = 1.0 if out.post_state is None else \
                 -scenarios.outcome_fidelity(plus, out)
             assert abs(objective(x) - expected) <= 1e-12, (p, q, x)
-        x[:sizes[0]] = 0.0  # first block has zero norm
+        x[:np.count_nonzero(slots[0])] = 0.0  # first block has zero norm
         assert objective(x) == 1.0
+        assert scenarios._amplitudes(slots, x) is None
+
+
+@pytest.mark.parametrize("name", OPTIMIZABLE)
+def test_slot_table_round_trips_published_configs(name):
+    spec = builtin(name)
+    slots = scenarios._free_slots(spec.family, spec.n)
+    for cfg in published_configs(spec.family):
+        x = np.concatenate([v.real[m] for v, m in zip(cfg.vectors, slots)])
+        vectors = scenarios._amplitudes(slots, x)
+        for v, got, mask in zip(cfg.vectors, vectors, slots, strict=True):
+            # nothing outside the mask is dropped by the gather
+            assert not v[~mask].any()
+            # the scatter renormalizes the block, which moves the last bit
+            # of 1/sqrt(2) entries, and leaves the empty slots exactly 0
+            assert np.array_equal(got, v / np.linalg.norm(v.real[mask]))
+            assert np.allclose(got, v, rtol=0, atol=1e-15)
 
 
 def test_optimizer_never_below_published_floor():
