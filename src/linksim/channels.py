@@ -13,6 +13,7 @@ carry zero amplitude.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +31,9 @@ PAULI_INDEX = ("I", "X", "Y", "Z")
 
 CPTP_TOL = 1e-10
 AMP_TOL = 1e-12
+
+#: distinct Pauli strings kept by ``pauli_string``
+PAULI_CACHE_SIZE = 32
 
 
 class ChannelError(LinksimError):
@@ -56,10 +60,12 @@ class BadChannelIndexError(ChannelError):
     pass
 
 
+@lru_cache(maxsize=PAULI_CACHE_SIZE)
 def pauli_string(spec: str) -> np.ndarray:
     """Tensor product of single-qubit Paulis, leftmost letter first.
 
-    ``pauli_string("IXI")`` is the bit flip on qubit 1 of 3.
+    ``pauli_string("IXI")`` is the bit flip on qubit 1 of 3. Results are
+    cached and shared, so the returned array is read-only.
     """
     try:
         factors = [PAULI[c] for c in spec]
@@ -67,7 +73,9 @@ def pauli_string(spec: str) -> np.ndarray:
         raise BadLetterError(f"bad Pauli letter {exc.args[0]!r} in {spec!r}") from exc
     if not factors:
         raise BadLetterError("empty Pauli string")
-    return kron_all(*factors)
+    out = kron_all(*factors)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)

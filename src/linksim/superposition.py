@@ -194,11 +194,11 @@ def apply(scenario: SuperpositionScenario) -> DensityMatrix:
     # product would reorder it and change the rounding of the output
     for a, b in zip(left, right):
         block += np.matmul(a, b, out=term)
+    # symmetrize away accumulated rounding before the invariant checks;
+    # the entries outside the reached block are exact zeros
     out = np.zeros_like(joint_in)
-    out[rows[:, None], rows] = block
+    out[rows[:, None], rows] = (block + block.conj().T) / 2.0
     dims = scenario.input.dims + (scenario.control.dim,)
-    # symmetrize away accumulated rounding before the invariant checks
-    out = (out + out.conj().T) / 2.0
     return DensityMatrix(dims, out)
 
 

@@ -1,6 +1,9 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
+from linksim import channels
 from linksim.channels import (
     BadChannelIndexError,
     BadLetterError,
@@ -8,6 +11,7 @@ from linksim.channels import (
     BadProbabilityError,
     ChannelError,
     NotUnitaryError,
+    PAULI,
     PAULI_INDEX,
     VacuumExtendedChannel,
     X,
@@ -20,6 +24,7 @@ from linksim.channels import (
     unitary_channel,
     validate,
 )
+from linksim.linalg import kron_all
 
 S2 = 1.0 / np.sqrt(2.0)
 
@@ -41,6 +46,25 @@ def test_pauli_string_tensor():
     assert np.allclose(ix, np.kron(np.eye(2), X))
     # leftmost letter acts on the leftmost tensor factor
     assert np.allclose(pauli_string("XI"), np.kron(X, np.eye(2)))
+
+
+def test_pauli_string_is_cached_and_read_only(monkeypatch):
+    for size in (1, 2, 3):
+        for letters in product(PAULI_INDEX, repeat=size):
+            spec = "".join(letters)
+            out = pauli_string(spec)
+            expected = kron_all(*(PAULI[c] for c in spec))
+            assert out.dtype == expected.dtype
+            assert out.tobytes() == expected.tobytes(), spec
+            with pytest.raises(ValueError):
+                out[0, 0] = 0.0
+
+    def no_rebuild(*mats):
+        raise AssertionError("cached Pauli string was rebuilt")
+
+    first = pauli_string("XYZ")
+    monkeypatch.setattr(channels, "kron_all", no_rebuild)
+    assert pauli_string("XYZ") is first
 
 
 def test_pauli_string_bad_input():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linksim.linalg import (
     BadIndexError,
@@ -86,6 +88,61 @@ def test_density_matrix_validation():
         DensityMatrix((2,), np.eye(2))  # trace 2
     with pytest.raises(NegativeEigenvalueError):
         DensityMatrix((2,), np.diag([1.5, -0.5]))
+
+
+def _whole_matrix_check(mat):
+    """The exception type the density checks raise on the whole matrix
+    (None when it is a valid density matrix)."""
+    if hermiticity_defect(mat) > DensityMatrix.HERM_TOL:
+        return NonHermitianError
+    if abs(np.trace(mat).real - 1.0) > DensityMatrix.TRACE_TOL:
+        return LinalgError
+    if np.min(np.linalg.eigvalsh(mat)) < -DensityMatrix.EIG_TOL:
+        return NegativeEigenvalueError
+    return None
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from(["psd", "negative", "non_hermitian"]),
+       st.sampled_from(["none", "pair", "single"]))
+def test_support_block_check_matches_whole_matrix(seed, kind, stray):
+    """A block embedded in zero rows and columns is accepted or rejected
+    exactly as the whole matrix is, also when an entry sits in a row whose
+    diagonal is zero."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.choice([3, 4, 8, 16]))
+    # a stray entry needs a row outside the support
+    r = int(rng.integers(1 if kind == "psd" else 2,
+                         d + (stray == "none")))
+    support = np.sort(rng.choice(d, r, replace=False))
+    g = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
+    u, _ = np.linalg.qr(g)
+    vals = rng.uniform(0.0, 1.0, r)
+    vals[rng.random(r) < 0.3] = 0.0
+    vals[0] = max(vals[0], 0.1)
+    if kind == "negative":
+        vals[-1] = -10.0 ** rng.uniform(-8.0, -0.5)
+    vals /= vals.sum()
+    block = (u * vals) @ u.conj().T
+    if kind == "non_hermitian":
+        a = rng.normal(size=(r, r))
+        block = block + 10.0 ** rng.uniform(-9.0, -1.0) * (a - a.T)
+    mat = np.zeros((d, d), dtype=complex)
+    mat[np.ix_(support, support)] = block
+    if stray != "none":
+        i = int(rng.choice(np.setdiff1d(np.arange(d), support)))
+        j = int(rng.choice(np.delete(np.arange(d), i)))
+        v = 10.0 ** rng.uniform(-3.0, -0.3) * np.exp(2j * np.pi * rng.random())
+        mat[i, j] = v
+        if stray == "pair":
+            mat[j, i] = np.conj(v)
+    try:
+        DensityMatrix((d,), mat)
+        got = None
+    except LinalgError as exc:
+        got = type(exc)
+    assert got is _whole_matrix_check(mat)
 
 
 def test_density_matrix_pure_normalizes():

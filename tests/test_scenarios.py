@@ -5,6 +5,7 @@ from linksim import scenarios
 from linksim.metrics import VacuumConfig
 from linksim.superposition import run
 from linksim.scenarios import (
+    PROP5_P05,
     ScenarioError,
     ScenarioSpec,
     UnknownScenarioError,
@@ -124,9 +125,9 @@ def test_sweep_is_deterministic():
 
 def test_emit_oracle_is_keyword_only():
     spec = builtin("prop7_p1")
-    # a 3-tuple noise spec must not bind emit_oracle positionally
+    # a third positional value must not bind emit_oracle
     with pytest.raises(TypeError):
-        evaluate_point(spec, *spec.noise)
+        evaluate_point(spec, 1.0, 1.0, 1.0)
     with pytest.raises(TypeError):
         sweep(spec, [0.5], None, False)
     assert evaluate_point(spec, 0.5, 0.5, emit_oracle=False)[0].oracle_fidelity is None
@@ -257,6 +258,24 @@ def test_verify_propositions_all_pass():
     checks = verify_propositions()
     assert len(checks) >= 20
     assert all(c.passed for c in checks)
+
+
+def test_ghz8_sweep_equals_ghz4_sweep():
+    """n = 8 is a multiple of 4 like n = 4, so the correlated-depolarizing
+    GHZ sweep gives the same row at every noise point: the large
+    (512 x 512 joint) path checked against the small one."""
+    points = [0.0, 0.37, 0.91]
+    rows = {n: sweep(ScenarioSpec(f"ghz{n}", "ghz_depolarizing", n, PROP5_P05),
+                     points)
+            for n in (4, 8)}
+    assert len(rows[8]) == len(rows[4]) == len(points)
+    for big, small in zip(rows[8], rows[4]):
+        assert (big.p, big.q, big.outcome) == (small.p, small.q, small.outcome)
+        assert big.oracle_fidelity is small.oracle_fidelity is None
+        for field in ("probability", "fidelity", "conc_pairwise",
+                      "conc_one_vs_rest"):
+            assert getattr(big, field) == pytest.approx(
+                getattr(small, field), abs=1e-9, rel=0), field
 
 
 def test_w_outcome_probabilities_uniform():
