@@ -22,6 +22,7 @@ from .linalg import (
     eig_hermitian,
     kron,
     partial_trace,
+    partial_traces,
     sqrt_psd,
 )
 from .metrics import (

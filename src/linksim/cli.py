@@ -37,9 +37,12 @@ CSV_HEADER = "p,q,outcome,fidelity,oracle_fidelity,conc_pairwise,conc_one_vs_res
 EXIT_CONFIG = 2
 EXIT_SCENARIO = 3
 
-# size limits; a walk builds dense (2 positions)^2 complex matrices
+# size limits; MAX_POINTS caps the points a sweep or grid evaluates and
+# the rows a walk writes, and a walk builds dense (2 positions)^2 complex
+# matrices
 MAX_POINTS = 10**6
 MAX_POSITIONS = 1024
+MAX_RESTARTS = 1000
 
 
 def _fmt(x) -> str:
@@ -163,6 +166,9 @@ def cmd_grid(args) -> int:
     cfg = _load_config(args.config)
     spec = _spec_from_config(_with_scenario(cfg, args))
     p_grid = _grid(cfg, args)
+    if len(p_grid) ** 2 > MAX_POINTS:
+        raise ConfigError(f"a grid of {len(p_grid)}^2 points is more than "
+                          f"{MAX_POINTS}")
     if args.dump_config:
         print(json.dumps({
             "scenario": cfg.get("scenario", args.scenario),
@@ -204,7 +210,7 @@ def cmd_optimize(args) -> int:
     p = _number(p, "p", 0, 1)
     q = _number(args.q if args.q is not None else cfg.get("q", p), "q", 0, 1)
     _number(args.seed, "seed", 0, integer=True)
-    _number(args.restarts, "restarts", 1, integer=True)
+    _number(args.restarts, "restarts", 1, MAX_RESTARTS, integer=True)
     if args.dump_config:
         print(json.dumps({"scenario": cfg.get("scenario", args.scenario),
                           "p": p, "q": q, "seed": args.seed,
@@ -261,6 +267,9 @@ def cmd_walk(args) -> int:
     n = _number(n, "positions", 1, MAX_POSITIONS, integer=True)
     steps = args.steps if args.steps is not None else cfg.get("steps", 20)
     steps = _number(steps, "steps", 0, integer=True)
+    if (steps + 1) * n > MAX_POINTS:
+        raise ConfigError(f"a walk of {steps} steps on {n} positions writes "
+                          f"{(steps + 1) * n} rows, more than {MAX_POINTS}")
     start = _number(cfg.get("start_position", n // 2), "start_position", 0, n - 1,
                     integer=True)
     coin_state = _coin_state(cfg.get("coin_state", [1.0, 1.0j]))

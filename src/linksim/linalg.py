@@ -141,19 +141,35 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     The kept subsystems stay in their original order. Tracing out all
     subsystems yields a 1x1 matrix equal to the trace.
     """
+    return partial_traces(rho, [keep])[0]
+
+
+def partial_traces(rho: DensityMatrix, keeps) -> list[DensityMatrix]:
+    """``partial_trace(rho, keep)`` for every ``keep`` in ``keeps``.
+
+    Each reduction traces out its dropped subsystems from the highest index
+    down. Reductions whose drop lists start alike share those first traces,
+    so each result is bitwise what tracing it out alone gives.
+    """
     dims = list(rho.dims)
     n = len(dims)
-    keep = sorted(set(int(k) for k in keep))
-    if any(k < 0 or k >= n for k in keep):
-        raise BadIndexError(f"keep={keep} outside subsystems 0..{n - 1}")
-    drop = [q for q in range(n) if q not in keep]
+    keeps = [sorted(set(int(k) for k in keep)) for keep in keeps]
+    for keep in keeps:
+        if any(k < 0 or k >= n for k in keep):
+            raise BadIndexError(f"keep={keep} outside subsystems 0..{n - 1}")
 
-    t = rho.mat.reshape(dims + dims)
-    remaining = n
-    for q in sorted(drop, reverse=True):
-        # q is still at axis position q because higher axes were removed first
-        t = np.trace(t, axis1=q, axis2=q + remaining)
-        remaining -= 1
-    kept_dims = tuple(dims[k] for k in keep)
-    d = prod(kept_dims) if kept_dims else 1
-    return DensityMatrix(kept_dims, t.reshape(d, d))
+    # drop prefix -> the tensor left after tracing those subsystems out
+    traced = {(): rho.mat.reshape(dims + dims)}
+    out = []
+    for keep in keeps:
+        drop = tuple(q for q in reversed(range(n)) if q not in keep)
+        for i, q in enumerate(drop):
+            key = drop[:i + 1]
+            if key not in traced:
+                # q is still at axis position q because higher axes were
+                # removed first
+                traced[key] = np.trace(traced[drop[:i]], axis1=q, axis2=q + n - i)
+        kept_dims = tuple(dims[k] for k in keep)
+        d = prod(kept_dims) if kept_dims else 1
+        out.append(DensityMatrix(kept_dims, traced[drop].reshape(d, d)))
+    return out

@@ -22,7 +22,7 @@ from .linalg import (
     DimMismatchError,
     LinksimError,
     eig_hermitian,
-    partial_trace,
+    partial_traces,
     sqrt_psd,
 )
 
@@ -138,7 +138,7 @@ def avg_pairwise_concurrence(rho: DensityMatrix) -> float:
     if n == 2:
         return concurrence(rho)
     pairs = list(combinations(range(n), 2))
-    return sum(concurrence(partial_trace(rho, pair)) for pair in pairs) / len(pairs)
+    return sum(concurrence(r) for r in partial_traces(rho, pairs)) / len(pairs)
 
 
 def avg_one_vs_rest_concurrence(rho: DensityMatrix) -> float:
@@ -151,8 +151,8 @@ def avg_one_vs_rest_concurrence(rho: DensityMatrix) -> float:
     if n < 2:
         raise DimMismatchError("need at least two qubits")
     acc = 0.0
-    for k in range(n):
-        rk = partial_trace(rho, [k]).mat
+    for reduced in partial_traces(rho, [[k] for k in range(n)]):
+        rk = reduced.mat
         purity = float(np.trace(rk @ rk).real)
         acc += sqrt(max(0.0, 2.0 * (1.0 - purity)))
     return acc / n

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .channels import (
     depolarizing_correlated,
@@ -491,8 +490,12 @@ def optimize_amplitudes(spec: ScenarioSpec, p: float, q: float | None = None,
     call (see ``_fixed_noise_objective``). The published configurations
     with one vector per channel are always injected as the first restarts
     so the result is never worse than the paper's own operating point.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed. scipy is imported here, on the first
+    call, and by nothing else in the package.
     """
+    # imported here: every other command would otherwise pay for this import
+    from scipy.optimize import minimize
+
     if q is None:
         q = p
     if restarts < 1:

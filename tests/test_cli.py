@@ -1,17 +1,22 @@
 import importlib
 import inspect
 import json
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import linksim
-from linksim import channels, scenarios
+from linksim import channels, scenarios, walk
 from linksim.cli import CSV_HEADER, main
 from linksim.linalg import LinksimError
 
 S2 = 1.0 / np.sqrt(2.0)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(args):
@@ -239,11 +244,27 @@ BAD_INPUTS = {
                                "--points", "1000000000000"], None, 2),
     "walk_positions_too_many": (["walk", "--positions", "1000000000000",
                                  "--steps", "1"], None, 2),
+    # each side is within MAX_POINTS, but 1001^2 points are not
+    "grid_points_squared_too_many": (["grid", "--scenario", "fig4a_red",
+                                      "--points", "1001"], None, 2),
+    "optimize_restarts_too_many": (["optimize", "--scenario", "prop4_p05",
+                                    "--p", "0.5", "--restarts", "1001"], None, 2),
+    # 62501 rows of 16 positions
+    "walk_rows_too_many": (["walk", "--positions", "16", "--steps", "62500"],
+                           None, 2),
 }
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the input was checked")
+
+
 @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
-def test_bad_input_is_a_one_line_error(name, tmp_path, capsys):
+def test_bad_input_is_a_one_line_error(name, tmp_path, capsys, monkeypatch):
+    # every probe is rejected before a sweep, an optimization or a walk starts
+    monkeypatch.setattr(scenarios, "sweep", _no_work)
+    monkeypatch.setattr(scenarios, "optimize_amplitudes", _no_work)
+    monkeypatch.setattr(walk, "simulate", _no_work)
     argv, cfg, code = BAD_INPUTS[name]
     if cfg is not None:
         path = tmp_path / "cfg.json"
@@ -257,6 +278,31 @@ def test_bad_input_is_a_one_line_error(name, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: ")
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+COLD_START = """
+import sys
+from linksim.cli import main
+
+out = sys.argv[1]
+for argv in (["sweep", "--scenario", "fig4a_red", "--points", "3"],
+             ["grid", "--scenario", "prop5_p05", "--points", "2"],
+             ["walk", "--positions", "8", "--steps", "2"]):
+    if main([*argv, "--out", out]) != 0:
+        sys.exit(f"{argv[0]} failed")
+if main(["verify"]) != 0:
+    sys.exit("verify failed")
+if "scipy" in sys.modules:
+    sys.exit("scipy was imported")
+"""
+
+
+def test_only_optimize_loads_scipy(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, str(tmp_path / "out.csv")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_joint_dimension_cap_is_checked_before_building(tmp_path, capsys,

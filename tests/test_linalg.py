@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from linksim.linalg import (
     kron,
     kron_all,
     partial_trace,
+    partial_traces,
     sqrt_psd,
 )
 
@@ -191,3 +194,34 @@ def test_partial_trace_bad_index():
     rho = DensityMatrix((2,), np.eye(2) / 2)
     with pytest.raises(BadIndexError):
         partial_trace(rho, [1])
+
+
+def _einsum_reduction(mat, n, keep):
+    """Partial trace over the qubits outside ``keep``, by one einsum."""
+    rows = [chr(ord("a") + q) for q in range(n)]
+    cols = [r if q not in keep else chr(ord("A") + q) for q, r in enumerate(rows)]
+    out = [rows[q] for q in keep] + [cols[q] for q in keep]
+    spec = "".join(rows + cols) + "->" + "".join(out)
+    d = 2 ** len(keep)
+    return np.einsum(spec, mat.reshape([2] * 2 * n)).reshape(d, d)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_partial_traces_share_prefixes_exactly(n):
+    rng = np.random.default_rng(100 + n)
+    rho = DensityMatrix((2,) * n, random_density(rng, 2**n))
+    keeps = [list(pair) for pair in combinations(range(n), 2)]
+    keeps += [[k] for k in range(n)]
+    together = partial_traces(rho, keeps)
+    assert len(together) == len(keeps)
+    for keep, reduced in zip(keeps, together):
+        assert isinstance(reduced, DensityMatrix)
+        assert reduced.dims == (2,) * len(keep)
+        alone = partial_traces(rho, [keep])[0]
+        assert reduced.mat.tobytes() == alone.mat.tobytes(), keep
+        assert reduced.mat.tobytes() == partial_trace(rho, keep).mat.tobytes()
+        np.testing.assert_allclose(reduced.mat, _einsum_reduction(rho.mat, n, keep),
+                                   rtol=0, atol=1e-14)
+    for bad in ([0, n], [-1], [n + 3]):
+        with pytest.raises(BadIndexError):
+            partial_traces(rho, [[0, 1], bad])
