@@ -20,7 +20,6 @@ from .linalg import (
     DensityMatrix,
     LinksimError,
     eig_hermitian,
-    kron,
     partial_trace,
     partial_traces,
     sqrt_psd,

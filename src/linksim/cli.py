@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -106,21 +107,25 @@ def _spec_from_config(cfg: dict) -> ScenarioSpec:
     policy = cfg.get("outcome_policy")
     if policy:
         try:
-            spec = scenarios.replace_policy(spec, policy)
+            spec = replace(spec, outcome_policy=policy)
         except ScenarioError as exc:
             raise ConfigError(str(exc)) from None
     return spec
 
 
-def _write_records(records, out_path: str | None) -> None:
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(",".join([
-            _fmt(r.p), _fmt(r.q), str(r.outcome), _fmt(r.fidelity),
-            _fmt(r.oracle_fidelity), _fmt(r.conc_pairwise),
-            _fmt(r.conc_one_vs_rest),
-        ]))
-    text = "\n".join(lines) + "\n"
+def _scenario_config(args) -> tuple[dict, ScenarioSpec]:
+    """The effective config, the file's with ``--scenario`` put in, and the
+    spec it names."""
+    cfg = _load_config(args.config)
+    if args.scenario:
+        cfg["scenario"] = args.scenario
+    if "scenario" not in cfg:
+        raise ConfigError("no scenario given (use --scenario or a config file)")
+    return cfg, _spec_from_config(cfg)
+
+
+def _write(text: str, out_path: str | None) -> None:
+    """Write ``text`` to ``out_path``, or to stdout without a path."""
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -128,10 +133,18 @@ def _write_records(records, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _grid(cfg: dict, args, key: str = "sweep") -> np.ndarray:
-    sweep_cfg = cfg.get(key, {})
+def _write_records(records, out_path: str | None) -> None:
+    rows = [",".join([
+        _fmt(r.p), _fmt(r.q), str(r.outcome), _fmt(r.fidelity),
+        _fmt(r.oracle_fidelity), _fmt(r.conc_pairwise), _fmt(r.conc_one_vs_rest),
+    ]) for r in records]
+    _write("\n".join([CSV_HEADER, *rows]) + "\n", out_path)
+
+
+def _grid(cfg: dict, args) -> np.ndarray:
+    sweep_cfg = cfg.get("sweep", {})
     if not isinstance(sweep_cfg, dict):
-        raise ConfigError(f"{key} must be a JSON object")
+        raise ConfigError("sweep must be a JSON object")
     start = args.start if args.start is not None else sweep_cfg.get("start", 0.0)
     stop = args.stop if args.stop is not None else sweep_cfg.get("stop", 1.0)
     points = args.points if args.points is not None else sweep_cfg.get("points", 101)
@@ -140,48 +153,31 @@ def _grid(cfg: dict, args, key: str = "sweep") -> np.ndarray:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    spec = _spec_from_config(_with_scenario(cfg, args))
-    grid = _grid(cfg, args)
+    """``sweep`` (q locked to p) and ``grid`` (every (p, q) pair)."""
+    cfg, spec = _scenario_config(args)
+    p_grid = _grid(cfg, args)
+    is_grid = args.command == "grid"
+    if is_grid and len(p_grid) ** 2 > MAX_POINTS:
+        raise ConfigError(f"a grid of {len(p_grid)}^2 points is more than "
+                          f"{MAX_POINTS}")
     if args.dump_config:
         print(json.dumps({
-            "scenario": cfg.get("scenario", args.scenario),
-            "sweep": {"start": float(grid[0]), "stop": float(grid[-1]),
-                      "points": len(grid), "lock_q_to_p": True},
+            "scenario": cfg["scenario"],
+            "sweep": {"start": float(p_grid[0]), "stop": float(p_grid[-1]),
+                      "points": len(p_grid), "lock_q_to_p": not is_grid},
             "out": args.out,
             "emit_oracle": not args.no_oracle,
             "outcome_policy": spec.outcome_policy,
         }, indent=2))
         return 0
-    records = scenarios.sweep(spec, grid, emit_oracle=not args.no_oracle)
-    _write_records(records, args.out)
-    if args.out:
-        fids = [r.fidelity for r in records]
-        print(f"{spec.name}: {len(records)} records, fidelity range "
-              f"[{_fmt(min(fids))}, {_fmt(max(fids))}] -> {args.out}")
-    return 0
-
-
-def cmd_grid(args) -> int:
-    cfg = _load_config(args.config)
-    spec = _spec_from_config(_with_scenario(cfg, args))
-    p_grid = _grid(cfg, args)
-    if len(p_grid) ** 2 > MAX_POINTS:
-        raise ConfigError(f"a grid of {len(p_grid)}^2 points is more than "
-                          f"{MAX_POINTS}")
-    if args.dump_config:
-        print(json.dumps({
-            "scenario": cfg.get("scenario", args.scenario),
-            "sweep": {"start": float(p_grid[0]), "stop": float(p_grid[-1]),
-                      "points": len(p_grid), "lock_q_to_p": False},
-            "out": args.out,
-        }, indent=2))
-        return 0
-    records = scenarios.sweep(spec, p_grid, q_grid=p_grid,
+    records = scenarios.sweep(spec, p_grid, q_grid=p_grid if is_grid else None,
                               emit_oracle=not args.no_oracle)
     _write_records(records, args.out)
     if args.out:
-        print(f"{spec.name}: {len(records)} grid records -> {args.out}")
+        # zero-probability outcomes are dropped, so there may be no record
+        fids = [r.fidelity for r in records]
+        span = f", fidelity range [{_fmt(min(fids))}, {_fmt(max(fids))}]" if fids else ""
+        print(f"{spec.name}: {len(records)} records{span} -> {args.out}")
     return 0
 
 
@@ -202,8 +198,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    cfg = _load_config(args.config)
-    spec = _spec_from_config(_with_scenario(cfg, args))
+    cfg, spec = _scenario_config(args)
+    # only a family with free vacuum amplitudes has anything to optimize
+    try:
+        scenarios._free_slots(spec.family, spec.n)
+    except ScenarioError as exc:
+        raise ConfigError(str(exc)) from None
     p = args.p if args.p is not None else cfg.get("p")
     if p is None:
         raise ConfigError("optimize requires --p")
@@ -212,7 +212,7 @@ def cmd_optimize(args) -> int:
     _number(args.seed, "seed", 0, integer=True)
     _number(args.restarts, "restarts", 1, MAX_RESTARTS, integer=True)
     if args.dump_config:
-        print(json.dumps({"scenario": cfg.get("scenario", args.scenario),
+        print(json.dumps({"scenario": cfg["scenario"],
                           "p": p, "q": q, "seed": args.seed,
                           "restarts": args.restarts, "out": args.out}, indent=2))
         return 0
@@ -230,13 +230,9 @@ def cmd_optimize(args) -> int:
         "restarts": args.restarts,
         "seed": result.seed,
     }
-    text = json.dumps(payload, indent=2) + "\n"
+    _write(json.dumps(payload, indent=2) + "\n", args.out)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
         print(f"best fidelity {_fmt(result.best_fidelity)} -> {args.out}")
-    else:
-        sys.stdout.write(text)
     return 0
 
 
@@ -280,23 +276,10 @@ def cmd_walk(args) -> int:
     for step, dist in enumerate(walk.simulate(spec)):
         for pos, prob in enumerate(dist):
             lines.append(f"{step},{pos},{_fmt(prob)}")
-    text = "\n".join(lines) + "\n"
+    _write("\n".join(lines) + "\n", args.out)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
         print(f"walk: {steps} steps on {n} positions -> {args.out}")
-    else:
-        sys.stdout.write(text)
     return 0
-
-
-def _with_scenario(cfg: dict, args) -> dict:
-    out = dict(cfg)
-    if getattr(args, "scenario", None):
-        out["scenario"] = args.scenario
-    if "scenario" not in out:
-        raise ConfigError("no scenario given (use --scenario or a config file)")
-    return out
 
 
 def _add_common(sub, with_grid=True):
@@ -327,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("grid", help="2-D (p, q) noise grid")
     _add_common(s)
-    s.set_defaults(func=cmd_grid)
+    s.set_defaults(func=cmd_sweep)
 
     s = subs.add_parser("verify", help="re-check every proposition claim")
     s.set_defaults(func=cmd_verify)

@@ -42,11 +42,6 @@ class DimMismatchError(LinalgError):
     pass
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; dimensions multiply."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def kron_all(*mats: np.ndarray) -> np.ndarray:
     out = np.asarray(mats[0], dtype=complex)
     for m in mats[1:]:
@@ -74,10 +69,10 @@ def eig_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL):
     return vals[::-1].copy(), vecs[:, ::-1].copy()
 
 
-def sqrt_psd(m: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
+def sqrt_psd(m: np.ndarray) -> np.ndarray:
     """Principal square root of a positive-semidefinite Hermitian matrix."""
     vals, vecs = eig_hermitian(m)
-    if vals[-1] < -tol:
+    if vals[-1] < -PSD_TOL:
         raise NegativeEigenvalueError(
             f"matrix has negative eigenvalue {vals[-1]:.3e}"
         )

@@ -7,7 +7,7 @@ every reported result is reproducible by name from the CLI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -226,10 +226,6 @@ def builtin_names() -> list[str]:
     return sorted(_BUILTINS)
 
 
-def replace_policy(spec: ScenarioSpec, policy: str) -> ScenarioSpec:
-    return replace(spec, outcome_policy=policy)
-
-
 # ---------------------------------------------------------------------------
 # scenario construction and evaluation
 
@@ -371,19 +367,13 @@ def evaluate_point(spec: ScenarioSpec, p: float, q: float, *,
     return records
 
 
-def default_grid(points: int = 101) -> np.ndarray:
-    return np.linspace(0.0, 1.0, points)
-
-
-def sweep(spec: ScenarioSpec, p_grid=None, q_grid=None, *,
+def sweep(spec: ScenarioSpec, p_grid, q_grid=None, *,
           emit_oracle: bool = True) -> list[SweepRecord]:
     """Evaluate a spec over a noise grid.
 
     With no ``q_grid`` the sweep is one-dimensional with q locked to p.
     Records are ordered p-major, then q, then outcome.
     """
-    if p_grid is None:
-        p_grid = default_grid()
     return [
         rec
         for p in p_grid
@@ -534,10 +524,9 @@ def optimize_amplitudes(spec: ScenarioSpec, p: float, q: float | None = None,
 # proposition verification
 
 
-def _check(name: str, detail: str, value: float, threshold: float,
-           at_least: bool = True) -> PropositionCheck:
-    passed = value >= threshold if at_least else value <= threshold
-    return PropositionCheck(name, detail, value, threshold, passed)
+def _check(name: str, detail: str, value: float,
+           threshold: float) -> PropositionCheck:
+    return PropositionCheck(name, detail, value, threshold, value >= threshold)
 
 
 def verify_propositions() -> list[PropositionCheck]:

@@ -14,12 +14,14 @@ control in an orthonormal basis projects the target.
 
 ``apply`` builds only the columns of each S_i that meet the support of
 rho_t (x) rho_c, which is a few rows for the paper's pure product inputs;
-``global_kraus`` builds the dense operators and serves as the reference.
+``global_kraus`` builds the dense operators literally from the formula and
+serves as the reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import prod
 
 import numpy as np
@@ -126,31 +128,22 @@ class MeasurementOutcome:
     post_state: DensityMatrix | None
 
 
-def _joint_columns(channels, cols=None, drop_zero: bool = False) -> np.ndarray:
-    """Columns ``cols`` (default: all) of every joint Kraus operator S_i.
+def _joint_columns(channels, cols) -> np.ndarray:
+    """Columns ``cols`` of the joint Kraus operators S_i whose coefficients
+    do not all vanish.
 
-    Returns an array of shape (M, d*n, len(cols)), one slice per
-    multi-index, enumerated lexicographically over (i_0, ..., i_{N-1}).
-    Column t*n + l of S_i is coeff_l(i) K^(l)_{i_l}[:, t] at rows l::n, with
-    coeff_l(i) = prod_{k != l} a^(k)_{i_k}. With ``drop_zero`` the
-    multi-indices whose coefficients all vanish are left out.
+    Returns an array of shape (M, d*n, len(cols)), one slice per kept
+    multi-index, in the lexicographic order of ``global_kraus``. Column
+    t*n + l of S_i is coeff_l(i) K^(l)_{i_l}[:, t] at rows l::n, with
+    coeff_l(i) = prod_{k != l} a^(k)_{i_k}.
     """
-    channels = tuple(channels)
-    if len(channels) < 2:
-        raise SuperpositionError("need at least two channels")
-    d = channels[0].dim
-    if any(c.dim != d for c in channels):
-        raise DimMismatchError("channels act on different target dimensions")
-    n = len(channels)
-    if cols is None:
-        cols = np.arange(d * n)
+    d, n = channels[0].dim, len(channels)
     t, branch = np.divmod(cols, n)
     idx = np.indices([len(c.kraus) for c in channels]).reshape(n, -1)
     amps = [c.vacuum_amplitudes[i] for c, i in zip(channels, idx)]
     coeff = np.array([prod(amps[k] for k in range(n) if k != l) for l in range(n)])
-    if drop_zero:
-        keep = coeff.any(axis=0)
-        idx, coeff = idx[:, keep], coeff[:, keep]
+    keep = coeff.any(axis=0)
+    idx, coeff = idx[:, keep], coeff[:, keep]
     # target (x) control with control as the rightmost factor: row r*n + l
     out = np.empty((idx.shape[1], d, n, len(cols)), dtype=complex)
     for l, channel in enumerate(channels):
@@ -165,9 +158,24 @@ def global_kraus(channels) -> list[np.ndarray]:
     """Dense joint Kraus operators S_i on target (x) control, one per
     multi-index, enumerated lexicographically over (i_0, ..., i_{N-1}).
 
-    ``apply`` does not use them; they are the reference it is tested against.
+    The module docstring's formula term by term, sharing no code with
+    ``apply``: the reference that ``apply`` is tested against.
     """
-    return list(_joint_columns(channels))
+    channels = tuple(channels)
+    if len(channels) < 2:
+        raise SuperpositionError("need at least two channels")
+    if any(c.dim != channels[0].dim for c in channels):
+        raise DimMismatchError("channels act on different target dimensions")
+    # |l><l| on the control
+    proj = [np.diag(e) for e in np.eye(len(channels))]
+    ops = []
+    for i in product(*(range(len(c.kraus)) for c in channels)):
+        amps = [c.vacuum_amplitudes[k] for c, k in zip(channels, i)]
+        ops.append(sum(
+            np.kron(prod(amps[:l] + amps[l + 1:]) * c.kraus[k], proj[l])
+            for l, (c, k) in enumerate(zip(channels, i))
+        ))
+    return ops
 
 
 def apply(scenario: SuperpositionScenario) -> DensityMatrix:
@@ -183,7 +191,7 @@ def apply(scenario: SuperpositionScenario) -> DensityMatrix:
     joint_in = rho[:, None, :, None] * np.outer(c, c.conj())[:, None, :]
     joint_in = joint_in.reshape(len(rho) * len(c), -1)
     sup = np.flatnonzero(joint_in.any(axis=1))
-    cols = _joint_columns(scenario.channels, sup, drop_zero=True)
+    cols = _joint_columns(scenario.channels, sup)
     rows = np.flatnonzero(cols.any(axis=(0, 2)))
     cols = cols[:, rows]
     left = cols @ joint_in[sup][:, sup]

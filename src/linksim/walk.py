@@ -78,7 +78,7 @@ def simulate(spec: WalkSpec) -> list[np.ndarray]:
     return dists
 
 
-def verify_embedding(u1: np.ndarray, u2: np.ndarray, tol: float = 1e-12) -> bool:
+def verify_embedding(u1: np.ndarray, u2: np.ndarray) -> bool:
     """Check whether superposing (u1, u2) reproduces a two-vertex walk step.
 
     Builds S = u1 (x) |0><0| + u2 (x) |1><1|, the one joint Kraus operator
@@ -96,4 +96,4 @@ def verify_embedding(u1: np.ndarray, u2: np.ndarray, tol: float = 1e-12) -> bool
         shift_operator(n),  # cyclic shift pair
         np.eye(2 * n, dtype=complex),  # degenerate trivial-shift pair
     ]
-    return any(np.max(np.abs(s - t)) <= tol for t in candidates)
+    return any(np.max(np.abs(s - t)) <= 1e-12 for t in candidates)

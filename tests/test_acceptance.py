@@ -6,6 +6,7 @@ human-readable checklist.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -18,7 +19,6 @@ from linksim.scenarios import (
     evaluate_point,
     optimize_amplitudes,
     published_configs,
-    replace_policy,
     sweep,
 )
 from linksim.superposition import global_kraus, run
@@ -33,7 +33,7 @@ def report(num, ok, text):
 
 
 def test_criterion_01_ideal_bell():
-    spec = replace_policy(builtin("ideal_bell"), "all_outcomes")
+    spec = replace(builtin("ideal_bell"), outcome_policy="all_outcomes")
     scen = build_scenario(spec, 0.0, 0.0)
     run(scen)  # warm up
     t0 = time.perf_counter()
@@ -83,7 +83,7 @@ def test_criterion_04_bell_regime_points():
 
 def test_criterion_05_figure_regression():
     t0 = time.perf_counter()
-    curves = {name: sweep(builtin(name))
+    curves = {name: sweep(builtin(name), np.linspace(0.0, 1.0, 101))
               for name in ("fig4a_red", "fig4a_green", "fig4b_blue",
                            "fig6a_blue", "fig6b_red", "fig8_green")}
     elapsed = time.perf_counter() - t0

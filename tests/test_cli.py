@@ -151,6 +151,35 @@ def test_dump_config_round_trip(tmp_path, capsys):
     assert len(read_rows(out)) == 5
 
 
+@pytest.mark.parametrize("command", ["sweep", "grid", "optimize"])
+def test_dump_config_shows_the_scenario_override(command, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"scenario": "fig4a_red", "p": 0.5}))
+    code = run_cli([command, "--config", str(path), "--scenario", "fig8_green",
+                    "--dump-config"])
+    assert code == 0
+    dumped = json.loads(capsys.readouterr().out)
+    assert dumped["scenario"] == "fig8_green"
+    if command == "grid":
+        run_cli(["sweep", "--scenario", "fig8_green", "--dump-config"])
+        assert dumped.keys() == json.loads(capsys.readouterr().out).keys()
+        assert dumped["sweep"]["lock_q_to_p"] is False
+
+
+def test_sweep_with_only_zero_probability_outcomes(tmp_path, capsys):
+    # the plus outcome of these amplitudes never fires at p = 0, so the
+    # only reported outcome is dropped and no record is left
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "scenario": {"family": "bell_depolarizing", "alpha": [1, 0, 0, 0],
+                     "beta": [-1, 0, 0, 0]},
+        "sweep": {"start": 0.0, "stop": 0.0, "points": 1}}))
+    out = tmp_path / "out.csv"
+    assert run_cli(["sweep", "--config", str(path), "--out", str(out)]) == 0
+    assert out.read_text() == CSV_HEADER + "\n"
+    assert capsys.readouterr().out == f"custom: 0 records -> {out}\n"
+
+
 def test_verify_exits_zero(capsys):
     assert run_cli(["verify"]) == 0
     out = capsys.readouterr().out
@@ -252,6 +281,12 @@ BAD_INPUTS = {
     # 62501 rows of 16 positions
     "walk_rows_too_many": (["walk", "--positions", "16", "--steps", "62500"],
                            None, 2),
+    # families without vacuum amplitudes to optimize
+    "optimize_builtin_ideal": (["optimize", "--scenario", "ideal_bell",
+                                "--p", "0.5"], None, 2),
+    "optimize_inline_ideal": (
+        ["optimize", "--p", "0.5"], {"scenario": {"family": "ideal_ghz", "n": 3,
+                                                  "amps": [[1], [1]]}}, 2),
 }
 
 

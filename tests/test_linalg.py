@@ -14,7 +14,6 @@ from linksim.linalg import (
     NonHermitianError,
     eig_hermitian,
     hermiticity_defect,
-    kron,
     kron_all,
     partial_trace,
     partial_traces,
@@ -31,7 +30,7 @@ def random_density(rng, d):
 def test_kron_small_matrices():
     a = np.array([[1, 2], [3, 4]])
     b = np.array([[0, 1], [1, 0]])
-    out = kron(a, b)
+    out = kron_all(a, b)
     expected = np.array([
         [0, 1, 0, 2],
         [1, 0, 2, 0],
@@ -45,7 +44,7 @@ def test_kron_small_matrices():
 def test_kron_all_associates():
     rng = np.random.default_rng(0)
     mats = [rng.normal(size=(2, 2)) for _ in range(3)]
-    assert np.allclose(kron_all(*mats), kron(kron(mats[0], mats[1]), mats[2]))
+    assert np.allclose(kron_all(*mats), np.kron(np.kron(mats[0], mats[1]), mats[2]))
 
 
 def test_hermiticity_defect():
@@ -160,7 +159,7 @@ def test_partial_trace_product_state():
     rng = np.random.default_rng(3)
     ra = random_density(rng, 2)
     rb = random_density(rng, 3)
-    rho = DensityMatrix((2, 3), kron(ra, rb))
+    rho = DensityMatrix((2, 3), np.kron(ra, rb))
     assert np.allclose(partial_trace(rho, [0]).mat, ra, atol=1e-12)
     assert np.allclose(partial_trace(rho, [1]).mat, rb, atol=1e-12)
 
@@ -171,7 +170,7 @@ def test_partial_trace_keeps_order_and_dims():
     rho = DensityMatrix((2, 3, 2), kron_all(*parts))
     kept = partial_trace(rho, [0, 2])
     assert kept.dims == (2, 2)
-    assert np.allclose(kept.mat, kron(parts[0], parts[2]), atol=1e-12)
+    assert np.allclose(kept.mat, np.kron(parts[0], parts[2]), atol=1e-12)
 
 
 def test_partial_trace_entangled_marginal():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from linksim.channels import BadProbabilityError
-from linksim.linalg import DensityMatrix, kron
+from linksim.linalg import DensityMatrix
 from linksim.metrics import (
     DivisionByZeroError,
     VacuumConfig,
@@ -141,7 +141,7 @@ def test_concurrence_local_unitary_invariant():
     rho = random_density(rng, 4)
     u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
     v = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
-    uv = kron(u, v)
+    uv = np.kron(u, v)
     a = concurrence(DensityMatrix((2, 2), rho))
     b = concurrence(DensityMatrix((2, 2), uv @ rho @ uv.conj().T))
     assert a == pytest.approx(b, abs=1e-9)

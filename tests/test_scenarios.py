@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,6 @@ from linksim.scenarios import (
     evaluate_point,
     optimize_amplitudes,
     published_configs,
-    replace_policy,
     sweep,
     verify_propositions,
     verify_sweep_oracle,
@@ -41,10 +42,10 @@ def test_builtin_lookup_and_aliases():
 
 
 def test_replace_policy():
-    spec = replace_policy(builtin("prop4_p1"), "all_outcomes")
+    spec = replace(builtin("prop4_p1"), outcome_policy="all_outcomes")
     assert spec.outcome_policy == "all_outcomes"
     with pytest.raises(ScenarioError):
-        replace_policy(spec, "bogus")
+        replace(spec, outcome_policy="bogus")
 
 
 def test_published_configs_normalized():
@@ -285,7 +286,7 @@ def test_w_outcome_probabilities_uniform():
     # plus_only policy reports the first Fourier outcome
     assert recs[0].outcome == 0
     assert recs[0].probability == pytest.approx(1 / 3, abs=1e-10)
-    all_spec = replace_policy(builtin("prop7_p1"), "all_outcomes")
+    all_spec = replace(builtin("prop7_p1"), outcome_policy="all_outcomes")
     all_recs = evaluate_point(all_spec, 1.0, 1.0)
     assert len(all_recs) == 3
     for r in all_recs:

@@ -10,6 +10,7 @@ from linksim.channels import (
     pauli_channel_correlated,
     unitary_channel,
 )
+from linksim import superposition
 from linksim.linalg import DensityMatrix, partial_trace
 from linksim.scenarios import build_scenario, builtin, builtin_names
 from linksim.superposition import (
@@ -101,6 +102,19 @@ def test_pm_basis_matches_fourier_n2():
 def test_global_kraus_two_branch_formula():
     # for two channels the joint operators must equal
     # b_j F_i (x) |0><0| + a_i N_j (x) |1><1|, enumerated lexicographically
+    _assert_two_branch_formula()
+
+
+def test_global_kraus_does_not_use_the_fast_path(monkeypatch):
+    # the reference must not share the code it is the reference for
+    def fast_path(*args, **kwargs):
+        raise AssertionError("global_kraus called apply's column builder")
+
+    monkeypatch.setattr(superposition, "_joint_columns", fast_path)
+    _assert_two_branch_formula()
+
+
+def _assert_two_branch_formula():
     rng = np.random.default_rng(10)
     f = random_channel(rng, m=2)
     n = random_channel(rng, m=3)
