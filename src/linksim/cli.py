@@ -12,11 +12,12 @@ Commands:
   JSON result.
 * ``walk``     -- discrete-time quantum walk position distributions.
 
-Configuration is a JSON file plus flag overrides; ``--dump-config`` echoes
-the effective config without running. ``main`` maps errors to exit codes:
-2 for an invalid config, flag or inline scenario (checked before anything
-runs), 3 for a valid config that fails while running. Any other exception
-is a bug and keeps its traceback.
+Each setting is one config key, which a flag overrides; commands and
+``--dump-config`` read only the effective config, so a dump reruns as the
+same command. ``main`` maps errors to exit codes: 2 for an invalid config,
+flag or inline scenario (checked before anything runs), 3 for a valid
+config that fails while running. Any other exception is a bug and keeps
+its traceback.
 """
 
 from __future__ import annotations
@@ -81,8 +82,34 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
+def _effective(given: dict, args, defaults: dict) -> dict:
+    """Each key of ``defaults`` from its flag, else the file ``given``, else
+    its default (``...`` for none); a dict default is a nested object. Other
+    keys are ignored, since one file serves every command."""
+    cfg = {}
+    for key, default in defaults.items():
+        value = given.get(key, default)
+        if isinstance(default, dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{key} must be a JSON object")
+            cfg[key] = _effective(value, args, default)
+        else:
+            flag = getattr(args, key, None)
+            cfg[key] = value if flag is None else flag
+    return cfg
+
+
+def _kind(value, name: str, kinds, what: str):
+    """``value`` if it is an instance of ``kinds``."""
+    if not isinstance(value, kinds):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
 def _spec_from_config(cfg: dict) -> ScenarioSpec:
-    scen = cfg.get("scenario")
+    scen = cfg["scenario"]
+    if scen is ...:
+        raise ConfigError("no scenario given (use --scenario or a config file)")
     if isinstance(scen, str):
         spec = scenarios.builtin(scen)
     elif isinstance(scen, dict):
@@ -104,24 +131,7 @@ def _spec_from_config(cfg: dict) -> ScenarioSpec:
             raise ConfigError(f"bad inline scenario: {exc}") from None
     else:
         raise ConfigError("config must name a scenario (string or inline object)")
-    policy = cfg.get("outcome_policy")
-    if policy:
-        try:
-            spec = replace(spec, outcome_policy=policy)
-        except ScenarioError as exc:
-            raise ConfigError(str(exc)) from None
     return spec
-
-
-def _scenario_config(args) -> tuple[dict, ScenarioSpec]:
-    """The effective config, the file's with ``--scenario`` put in, and the
-    spec it names."""
-    cfg = _load_config(args.config)
-    if args.scenario:
-        cfg["scenario"] = args.scenario
-    if "scenario" not in cfg:
-        raise ConfigError("no scenario given (use --scenario or a config file)")
-    return cfg, _spec_from_config(cfg)
 
 
 def _write(text: str, out_path: str | None) -> None:
@@ -141,43 +151,41 @@ def _write_records(records, out_path: str | None) -> None:
     _write("\n".join([CSV_HEADER, *rows]) + "\n", out_path)
 
 
-def _grid(cfg: dict, args) -> np.ndarray:
-    sweep_cfg = cfg.get("sweep", {})
-    if not isinstance(sweep_cfg, dict):
-        raise ConfigError("sweep must be a JSON object")
-    start = args.start if args.start is not None else sweep_cfg.get("start", 0.0)
-    stop = args.stop if args.stop is not None else sweep_cfg.get("stop", 1.0)
-    points = args.points if args.points is not None else sweep_cfg.get("points", 101)
-    return np.linspace(_number(start, "start", 0, 1), _number(stop, "stop", 0, 1),
-                       _number(points, "points", 1, MAX_POINTS, integer=True))
-
-
 def cmd_sweep(args) -> int:
     """``sweep`` (q locked to p) and ``grid`` (every (p, q) pair)."""
-    cfg, spec = _scenario_config(args)
-    p_grid = _grid(cfg, args)
+    cfg = _effective(_load_config(args.config), args, {
+        "scenario": ..., "sweep": {"start": 0.0, "stop": 1.0, "points": 101},
+        "out": None, "emit_oracle": True, "outcome_policy": ...})
+    spec = _spec_from_config(cfg)
+    # only a missing key keeps the spec's own policy
+    if cfg["outcome_policy"] is ...:
+        cfg["outcome_policy"] = spec.outcome_policy
+    try:
+        spec = replace(spec, outcome_policy=cfg["outcome_policy"])
+    except ScenarioError as exc:
+        raise ConfigError(str(exc)) from None
+    grid = cfg["sweep"]
+    p_grid = np.linspace(_number(grid["start"], "start", 0, 1),
+                         _number(grid["stop"], "stop", 0, 1),
+                         _number(grid["points"], "points", 1, MAX_POINTS, integer=True))
     is_grid = args.command == "grid"
+    grid["lock_q_to_p"] = not is_grid
     if is_grid and len(p_grid) ** 2 > MAX_POINTS:
         raise ConfigError(f"a grid of {len(p_grid)}^2 points is more than "
                           f"{MAX_POINTS}")
+    out = _kind(cfg["out"], "out", (str, type(None)), "a path or null")
+    emit_oracle = _kind(cfg["emit_oracle"], "emit_oracle", bool, "true or false")
     if args.dump_config:
-        print(json.dumps({
-            "scenario": cfg["scenario"],
-            "sweep": {"start": float(p_grid[0]), "stop": float(p_grid[-1]),
-                      "points": len(p_grid), "lock_q_to_p": not is_grid},
-            "out": args.out,
-            "emit_oracle": not args.no_oracle,
-            "outcome_policy": spec.outcome_policy,
-        }, indent=2))
+        print(json.dumps(cfg, indent=2))
         return 0
     records = scenarios.sweep(spec, p_grid, q_grid=p_grid if is_grid else None,
-                              emit_oracle=not args.no_oracle)
-    _write_records(records, args.out)
-    if args.out:
+                              emit_oracle=emit_oracle)
+    _write_records(records, out)
+    if out:
         # zero-probability outcomes are dropped, so there may be no record
         fids = [r.fidelity for r in records]
         span = f", fidelity range [{_fmt(min(fids))}, {_fmt(max(fids))}]" if fids else ""
-        print(f"{spec.name}: {len(records)} records{span} -> {args.out}")
+        print(f"{spec.name}: {len(records)} records{span} -> {out}")
     return 0
 
 
@@ -198,26 +206,28 @@ def cmd_verify(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    cfg, spec = _scenario_config(args)
+    cfg = _effective(_load_config(args.config), args, {
+        "scenario": ..., "p": ..., "q": ..., "seed": 0, "restarts": 20,
+        "out": None})
+    spec = _spec_from_config(cfg)
     # only a family with free vacuum amplitudes has anything to optimize
     try:
         scenarios._free_slots(spec.family, spec.n)
     except ScenarioError as exc:
         raise ConfigError(str(exc)) from None
-    p = args.p if args.p is not None else cfg.get("p")
-    if p is None:
+    if cfg["p"] is ...:
         raise ConfigError("optimize requires --p")
-    p = _number(p, "p", 0, 1)
-    q = _number(args.q if args.q is not None else cfg.get("q", p), "q", 0, 1)
-    _number(args.seed, "seed", 0, integer=True)
-    _number(args.restarts, "restarts", 1, MAX_RESTARTS, integer=True)
+    p = _number(cfg["p"], "p", 0, 1)
+    if cfg["q"] is ...:
+        cfg["q"] = p
+    q = _number(cfg["q"], "q", 0, 1)
+    seed = _number(cfg["seed"], "seed", 0, integer=True)
+    restarts = _number(cfg["restarts"], "restarts", 1, MAX_RESTARTS, integer=True)
+    out = _kind(cfg["out"], "out", (str, type(None)), "a path or null")
     if args.dump_config:
-        print(json.dumps({"scenario": cfg["scenario"],
-                          "p": p, "q": q, "seed": args.seed,
-                          "restarts": args.restarts, "out": args.out}, indent=2))
+        print(json.dumps(cfg, indent=2))
         return 0
-    result = scenarios.optimize_amplitudes(
-        spec, p, q, seed=args.seed, restarts=args.restarts)
+    result = scenarios.optimize_amplitudes(spec, p, q, seed=seed, restarts=restarts)
     payload = {
         "scenario": spec.name,
         "family": spec.family,
@@ -227,12 +237,12 @@ def cmd_optimize(args) -> int:
         "best_config": [[float(x.real) for x in v]
                         for v in result.best_config.vectors],
         "iterations": result.iterations,
-        "restarts": args.restarts,
+        "restarts": restarts,
         "seed": result.seed,
     }
-    _write(json.dumps(payload, indent=2) + "\n", args.out)
-    if args.out:
-        print(f"best fidelity {_fmt(result.best_fidelity)} -> {args.out}")
+    _write(json.dumps(payload, indent=2) + "\n", out)
+    if out:
+        print(f"best fidelity {_fmt(result.best_fidelity)} -> {out}")
     return 0
 
 
@@ -241,59 +251,41 @@ _COINS = {"hadamard": walk.HADAMARD,
           "x": np.array([[0, 1], [1, 0]], dtype=complex)}
 
 
-def _coin_state(value) -> np.ndarray:
-    """``value`` as a normalized coin state; it must be a non-zero 2-vector."""
+def cmd_walk(args) -> int:
+    cfg = _effective(_load_config(args.config), args, {
+        "coin": "hadamard", "positions": 64, "steps": 20, "start_position": ...,
+        "coin_state": [1.0, 1.0j], "out": None})
+    coin = _COINS.get(cfg["coin"]) if isinstance(cfg["coin"], str) else None
+    if coin is None:
+        raise ConfigError(f"unknown coin {cfg['coin']!r}")
+    n = _number(cfg["positions"], "positions", 1, MAX_POSITIONS, integer=True)
+    steps = _number(cfg["steps"], "steps", 0, integer=True)
+    if (steps + 1) * n > MAX_POINTS:
+        raise ConfigError(f"a walk of {steps} steps on {n} positions writes "
+                          f"{(steps + 1) * n} rows, more than {MAX_POINTS}")
+    start = cfg["start_position"]
+    start = _number(n // 2 if start is ... else start, "start_position", 0, n - 1,
+                    integer=True)
     try:
-        state = np.array(value, dtype=complex)
+        state = np.array(cfg["coin_state"], dtype=complex)
     except (TypeError, ValueError):
         state = np.zeros(0)
     norm = np.linalg.norm(state)
     if state.shape != (2,) or not 0.0 < norm < np.inf:
-        raise ConfigError(f"coin_state must be a non-zero 2-vector, got {value!r}")
-    return state / norm
-
-
-def cmd_walk(args) -> int:
-    cfg = _load_config(args.config)
-    coin_name = args.coin or cfg.get("coin", "hadamard")
-    coin = _COINS.get(coin_name) if isinstance(coin_name, str) else None
-    if coin is None:
-        raise ConfigError(f"unknown coin {coin_name!r}")
-    n = args.positions if args.positions is not None else cfg.get("positions", 64)
-    n = _number(n, "positions", 1, MAX_POSITIONS, integer=True)
-    steps = args.steps if args.steps is not None else cfg.get("steps", 20)
-    steps = _number(steps, "steps", 0, integer=True)
-    if (steps + 1) * n > MAX_POINTS:
-        raise ConfigError(f"a walk of {steps} steps on {n} positions writes "
-                          f"{(steps + 1) * n} rows, more than {MAX_POINTS}")
-    start = _number(cfg.get("start_position", n // 2), "start_position", 0, n - 1,
-                    integer=True)
-    coin_state = _coin_state(cfg.get("coin_state", [1.0, 1.0j]))
+        raise ConfigError("coin_state must be a non-zero 2-vector, "
+                          f"got {cfg['coin_state']!r}")
+    out = _kind(cfg["out"], "out", (str, type(None)), "a path or null")
     initial = np.zeros(2 * n, dtype=complex)
-    initial[2 * start: 2 * start + 2] = coin_state
+    initial[2 * start: 2 * start + 2] = state / norm
     spec = walk.WalkSpec(n, coin, steps, initial)
     lines = ["step,position,probability"]
     for step, dist in enumerate(walk.simulate(spec)):
         for pos, prob in enumerate(dist):
             lines.append(f"{step},{pos},{_fmt(prob)}")
-    _write("\n".join(lines) + "\n", args.out)
-    if args.out:
-        print(f"walk: {steps} steps on {n} positions -> {args.out}")
+    _write("\n".join(lines) + "\n", out)
+    if out:
+        print(f"walk: {steps} steps on {n} positions -> {out}")
     return 0
-
-
-def _add_common(sub, with_grid=True):
-    sub.add_argument("--config", help="JSON config file")
-    sub.add_argument("--scenario", help="builtin scenario name")
-    sub.add_argument("--out", help="output file (default: stdout)")
-    sub.add_argument("--dump-config", action="store_true",
-                     help="echo the effective config and exit")
-    if with_grid:
-        sub.add_argument("--start", type=float, default=None)
-        sub.add_argument("--stop", type=float, default=None)
-        sub.add_argument("--points", type=int, default=None)
-        sub.add_argument("--no-oracle", action="store_true",
-                         help="omit closed-form oracle values")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,34 +295,37 @@ def build_parser() -> argparse.ArgumentParser:
                     "noisy channels",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("sweep", help="1-D noise sweep (q locked to p)")
-    _add_common(s)
-    s.set_defaults(func=cmd_sweep)
-
-    s = subs.add_parser("grid", help="2-D (p, q) noise grid")
-    _add_common(s)
-    s.set_defaults(func=cmd_sweep)
-
-    s = subs.add_parser("verify", help="re-check every proposition claim")
-    s.set_defaults(func=cmd_verify)
-
-    s = subs.add_parser("optimize", help="optimize vacuum amplitudes")
-    _add_common(s, with_grid=False)
-    s.add_argument("--p", type=float, default=None)
-    s.add_argument("--q", type=float, default=None)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--restarts", type=int, default=20)
-    s.set_defaults(func=cmd_optimize)
-
-    s = subs.add_parser("walk", help="discrete-time quantum walk CSV")
-    s.add_argument("--config", help="JSON config file")
-    s.add_argument("--coin", choices=sorted(_COINS), default=None)
-    s.add_argument("--positions", type=int, default=None)
-    s.add_argument("--steps", type=int, default=None)
-    s.add_argument("--out", help="output file (default: stdout)")
-    s.set_defaults(func=cmd_walk)
-
+    # a flag's dest is its config key; an absent flag is None
+    for name, func, text in (("sweep", cmd_sweep, "1-D noise sweep (q locked to p)"),
+                             ("grid", cmd_sweep, "2-D (p, q) noise grid"),
+                             ("verify", cmd_verify, "re-check every proposition claim"),
+                             ("optimize", cmd_optimize, "optimize vacuum amplitudes"),
+                             ("walk", cmd_walk, "discrete-time quantum walk CSV")):
+        s = subs.add_parser(name, help=text)
+        s.set_defaults(func=func)
+        if func is cmd_verify:
+            continue
+        s.add_argument("--config", help="JSON config file")
+        s.add_argument("--out", help="output file (default: stdout)")
+        if func is cmd_walk:
+            s.add_argument("--coin", choices=sorted(_COINS))
+            s.add_argument("--positions", type=int)
+            s.add_argument("--steps", type=int)
+            continue
+        s.add_argument("--scenario", help="builtin scenario name")
+        s.add_argument("--dump-config", action="store_true",
+                       help="echo the effective config and exit")
+        if func is cmd_sweep:
+            s.add_argument("--start", type=float)
+            s.add_argument("--stop", type=float)
+            s.add_argument("--points", type=int)
+            s.add_argument("--no-oracle", dest="emit_oracle", action="store_const",
+                           const=False, help="omit closed-form oracle values")
+        else:
+            s.add_argument("--p", type=float)
+            s.add_argument("--q", type=float)
+            s.add_argument("--seed", type=int)
+            s.add_argument("--restarts", type=int)
     return parser
 
 

@@ -271,6 +271,9 @@ def build_scenario(spec: ScenarioSpec, p: float,
             f"{spec.name}: {branches} branches on {n} qubits exceed the "
             f"joint dimension cap {JOINT_DIM_CAP}"
         )
+    if len(cfg.vectors) != branches:
+        raise ScenarioError(f"{spec.name}: expected {branches} amplitude "
+                            f"vectors, got {len(cfg.vectors)}")
     if q is None:
         q = p
 
@@ -300,9 +303,6 @@ def build_scenario(spec: ScenarioSpec, p: float,
             pauli_channel_correlated((1 - q, 0, 0, q), n, cfg.beta, phase),
         )
     else:  # w_memoryless
-        if len(cfg.vectors) != n:
-            raise ScenarioError(
-                f"expected {n} amplitude vectors, got {len(cfg.vectors)}")
         channels = tuple(
             memoryless_bitflip(i, n, p, cfg.vectors[i]) for i in range(n)
         )

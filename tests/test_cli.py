@@ -166,6 +166,119 @@ def test_dump_config_shows_the_scenario_override(command, tmp_path, capsys):
         assert dumped["sweep"]["lock_q_to_p"] is False
 
 
+# command -> flags that set every flag-settable key to a non-default value
+ROUND_TRIP = {
+    **{command: ["--scenario", "fig8_green", "--start", "0.25", "--stop", "0.75",
+                 "--points", "3", "--no-oracle"] for command in ("sweep", "grid")},
+    "optimize": ["--scenario", "cor1_p05", "--p", "0.5", "--q", "0.25",
+                 "--seed", "3", "--restarts", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(ROUND_TRIP))
+def test_dumped_config_reruns_the_same_command(command, tmp_path, capsys):
+    out = tmp_path / "artifact"
+    argv = [command, *ROUND_TRIP[command], "--out", str(out)]
+    assert run_cli([*argv, "--dump-config"]) == 0
+    dumped = capsys.readouterr().out
+    path = tmp_path / "cfg.json"
+    path.write_text(dumped)
+    assert run_cli(argv) == 0
+    expected = out.read_bytes()
+    out.unlink()
+    assert run_cli([command, "--config", str(path)]) == 0
+    assert out.read_bytes() == expected
+    capsys.readouterr()
+    assert run_cli([command, "--config", str(path), "--dump-config"]) == 0
+    assert capsys.readouterr().out == dumped
+
+
+# (command, key path, file value, flags, value the flags give); every file
+# value differs from the default, so the file is seen to be read
+_SWEEP_KEYS = [
+    (("scenario",), "fig4a_red", ["--scenario", "fig8_green"], "fig8_green"),
+    (("sweep", "start"), 0.25, ["--start", "0.5"], 0.5),
+    (("sweep", "stop"), 0.75, ["--stop", "0.5"], 0.5),
+    (("sweep", "points"), 7, ["--points", "3"], 3),
+    (("emit_oracle",), True, ["--no-oracle"], False),
+    (("out",), "file.csv", ["--out", "flag.csv"], "flag.csv"),
+]
+FLAG_OVER_FILE = [
+    *[("sweep", *case) for case in _SWEEP_KEYS],
+    *[("grid", *case) for case in _SWEEP_KEYS],
+    ("optimize", ("scenario",), "fig4a_red", ["--scenario", "fig8_green"],
+     "fig8_green"),
+    ("optimize", ("p",), 0.25, ["--p", "0.5"], 0.5),
+    ("optimize", ("q",), 0.25, ["--q", "0.5"], 0.5),
+    ("optimize", ("seed",), 3, ["--seed", "4"], 4),
+    ("optimize", ("restarts",), 3, ["--restarts", "4"], 4),
+    ("optimize", ("out",), "file.json", ["--out", "flag.json"], "flag.json"),
+]
+
+
+@pytest.mark.parametrize("command,key,file_value,flags,flag_value", FLAG_OVER_FILE,
+                         ids=[f"{c[0]}-{'.'.join(c[1])}" for c in FLAG_OVER_FILE])
+def test_a_flag_overrides_its_config_key(command, key, file_value, flags,
+                                         flag_value, tmp_path, capsys):
+    cfg = {"scenario": "fig4a_red", "p": 0.5}
+    *outer, last = key
+    table = cfg
+    for name in outer:
+        table = table.setdefault(name, {})
+    table[last] = file_value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+
+    def dumped(*extra):
+        assert run_cli([command, "--config", str(path), *extra,
+                        "--dump-config"]) == 0
+        value = json.loads(capsys.readouterr().out)
+        for name in key:
+            value = value[name]
+        return value
+
+    assert dumped() == file_value
+    assert dumped(*flags) == flag_value
+
+
+def _walk(tmp_path, flags, cfg):
+    """The CSV a walk writes to ``out.csv`` given ``flags`` and the config
+    file ``cfg``."""
+    out = tmp_path / "out.csv"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli(["walk", *flags, "--config", str(path)]) == 0
+    text = out.read_text()
+    out.unlink()
+    return text
+
+
+WALK_FILE = {"coin": "x", "positions": 8, "steps": 3}
+WALK_FLAG = {"coin": "identity", "positions": 6, "steps": 2}
+
+
+def test_walk_config_keys_match_their_flags(tmp_path):
+    out = str(tmp_path / "out.csv")
+    flags = [f"--{key}={value}" for key, value in {**WALK_FILE, "out": out}.items()]
+    by_file = _walk(tmp_path, [], {**WALK_FILE, "out": out})
+    assert by_file == _walk(tmp_path, flags, {})
+    assert by_file.count("\n") == 1 + 4 * 8
+
+
+@pytest.mark.parametrize("key", [*WALK_FLAG, "out"])
+def test_walk_flag_overrides_its_config_key(key, tmp_path):
+    out = str(tmp_path / "out.csv")
+    file_cfg = {**WALK_FILE, "out": out}
+    flag_cfg = {**WALK_FLAG, "out": out}
+    if key == "out":
+        file_cfg["out"] = str(tmp_path / "file.csv")
+    got = _walk(tmp_path, [f"--{key}={flag_cfg[key]}"], file_cfg)
+    assert got == _walk(tmp_path, [], {**file_cfg, key: flag_cfg[key]})
+    assert not (tmp_path / "file.csv").exists()
+    if key != "out":
+        assert got != _walk(tmp_path, [], file_cfg)
+
+
 def test_sweep_with_only_zero_probability_outcomes(tmp_path, capsys):
     # the plus outcome of these amplitudes never fires at p = 0, so the
     # only reported outcome is dropped and no record is left
@@ -261,6 +374,28 @@ BAD_INPUTS = {
                                  "amps": [[1, 0, 0, 0], [1, 0, 0, 0]]}}, 2),
     "unknown_outcome_policy": (["sweep", "--scenario", "fig4a_red"],
                                {"outcome_policy": "sometimes"}, 2),
+    # only a missing outcome_policy keeps the spec's own
+    **{f"outcome_policy_{name}": (["sweep", "--scenario", "fig4a_red"],
+                                  {"outcome_policy": value}, 2)
+       for name, value in (("empty", ""), ("zero", 0), ("false", False))},
+    # a family takes one amplitude vector per branch: 2, or n for W
+    **{f"{argv[0]}_one_amplitude_vector": (
+        argv, {"scenario": {"family": "bell_depolarizing",
+                            "amps": [[1, 0, 0, 0]]}}, 2)
+       for argv in (["sweep"], ["optimize", "--p", "0.5"])},
+    "ghz_bitphase_extra_amplitude_vector": (
+        ["sweep"], {"scenario": {"family": "ghz_bitphase", "n": 3,
+                                 "amps": [[0, 1, 0, 0], [0, 0, 0, 1],
+                                          [1, 0, 0, 0]]}}, 2),
+    # the settings a config file gained are checked like their flags
+    "emit_oracle_not_a_bool": (["sweep", "--scenario", "fig4a_red"],
+                               {"emit_oracle": "no"}, 2),
+    "out_not_a_path": (["sweep", "--scenario", "fig4a_red"], {"out": 1}, 2),
+    "walk_out_not_a_path": (["walk"], {"out": ["a.csv"]}, 2),
+    "optimize_seed_in_file_negative": (
+        ["optimize", "--scenario", "prop4_p05", "--p", "0.5"], {"seed": -1}, 2),
+    "optimize_restarts_in_file_zero": (
+        ["optimize", "--scenario", "prop4_p05", "--p", "0.5"], {"restarts": 0}, 2),
     "no_restarts": (["optimize", "--scenario", "prop4_p05", "--p", "0.5",
                      "--restarts", "0"], None, 2),
     "inline_n_not_an_integer": (
