@@ -288,9 +288,19 @@ def cmd_walk(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag like a bad config: one ``error:`` line, exit 2."""
+
+    def error(self, message):
+        print(f"error: {message}", file=sys.stderr)
+        raise SystemExit(EXIT_CONFIG)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # allow_abbrev=False: a prefix such as --p must not be read as --points
+    parser = _Parser(
         prog="linksim",
+        allow_abbrev=False,
         description="Entanglement generation via spatial superposition of "
                     "noisy channels",
     )
@@ -301,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
                              ("verify", cmd_verify, "re-check every proposition claim"),
                              ("optimize", cmd_optimize, "optimize vacuum amplitudes"),
                              ("walk", cmd_walk, "discrete-time quantum walk CSV")):
-        s = subs.add_parser(name, help=text)
+        s = subs.add_parser(name, help=text, allow_abbrev=False)
         s.set_defaults(func=func)
         if func is cmd_verify:
             continue

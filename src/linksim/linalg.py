@@ -50,34 +50,36 @@ def kron_all(*mats: np.ndarray) -> np.ndarray:
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
-    return float(np.abs(m - m.conj().T).max())
+    """Largest |m - m^dag| entry, over every matrix of a stack (..., d, d)."""
+    return float(np.abs(m - m.conj().swapaxes(-1, -2)).max())
 
 
 def eig_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL):
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each matrix of a
+    stack (..., d, d).
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues real and sorted
     descending; column ``k`` of the eigenvector matrix pairs with eigenvalue
-    ``k``.
+    ``k``. Raises if any matrix of the stack is not Hermitian.
     """
     m = np.asarray(m, dtype=complex)
-    if hermiticity_defect(m) > tol:
-        raise NonHermitianError(
-            f"matrix is not Hermitian (defect {hermiticity_defect(m):.3e})"
-        )
+    defect = hermiticity_defect(m)
+    if defect > tol:
+        raise NonHermitianError(f"matrix is not Hermitian (defect {defect:.3e})")
     vals, vecs = np.linalg.eigh(m)
-    return vals[::-1].copy(), vecs[:, ::-1].copy()
+    return vals[..., ::-1].copy(), vecs[..., ::-1].copy()
 
 
 def sqrt_psd(m: np.ndarray) -> np.ndarray:
-    """Principal square root of a positive-semidefinite Hermitian matrix."""
+    """Principal square root of a positive-semidefinite Hermitian matrix, or
+    of each matrix of a stack (..., d, d); raises if any has a negative
+    eigenvalue."""
     vals, vecs = eig_hermitian(m)
-    if vals[-1] < -PSD_TOL:
-        raise NegativeEigenvalueError(
-            f"matrix has negative eigenvalue {vals[-1]:.3e}"
-        )
+    lowest = vals[..., -1].min()
+    if lowest < -PSD_TOL:
+        raise NegativeEigenvalueError(f"matrix has negative eigenvalue {lowest:.3e}")
     vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    return (vecs * np.sqrt(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)

@@ -109,25 +109,32 @@ def fidelity_up_to_phase(rho: DensityMatrix, n: int) -> tuple[float, float]:
 _YY = np.kron(Y, Y)
 
 
-def concurrence(rho: DensityMatrix) -> float:
-    """Wootters concurrence of a two-qubit state.
+def _concurrences(states) -> list[float]:
+    """Wootters concurrence of each two-qubit state, in one stacked
+    computation.
 
     max{0, l1 - l2 - l3 - l4} where l_i are the square roots of the
     eigenvalues of rho rho~ in decreasing order, computed through the
     Hermitian similarity sqrt(rho) rho~ sqrt(rho).
     """
-    if rho.dim != 4:
+    if any(s.dim != 4 for s in states):
         raise DimMismatchError("concurrence needs a two-qubit state")
-    rho_tilde = _YY @ rho.mat.conj() @ _YY
-    r = sqrt_psd(rho.mat)
+    rho = np.array([s.mat for s in states])
+    rho_tilde = _YY @ rho.conj() @ _YY
+    r = sqrt_psd(rho)
     m = r @ rho_tilde @ r
-    vals, _ = eig_hermitian((m + m.conj().T) / 2.0, tol=1e-8)
+    vals, _ = eig_hermitian((m + m.conj().swapaxes(-1, -2)) / 2.0, tol=1e-8)
     vals = np.clip(vals, 0.0, None)
     # eigenvalues at the numerical noise floor would each contribute
     # sqrt(eps) ~ 1e-8 after the square root; treat them as exact zeros
-    vals[vals < 1e-12 * max(vals[0], 1e-30)] = 0.0
+    vals[vals < 1e-12 * np.maximum(vals[:, :1], 1e-30)] = 0.0
     lam = np.sqrt(vals)
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    return np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]).tolist()
+
+
+def concurrence(rho: DensityMatrix) -> float:
+    """Wootters concurrence of a two-qubit state."""
+    return _concurrences([rho])[0]
 
 
 def avg_pairwise_concurrence(rho: DensityMatrix) -> float:
@@ -138,7 +145,8 @@ def avg_pairwise_concurrence(rho: DensityMatrix) -> float:
     if n == 2:
         return concurrence(rho)
     pairs = list(combinations(range(n), 2))
-    return sum(concurrence(r) for r in partial_traces(rho, pairs)) / len(pairs)
+    # the builtin sum adds in pair order; np.sum would regroup the terms
+    return sum(_concurrences(partial_traces(rho, pairs))) / len(pairs)
 
 
 def avg_one_vs_rest_concurrence(rho: DensityMatrix) -> float:

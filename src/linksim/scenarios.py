@@ -8,6 +8,7 @@ every reported result is reproducible by name from the CLI.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -230,10 +231,17 @@ def builtin_names() -> list[str]:
 # scenario construction and evaluation
 
 
+# one entry per n; build_scenario checks n against the joint dimension cap
+# before it asks, so the cache stays small
+@lru_cache(maxsize=None)
 def _zero_input(n: int) -> DensityMatrix:
+    """|0...0><0...0| on n qubits, cached and shared, so its matrix is
+    read-only."""
     v = np.zeros(2**n, dtype=complex)
     v[0] = 1.0
-    return DensityMatrix.pure((2,) * n, v)
+    rho = DensityMatrix.pure((2,) * n, v)
+    rho.mat.flags.writeable = False
+    return rho
 
 
 def _free_slots(family: str, n: int) -> list[np.ndarray]:

@@ -12,10 +12,13 @@ familiar  b_j F_i (x) |0><0| + a_i N_j (x) |1><1|  construction. The joint
 state sum_i S_i (rho_t (x) rho_c) S_i^dag is trace one, and measuring the
 control in an orthonormal basis projects the target.
 
-``apply`` builds only the columns of each S_i that meet the support of
-rho_t (x) rho_c, which is a few rows for the paper's pure product inputs;
-``global_kraus`` builds the dense operators literally from the formula and
-serves as the reference.
+``apply`` forms rho_t (x) rho_c only on its support, which is a few rows
+for the paper's pure product inputs, and builds only the columns of each
+S_i that meet it. ``measure_control`` contracts only the target rows that
+the joint state reaches, for every outcome in one einsum. Each keeps the
+order of every sum that the whole-matrix computation uses, so neither
+restriction changes an output bit. ``global_kraus`` builds the dense
+operators literally from the formula and serves as the reference.
 """
 
 from __future__ import annotations
@@ -186,15 +189,20 @@ def apply(scenario: SuperpositionScenario) -> DensityMatrix:
     and it is summed only over the rows those columns reach.
     """
     rho, c = scenario.input.mat, scenario.control.amplitudes
-    # kron(rho, |c><c|) as one broadcast product: np.kron costs more than
-    # the product itself at these sizes
-    joint_in = rho[:, None, :, None] * np.outer(c, c.conj())[:, None, :]
-    joint_in = joint_in.reshape(len(rho) * len(c), -1)
-    sup = np.flatnonzero(joint_in.any(axis=1))
+    n = len(c)
+    # row t*n + l of J is non-zero exactly when row t of rho and c_l are
+    rho_sup, c_sup = rho.any(axis=1).nonzero()[0], c.nonzero()[0]
+    sup = (rho_sup[:, None] * n + c_sup).ravel()
+    # J[sup, sup] as one broadcast product of the sub-blocks, entry by entry
+    # the product kron(rho, |c><c|) would form
+    c = c[c_sup]
+    joint_in = (rho.take(rho_sup, 0).take(rho_sup, 1)[:, None, :, None]
+                * (c[:, None] * c.conj())[:, None, :])
+    joint_in = joint_in.reshape(len(sup), len(sup))
     cols = _joint_columns(scenario.channels, sup)
-    rows = np.flatnonzero(cols.any(axis=(0, 2)))
-    cols = cols[:, rows]
-    left = cols @ joint_in[sup][:, sup]
+    rows = cols.any(axis=(0, 2)).nonzero()[0]
+    cols = cols.take(rows, 1)
+    left = cols @ joint_in
     right = cols.conj().transpose(0, 2, 1)
     block = np.zeros((len(rows), len(rows)), dtype=complex)
     term = np.empty_like(block)
@@ -204,7 +212,7 @@ def apply(scenario: SuperpositionScenario) -> DensityMatrix:
         block += np.matmul(a, b, out=term)
     # symmetrize away accumulated rounding before the invariant checks;
     # the entries outside the reached block are exact zeros
-    out = np.zeros_like(joint_in)
+    out = np.zeros((len(rho) * n,) * 2, dtype=complex)
     out[rows[:, None], rows] = (block + block.conj().T) / 2.0
     dims = scenario.input.dims + (scenario.control.dim,)
     return DensityMatrix(dims, out)
@@ -216,21 +224,31 @@ def measure_control(joint: DensityMatrix, basis) -> list[MeasurementOutcome]:
     Outcome k has probability Tr[(I (x) |b_k><b_k|) rho]; its post state is
     the normalized target state after projecting the control onto |b_k>.
     """
-    basis = tuple(np.asarray(b, dtype=complex) for b in basis)
-    n = len(basis[0])
+    basis = np.asarray(basis, dtype=complex)
+    n = basis.shape[-1]
     if joint.dims[-1] != n:
         raise DimMismatchError("basis dimension does not match control subsystem")
     target_dims = joint.dims[:-1]
     d = joint.dim // n
     t = joint.mat.reshape(d, n, d, n)
+    # the target rows holding a non-zero entry; the joint is Hermitian, so
+    # every other row and column of each block is zero. Only the rows are
+    # restricted: the einsum runs over every column, and the trace over the
+    # whole d x d post matrix, so each sum rounds as on the whole joint.
+    keep = t.any(axis=(1, 2, 3)).nonzero()[0]
+    # the keep x keep block as flat indices into a d x d matrix
+    flat = (keep[:, None] * d + keep).ravel()
+    blocks = np.einsum("bk,ikjl,bl->bij", basis.conj(), t.take(keep, 0),
+                       basis).take(keep, 2)
     outcomes = []
-    for k, b in enumerate(basis):
-        block = np.einsum("k,ikjl,l->ij", b.conj(), t, b)
-        p = float(np.trace(block).real)
+    for k, block in enumerate(blocks):
+        post = np.zeros((d, d), dtype=complex)
+        post.put(flat, block)
+        p = float(post.trace().real)
         if p < ZERO_PROB:
             outcomes.append(MeasurementOutcome(k, 0.0, None))
             continue
-        post = (block + block.conj().T) / (2.0 * p)
+        post.put(flat, (block + block.conj().T) / (2.0 * p))
         outcomes.append(MeasurementOutcome(k, p, DensityMatrix(target_dims, post)))
     return outcomes
 

@@ -422,6 +422,14 @@ BAD_INPUTS = {
     "optimize_inline_ideal": (
         ["optimize", "--p", "0.5"], {"scenario": {"family": "ideal_ghz", "n": 3,
                                                   "amps": [[1], [1]]}}, 2),
+    # argparse's own errors: a flag value of the wrong type, an unknown
+    # flag, and a prefix that must not be read as --points
+    "flag_points_not_an_integer": (["sweep", "--scenario", "fig4a_red",
+                                    "--points", "x"], None, 2),
+    "unknown_flag": (["sweep", "--scenario", "fig4a_red", "--bogus", "1"],
+                     None, 2),
+    "flag_prefix_not_expanded": (["sweep", "--scenario", "fig4a_red",
+                                  "--p", "0.5"], None, 2),
 }
 
 

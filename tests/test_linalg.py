@@ -81,6 +81,46 @@ def test_sqrt_psd_rejects_negative():
         sqrt_psd(np.diag([1.0, -1.0]))
 
 
+def _stack(rng, count, d):
+    """Random density matrices, some rank deficient, stacked (count, d, d)."""
+    mats = [random_density(rng, d) for _ in range(count)]
+    for k in range(0, count, 3):
+        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        mats[k] = np.outer(v, v.conj()) / np.vdot(v, v).real
+    return np.array(mats)
+
+
+@pytest.mark.parametrize("shape", [(7,), (2, 3)])
+def test_stacked_calls_equal_per_matrix_calls(shape):
+    rng = np.random.default_rng(3)
+    for d in (2, 4):
+        stack = _stack(rng, np.prod(shape), d).reshape(shape + (d, d))
+        flat = stack.reshape(-1, d, d)
+        vals, vecs = eig_hermitian(stack)
+        roots = sqrt_psd(stack)
+        for k, m in enumerate(flat):
+            one_vals, one_vecs = eig_hermitian(m)
+            assert np.array_equal(vals.reshape(-1, d)[k], one_vals)
+            assert np.array_equal(vecs.reshape(-1, d, d)[k], one_vecs)
+            assert np.array_equal(roots.reshape(-1, d, d)[k], sqrt_psd(m))
+
+
+def test_stacked_calls_reject_one_bad_matrix():
+    rng = np.random.default_rng(4)
+    stack = _stack(rng, 5, 4)
+    skewed = stack.copy()
+    skewed[3, 0, 1] += 1e-6
+    with pytest.raises(NonHermitianError):
+        eig_hermitian(skewed)
+    with pytest.raises(NonHermitianError):
+        sqrt_psd(skewed)
+    negative = stack.copy()
+    negative[2] = np.diag([1.5, -0.5, 0.0, 0.0])
+    eig_hermitian(negative)
+    with pytest.raises(NegativeEigenvalueError):
+        sqrt_psd(negative)
+
+
 def test_density_matrix_validation():
     with pytest.raises(DimMismatchError):
         DensityMatrix((2, 2), np.eye(2) / 2)

@@ -1,8 +1,10 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from linksim.channels import BadProbabilityError
-from linksim.linalg import DensityMatrix
+from linksim.linalg import DensityMatrix, partial_traces
 from linksim.metrics import (
     DivisionByZeroError,
     VacuumConfig,
@@ -19,6 +21,8 @@ from linksim.metrics import (
     uhlmann_fidelity,
     w_state,
 )
+from linksim.scenarios import PROP5_P05, ScenarioSpec, build_scenario
+from linksim.superposition import run
 
 S2 = 1.0 / np.sqrt(2.0)
 S3 = 1.0 / np.sqrt(3.0)
@@ -160,6 +164,25 @@ def test_avg_one_vs_rest_ghz_and_w():
     w = DensityMatrix.pure((2, 2, 2), w_state(3))
     assert avg_one_vs_rest_concurrence(w) == pytest.approx(
         2 * np.sqrt(2) / 3, abs=1e-10)
+
+
+@pytest.mark.parametrize("family, n, amps, target", [
+    ("ghz_depolarizing", 8, PROP5_P05.vectors, ghz_state),
+    ("w_memoryless", 3, ((S2, S2),) * 3, w_state),
+    ("w_memoryless", 4, ((S2, S2), (0.6, 0.8), (1.0, 0.0), (0.0, 1.0)), w_state),
+])
+def test_avg_pairwise_equals_per_pair_sum(family, n, amps, target):
+    # one stacked call for all pairs, added in pair order, must give the
+    # bits of one concurrence call per pair
+    spec = ScenarioSpec(f"{family}{n}", family, n, VacuumConfig(amps))
+    states = [o.post_state for p in (0.0, 0.3, 0.6, 1.0)
+              for o in run(build_scenario(spec, p)) if o.post_state is not None]
+    states.append(DensityMatrix.pure((2,) * n, target(n)))
+    pairs = list(combinations(range(n), 2))
+    for rho in states:
+        expected = sum(concurrence(r) for r in partial_traces(rho, pairs)) / len(pairs)
+        got = avg_pairwise_concurrence(rho)
+        assert (got, np.signbit(got)) == (expected, np.signbit(expected))
 
 
 def test_avg_pairwise_two_qubits_is_plain_concurrence():

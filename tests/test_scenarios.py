@@ -292,3 +292,14 @@ def test_w_outcome_probabilities_uniform():
     for r in all_recs:
         assert r.probability == pytest.approx(1 / 3, abs=1e-10)
         assert r.fidelity == pytest.approx(1.0, abs=1e-10)
+
+
+def test_zero_input_is_cached_and_read_only():
+    # every point of a sweep shares one |0...0> input, so no caller may
+    # write to it
+    first = build_scenario(builtin("prop5_p05"), 0.2)
+    second = build_scenario(builtin("prop5_p05"), 0.7)
+    assert first.input is second.input
+    with pytest.raises(ValueError):
+        first.input.mat[0, 0] = 0.5
+    assert first.input.mat[0, 0] == 1.0

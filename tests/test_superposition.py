@@ -290,6 +290,30 @@ def _random_input(rng, d, kind):
     return m / np.trace(m).real
 
 
+def assert_measure_matches_dense_projection(joint, basis):
+    """Every outcome of ``measure_control`` against the literal projection
+    (I (x) <b_k|) rho (I (x) |b_k>), to 1e-12."""
+    d = joint.dim // len(basis)
+    for out, b in zip(measure_control(joint, basis), basis):
+        bra = np.kron(np.eye(d), b.conj()[None, :])
+        block = bra @ joint.mat @ bra.conj().T
+        p = np.trace(block).real
+        assert out.probability == pytest.approx(p, abs=1e-12, rel=0)
+        if out.post_state is None:
+            assert p < superposition.ZERO_PROB
+        else:
+            assert np.allclose(out.post_state.mat, block / p, atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SPECS))
+def test_measure_control_equals_dense_projection_on_builtins(name):
+    spec = BUILTIN_SPECS[name]
+    for p, q in ((0.0, 0.31), (0.5, 0.5), (0.77, 1.0)):
+        scen = build_scenario(spec, p, q)
+        assert_measure_matches_dense_projection(apply(scen),
+                                                scen.measurement_basis)
+
+
 @PROPERTY
 @given(st.integers(0, 2**32 - 1), st.integers(2, 3),
        st.sampled_from(["mixed", "pure", "rank_deficient"]))
@@ -311,4 +335,6 @@ def test_apply_matches_dense_reference_on_random_channels(seed, count, kind):
     scen = SuperpositionScenario(
         tuple(channels), DensityMatrix((d,), _random_input(rng, d, kind)),
         ControlState(c / np.linalg.norm(c)), fourier_basis(count))
-    assert np.allclose(apply(scen).mat, dense_apply(scen), atol=1e-12, rtol=0)
+    joint = apply(scen)
+    assert np.allclose(joint.mat, dense_apply(scen), atol=1e-12, rtol=0)
+    assert_measure_matches_dense_projection(joint, scen.measurement_basis)
