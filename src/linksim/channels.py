@@ -4,6 +4,13 @@ A channel is a CPTP Kraus set plus one vacuum amplitude per Kraus operator.
 The amplitudes fix how the Kraus branches interfere when the channel is
 placed in a spatial superposition; they satisfy sum |alpha_k|^2 = 1.
 
+The named constructors store each Kraus operator as a shared, read-only
+unit operator (a cached ``pauli_string``) and one real scale, so building a
+channel at a new noise point allocates no 2^n x 2^n array. ``kraus_columns``
+scales only the columns a computation reaches; the dense ``kraus`` is
+formed on first use. Both multiply each entry once, scale times unit
+entry, so a scaled column is bitwise the column of the dense operator.
+
 Pauli channels keep a fixed length-4 amplitude vector indexed by
 ``PAULI_INDEX`` = (I, X, Y, Z) even when some weights vanish, so amplitude
 vectors keep their shape across parameter sweeps. Zero-weight slots must
@@ -13,7 +20,7 @@ carry zero amplitude.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -92,31 +99,62 @@ class ValidationReport:
 class VacuumExtendedChannel:
     """Kraus operators paired with their vacuum amplitudes.
 
+    ``VacuumExtendedChannel(kraus, amps)`` takes the Kraus operators
+    themselves. With ``scales``, Kraus operator k is ``scales[k] * ops[k]``:
+    the named constructors pass shared unit operators and real scales.
+
     The dataclass itself performs only shape checks so that diagnostic
     ``validate`` can be run on deliberately broken instances; the named
     constructors below always produce validated channels.
     """
 
-    kraus: tuple[np.ndarray, ...]
+    ops: tuple[np.ndarray, ...]
     vacuum_amplitudes: np.ndarray
+    scales: np.ndarray | None = None
 
     def __post_init__(self):
-        kraus = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
+        ops = tuple(np.asarray(k, dtype=complex) for k in self.ops)
         amps = np.asarray(self.vacuum_amplitudes, dtype=complex)
-        object.__setattr__(self, "kraus", kraus)
+        object.__setattr__(self, "ops", ops)
         object.__setattr__(self, "vacuum_amplitudes", amps)
-        if len(kraus) != len(amps):
+        if len(ops) != len(amps):
             raise ChannelError(
-                f"{len(kraus)} Kraus operators but {len(amps)} vacuum amplitudes"
+                f"{len(ops)} Kraus operators but {len(amps)} vacuum amplitudes"
             )
-        d = kraus[0].shape[0]
-        for k in kraus:
+        if self.scales is not None:
+            scales = np.asarray(self.scales, dtype=float)
+            object.__setattr__(self, "scales", scales)
+            if scales.shape != (len(ops),):
+                raise ChannelError(f"{len(ops)} Kraus operators but scales "
+                                   f"of shape {scales.shape}")
+        d = ops[0].shape[0]
+        for k in ops:
             if k.shape != (d, d):
                 raise ChannelError("Kraus operators must be square and same-dim")
 
     @property
     def dim(self) -> int:
-        return self.kraus[0].shape[0]
+        return self.ops[0].shape[0]
+
+    @cached_property
+    def kraus(self) -> tuple[np.ndarray, ...]:
+        """The dense Kraus operators, each ``scales[k] * ops[k]``, built on
+        first use and kept."""
+        if self.scales is None:
+            return self.ops
+        return tuple(s * op for s, op in zip(self.scales, self.ops))
+
+    def kraus_columns(self, cols) -> np.ndarray:
+        """Columns ``cols`` of every Kraus operator, shape (K, d, len(cols)).
+
+        The unit columns are gathered first and scaled in one product, so
+        only the reached columns are multiplied; entry for entry that is the
+        product ``kraus`` forms.
+        """
+        out = np.array([op[:, cols] for op in self.ops])
+        if self.scales is not None:
+            out *= self.scales[:, None, None]
+        return out
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Action of the reduced CPTP map: sum_k K rho K^dagger."""
@@ -181,11 +219,9 @@ def pauli_channel_correlated(weights, n: int, amps,
                 f"structurally empty Pauli slot {PAULI_INDEX[k]} carries "
                 f"weight {w} / amplitude {a}"
             )
-    kraus = tuple(
-        np.sqrt(max(w, 0.0)) * pauli_string(letter * n)
-        for w, letter in zip(weights, PAULI_INDEX)
-    )
-    return VacuumExtendedChannel(kraus, amps)
+    ops = tuple(pauli_string(letter * n) for letter in PAULI_INDEX)
+    scales = np.sqrt([max(w, 0.0) for w in weights])
+    return VacuumExtendedChannel(ops, amps, scales)
 
 
 def memoryless_bitflip(i: int, n: int, p_i: float, amps) -> VacuumExtendedChannel:
@@ -198,12 +234,8 @@ def memoryless_bitflip(i: int, n: int, p_i: float, amps) -> VacuumExtendedChanne
         raise BadChannelIndexError(f"qubit index {i} outside 0..{n - 1}")
     p_i = _check_prob(p_i, "p_i")
     amps = _check_amps(amps, 2)
-    x_i = pauli_string("I" * i + "X" + "I" * (n - i - 1))
-    kraus = (
-        np.sqrt(1.0 - p_i) * np.eye(2**n, dtype=complex),
-        np.sqrt(p_i) * x_i,
-    )
-    return VacuumExtendedChannel(kraus, amps)
+    ops = (pauli_string("I" * n), pauli_string("I" * i + "X" + "I" * (n - i - 1)))
+    return VacuumExtendedChannel(ops, amps, np.sqrt([1.0 - p_i, p_i]))
 
 
 def unitary_channel(u: np.ndarray) -> VacuumExtendedChannel:
@@ -211,4 +243,5 @@ def unitary_channel(u: np.ndarray) -> VacuumExtendedChannel:
     u = np.asarray(u, dtype=complex)
     if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) > CPTP_TOL:
         raise NotUnitaryError("operator is not unitary")
+    # no scale: a product with 1.0 clears the sign of some zero entries
     return VacuumExtendedChannel((u,), np.array([1.0 + 0j]))

@@ -14,9 +14,12 @@ control in an orthonormal basis projects the target.
 
 ``apply`` forms rho_t (x) rho_c only on its support, which is a few rows
 for the paper's pure product inputs, and builds only the columns of each
-S_i that meet it. ``measure_control`` contracts only the target rows that
+S_i that meet it. A channel holds unit operators and scales, and only the
+Kraus columns those S_i columns use are scaled, so no 2^n x 2^n operator is
+formed per noise point; each scaled entry is the one product the dense
+operator holds. ``measure_control`` contracts only the target rows that
 the joint state reaches, for every outcome in one einsum. Each keeps the
-order of every sum that the whole-matrix computation uses, so neither
+order of every sum that the whole-matrix computation uses, so no
 restriction changes an output bit. ``global_kraus`` builds the dense
 operators literally from the formula and serves as the reference.
 """
@@ -138,11 +141,15 @@ def _joint_columns(channels, cols) -> np.ndarray:
     Returns an array of shape (M, d*n, len(cols)), one slice per kept
     multi-index, in the lexicographic order of ``global_kraus``. Column
     t*n + l of S_i is coeff_l(i) K^(l)_{i_l}[:, t] at rows l::n, with
-    coeff_l(i) = prod_{k != l} a^(k)_{i_k}.
+    coeff_l(i) = prod_{k != l} a^(k)_{i_k}. The Kraus columns come from
+    ``kraus_columns``, which scales only the unit columns in ``t``; each
+    entry is the one product scale * unit entry that the dense Kraus
+    operator holds, with no sum reordered, so the result is bitwise the
+    gather from ``channel.kraus``, which is never built here.
     """
     d, n = channels[0].dim, len(channels)
     t, branch = np.divmod(cols, n)
-    idx = np.indices([len(c.kraus) for c in channels]).reshape(n, -1)
+    idx = np.indices([len(c.ops) for c in channels]).reshape(n, -1)
     amps = [c.vacuum_amplitudes[i] for c, i in zip(channels, idx)]
     coeff = np.array([prod(amps[k] for k in range(n) if k != l) for l in range(n)])
     keep = coeff.any(axis=0)
@@ -152,7 +159,7 @@ def _joint_columns(channels, cols) -> np.ndarray:
     for l, channel in enumerate(channels):
         # index the Kraus columns first, so the multi-index gather copies
         # only those columns and never a (M, d, d) stack
-        kcols = np.array([k[:, t] for k in channel.kraus])[idx[l]]
+        kcols = channel.kraus_columns(t)[idx[l]]
         out[:, :, l] = np.where(branch == l, coeff[l, :, None, None] * kcols, 0)
     return out.reshape(-1, d * n, len(cols))
 

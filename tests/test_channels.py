@@ -174,3 +174,52 @@ def test_validate_reports_broken_channel():
     assert rep.cptp_defect < 1e-12
     assert rep.amplitude_defect > 0.5
     assert not rep.ok
+
+
+def assert_bitwise(a, b):
+    """Equal bit for bit, the sign of every zero included."""
+    assert a.shape == b.shape and a.dtype == b.dtype
+    a, b = np.ascontiguousarray(a).view(float), np.ascontiguousarray(b).view(float)
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+def test_derived_kraus_is_the_dense_product(n, p):
+    # the dense operators formed on first use are bitwise the products
+    # sqrt(w) * P^n, sqrt(1 - p) * eye and u that the constructors built
+    # before they stored unit operators and scales
+    amps = np.full(4, 0.5)
+    for weights in ((1 - p, p / 3, p / 3, p / 3), (1 - p, p, 0, 0),
+                    (1 - p, 0, 0, p)):
+        c = pauli_channel_correlated(weights, n, amps)
+        assert len(c.kraus) == 4
+        for k, w, letter in zip(c.kraus, weights, PAULI_INDEX):
+            assert_bitwise(k, np.sqrt(max(w, 0.0)) * pauli_string(letter * n))
+    for i in range(n):
+        c = memoryless_bitflip(i, n, p, (S2, S2))
+        assert_bitwise(c.kraus[0], np.sqrt(1.0 - p) * np.eye(2**n, dtype=complex))
+        assert_bitwise(c.kraus[1], np.sqrt(p) * pauli_string(
+            "I" * i + "X" + "I" * (n - i - 1)))
+    # Z^n and Y^n hold zeros of both signs, which a scale of 1.0 would clear
+    for u in (pauli_string("Z" * n), pauli_string("Y" * n), pauli_string("X" * n)):
+        assert_bitwise(unitary_channel(u).kraus[0], u)
+
+
+def test_named_constructors_share_unit_operators():
+    # a new noise point reuses the cached unit operators: no dense Kraus
+    # operator is allocated until ``kraus`` is read
+    c = depolarizing_correlated(0.3, 3, np.full(4, 0.5))
+    assert all(op is pauli_string(letter * 3)
+               for op, letter in zip(c.ops, PAULI_INDEX))
+    assert "kraus" not in vars(c)
+    b = memoryless_bitflip(0, 2, 0.3, (S2, S2))
+    assert b.ops[0] is pauli_string("II") and b.ops[1] is pauli_string("XI")
+    assert "kraus" not in vars(b)
+    assert c.kraus is c.kraus
+
+
+def test_scales_must_match_operators():
+    with pytest.raises(ChannelError):
+        VacuumExtendedChannel((np.eye(2), X), np.array([S2, S2]), [1.0])

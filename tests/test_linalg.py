@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linksim import linalg
 from linksim.linalg import (
     BadIndexError,
     DensityMatrix,
@@ -185,6 +186,38 @@ def test_support_block_check_matches_whole_matrix(seed, kind, stray):
     except LinalgError as exc:
         got = type(exc)
     assert got is _whole_matrix_check(mat)
+
+
+@pytest.mark.parametrize("d", [4, 64])
+@pytest.mark.parametrize("layout", ["c", "fortran"])
+@pytest.mark.parametrize("at", [(1, 3), (0, 1), (3, 2)])
+@pytest.mark.parametrize("stray", [0.25, 0.25j, -0.0, complex(0.0, -0.0),
+                                   complex(-0.0, -0.0)])
+def test_support_block_decision_on_one_stray_entry(monkeypatch, stray, at,
+                                                   layout, d):
+    """The block alone is checked exactly when counting non-zero complex
+    entries says every one lies in it: a real-only or imaginary-only stray
+    entry outside the block sends the check to the whole matrix, a zero of
+    either sign does not. Both sizes of matrix are counted: d = 64 is
+    counted on float views."""
+    assert 4 <= linalg.FLOAT_COUNT_DIM < 64
+    mat = np.zeros((d, d), dtype=complex)
+    support = np.ix_([0, 2], [0, 2])
+    mat[support] = [[0.5, 0.25j], [-0.25j, 0.5]]
+    mat[at] = stray
+    in_block = np.count_nonzero(mat[support]) == np.count_nonzero(mat)
+    assert in_block == (stray == 0)
+    checked = []
+    defect = linalg.hermiticity_defect
+    monkeypatch.setattr(linalg, "hermiticity_defect",
+                        lambda m: checked.append(m.shape) or defect(m))
+    if layout == "fortran":
+        mat = np.asfortranarray(mat)
+    try:
+        DensityMatrix((d,), mat)
+    except NonHermitianError:
+        assert not in_block
+    assert checked == [(2, 2) if in_block else (d, d)]
 
 
 def test_density_matrix_pure_normalizes():

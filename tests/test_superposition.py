@@ -12,7 +12,13 @@ from linksim.channels import (
 )
 from linksim import superposition
 from linksim.linalg import DensityMatrix, partial_trace
-from linksim.scenarios import build_scenario, builtin, builtin_names
+from linksim.scenarios import (
+    PROP5_P05,
+    ScenarioSpec,
+    build_scenario,
+    builtin,
+    builtin_names,
+)
 from linksim.superposition import (
     ControlState,
     SuperpositionError,
@@ -270,6 +276,39 @@ def test_apply_equals_dense_reference_on_builtins(name):
         for q in (0.0, 0.31, 1.0):
             scen = build_scenario(spec, p, q)
             assert np.array_equal(apply(scen).mat, dense_apply(scen)), (p, q)
+
+
+def _bitwise_equal(a, b):
+    """Equal bit for bit, the sign of every zero included."""
+    a, b = a.view(float), b.view(float)
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SPECS))
+def test_joint_columns_equal_the_dense_kraus_gather(name):
+    # scaling only the gathered unit columns gives bitwise the columns of
+    # the dense Kraus operators; the copies hold those operators themselves
+    for p in (0.0, 0.3, 1.0):
+        channels = build_scenario(BUILTIN_SPECS[name], p).channels
+        dense = tuple(VacuumExtendedChannel(c.kraus, c.vacuum_amplitudes)
+                      for c in channels)
+        assert all(c.scales is None for c in dense)
+        cols = np.arange(channels[0].dim * len(channels))
+        assert _bitwise_equal(superposition._joint_columns(channels, cols),
+                              superposition._joint_columns(dense, cols)), p
+
+
+@pytest.mark.parametrize("spec", [ScenarioSpec("ghz8", "ghz_depolarizing", 8,
+                                               PROP5_P05)]
+                         + [BUILTIN_SPECS[name] for name in sorted(BUILTIN_SPECS)],
+                         ids=lambda spec: spec.name)
+def test_run_builds_no_dense_kraus_operator(spec):
+    # a noise point scales only the reached Kraus columns: the dense
+    # 2^n x 2^n operators are formed only where ``kraus`` is read
+    scenario = build_scenario(spec, 0.3)
+    run(scenario)
+    assert not any("kraus" in vars(c) for c in scenario.channels)
 
 
 def _random_input(rng, d, kind):
