@@ -10,6 +10,7 @@ Subsystem 0 is the leftmost tensor factor throughout (row-major ordering).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 
 import numpy as np
@@ -84,9 +85,38 @@ def sqrt_psd(m: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
+def check_densities(mats: np.ndarray, traces) -> None:
+    """Raise unless every matrix of the stack ``mats`` (..., d, d) passes the
+    density checks, to ``DensityMatrix``'s tolerances.
+
+    In order: the Hermiticity defect is at most ``HERM_TOL``; each of
+    ``traces`` (given, so a caller can check a block of a matrix against the
+    whole matrix's trace) is within ``TRACE_TOL`` of 1; the lowest
+    eigenvalue is at least ``-EIG_TOL``. A stack with one bad matrix raises
+    the class that matrix raises alone.
+    """
+    if hermiticity_defect(mats) > DensityMatrix.HERM_TOL:
+        raise NonHermitianError("density matrix is not Hermitian")
+    # the builtin max and min over .flat: a numpy reduction would cost a
+    # single matrix, the most frequent check, about 0.6 us more each
+    off = abs(traces.real - 1.0)
+    if max(off.flat) > DensityMatrix.TRACE_TOL:
+        worst = np.ravel(traces.real)[np.argmax(off)]
+        raise LinalgError(f"trace {worst!r} != 1")
+    # eigenvalues come back ascending
+    if min(np.linalg.eigvalsh(mats)[..., 0].flat) < -DensityMatrix.EIG_TOL:
+        raise NegativeEigenvalueError("density matrix is not PSD")
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Density matrix together with its ordered subsystem dimensions."""
+    """Density matrix together with its ordered subsystem dimensions.
+
+    Construction checks the matrix with ``check_densities``: on the
+    principal block of its non-zero diagonal when every non-zero entry lies
+    in that block (the rest is then zero, so the check is exact), on the
+    whole matrix otherwise, and always against the whole matrix's trace.
+    """
 
     dims: tuple[int, ...]
     mat: np.ndarray
@@ -122,13 +152,7 @@ class DensityMatrix:
                           == np.count_nonzero(np.ravel(mat).view(float)))
             if inside:
                 block = sub
-        if hermiticity_defect(block) > self.HERM_TOL:
-            raise NonHermitianError("density matrix is not Hermitian")
-        if abs(mat.trace().real - 1.0) > self.TRACE_TOL:
-            raise LinalgError(f"trace {mat.trace().real!r} != 1")
-        # eigenvalues come back ascending
-        if np.linalg.eigvalsh(block)[0] < -self.EIG_TOL:
-            raise NegativeEigenvalueError("density matrix is not PSD")
+        check_densities(block, mat.trace())
 
     @property
     def dim(self) -> int:
@@ -148,35 +172,80 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     The kept subsystems stay in their original order. Tracing out all
     subsystems yields a 1x1 matrix equal to the trace.
     """
-    return partial_traces(rho, [keep])[0]
+    mat = partial_traces(rho, [keep])[0]
+    kept = sorted({int(k) for k in keep})
+    return DensityMatrix(tuple(rho.dims[k] for k in kept), mat)
 
 
-def partial_traces(rho: DensityMatrix, keeps) -> list[DensityMatrix]:
-    """``partial_trace(rho, keep)`` for every ``keep`` in ``keeps``.
+def partial_traces(rho: DensityMatrix, keeps) -> np.ndarray:
+    """The reductions of ``rho`` to each ``keep`` in ``keeps``, stacked
+    ``(len(keeps), d, d)``.
 
-    Each reduction traces out its dropped subsystems from the highest index
-    down. Reductions whose drop lists start alike share those first traces,
-    so each result is bitwise what tracing it out alone gives.
+    Every ``keep`` must leave the same kept and traced dimensions (for
+    qubits: the same number of subsystems). The entries the reductions sum
+    over, ``rho[(a, t), (b, t)]`` for each traced multi-index ``t``, are
+    taken with one gather into a ``(T, len(keeps), d, d)`` array whose
+    leading digit is the highest traced subsystem; the sums are then formed
+    by adding the slices of the leading digit in order, one digit at a
+    time (for qubits, ``x[:h] + x[h:]`` until one slice is left). For a
+    qubit, ``np.trace`` over one axis pair is the single addition
+    ``x0 + x1``, and tracing the dropped subsystems out one by one from the
+    highest index down performs the same additions in the same order, so
+    every entry is bitwise that loop's, signed zeros included. The whole
+    stack is checked once with ``check_densities``.
     """
-    dims = list(rho.dims)
-    n = len(dims)
-    keeps = [sorted(set(int(k) for k in keep)) for keep in keeps]
+    n = len(rho.dims)
+    keeps = tuple(map(tuple, keeps))
     for keep in keeps:
-        if any(k < 0 or k >= n for k in keep):
-            raise BadIndexError(f"keep={keep} outside subsystems 0..{n - 1}")
-
-    # drop prefix -> the tensor left after tracing those subsystems out
-    traced = {(): rho.mat.reshape(dims + dims)}
-    out = []
-    for keep in keeps:
-        drop = tuple(q for q in reversed(range(n)) if q not in keep)
-        for i, q in enumerate(drop):
-            key = drop[:i + 1]
-            if key not in traced:
-                # q is still at axis position q because higher axes were
-                # removed first
-                traced[key] = np.trace(traced[drop[:i]], axis1=q, axis2=q + n - i)
-        kept_dims = tuple(dims[k] for k in keep)
-        d = prod(kept_dims) if kept_dims else 1
-        out.append(DensityMatrix(kept_dims, traced[drop].reshape(d, d)))
+        if keep and (min(keep) < 0 or max(keep) >= n):
+            raise BadIndexError(f"keep={list(keep)} outside subsystems 0..{n - 1}")
+    traced, kept, traced_dims = _reduction_offsets(rho.dims, keeps)
+    x = rho.mat.take(traced + kept)
+    for dt in traced_dims:
+        x = x.reshape((dt, -1) + x.shape[1:])
+        total = x[0]
+        for j in range(1, dt):
+            total = total + x[j]
+        x = total
+    out = x[0]
+    check_densities(out, np.trace(out, axis1=1, axis2=2))
     return out
+
+
+# bounded like ``channels.pauli_string``: one entry per (dims, keeps) in use
+@lru_cache(maxsize=32)
+def _reduction_offsets(dims: tuple[int, ...], keeps: tuple[tuple, ...]):
+    """The two read-only parts of the flat indices, into the
+    ``prod(dims)``-square matrix, of the entries each reduction sums over:
+    ``traced + kept`` has shape ``(T, len(keeps), d, d)``, with ``traced``
+    ``(T, len(keeps), 1, 1)`` and ``kept`` ``(len(keeps), d, d)``. Also the
+    traced dimensions, highest subsystem first, which are the digits of the
+    leading axis from the most significant. Only the parts are kept: the
+    whole index is as large as the gather and would stay resident."""
+    n = len(dims)
+    keeps = [sorted({int(k) for k in keep}) for keep in keeps]
+    drops = [[q for q in reversed(range(n)) if q not in keep] for keep in keeps]
+    layouts = {(tuple(dims[q] for q in keep), tuple(dims[q] for q in drop))
+               for keep, drop in zip(keeps, drops)}
+    if len(layouts) != 1:
+        raise DimMismatchError(
+            "reductions taken together need one layout of kept and traced dims")
+    ((kept_dims, traced_dims),) = layouts
+    strides = np.array([prod(dims[q + 1:]) for q in range(n)], dtype=np.intp)
+
+    def offsets(subsystems, sub_dims):
+        # (len(keeps), prod(sub_dims)) flat offsets of every multi-index over
+        # the listed subsystems, the first listed as the leading digit
+        digits = np.indices(sub_dims, dtype=np.intp).reshape(len(sub_dims),
+                                                             prod(sub_dims))
+        at = np.array(subsystems, dtype=np.intp).reshape(len(keeps), len(sub_dims))
+        return strides[at] @ digits
+
+    size = prod(dims)
+    kept = offsets(keeps, kept_dims)
+    kept = kept[:, :, None] * size + kept[:, None, :]
+    traced = (size + 1) * np.ascontiguousarray(offsets(drops, traced_dims).T)
+    traced = traced[:, :, None, None]
+    for part in (traced, kept):
+        part.flags.writeable = False
+    return traced, kept, traced_dims

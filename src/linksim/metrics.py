@@ -109,17 +109,17 @@ def fidelity_up_to_phase(rho: DensityMatrix, n: int) -> tuple[float, float]:
 _YY = np.kron(Y, Y)
 
 
-def _concurrences(states) -> list[float]:
-    """Wootters concurrence of each two-qubit state, in one stacked
-    computation.
+def _concurrences(rho: np.ndarray) -> list[float]:
+    """Wootters concurrence of each two-qubit state of the stack ``rho``
+    (k, 4, 4), in one stacked computation; ``partial_traces`` output goes
+    in as it is, with no per-state object.
 
     max{0, l1 - l2 - l3 - l4} where l_i are the square roots of the
     eigenvalues of rho rho~ in decreasing order, computed through the
     Hermitian similarity sqrt(rho) rho~ sqrt(rho).
     """
-    if any(s.dim != 4 for s in states):
+    if rho.shape[1:] != (4, 4):
         raise DimMismatchError("concurrence needs a two-qubit state")
-    rho = np.array([s.mat for s in states])
     rho_tilde = _YY @ rho.conj() @ _YY
     r = sqrt_psd(rho)
     m = r @ rho_tilde @ r
@@ -134,7 +134,7 @@ def _concurrences(states) -> list[float]:
 
 def concurrence(rho: DensityMatrix) -> float:
     """Wootters concurrence of a two-qubit state."""
-    return _concurrences([rho])[0]
+    return _concurrences(rho.mat[None])[0]
 
 
 def avg_pairwise_concurrence(rho: DensityMatrix) -> float:
@@ -159,8 +159,7 @@ def avg_one_vs_rest_concurrence(rho: DensityMatrix) -> float:
     if n < 2:
         raise DimMismatchError("need at least two qubits")
     acc = 0.0
-    for reduced in partial_traces(rho, [[k] for k in range(n)]):
-        rk = reduced.mat
+    for rk in partial_traces(rho, [[k] for k in range(n)]):
         purity = float(np.trace(rk @ rk).real)
         acc += sqrt(max(0.0, 2.0 * (1.0 - purity)))
     return acc / n

@@ -20,6 +20,14 @@ from linksim.linalg import (
     partial_traces,
     sqrt_psd,
 )
+from linksim.scenarios import (
+    PROP5_P05,
+    ScenarioSpec,
+    build_scenario,
+    builtin,
+    builtin_names,
+)
+from linksim.superposition import run
 
 
 def random_density(rng, d):
@@ -278,22 +286,153 @@ def _einsum_reduction(mat, n, keep):
     return np.einsum(spec, mat.reshape([2] * 2 * n)).reshape(d, d)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_partial_traces_share_prefixes_exactly(n):
+def _trace_loop(rho, keep):
+    """The literal reduction: ``np.trace`` over one dropped subsystem at a
+    time, the highest first."""
+    dims = list(rho.dims)
+    n = len(dims)
+    x = rho.mat.reshape(dims + dims)
+    for i, q in enumerate(q for q in reversed(range(n)) if q not in keep):
+        # q is still at axis q because the higher axes went first
+        x = np.trace(x, axis1=q, axis2=q + n - i)
+    d = int(np.prod([dims[q] for q in keep]))
+    return x.reshape(d, d)
+
+
+def assert_bitwise(a, b):
+    """Equal bit for bit, the sign of every zero included."""
+    assert a.shape == b.shape and a.dtype == b.dtype
+    a, b = np.ascontiguousarray(a).view(float), np.ascontiguousarray(b).view(float)
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _keep_groups(n):
+    """All pairs, all singles and all triples (``[0, 2, 5]`` and the like)
+    of n qubits, one group per size."""
+    return [[list(keep) for keep in combinations(range(n), size)]
+            for size in (2, 1, 3) if size <= n]
+
+
+def _assert_equal_trace_loop(rho):
+    for keeps in _keep_groups(len(rho.dims)):
+        stack = partial_traces(rho, keeps)
+        d = 2 ** len(keeps[0])
+        assert stack.shape == (len(keeps), d, d)
+        for keep, reduced in zip(keeps, stack):
+            assert_bitwise(reduced, _trace_loop(rho, keep))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_partial_traces_equal_trace_loop(n):
     rng = np.random.default_rng(100 + n)
     rho = DensityMatrix((2,) * n, random_density(rng, 2**n))
-    keeps = [list(pair) for pair in combinations(range(n), 2)]
-    keeps += [[k] for k in range(n)]
-    together = partial_traces(rho, keeps)
-    assert len(together) == len(keeps)
-    for keep, reduced in zip(keeps, together):
-        assert isinstance(reduced, DensityMatrix)
-        assert reduced.dims == (2,) * len(keep)
-        alone = partial_traces(rho, [keep])[0]
-        assert reduced.mat.tobytes() == alone.mat.tobytes(), keep
-        assert reduced.mat.tobytes() == partial_trace(rho, keep).mat.tobytes()
-        np.testing.assert_allclose(reduced.mat, _einsum_reduction(rho.mat, n, keep),
-                                   rtol=0, atol=1e-14)
+    _assert_equal_trace_loop(rho)
+    for keeps in _keep_groups(n):
+        for keep, reduced in zip(keeps, partial_traces(rho, keeps)):
+            single = partial_trace(rho, keep)
+            assert single.dims == (2,) * len(keep)
+            assert single.mat.tobytes() == reduced.tobytes()
+            np.testing.assert_allclose(reduced, _einsum_reduction(rho.mat, n, keep),
+                                       rtol=0, atol=1e-14)
     for bad in ([0, n], [-1], [n + 3]):
         with pytest.raises(BadIndexError):
             partial_traces(rho, [[0, 1], bad])
+
+
+def test_partial_traces_equal_trace_loop_on_post_states():
+    scenarios = [build_scenario(builtin(name), p)
+                 for name in builtin_names() for p in (0.0, 0.3, 1.0)]
+    spec = ScenarioSpec("ghz_depolarizing8", "ghz_depolarizing", 8, PROP5_P05)
+    scenarios.append(build_scenario(spec, 0.3))
+    checked = 0
+    for scenario in scenarios:
+        for outcome in run(scenario):
+            if outcome.post_state is not None:
+                _assert_equal_trace_loop(outcome.post_state)
+                checked += 1
+    assert checked > 3 * len(builtin_names())
+
+
+def test_partial_traces_mixed_dims_need_one_layout():
+    rng = np.random.default_rng(6)
+    rho = DensityMatrix((2, 3, 2, 3), kron_all(*[random_density(rng, d)
+                                                 for d in (2, 3, 2, 3)]))
+    # both leave kept dims (2, 3) and traced dims (3, 2), highest first
+    keeps = [[0, 1], [2, 3]]
+    stack = partial_traces(rho, keeps)
+    assert stack.shape == (2, 6, 6)
+    for keep, reduced in zip(keeps, stack):
+        np.testing.assert_allclose(reduced, _trace_loop(rho, keep), rtol=0, atol=1e-14)
+    # traced (3, 2) against (2, 3)
+    with pytest.raises(DimMismatchError):
+        partial_traces(rho, [[0, 1], [0, 3]])
+    with pytest.raises(DimMismatchError):
+        partial_traces(rho, [])
+
+
+def test_reduction_offsets_are_cached_bounded_and_read_only():
+    cache = linalg._reduction_offsets
+    assert cache.cache_info().maxsize is not None
+    rng = np.random.default_rng(8)
+    rho = DensityMatrix((2, 2, 2), random_density(rng, 8))
+    partial_traces(rho, [[0, 1], [1, 2]])
+    traced, kept, _ = cache((2, 2, 2), ((0, 1), (1, 2)))
+    assert (traced + kept).shape == (2, 2, 4, 4)
+    assert not traced.flags.writeable and not kept.flags.writeable
+    before = cache.cache_info()
+    partial_traces(rho, [[0, 1], [1, 2]])
+    assert cache.cache_info().hits == before.hits + 1
+    before = cache.cache_info()
+    for bad in ([[0, 3]], [[0, 1], [-1, 2]]):
+        with pytest.raises(BadIndexError):
+            partial_traces(rho, bad)
+    assert cache.cache_info() == before
+
+
+def _raised(call):
+    try:
+        call()
+    except LinalgError as exc:
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize("past", [True, False])
+@pytest.mark.parametrize("kind, error", [("hermiticity", NonHermitianError),
+                                         ("trace", LinalgError),
+                                         ("eigenvalue", NegativeEigenvalueError)])
+def test_stacked_check_raises_as_the_member_alone(kind, error, past):
+    """One member of a stack of four, moved just past a tolerance, makes the
+    stack check raise what ``DensityMatrix`` raises on that member; moved
+    just inside, both pass."""
+    rng = np.random.default_rng(9)
+    stack = np.array([random_density(rng, 4) for _ in range(4)])
+    scale = 1.5 if past else 0.5
+    if kind == "hermiticity":
+        stack[2, 0, 1] += scale * DensityMatrix.HERM_TOL
+    elif kind == "trace":
+        stack[2, 1, 1] += scale * DensityMatrix.TRACE_TOL
+    else:
+        eps = scale * DensityMatrix.EIG_TOL
+        u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        m = (u * [0.5, 0.3, 0.2 + eps, -eps]) @ u.conj().T
+        stack[2] = (m + m.conj().T) / 2
+    alone = _raised(lambda: DensityMatrix((2, 2), stack[2]))
+    together = _raised(
+        lambda: linalg.check_densities(stack, np.trace(stack, axis1=1, axis2=2)))
+    assert alone is (error if past else None)
+    assert together is alone
+
+
+def test_density_matrix_and_partial_traces_share_one_check(monkeypatch):
+    rho = DensityMatrix.pure((2, 2), np.array([1, 0, 0, 1]) / np.sqrt(2))
+
+    def refuse(mats, traces):
+        raise LinalgError("refused")
+
+    monkeypatch.setattr(linalg, "check_densities", refuse)
+    with pytest.raises(LinalgError, match="refused"):
+        DensityMatrix((2,), np.eye(2) / 2)
+    with pytest.raises(LinalgError, match="refused"):
+        partial_traces(rho, [[0], [1]])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from linksim.channels import BadProbabilityError
-from linksim.linalg import DensityMatrix, partial_traces
+from linksim.linalg import DensityMatrix, partial_trace
 from linksim.metrics import (
     DivisionByZeroError,
     VacuumConfig,
@@ -180,9 +180,21 @@ def test_avg_pairwise_equals_per_pair_sum(family, n, amps, target):
     states.append(DensityMatrix.pure((2,) * n, target(n)))
     pairs = list(combinations(range(n), 2))
     for rho in states:
-        expected = sum(concurrence(r) for r in partial_traces(rho, pairs)) / len(pairs)
+        expected = sum(concurrence(partial_trace(rho, pair)) for pair in pairs) / len(pairs)
         got = avg_pairwise_concurrence(rho)
         assert (got, np.signbit(got)) == (expected, np.signbit(expected))
+
+
+def test_multipartite_metrics_build_no_density_matrix(monkeypatch):
+    spec = ScenarioSpec("ghz_depolarizing8", "ghz_depolarizing", 8, PROP5_P05)
+    rho = run(build_scenario(spec, 0.3))[0].post_state
+
+    def refuse(self):
+        raise AssertionError("a metric built a DensityMatrix")
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", refuse)
+    assert 0.0 <= avg_pairwise_concurrence(rho) <= 1.0
+    assert 0.0 <= avg_one_vs_rest_concurrence(rho) <= 1.0
 
 
 def test_avg_pairwise_two_qubits_is_plain_concurrence():
