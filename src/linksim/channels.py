@@ -173,7 +173,7 @@ def _check_amps(amps, length: int) -> np.ndarray:
     amps = np.asarray(amps, dtype=complex)
     if amps.shape != (length,):
         raise BadNormalizationError(f"expected {length} vacuum amplitudes")
-    if abs(np.sum(np.abs(amps) ** 2) - 1.0) > AMP_TOL:
+    if not abs(np.sum(np.abs(amps) ** 2) - 1.0) <= AMP_TOL:  # NaN fails
         raise BadNormalizationError("vacuum amplitudes must have unit norm")
     return amps
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -134,6 +135,22 @@ def _spec_from_config(cfg: dict) -> ScenarioSpec:
     return spec
 
 
+def _check_writable(out_path: str | None) -> None:
+    """Raise unless ``out_path``, when given, is a writable file, or a new
+    name in a writable directory. Nothing is opened: on some file systems
+    a file opened for writing is flushed when it is closed."""
+    if not out_path:
+        return
+    if os.path.exists(out_path):
+        ok = not os.path.isdir(out_path) and os.access(out_path, os.W_OK)
+    else:
+        folder = os.path.dirname(out_path) or "."
+        ok = os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)
+    if not ok:
+        raise ConfigError(f"cannot write {out_path}: not a writable file or "
+                          "a new file in a writable directory")
+
+
 def _write(text: str, out_path: str | None) -> None:
     """Write ``text`` to ``out_path``, or to stdout without a path."""
     if out_path:
@@ -178,6 +195,7 @@ def cmd_sweep(args) -> int:
     if args.dump_config:
         print(json.dumps(cfg, indent=2))
         return 0
+    _check_writable(out)
     records = scenarios.sweep(spec, p_grid, q_grid=p_grid if is_grid else None,
                               emit_oracle=emit_oracle)
     _write_records(records, out)
@@ -227,6 +245,7 @@ def cmd_optimize(args) -> int:
     if args.dump_config:
         print(json.dumps(cfg, indent=2))
         return 0
+    _check_writable(out)
     result = scenarios.optimize_amplitudes(spec, p, q, seed=seed, restarts=restarts)
     payload = {
         "scenario": spec.name,
@@ -275,6 +294,7 @@ def cmd_walk(args) -> int:
         raise ConfigError("coin_state must be a non-zero 2-vector, "
                           f"got {cfg['coin_state']!r}")
     out = _kind(cfg["out"], "out", (str, type(None)), "a path or null")
+    _check_writable(out)
     initial = np.zeros(2 * n, dtype=complex)
     initial[2 * start: 2 * start + 2] = state / norm
     spec = walk.WalkSpec(n, coin, steps, initial)

@@ -179,7 +179,7 @@ class VacuumConfig:
         vecs = tuple(np.asarray(v, dtype=complex) for v in self.vectors)
         object.__setattr__(self, "vectors", vecs)
         for v in vecs:
-            if abs(np.linalg.norm(v) - 1.0) > 1e-10:
+            if not abs(np.linalg.norm(v) - 1.0) <= 1e-10:  # NaN fails
                 raise BadNormalizationError("vacuum amplitude vectors must be unit norm")
 
     @property

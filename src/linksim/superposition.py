@@ -55,7 +55,7 @@ class ControlState:
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex).ravel()
         object.__setattr__(self, "amplitudes", amps)
-        if abs(np.linalg.norm(amps) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(amps) - 1.0) <= 1e-12:  # NaN fails
             raise SuperpositionError("control state must be unit norm")
 
     @property
@@ -193,7 +193,7 @@ def apply(scenario: SuperpositionScenario) -> DensityMatrix:
 
     Only the columns of each S_i on the support ``sup`` of the input J are
     built: sum_i S_i J S_i^dag = sum_i S_i[:, sup] J[sup, sup] S_i[:, sup]^dag,
-    and it is summed only over the rows those columns reach.
+    summed only on the rows those columns reach: the ``from_block`` support.
     """
     rho, c = scenario.input.mat, scenario.control.amplitudes
     n = len(c)
@@ -217,19 +217,17 @@ def apply(scenario: SuperpositionScenario) -> DensityMatrix:
     # product would reorder it and change the rounding of the output
     for a, b in zip(left, right):
         block += np.matmul(a, b, out=term)
-    # symmetrize away accumulated rounding before the invariant checks;
-    # the entries outside the reached block are exact zeros
-    out = np.zeros((len(rho) * n,) * 2, dtype=complex)
-    out[rows[:, None], rows] = (block + block.conj().T) / 2.0
+    # symmetrize away accumulated rounding before the invariant checks
     dims = scenario.input.dims + (scenario.control.dim,)
-    return DensityMatrix(dims, out)
+    return DensityMatrix.from_block(dims, rows, (block + block.conj().T) / 2.0)
 
 
 def measure_control(joint: DensityMatrix, basis) -> list[MeasurementOutcome]:
     """Projective control measurement in the given orthonormal basis.
 
     Outcome k has probability Tr[(I (x) |b_k><b_k|) rho]; its post state is
-    the normalized target state after projecting the control onto |b_k>.
+    the normalized target state after projecting the control onto |b_k>,
+    built with ``DensityMatrix.from_block`` on the rows the joint reaches.
     """
     basis = np.asarray(basis, dtype=complex)
     n = basis.shape[-1]
@@ -240,23 +238,23 @@ def measure_control(joint: DensityMatrix, basis) -> list[MeasurementOutcome]:
     t = joint.mat.reshape(d, n, d, n)
     # the target rows holding a non-zero entry; the joint is Hermitian, so
     # every other row and column of each block is zero. Only the rows are
-    # restricted: the einsum runs over every column, and the trace over the
-    # whole d x d post matrix, so each sum rounds as on the whole joint.
+    # restricted: the einsum runs over every column, so each sum rounds as
+    # on the whole joint.
     keep = t.any(axis=(1, 2, 3)).nonzero()[0]
-    # the keep x keep block as flat indices into a d x d matrix
-    flat = (keep[:, None] * d + keep).ravel()
     blocks = np.einsum("bk,ikjl,bl->bij", basis.conj(), t.take(keep, 0),
                        basis).take(keep, 2)
+    # the whole d x d post matrix's diagonal, whose sum rounds as its trace
+    diag = np.zeros(d, dtype=complex)
     outcomes = []
     for k, block in enumerate(blocks):
-        post = np.zeros((d, d), dtype=complex)
-        post.put(flat, block)
-        p = float(post.trace().real)
+        diag[keep] = block.diagonal()
+        p = float(diag.sum().real)
         if p < ZERO_PROB:
             outcomes.append(MeasurementOutcome(k, 0.0, None))
             continue
-        post.put(flat, (block + block.conj().T) / (2.0 * p))
-        outcomes.append(MeasurementOutcome(k, p, DensityMatrix(target_dims, post)))
+        post = DensityMatrix.from_block(target_dims, keep,
+                                        (block + block.conj().T) / (2.0 * p))
+        outcomes.append(MeasurementOutcome(k, p, post))
     return outcomes
 
 

@@ -140,6 +140,8 @@ def test_amplitude_normalization_enforced():
         depolarizing_correlated(0.5, 1, (1, 1, 0, 0))
     with pytest.raises(BadNormalizationError):
         depolarizing_correlated(0.5, 1, (1, 0, 0))
+    with pytest.raises(BadNormalizationError):
+        depolarizing_correlated(0.5, 1, (float("nan"), 0, 0, 0))
 
 
 def test_memoryless_bitflip():

@@ -17,6 +17,9 @@ from linksim.linalg import LinksimError
 
 S2 = 1.0 / np.sqrt(2.0)
 SRC = Path(__file__).resolve().parents[1] / "src"
+# output paths in a directory that does not exist and under a file
+UNWRITABLE = str(Path(__file__).resolve().parent / "no-such-directory" / "out")
+UNDER_A_FILE = str(Path(__file__).resolve() / "out")
 
 
 def run_cli(args):
@@ -180,6 +183,7 @@ def test_dumped_config_reruns_the_same_command(command, tmp_path, capsys):
     out = tmp_path / "artifact"
     argv = [command, *ROUND_TRIP[command], "--out", str(out)]
     assert run_cli([*argv, "--dump-config"]) == 0
+    assert not out.exists()
     dumped = capsys.readouterr().out
     path = tmp_path / "cfg.json"
     path.write_text(dumped)
@@ -343,6 +347,17 @@ _BAD_ALPHA = {"scenario": {"family": "bell_depolarizing", "alpha": [1, 0, 0],
 # traceback, exited 1, or exited 0 with a silently wrong result
 BAD_INPUTS = {
     "inline_alpha_wrong_length": (["sweep"], _BAD_ALPHA, 2),
+    # NaN passes a norm check written as ``norm - 1 > tol``
+    "inline_alpha_nan": (
+        ["sweep"], {"scenario": {"family": "bell_depolarizing",
+                                 "alpha": [float("nan"), 0, 0, 0],
+                                 "beta": [1, 0, 0, 0]}}, 2),
+    # an output that cannot be opened for writing, rejected before the work
+    "sweep_out_unwritable": (["sweep", "--scenario", "fig4a_red", "--points", "1",
+                              "--out", UNWRITABLE], None, 2),
+    "optimize_out_under_a_file": (["optimize", "--scenario", "prop4_p05",
+                                   "--p", "0.5", "--out", UNDER_A_FILE], None, 2),
+    "walk_out_a_directory": (["walk", "--out", str(SRC)], None, 2),
     "w_memoryless_too_few_amps": (
         ["sweep"], {"scenario": {"family": "w_memoryless", "n": 3,
                                  "amps": [[S2, S2], [S2, S2]]}}, 2),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linksim import linalg
+from linksim import linalg, scenarios
 from linksim.linalg import (
     BadIndexError,
     DensityMatrix,
@@ -26,8 +26,9 @@ from linksim.scenarios import (
     build_scenario,
     builtin,
     builtin_names,
+    evaluate_point,
 )
-from linksim.superposition import run
+from linksim.superposition import apply, run
 
 
 def random_density(rng, d):
@@ -141,6 +142,14 @@ def test_density_matrix_validation():
         DensityMatrix((2,), np.diag([1.5, -0.5]))
 
 
+def _raised(call):
+    try:
+        call()
+    except LinalgError as exc:
+        return type(exc)
+    return None
+
+
 def _whole_matrix_check(mat):
     """The exception type the density checks raise on the whole matrix
     (None when it is a valid density matrix)."""
@@ -158,9 +167,11 @@ def _whole_matrix_check(mat):
        st.sampled_from(["psd", "negative", "non_hermitian"]),
        st.sampled_from(["none", "pair", "single"]))
 def test_support_block_check_matches_whole_matrix(seed, kind, stray):
-    """A block embedded in zero rows and columns is accepted or rejected
-    exactly as the whole matrix is, also when an entry sits in a row whose
-    diagonal is zero."""
+    """``DensityMatrix`` accepts or rejects a block embedded in zero rows
+    and columns exactly as the whole-matrix reference does, also with an
+    entry in a row whose diagonal is zero; ``DensityMatrix.from_block``,
+    given the block and its support, raises what the reference raises on
+    the placed matrix and holds that matrix bit for bit."""
     rng = np.random.default_rng(seed)
     d = int(rng.choice([3, 4, 8, 16]))
     # a stray entry needs a row outside the support
@@ -181,6 +192,7 @@ def test_support_block_check_matches_whole_matrix(seed, kind, stray):
         block = block + 10.0 ** rng.uniform(-9.0, -1.0) * (a - a.T)
     mat = np.zeros((d, d), dtype=complex)
     mat[np.ix_(support, support)] = block
+    placed = mat.copy()
     if stray != "none":
         i = int(rng.choice(np.setdiff1d(np.arange(d), support)))
         j = int(rng.choice(np.delete(np.arange(d), i)))
@@ -188,12 +200,16 @@ def test_support_block_check_matches_whole_matrix(seed, kind, stray):
         mat[i, j] = v
         if stray == "pair":
             mat[j, i] = np.conj(v)
+    assert _raised(lambda: DensityMatrix((d,), mat)) is _whole_matrix_check(mat)
+    # the support constructor places the block itself, with no stray entry
+    expected = _whole_matrix_check(placed)
     try:
-        DensityMatrix((d,), mat)
-        got = None
+        rho = DensityMatrix.from_block((d,), support, block)
     except LinalgError as exc:
-        got = type(exc)
-    assert got is _whole_matrix_check(mat)
+        assert type(exc) is expected
+    else:
+        assert expected is None
+        assert_bitwise(rho.mat, placed)
 
 
 @pytest.mark.parametrize("d", [4, 64])
@@ -203,29 +219,27 @@ def test_support_block_check_matches_whole_matrix(seed, kind, stray):
                                    complex(-0.0, -0.0)])
 def test_support_block_decision_on_one_stray_entry(monkeypatch, stray, at,
                                                    layout, d):
-    """The block alone is checked exactly when counting non-zero complex
-    entries says every one lies in it: a real-only or imaginary-only stray
-    entry outside the block sends the check to the whole matrix, a zero of
-    either sign does not. Both sizes of matrix are counted: d = 64 is
-    counted on float views."""
-    assert 4 <= linalg.FLOAT_COUNT_DIM < 64
+    """What is checked is decided by the constructor, never guessed from
+    the entries: ``DensityMatrix`` checks the whole matrix, so a real-only
+    or imaginary-only stray entry outside the block makes it raise and a
+    zero of either sign does not; ``from_block`` checks only the block it
+    places, and holds the matrix without the stray entry."""
+    support = [0, 2]
+    block = np.array([[0.5, 0.25j], [-0.25j, 0.5]])
     mat = np.zeros((d, d), dtype=complex)
-    support = np.ix_([0, 2], [0, 2])
-    mat[support] = [[0.5, 0.25j], [-0.25j, 0.5]]
+    mat[np.ix_(support, support)] = block
+    placed = mat.copy()
     mat[at] = stray
-    in_block = np.count_nonzero(mat[support]) == np.count_nonzero(mat)
-    assert in_block == (stray == 0)
+    if layout == "fortran":
+        mat, block = np.asfortranarray(mat), np.asfortranarray(block)
     checked = []
     defect = linalg.hermiticity_defect
     monkeypatch.setattr(linalg, "hermiticity_defect",
                         lambda m: checked.append(m.shape) or defect(m))
-    if layout == "fortran":
-        mat = np.asfortranarray(mat)
-    try:
-        DensityMatrix((d,), mat)
-    except NonHermitianError:
-        assert not in_block
-    assert checked == [(2, 2) if in_block else (d, d)]
+    expected = None if stray == 0 else NonHermitianError
+    assert _raised(lambda: DensityMatrix((d,), mat)) is expected
+    assert_bitwise(DensityMatrix.from_block((d,), support, block).mat, placed)
+    assert checked == [(d, d), (2, 2)]
 
 
 def test_density_matrix_pure_normalizes():
@@ -390,39 +404,56 @@ def test_reduction_offsets_are_cached_bounded_and_read_only():
     assert cache.cache_info() == before
 
 
-def _raised(call):
-    try:
-        call()
-    except LinalgError as exc:
-        return type(exc)
-    return None
-
-
-@pytest.mark.parametrize("past", [True, False])
+# True: just past the tolerance; False: just inside it; or a NaN in the
+# first or the last member of the stack
+@pytest.mark.parametrize("past", [True, False, "nan-first", "nan-last"])
 @pytest.mark.parametrize("kind, error", [("hermiticity", NonHermitianError),
                                          ("trace", LinalgError),
                                          ("eigenvalue", NegativeEigenvalueError)])
-def test_stacked_check_raises_as_the_member_alone(kind, error, past):
+def test_stacked_check_raises_as_the_member_alone(monkeypatch, kind, error, past):
     """One member of a stack of four, moved just past a tolerance, makes the
     stack check raise what ``DensityMatrix`` raises on that member; moved
-    just inside, both pass."""
+    just inside, both pass. A NaN where one check reads (two off-diagonal
+    entries, the member's trace, its lowest eigenvalue) fails that check,
+    alone and at either end of the stack."""
     rng = np.random.default_rng(9)
     stack = np.array([random_density(rng, 4) for _ in range(4)])
-    scale = 1.5 if past else 0.5
-    if kind == "hermiticity":
-        stack[2, 0, 1] += scale * DensityMatrix.HERM_TOL
+    nan = past in ("nan-first", "nan-last")
+    at = {"nan-first": 0, "nan-last": 3}.get(past, 2)
+    scale = 1.5 if past is True else 0.5
+    if nan and kind == "hermiticity":
+        stack[at, 0, 1] = stack[at, 1, 0] = np.nan
+    elif nan and kind == "eigenvalue":
+        eigvalsh = np.linalg.eigvalsh
+
+        def nan_lowest(m):
+            # the member's lowest eigenvalue, given the member or the stack
+            vals = eigvalsh(m)
+            vals[(at, 0) if vals.ndim == 2 else 0] = np.nan
+            return vals
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", nan_lowest)
+    elif nan:
+        pass  # the trace is set below
+    elif kind == "hermiticity":
+        stack[at, 0, 1] += scale * DensityMatrix.HERM_TOL
     elif kind == "trace":
-        stack[2, 1, 1] += scale * DensityMatrix.TRACE_TOL
+        stack[at, 1, 1] += scale * DensityMatrix.TRACE_TOL
     else:
         eps = scale * DensityMatrix.EIG_TOL
         u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
         m = (u * [0.5, 0.3, 0.2 + eps, -eps]) @ u.conj().T
-        stack[2] = (m + m.conj().T) / 2
-    alone = _raised(lambda: DensityMatrix((2, 2), stack[2]))
-    together = _raised(
-        lambda: linalg.check_densities(stack, np.trace(stack, axis1=1, axis2=2)))
+        stack[at] = (m + m.conj().T) / 2
+    traces = np.trace(stack, axis1=1, axis2=2)
+    if nan and kind == "trace":
+        traces[at] = np.nan
+    alone = _raised(lambda: linalg.check_densities(stack[at], traces[at]))
+    together = _raised(lambda: linalg.check_densities(stack, traces))
     assert alone is (error if past else None)
     assert together is alone
+    if not (nan and kind == "trace"):
+        # with the member's own trace, which is what DensityMatrix checks
+        assert _raised(lambda: DensityMatrix((2, 2), stack[at])) is alone
 
 
 def test_density_matrix_and_partial_traces_share_one_check(monkeypatch):
@@ -435,4 +466,41 @@ def test_density_matrix_and_partial_traces_share_one_check(monkeypatch):
     with pytest.raises(LinalgError, match="refused"):
         DensityMatrix((2,), np.eye(2) / 2)
     with pytest.raises(LinalgError, match="refused"):
+        DensityMatrix.from_block((2, 2), [0, 3], np.full((2, 2), 0.5))
+    with pytest.raises(LinalgError, match="refused"):
+        DensityMatrix.pure((2, 2), np.array([1, 0, 0, 1]) / np.sqrt(2))
+    with pytest.raises(LinalgError, match="refused"):
         partial_traces(rho, [[0], [1]])
+
+
+def test_from_block_rejects_a_block_unlike_its_support():
+    with pytest.raises(DimMismatchError):
+        DensityMatrix.from_block((2, 2), [0, 3], np.eye(3) / 3)
+    with pytest.raises(DimMismatchError):
+        DensityMatrix.pure((2, 2), np.array([1.0, 0.0]))
+
+
+def test_density_checks_see_only_the_reached_block(monkeypatch):
+    """On an n = 8 GHZ point and on the fixed-noise objective of an n = 8
+    spec, no density check sees more rows than the block the state
+    reaches; the 512 x 512 joint and 256 x 256 post states are never
+    checked whole."""
+    spec = ScenarioSpec("ghz_depolarizing8", "ghz_depolarizing", 8, PROP5_P05)
+    joint = apply(build_scenario(spec, 0.3))
+    reached = np.count_nonzero(joint.mat.any(axis=1))
+    post = run(build_scenario(spec, 0.3))[0].post_state
+    post_reached = np.count_nonzero(post.mat.any(axis=1))
+    assert 0 < post_reached <= reached < 16
+    objective = scenarios._fixed_noise_objective(spec, 0.3, 0.3)
+    x = np.concatenate([v.real for v in PROP5_P05.vectors])
+    seen = []
+    check = linalg.check_densities
+    monkeypatch.setattr(linalg, "check_densities",
+                        lambda mats, traces: seen.append(mats.shape)
+                        or check(mats, traces))
+    assert evaluate_point(spec, 0.3, 0.3)
+    assert (reached, reached) in seen
+    assert max(shape[-1] for shape in seen) == reached
+    seen.clear()
+    assert objective(x) < 0
+    assert seen == [(post_reached, post_reached)]

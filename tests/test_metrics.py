@@ -210,6 +210,8 @@ def test_avg_pairwise_two_qubits_is_plain_concurrence():
 def test_vacuum_config_normalization():
     with pytest.raises(ValueError):
         VacuumConfig(((1.0, 1.0, 0, 0), (1.0, 0, 0, 0)))
+    with pytest.raises(ValueError):
+        VacuumConfig(((np.nan, 0, 0, 0), (1.0, 0, 0, 0)))
 
 
 def test_depolarizing_closed_form_published_points():

@@ -85,6 +85,8 @@ def random_density(rng, d):
 def test_control_state_normalization():
     with pytest.raises(SuperpositionError):
         ControlState(np.array([1.0, 1.0]))
+    with pytest.raises(SuperpositionError):
+        ControlState(np.array([np.nan, 0.0]))
     assert plus_control().dim == 2
     assert np.allclose(uniform_control(3).amplitudes, np.full(3, 1 / np.sqrt(3)))
 
