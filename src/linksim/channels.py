@@ -6,10 +6,11 @@ placed in a spatial superposition; they satisfy sum |alpha_k|^2 = 1.
 
 The named constructors store each Kraus operator as a shared, read-only
 unit operator (a cached ``pauli_string``) and one real scale, so building a
-channel at a new noise point allocates no 2^n x 2^n array. ``kraus_columns``
-scales only the columns a computation reaches; the dense ``kraus`` is
-formed on first use. Both multiply each entry once, scale times unit
-entry, so a scaled column is bitwise the column of the dense operator.
+channel at a new noise point allocates no 2^n x 2^n array. The joint
+evolution scales only the unit columns it reaches and ``kraus_rows`` only
+the rows a computation reaches; the dense ``kraus`` is formed on first
+use. All multiply each entry once, scale times unit entry, so a scaled
+column or row is bitwise that of the dense operator.
 
 Pauli channels keep a fixed length-4 amplitude vector indexed by
 ``PAULI_INDEX`` = (I, X, Y, Z) even when some weights vanish, so amplitude
@@ -144,14 +145,14 @@ class VacuumExtendedChannel:
             return self.ops
         return tuple(s * op for s, op in zip(self.scales, self.ops))
 
-    def kraus_columns(self, cols) -> np.ndarray:
-        """Columns ``cols`` of every Kraus operator, shape (K, d, len(cols)).
+    def kraus_rows(self, rows) -> np.ndarray:
+        """Rows ``rows`` of every Kraus operator, shape (K, len(rows), d).
 
-        The unit columns are gathered first and scaled in one product, so
-        only the reached columns are multiplied; entry for entry that is the
-        product ``kraus`` forms.
+        The unit rows are gathered first and scaled in one product, so only
+        the reached rows are multiplied; entry for entry that is the product
+        ``kraus`` forms.
         """
-        out = np.array([op[:, cols] for op in self.ops])
+        out = np.array([op[rows] for op in self.ops])
         if self.scales is not None:
             out *= self.scales[:, None, None]
         return out
@@ -159,6 +160,17 @@ class VacuumExtendedChannel:
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Action of the reduced CPTP map: sum_k K rho K^dagger."""
         return sum(k @ rho @ k.conj().T for k in self.kraus)
+
+
+def unit_columns(channels, cols) -> tuple[np.ndarray, np.ndarray]:
+    """Columns ``cols`` of every unit operator of ``channels``, in channel
+    order, on the rows any of them reaches: ``(reach, units)`` with
+    ``reach`` the sorted reached rows and ``units`` of shape
+    (K, len(reach), len(cols)). Every other row of a scaled Kraus operator
+    is zero in these columns, whatever the scales."""
+    units = np.array([op[:, cols] for c in channels for op in c.ops])
+    reach = units.any(axis=(0, 2)).nonzero()[0]
+    return reach, units.take(reach, 1)
 
 
 def validate(c: VacuumExtendedChannel) -> ValidationReport:

@@ -12,28 +12,34 @@ familiar  b_j F_i (x) |0><0| + a_i N_j (x) |1><1|  construction. The joint
 state sum_i S_i (rho_t (x) rho_c) S_i^dag is trace one, and measuring the
 control in an orthonormal basis projects the target.
 
-``apply`` forms rho_t (x) rho_c only on its support, which is a few rows
-for the paper's pure product inputs, and builds only the columns of each
-S_i that meet it. A channel holds unit operators and scales, and only the
-Kraus columns those S_i columns use are scaled, so no 2^n x 2^n operator is
-formed per noise point; each scaled entry is the one product the dense
-operator holds. ``measure_control`` contracts only the target rows that
-the joint state reaches, for every outcome in one einsum. Each keeps the
-order of every sum that the whole-matrix computation uses, so no
-restriction changes an output bit. ``global_kraus`` builds the dense
-operators literally from the formula and serves as the reference.
+``run_stack`` is the one evaluation core: it evolves and measures a stack
+of scenarios that differ only in their Kraus scales, such as the points of
+one sweep, together; ``apply``, ``measure_control`` and ``run`` are its
+one-point calls. It forms rho_t (x) rho_c only on its support, which is a
+few rows for the paper's pure product inputs, and builds only the columns
+of each S_i that meet it. A channel holds unit operators and scales; the
+unit columns are gathered once per stack and only they are scaled, per
+point, so no 2^n x 2^n operator is formed per noise point, and each scaled
+entry is the one product the dense operator holds. The measurement
+contracts only the target rows that the joint states reach, for every
+point and outcome in one einsum. Each step keeps the order of every sum
+that the whole-matrix computation of one point uses, so neither the
+restriction nor the stacking changes an output bit. ``global_kraus``
+builds the dense operators literally from the formula and serves as the
+reference.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import product
 from math import prod
 
 import numpy as np
 
-from .channels import VacuumExtendedChannel
-from .linalg import DensityMatrix, DimMismatchError, LinksimError
+from .channels import VacuumExtendedChannel, unit_columns
+from .linalg import DensityMatrix, DimMismatchError, LinksimError, check_densities
 
 #: target dim x control dim beyond which we refuse to build joint operators
 JOINT_DIM_CAP = 4096
@@ -134,34 +140,51 @@ class MeasurementOutcome:
     post_state: DensityMatrix | None
 
 
-def _joint_columns(channels, cols) -> np.ndarray:
+def _joint_columns(stack, cols):
     """Columns ``cols`` of the joint Kraus operators S_i whose coefficients
-    do not all vanish.
+    do not all vanish, for every point of ``stack``, on the joint rows that
+    any point reaches.
 
-    Returns an array of shape (M, d*n, len(cols)), one slice per kept
-    multi-index, in the lexicographic order of ``global_kraus``. Column
-    t*n + l of S_i is coeff_l(i) K^(l)_{i_l}[:, t] at rows l::n, with
-    coeff_l(i) = prod_{k != l} a^(k)_{i_k}. The Kraus columns come from
-    ``kraus_columns``, which scales only the unit columns in ``t``; each
-    entry is the one product scale * unit entry that the dense Kraus
-    operator holds, with no sum reordered, so the result is bitwise the
-    gather from ``channel.kraus``, which is never built here.
+    ``stack`` holds one channel tuple per point; the points share their
+    unit operators and vacuum amplitudes and differ only in their scales.
+    Returns ``(reach, local, cols)``: ``reach``, the sorted target rows the
+    unit columns can reach; ``local``, the sorted kept positions in the
+    (len(reach), n) grid of joint rows reach[r] * n + l; and an array of
+    shape (P, M, len(local), len(cols)), one slice per point and kept
+    multi-index, in the lexicographic order of ``global_kraus``.
+
+    Column t*n + l of S_i is coeff_l(i) K^(l)_{i_l}[:, t] at rows l::n,
+    with coeff_l(i) = prod_{k != l} a^(k)_{i_k}. The multi-indices and
+    coefficients depend only on the amplitudes, and the unit columns in
+    ``t`` are gathered once, cut to the rows they can reach, and scaled per
+    point by a (P, K) product: each entry is the one product
+    scale * unit entry that the dense Kraus operator holds, with no sum
+    reordered, so the result is bitwise the gather from ``channel.kraus``,
+    which is never built here.
     """
-    d, n = channels[0].dim, len(channels)
+    channels = stack[0]
+    n = len(channels)
     t, branch = np.divmod(cols, n)
     idx = np.indices([len(c.ops) for c in channels]).reshape(n, -1)
     amps = [c.vacuum_amplitudes[i] for c, i in zip(channels, idx)]
     coeff = np.array([prod(amps[k] for k in range(n) if k != l) for l in range(n)])
-    keep = coeff.any(axis=0)
-    idx, coeff = idx[:, keep], coeff[:, keep]
+    keep = coeff.any(axis=0).nonzero()[0]
+    idx, coeff = idx.take(keep, 1), coeff.take(keep, 1)
+    reach, units = unit_columns(channels, t)
     # target (x) control with control as the rightmost factor: row r*n + l
-    out = np.empty((idx.shape[1], d, n, len(cols)), dtype=complex)
+    out = np.empty((len(stack), idx.shape[1], len(reach), n, len(cols)),
+                   dtype=complex)
+    start = 0
     for l, channel in enumerate(channels):
-        # index the Kraus columns first, so the multi-index gather copies
-        # only those columns and never a (M, d, d) stack
-        kcols = channel.kraus_columns(t)[idx[l]]
-        out[:, :, l] = np.where(branch == l, coeff[l, :, None, None] * kcols, 0)
-    return out.reshape(-1, d * n, len(cols))
+        kcols = units[start:start + len(channel.ops)]
+        start += len(channel.ops)
+        if channel.scales is not None:
+            kcols = np.array([c[l].scales for c in stack])[:, :, None, None] * kcols
+        out[:, :, :, l] = np.where(
+            branch == l, coeff[l, :, None, None] * kcols.take(idx[l], -3), 0)
+    out = out.reshape(out.shape[:2] + (-1, len(cols)))
+    local = out.any(axis=(0, 1, 3)).nonzero()[0]
+    return reach, local, out.take(local, 2)
 
 
 def global_kraus(channels) -> list[np.ndarray]:
@@ -188,14 +211,18 @@ def global_kraus(channels) -> list[np.ndarray]:
     return ops
 
 
-def apply(scenario: SuperpositionScenario) -> DensityMatrix:
-    """Evolve rho_t (x) rho_c under the superposed channels.
+def _joint_blocks(scenarios):
+    """The joint states of a stack of scenarios that differ only in their
+    Kraus scales, on the joint rows any of them reaches: ``(reach, local,
+    rows, blocks)``, with ``reach`` and ``local`` as ``_joint_columns``
+    returns them, ``rows`` the joint row of each position in ``local``, and
+    blocks of shape (P, len(rows), len(rows)), symmetrized, unchecked.
 
     Only the columns of each S_i on the support ``sup`` of the input J are
-    built: sum_i S_i J S_i^dag = sum_i S_i[:, sup] J[sup, sup] S_i[:, sup]^dag,
-    summed only on the rows those columns reach: the ``from_block`` support.
+    built: sum_i S_i J S_i^dag = sum_i S_i[:, sup] J[sup, sup] S_i[:, sup]^dag.
     """
-    rho, c = scenario.input.mat, scenario.control.amplitudes
+    first = scenarios[0]
+    rho, c = first.input.mat, first.control.amplitudes
     n = len(c)
     # row t*n + l of J is non-zero exactly when row t of rho and c_l are
     rho_sup, c_sup = rho.any(axis=1).nonzero()[0], c.nonzero()[0]
@@ -206,58 +233,120 @@ def apply(scenario: SuperpositionScenario) -> DensityMatrix:
     joint_in = (rho.take(rho_sup, 0).take(rho_sup, 1)[:, None, :, None]
                 * (c[:, None] * c.conj())[:, None, :])
     joint_in = joint_in.reshape(len(sup), len(sup))
-    cols = _joint_columns(scenario.channels, sup)
-    rows = cols.any(axis=(0, 2)).nonzero()[0]
-    cols = cols.take(rows, 1)
+    reach, local, cols = _joint_columns([s.channels for s in scenarios], sup)
+    r, l = np.divmod(local, n)
+    rows = reach[r] * n + l
     left = cols @ joint_in
-    right = cols.conj().transpose(0, 2, 1)
-    block = np.zeros((len(rows), len(rows)), dtype=complex)
-    term = np.empty_like(block)
-    # one term at a time, in multi-index order: fusing the sum into one
-    # product would reorder it and change the rounding of the output
-    for a, b in zip(left, right):
-        block += np.matmul(a, b, out=term)
+    right = cols.conj().swapaxes(-1, -2)
+    blocks = np.zeros((len(scenarios), len(rows), len(rows)), dtype=complex)
+    term = np.empty_like(blocks)
+    # one term at a time, in multi-index order, for every point at once:
+    # fusing the sum into one product would reorder it and change the
+    # rounding of the output
+    for m in range(cols.shape[1]):
+        blocks += np.matmul(left[:, m], right[:, m], out=term)
     # symmetrize away accumulated rounding before the invariant checks
+    return reach, local, rows, (blocks + blocks.conj().swapaxes(-1, -2)) / 2.0
+
+
+def _measure(t, keep, target_dims, basis):
+    """Outcomes of the control measurement of each joint state of the stack
+    ``t`` (P, len(keep), n, d, n): the joints on their reached target rows
+    ``keep``, every column kept. Yields one outcome list per point.
+
+    Only the rows are restricted: the einsum runs over every column, as on
+    the whole joint, so each sum over the control indices rounds as there
+    (with a single column the iterator could fuse those two sums into one
+    loop, which adds in another order). Each probability is summed over the
+    length-d diagonal with zeros in place, so it rounds as the d x d trace.
+    The post states are built when their point is reached, so a stack holds
+    no d x d matrix per point.
+    """
+    blocks = np.einsum("bk,pikjl,bl->pbij", basis.conj(), t, basis).take(keep, 3)
+    diag = np.zeros(blocks.shape[:2] + (t.shape[3],), dtype=complex)
+    diag[..., keep] = blocks.diagonal(axis1=2, axis2=3)
+    probs = diag.sum(axis=-1).real.tolist()
+    sym = blocks + blocks.conj().swapaxes(-1, -2)
+    for point_probs, point_sym in zip(probs, sym):
+        outcomes = []
+        for k, (p, block) in enumerate(zip(point_probs, point_sym)):
+            if p < ZERO_PROB:
+                outcomes.append(MeasurementOutcome(k, 0.0, None))
+                continue
+            post = DensityMatrix.from_block(target_dims, keep, block / (2.0 * p))
+            outcomes.append(MeasurementOutcome(k, p, post))
+        yield outcomes
+
+
+def _shared(scenario) -> tuple:
+    """What every point of a stack must share: all but the Kraus scales.
+    The unit operators and the input are cached and shared, so they are
+    compared by identity."""
+    return (id(scenario.input), scenario.control.amplitudes.tobytes(),
+            tuple(b.tobytes() for b in scenario.measurement_basis),
+            tuple((tuple(map(id, c.ops)), c.vacuum_amplitudes.tobytes(),
+                   c.scales is None) for c in scenario.channels))
+
+
+def run_stack(scenarios) -> Iterator[list[MeasurementOutcome]]:
+    """The control-measurement outcomes of each of ``scenarios``, scenarios
+    that differ only in their channels' Kraus scales (the points of one
+    spec's sweep), computed as one stack; yields one outcome list per
+    scenario, in order.
+
+    The joint states are evolved together (``_joint_blocks``) and checked
+    as one stack, each against its whole matrix's trace, then measured
+    together on the target rows any of them reaches. Outcome k has
+    probability Tr[(I (x) |b_k><b_k|) rho]; outcomes below ``ZERO_PROB``
+    carry no post state, and every other post state is the normalized
+    target block, built and checked by ``DensityMatrix.from_block``.
+    Each output is bitwise that of the scenario evaluated alone.
+    """
+    scenarios = list(scenarios)
+    if len(scenarios) > 1 and len(set(map(_shared, scenarios))) > 1:
+        raise SuperpositionError("stacked scenarios differ beyond their Kraus scales")
+    first = scenarios[0]
+    reach, local, rows, blocks = _joint_blocks(scenarios)
+    d, n = first.input.dim, first.control.dim
+    # each trace summed over the whole joint's diagonal, zeros in place
+    diag = np.zeros((len(scenarios), d * n), dtype=complex)
+    diag[:, rows] = blocks.diagonal(axis1=1, axis2=2)
+    check_densities(blocks, diag.sum(axis=-1))
+    # the joints on the target rows the unit columns reach, every column kept
+    t = np.zeros((len(scenarios), len(reach) * n, d * n), dtype=complex)
+    t[:, local[:, None], rows] = blocks
+    t = t.reshape(len(scenarios), len(reach), n, d, n)
+    return _measure(t, reach, first.input.dims, np.array(first.measurement_basis))
+
+
+def apply(scenario: SuperpositionScenario) -> DensityMatrix:
+    """Evolve rho_t (x) rho_c under the superposed channels: the joint
+    state of ``run_stack``'s evolution for this one scenario, built by
+    ``DensityMatrix.from_block`` on the rows it reaches."""
+    _, _, rows, blocks = _joint_blocks([scenario])
     dims = scenario.input.dims + (scenario.control.dim,)
-    return DensityMatrix.from_block(dims, rows, (block + block.conj().T) / 2.0)
+    return DensityMatrix.from_block(dims, rows, blocks[0])
 
 
 def measure_control(joint: DensityMatrix, basis) -> list[MeasurementOutcome]:
-    """Projective control measurement in the given orthonormal basis.
+    """Projective control measurement in the given orthonormal basis:
+    ``run_stack``'s measurement of this one joint state, on the target rows
+    where it has a non-zero entry.
 
     Outcome k has probability Tr[(I (x) |b_k><b_k|) rho]; its post state is
-    the normalized target state after projecting the control onto |b_k>,
-    built with ``DensityMatrix.from_block`` on the rows the joint reaches.
+    the normalized target state after projecting the control onto |b_k>.
     """
     basis = np.asarray(basis, dtype=complex)
     n = basis.shape[-1]
     if joint.dims[-1] != n:
         raise DimMismatchError("basis dimension does not match control subsystem")
-    target_dims = joint.dims[:-1]
     d = joint.dim // n
     t = joint.mat.reshape(d, n, d, n)
-    # the target rows holding a non-zero entry; the joint is Hermitian, so
-    # every other row and column of each block is zero. Only the rows are
-    # restricted: the einsum runs over every column, so each sum rounds as
-    # on the whole joint.
     keep = t.any(axis=(1, 2, 3)).nonzero()[0]
-    blocks = np.einsum("bk,ikjl,bl->bij", basis.conj(), t.take(keep, 0),
-                       basis).take(keep, 2)
-    # the whole d x d post matrix's diagonal, whose sum rounds as its trace
-    diag = np.zeros(d, dtype=complex)
-    outcomes = []
-    for k, block in enumerate(blocks):
-        diag[keep] = block.diagonal()
-        p = float(diag.sum().real)
-        if p < ZERO_PROB:
-            outcomes.append(MeasurementOutcome(k, 0.0, None))
-            continue
-        post = DensityMatrix.from_block(target_dims, keep,
-                                        (block + block.conj().T) / (2.0 * p))
-        outcomes.append(MeasurementOutcome(k, p, post))
-    return outcomes
+    return next(_measure(t.take(keep, 0)[None], keep, joint.dims[:-1], basis))
 
 
 def run(scenario: SuperpositionScenario) -> list[MeasurementOutcome]:
-    """apply followed by measure_control."""
-    return measure_control(apply(scenario), scenario.measurement_basis)
+    """Evolution and control measurement of one scenario: ``run_stack``
+    on a stack of one."""
+    return next(run_stack([scenario]))

@@ -487,6 +487,9 @@ if main(["verify"]) != 0:
     sys.exit("verify failed")
 if "scipy" in sys.modules:
     sys.exit("scipy was imported")
+# np.unique and friends import numpy.ma lazily, a cost every cold start pays
+if "numpy.ma" in sys.modules:
+    sys.exit("numpy.ma was imported")
 """
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linksim import linalg, scenarios
+from linksim import linalg, scenarios, superposition
 from linksim.linalg import (
     BadIndexError,
     DensityMatrix,
@@ -495,11 +495,16 @@ def test_density_checks_see_only_the_reached_block(monkeypatch):
     x = np.concatenate([v.real for v in PROP5_P05.vectors])
     seen = []
     check = linalg.check_densities
-    monkeypatch.setattr(linalg, "check_densities",
-                        lambda mats, traces: seen.append(mats.shape)
-                        or check(mats, traces))
+
+    def recorded(mats, traces):
+        seen.append(mats.shape)
+        return check(mats, traces)
+
+    # the joint states are checked as one stack by ``superposition``
+    monkeypatch.setattr(linalg, "check_densities", recorded)
+    monkeypatch.setattr(superposition, "check_densities", recorded)
     assert evaluate_point(spec, 0.3, 0.3)
-    assert (reached, reached) in seen
+    assert (1, reached, reached) in seen
     assert max(shape[-1] for shape in seen) == reached
     seen.clear()
     assert objective(x) < 0

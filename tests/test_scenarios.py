@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -21,6 +21,8 @@ from linksim.scenarios import (
     verify_propositions,
     verify_sweep_oracle,
 )
+
+from test_superposition import _bitwise_equal
 
 S2 = 1.0 / np.sqrt(2.0)
 S3 = 1.0 / np.sqrt(3.0)
@@ -303,3 +305,147 @@ def test_zero_input_is_cached_and_read_only():
     with pytest.raises(ValueError):
         first.input.mat[0, 0] = 0.5
     assert first.input.mat[0, 0] == 1.0
+
+
+def dense_plus_tables(scenario):
+    """Reference for ``_plus_tables``: every whole d x d table
+    w_xy K_x rho K_y^dag from the dense Kraus operators, cut to the rows
+    and columns any table reaches."""
+    channels = scenario.channels
+    kraus = np.concatenate([ch.kraus for ch in channels])
+    branch = np.repeat(np.arange(len(channels)), [len(ch.kraus) for ch in channels])
+    cb = (scenario.control.amplitudes * scenario.measurement_basis[0].conj())[branch]
+    tables = np.matmul((kraus @ scenario.input.mat)[:, None],
+                       kraus.conj().transpose(0, 2, 1)[None])
+    tables *= np.outer(cb, cb.conj())[:, :, None, None]
+    reach = (tables.any(axis=(0, 1, 2)) | tables.any(axis=(0, 1, 3))).nonzero()[0]
+    return reach, tables.take(reach, 2).take(reach, 3)
+
+
+OBJECTIVE_SPECS = sorted(
+    {spec.name: spec for spec in map(builtin, builtin_names())
+     if spec.family not in ("ideal_bell", "ideal_ghz", "ideal_w")}.values(),
+    key=lambda spec: spec.name) + [
+    ScenarioSpec(f"ghz{n}", "ghz_depolarizing", n, PROP5_P05) for n in (6, 8)]
+
+
+@pytest.mark.parametrize("spec", OBJECTIVE_SPECS, ids=lambda spec: spec.name)
+def test_plus_tables_equal_the_whole_tables_cut(spec):
+    # only the reached rows of K_x rho and columns of K_y^dag are formed,
+    # yet every kept entry is bitwise that of the whole d x d tables
+    for p, q in ((0.0, 0.0), (0.5, 0.5), (0.3, 1.0), (1.0, 0.7)):
+        scenario = build_scenario(spec, p, q)
+        reach, _, tables = scenarios._plus_tables(scenario)
+        dense_reach, dense_tables = dense_plus_tables(scenario)
+        assert np.array_equal(reach, dense_reach), (p, q)
+        assert _bitwise_equal(tables, dense_tables), (p, q)
+
+
+def test_objective_build_forms_no_whole_table():
+    # an n = 8 spec has 64 tables of 256 x 256; formed whole they would
+    # hold 67 MB, while the reached blocks are 2 x 2
+    import tracemalloc
+    spec = ScenarioSpec("ghz8", "ghz_depolarizing", 8, PROP5_P05)
+    build_scenario(spec, 0.5, 0.5)  # the cached unit operators and input
+    tracemalloc.start()
+    try:
+        scenarios._fixed_noise_objective(spec, 0.5, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # less than one 256 x 256 complex matrix
+    assert peak < 256 * 256 * 16
+
+
+def _hex(records):
+    """Every field of every record, bit for bit."""
+    return [tuple(None if v is None else float(v).hex() for v in astuple(r))
+            for r in records]
+
+
+def _identity_only(family, n, channels, size):
+    # every amplitude on the identity slot: at p = q = 0 both branches
+    # apply the identity, so every outcome but the first has probability 0
+    return ScenarioSpec(f"identity_only_{family}", family, n,
+                        VacuumConfig((np.eye(size)[0],) * channels))
+
+
+STACK_SPECS = sorted({spec.name: spec for spec in map(builtin, builtin_names())}
+                     .values(), key=lambda spec: spec.name) + [
+    _identity_only("bell_bitphase", 2, 2, 4),
+    _identity_only("ghz_depolarizing", 4, 2, 4),
+    _identity_only("w_memoryless", 3, 3, 2)]
+
+
+@pytest.mark.parametrize("policy", ["plus_only", "all_outcomes"])
+@pytest.mark.parametrize("spec", STACK_SPECS, ids=lambda spec: spec.name)
+def test_sweep_and_grid_equal_evaluate_point_bitwise(spec, policy):
+    # one stack per sweep or grid, point by point the records of the
+    # one-point path; the grid holds p, q in {0, 1}
+    spec = replace(spec, outcome_policy=policy)
+    grid = [0.0, 0.4, 1.0]
+    expected = [rec for p in grid for q in grid
+                for rec in evaluate_point(spec, p, q)]
+    assert _hex(sweep(spec, grid, grid)) == _hex(expected)
+    expected = [rec for p in grid for rec in evaluate_point(spec, p, p)]
+    assert _hex(sweep(spec, grid)) == _hex(expected)
+
+
+def test_stacks_drop_zero_probability_outcomes_per_point():
+    spec = replace(STACK_SPECS[-1], outcome_policy="all_outcomes")
+    records = sweep(spec, [0.0, 0.5])
+    # p = 0 keeps only outcome 0; p = 0.5 keeps all three
+    assert [(r.p, r.outcome) for r in records] == [
+        (0.0, 0), (0.5, 0), (0.5, 1), (0.5, 2)]
+
+
+@pytest.mark.parametrize("extra", [-31, -1, 0, 1, 33])
+def test_sweeps_across_chunk_edges_equal_evaluate_point(extra):
+    # 1, 31, 32, 33 and 65 points for chunks of 32
+    points = scenarios._CHUNK + extra
+    spec = replace(builtin("fig7a_green"), outcome_policy="all_outcomes")
+    grid = np.linspace(0.0, 1.0, points)
+    expected = [rec for p in grid
+                for rec in evaluate_point(spec, float(p), float(p))]
+    assert _hex(sweep(spec, grid)) == _hex(expected)
+
+
+def test_sweep_records_come_from_evaluate_point(monkeypatch):
+    # a wrapper around the module's evaluate_point sees every point of a
+    # stacked sweep, with its stacked outcomes, and its records are returned
+    evaluate, calls = scenarios.evaluate_point, []
+
+    def shifted(spec, p, q, **kwargs):
+        calls.append((p, q, kwargs["_outcomes"] is not None))
+        return [replace(r, fidelity=r.fidelity + 1.0)
+                for r in evaluate(spec, p, q, **kwargs)]
+
+    spec = builtin("fig4a_red")
+    grid = np.linspace(0.0, 1.0, scenarios._CHUNK + 1)
+    expected = sweep(spec, grid)
+    monkeypatch.setattr(scenarios, "evaluate_point", shifted)
+    records = sweep(spec, grid)
+    assert calls == [(float(p), float(p), True) for p in grid]
+    assert [r.fidelity for r in records] == [r.fidelity + 1.0 for r in expected]
+
+
+def test_sweep_memory_does_not_grow_with_points():
+    # the peak less the records it returns: one chunk's working set,
+    # whatever the number of points
+    import tracemalloc
+
+    def overhead(points):
+        grid = np.linspace(0.0, 1.0, points)
+        tracemalloc.start()
+        try:
+            records = sweep(spec, grid)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(records) == points
+        return peak - current
+
+    spec = ScenarioSpec("ghz6", "ghz_depolarizing", 6, PROP5_P05)
+    sweep(spec, [0.5])  # the cached unit operators and input
+    small, large = overhead(2 * scenarios._CHUNK), overhead(16 * scenarios._CHUNK)
+    assert large <= small + 64 * 1024, (small, large)

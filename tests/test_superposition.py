@@ -30,6 +30,7 @@ from linksim.superposition import (
     plus_control,
     pm_basis,
     run,
+    run_stack,
     uniform_control,
 )
 
@@ -290,15 +291,22 @@ def _bitwise_equal(a, b):
 @pytest.mark.parametrize("name", sorted(BUILTIN_SPECS))
 def test_joint_columns_equal_the_dense_kraus_gather(name):
     # scaling only the gathered unit columns gives bitwise the columns of
-    # the dense Kraus operators; the copies hold those operators themselves
+    # the dense Kraus operators, on the same reached rows; the copies hold
+    # those operators themselves
     for p in (0.0, 0.3, 1.0):
         channels = build_scenario(BUILTIN_SPECS[name], p).channels
         dense = tuple(VacuumExtendedChannel(c.kraus, c.vacuum_amplitudes)
                       for c in channels)
         assert all(c.scales is None for c in dense)
         cols = np.arange(channels[0].dim * len(channels))
-        assert _bitwise_equal(superposition._joint_columns(channels, cols),
-                              superposition._joint_columns(dense, cols)), p
+        reach, local, scaled = superposition._joint_columns([channels], cols)
+        dense_reach, dense_local, gathered = superposition._joint_columns(
+            [dense], cols)
+        n = len(channels)
+        assert np.array_equal(reach[local // n] * n + local % n,
+                              dense_reach[dense_local // n] * n
+                              + dense_local % n), p
+        assert _bitwise_equal(scaled, gathered), p
 
 
 @pytest.mark.parametrize("spec", [ScenarioSpec("ghz8", "ghz_depolarizing", 8,
@@ -379,3 +387,50 @@ def test_apply_matches_dense_reference_on_random_channels(seed, count, kind):
     joint = apply(scen)
     assert np.allclose(joint.mat, dense_apply(scen), atol=1e-12, rtol=0)
     assert_measure_matches_dense_projection(joint, scen.measurement_basis)
+
+
+def test_run_stack_refuses_scenarios_that_differ_beyond_their_scales():
+    a = build_scenario(BUILTIN_SPECS["fig4a_red"], 0.3)
+    b = build_scenario(BUILTIN_SPECS["fig4a_blue"], 0.3)  # other amplitudes
+    with pytest.raises(SuperpositionError):
+        run_stack([a, b])
+    with pytest.raises(SuperpositionError):
+        run_stack([a, build_scenario(BUILTIN_SPECS["fig7a_red"], 0.3)])
+
+
+def _random_unitary(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_run_stack_equals_run_on_random_scaled_channels(seed):
+    # dense random unitaries as unit operators, random Kraus weights per
+    # point (some zero), random amplitudes, mixed inputs and controls: the
+    # stack gives every point's outcomes bitwise as that point alone
+    rng = np.random.default_rng(seed)
+    d, count = int(rng.choice([2, 4])), int(rng.integers(2, 4))
+    ops = [tuple(_random_unitary(rng, d) for _ in range(rng.integers(1, 4)))
+           for _ in range(count)]
+    amps = []
+    for channel_ops in ops:
+        a = rng.normal(size=len(channel_ops)) + 1j * rng.normal(size=len(channel_ops))
+        amps.append(a / np.linalg.norm(a))
+    rho = DensityMatrix((d,), _random_input(rng, d, "mixed"))
+    c = rng.normal(size=count) + 1j * rng.normal(size=count)
+    control, basis = ControlState(c / np.linalg.norm(c)), fourier_basis(count)
+    scenarios = []
+    for _ in range(5):
+        channels = []
+        for channel_ops, a in zip(ops, amps):
+            w = rng.random(len(channel_ops)) * (rng.random(len(channel_ops)) < 0.8)
+            w = w / w.sum() if w.any() else np.eye(len(channel_ops))[0]
+            channels.append(VacuumExtendedChannel(channel_ops, a, np.sqrt(w)))
+        scenarios.append(SuperpositionScenario(tuple(channels), rho, control, basis))
+    for stacked, scenario in zip(run_stack(scenarios), scenarios):
+        alone = run(scenario)
+        assert [o.probability for o in stacked] == [o.probability for o in alone]
+        for s, a in zip(stacked, alone):
+            assert (s.post_state is None) == (a.post_state is None)
+            if a.post_state is not None:
+                assert _bitwise_equal(s.post_state.mat, a.post_state.mat)
