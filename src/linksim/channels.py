@@ -4,13 +4,14 @@ A channel is a CPTP Kraus set plus one vacuum amplitude per Kraus operator.
 The amplitudes fix how the Kraus branches interfere when the channel is
 placed in a spatial superposition; they satisfy sum |alpha_k|^2 = 1.
 
-The named constructors store each Kraus operator as a shared, read-only
-unit operator (a cached ``pauli_string``) and one real scale, so building a
-channel at a new noise point allocates no 2^n x 2^n array. The joint
-evolution scales only the unit columns it reaches and ``kraus_rows`` only
-the rows a computation reaches; the dense ``kraus`` is formed on first
-use. All multiply each entry once, scale times unit entry, so a scaled
-column or row is bitwise that of the dense operator.
+Every channel stores each Kraus operator as a unit operator and one real
+scale. The named constructors share read-only unit operators (cached
+``pauli_string`` products), so building a channel at a new noise point
+allocates no 2^n x 2^n array. ``kraus_columns`` is the one reader of that
+format: it scales only the unit columns a computation reaches, and the
+dense ``kraus`` is formed on first use. Both multiply each entry once,
+scale times unit entry, so a scaled column is bitwise that of the dense
+operator.
 
 Pauli channels keep a fixed length-4 amplitude vector indexed by
 ``PAULI_INDEX`` = (I, X, Y, Z) even when some weights vanish, so amplitude
@@ -100,9 +101,10 @@ class ValidationReport:
 class VacuumExtendedChannel:
     """Kraus operators paired with their vacuum amplitudes.
 
+    Kraus operator k is ``scales[k] * ops[k]``: the named constructors pass
+    shared unit operators and real scales, and
     ``VacuumExtendedChannel(kraus, amps)`` takes the Kraus operators
-    themselves. With ``scales``, Kraus operator k is ``scales[k] * ops[k]``:
-    the named constructors pass shared unit operators and real scales.
+    themselves and stores scales of one.
 
     The dataclass itself performs only shape checks so that diagnostic
     ``validate`` can be run on deliberately broken instances; the named
@@ -111,23 +113,23 @@ class VacuumExtendedChannel:
 
     ops: tuple[np.ndarray, ...]
     vacuum_amplitudes: np.ndarray
-    scales: np.ndarray | None = None
+    scales: np.ndarray | None = None  # None stores ones
 
     def __post_init__(self):
         ops = tuple(np.asarray(k, dtype=complex) for k in self.ops)
         amps = np.asarray(self.vacuum_amplitudes, dtype=complex)
+        scales = np.ones(len(ops)) if self.scales is None else np.asarray(
+            self.scales, dtype=float)
         object.__setattr__(self, "ops", ops)
         object.__setattr__(self, "vacuum_amplitudes", amps)
+        object.__setattr__(self, "scales", scales)
         if len(ops) != len(amps):
             raise ChannelError(
                 f"{len(ops)} Kraus operators but {len(amps)} vacuum amplitudes"
             )
-        if self.scales is not None:
-            scales = np.asarray(self.scales, dtype=float)
-            object.__setattr__(self, "scales", scales)
-            if scales.shape != (len(ops),):
-                raise ChannelError(f"{len(ops)} Kraus operators but scales "
-                                   f"of shape {scales.shape}")
+        if scales.shape != (len(ops),):
+            raise ChannelError(f"{len(ops)} Kraus operators but scales "
+                               f"of shape {scales.shape}")
         d = ops[0].shape[0]
         for k in ops:
             if k.shape != (d, d):
@@ -141,36 +143,32 @@ class VacuumExtendedChannel:
     def kraus(self) -> tuple[np.ndarray, ...]:
         """The dense Kraus operators, each ``scales[k] * ops[k]``, built on
         first use and kept."""
-        if self.scales is None:
-            return self.ops
         return tuple(s * op for s, op in zip(self.scales, self.ops))
-
-    def kraus_rows(self, rows) -> np.ndarray:
-        """Rows ``rows`` of every Kraus operator, shape (K, len(rows), d).
-
-        The unit rows are gathered first and scaled in one product, so only
-        the reached rows are multiplied; entry for entry that is the product
-        ``kraus`` forms.
-        """
-        out = np.array([op[rows] for op in self.ops])
-        if self.scales is not None:
-            out *= self.scales[:, None, None]
-        return out
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Action of the reduced CPTP map: sum_k K rho K^dagger."""
         return sum(k @ rho @ k.conj().T for k in self.kraus)
 
 
-def unit_columns(channels, cols) -> tuple[np.ndarray, np.ndarray]:
-    """Columns ``cols`` of every unit operator of ``channels``, in channel
-    order, on the rows any of them reaches: ``(reach, units)`` with
-    ``reach`` the sorted reached rows and ``units`` of shape
-    (K, len(reach), len(cols)). Every other row of a scaled Kraus operator
-    is zero in these columns, whatever the scales."""
-    units = np.array([op[:, cols] for c in channels for op in c.ops])
+def kraus_columns(stack, cols) -> tuple[np.ndarray, np.ndarray]:
+    """Columns ``cols`` of every Kraus operator, for each point of ``stack``,
+    on the rows any unit operator reaches from them.
+
+    ``stack`` holds one channel tuple per point; the points share their
+    unit operators and differ only in their scales. Returns ``(reach,
+    columns)``: ``reach``, the sorted reached rows, and ``columns`` of shape
+    (P, K, len(reach), len(cols)), K running over the Kraus operators of
+    every channel in channel order. The unit columns are gathered once and
+    each entry is the one product scale * unit entry that ``kraus`` holds.
+    Every other row of a Kraus operator is zero in these columns, whatever
+    the scales.
+    """
+    units = np.array([op[:, cols] for c in stack[0] for op in c.ops])
     reach = units.any(axis=(0, 2)).nonzero()[0]
-    return reach, units.take(reach, 1)
+    # (P, K): the scales of each channel at every point, channel after channel
+    scales = np.hstack([np.array([point[l].scales for point in stack])
+                        for l in range(len(stack[0]))])
+    return reach, scales[:, :, None, None] * units.take(reach, 1)
 
 
 def validate(c: VacuumExtendedChannel) -> ValidationReport:
@@ -222,7 +220,8 @@ def pauli_channel_correlated(weights, n: int, amps,
     weights = [float(w) for w in weights]
     if len(weights) != 4:
         raise BadProbabilityError("expected 4 Pauli weights")
-    if any(w < -1e-15 for w in weights) or abs(sum(weights) - 1.0) > 1e-12:
+    # NaN fails
+    if not (all(w >= -1e-15 for w in weights) and abs(sum(weights) - 1.0) <= 1e-12):
         raise BadProbabilityError(f"weights {weights} are not a distribution")
     amps = _check_amps(amps, 4)
     for k, (w, a) in enumerate(zip(weights, amps)):
@@ -253,7 +252,6 @@ def memoryless_bitflip(i: int, n: int, p_i: float, amps) -> VacuumExtendedChanne
 def unitary_channel(u: np.ndarray) -> VacuumExtendedChannel:
     """Single-Kraus channel from a unitary; its vacuum amplitude is 1."""
     u = np.asarray(u, dtype=complex)
-    if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) > CPTP_TOL:
+    if not np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= CPTP_TOL:  # NaN fails
         raise NotUnitaryError("operator is not unitary")
-    # no scale: a product with 1.0 clears the sign of some zero entries
     return VacuumExtendedChannel((u,), np.array([1.0 + 0j]))

@@ -15,10 +15,10 @@ import numpy as np
 
 from .channels import (
     depolarizing_correlated,
+    kraus_columns,
     memoryless_bitflip,
     pauli_channel_correlated,
     pauli_string,
-    unit_columns,
     unitary_channel,
 )
 from .linalg import DensityMatrix, LinksimError
@@ -461,25 +461,22 @@ def _amplitudes(slots: list[np.ndarray], x: np.ndarray) -> list[np.ndarray] | No
 
 def _plus_tables(scenario: SuperpositionScenario):
     """The fixed-noise tables of the plus outcome on the rows they reach:
-    ``(reach, branch, tables)`` with tables[x, y] = w_xy K_x rho K_y^dag on
+    ``(reach, branch, tables)`` with tables[x, y] = w_xy v_x v_y^dag on
     ``reach`` x ``reach``, x and y running over every Kraus operator of
-    every channel, and ``branch[x]`` the channel of K_x (see
-    ``_fixed_noise_objective``).
+    every channel, v_x = K_x |0...0> and ``branch[x]`` the channel of K_x
+    (see ``_fixed_noise_objective``).
 
-    A table row or column that no unit operator maps the support of rho to
-    is zero, so only those rows of K_x rho and columns of K_y^dag are
-    formed, and the reach is then found exactly on them. Each kept entry
-    still sums over all d columns, as in the whole d x d tables, so the
-    tables are bitwise those cut from the whole ones.
+    The scenario's input must be |0...0><0...0| (``_zero_input``, the input
+    of every ``build_scenario``), so K_x rho K_y^dag = v_x v_y^dag. The
+    images v_x are column 0 of every Kraus operator, read by
+    ``kraus_columns`` on the rows the unit operators reach from it.
     """
     channels = scenario.channels
-    rho = scenario.input.mat
     branch = np.repeat(np.arange(len(channels)), [len(ch.ops) for ch in channels])
     cb = (scenario.control.amplitudes * scenario.measurement_basis[0].conj())[branch]
-    sup = (rho.any(axis=0) | rho.any(axis=1)).nonzero()[0]
-    rows, _ = unit_columns(channels, sup)
-    kraus = np.concatenate([ch.kraus_rows(rows) for ch in channels])
-    tables = np.matmul((kraus @ rho)[:, None], kraus.conj().transpose(0, 2, 1)[None])
+    rows, images = kraus_columns([channels], [0])
+    v = images[0, :, :, 0]
+    tables = v[:, None, :, None] * v.conj()[None, :, None, :]
     tables *= np.outer(cb, cb.conj())[:, :, None, None]
     hit = (tables.any(axis=(0, 1, 2)) | tables.any(axis=(0, 1, 3))).nonzero()[0]
     return rows[hit], branch, tables.take(hit, 2).take(hit, 3)

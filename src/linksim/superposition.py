@@ -17,16 +17,16 @@ of scenarios that differ only in their Kraus scales, such as the points of
 one sweep, together; ``apply``, ``measure_control`` and ``run`` are its
 one-point calls. It forms rho_t (x) rho_c only on its support, which is a
 few rows for the paper's pure product inputs, and builds only the columns
-of each S_i that meet it. A channel holds unit operators and scales; the
-unit columns are gathered once per stack and only they are scaled, per
-point, so no 2^n x 2^n operator is formed per noise point, and each scaled
-entry is the one product the dense operator holds. The measurement
-contracts only the target rows that the joint states reach, for every
-point and outcome in one einsum. Each step keeps the order of every sum
-that the whole-matrix computation of one point uses, so neither the
-restriction nor the stacking changes an output bit. ``global_kraus``
-builds the dense operators literally from the formula and serves as the
-reference.
+of each S_i that meet it. A channel holds unit operators and scales;
+``channels.kraus_columns`` gathers the unit columns once per stack and
+scales only them, per point, so no 2^n x 2^n operator is formed per
+noise point, and each scaled entry is the one product the dense operator
+holds. The measurement contracts only the target rows that the joint
+states reach, for every point and outcome in one einsum. Each step keeps
+the order of every sum that the whole-matrix computation of one point
+uses, so neither the restriction nor the stacking changes an output bit.
+``global_kraus`` builds the dense operators literally from the formula
+and serves as the reference.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from math import prod
 
 import numpy as np
 
-from .channels import VacuumExtendedChannel, unit_columns
+from .channels import VacuumExtendedChannel, kraus_columns
 from .linalg import DensityMatrix, DimMismatchError, LinksimError, check_densities
 
 #: target dim x control dim beyond which we refuse to build joint operators
@@ -118,8 +118,8 @@ class SuperpositionScenario:
             raise DimMismatchError(
                 "channel count, control dimension and basis size must agree"
             )
-        gram = np.array([[bi.conj() @ bj for bj in basis] for bi in basis])
-        if np.max(np.abs(gram - np.eye(n))) > 1e-10:
+        b = np.array(basis)
+        if not np.max(np.abs(b.conj() @ b.T - np.eye(n))) <= 1e-10:  # NaN fails
             raise SuperpositionError("measurement basis is not orthonormal")
         if d * n > JOINT_DIM_CAP:
             raise SuperpositionError(
@@ -155,12 +155,10 @@ def _joint_columns(stack, cols):
 
     Column t*n + l of S_i is coeff_l(i) K^(l)_{i_l}[:, t] at rows l::n,
     with coeff_l(i) = prod_{k != l} a^(k)_{i_k}. The multi-indices and
-    coefficients depend only on the amplitudes, and the unit columns in
-    ``t`` are gathered once, cut to the rows they can reach, and scaled per
-    point by a (P, K) product: each entry is the one product
-    scale * unit entry that the dense Kraus operator holds, with no sum
-    reordered, so the result is bitwise the gather from ``channel.kraus``,
-    which is never built here.
+    coefficients depend only on the amplitudes, and the Kraus columns in
+    ``t`` come from ``kraus_columns``, scaled per point on the rows they can
+    reach, with no sum reordered, so the result is bitwise the gather from
+    ``channel.kraus``, which is never built here.
     """
     channels = stack[0]
     n = len(channels)
@@ -170,18 +168,15 @@ def _joint_columns(stack, cols):
     coeff = np.array([prod(amps[k] for k in range(n) if k != l) for l in range(n)])
     keep = coeff.any(axis=0).nonzero()[0]
     idx, coeff = idx.take(keep, 1), coeff.take(keep, 1)
-    reach, units = unit_columns(channels, t)
+    reach, kcols = kraus_columns(stack, t)
+    # position of each channel's first Kraus operator in kcols
+    start = np.cumsum([0] + [len(c.ops) for c in channels])
     # target (x) control with control as the rightmost factor: row r*n + l
     out = np.empty((len(stack), idx.shape[1], len(reach), n, len(cols)),
                    dtype=complex)
-    start = 0
-    for l, channel in enumerate(channels):
-        kcols = units[start:start + len(channel.ops)]
-        start += len(channel.ops)
-        if channel.scales is not None:
-            kcols = np.array([c[l].scales for c in stack])[:, :, None, None] * kcols
+    for l in range(n):
         out[:, :, :, l] = np.where(
-            branch == l, coeff[l, :, None, None] * kcols.take(idx[l], -3), 0)
+            branch == l, coeff[l, :, None, None] * kcols.take(start[l] + idx[l], 1), 0)
     out = out.reshape(out.shape[:2] + (-1, len(cols)))
     local = out.any(axis=(0, 1, 3)).nonzero()[0]
     return reach, local, out.take(local, 2)
@@ -284,8 +279,8 @@ def _shared(scenario) -> tuple:
     compared by identity."""
     return (id(scenario.input), scenario.control.amplitudes.tobytes(),
             tuple(b.tobytes() for b in scenario.measurement_basis),
-            tuple((tuple(map(id, c.ops)), c.vacuum_amplitudes.tobytes(),
-                   c.scales is None) for c in scenario.channels))
+            tuple((tuple(map(id, c.ops)), c.vacuum_amplitudes.tobytes())
+                  for c in scenario.channels))
 
 
 def run_stack(scenarios) -> Iterator[list[MeasurementOutcome]]:

@@ -55,7 +55,7 @@ def shift_operator(n: int) -> np.ndarray:
 def step_operator(spec: WalkSpec) -> np.ndarray:
     """One-step unitary U = T (I (x) C)."""
     c = spec.coin
-    if np.max(np.abs(c.conj().T @ c - np.eye(2))) > UNITARY_TOL:
+    if not np.max(np.abs(c.conj().T @ c - np.eye(2))) <= UNITARY_TOL:  # NaN fails
         raise NotUnitaryError("coin is not unitary")
     n = spec.positions
     return shift_operator(n) @ np.kron(np.eye(n, dtype=complex), c)

@@ -135,6 +135,15 @@ def test_pauli_channel_bad_weights():
         depolarizing_correlated(1.5, 1, (1, 0, 0, 0))
 
 
+@pytest.mark.parametrize("slot", range(4))
+def test_nan_weight_raises_bad_probability(slot):
+    # a NaN weight would otherwise give a NaN Kraus scale
+    weights = [0.25] * 4
+    weights[slot] = float("nan")
+    with pytest.raises(BadProbabilityError):
+        pauli_channel_correlated(weights, 2, (0.5, 0.5, 0.5, 0.5))
+
+
 def test_amplitude_normalization_enforced():
     with pytest.raises(BadNormalizationError):
         depolarizing_correlated(0.5, 1, (1, 1, 0, 0))
@@ -160,6 +169,11 @@ def test_unitary_channel():
     assert np.allclose(c.vacuum_amplitudes, [1.0])
     with pytest.raises(NotUnitaryError):
         unitary_channel(np.array([[1, 0], [0, 2]]))
+
+
+def test_nan_operator_is_not_unitary():
+    with pytest.raises(NotUnitaryError):
+        unitary_channel(np.array([[np.nan, 0], [0, 1]]))
 
 
 def test_channel_shape_checks():
@@ -189,9 +203,8 @@ def assert_bitwise(a, b):
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
 def test_derived_kraus_is_the_dense_product(n, p):
-    # the dense operators formed on first use are bitwise the products
-    # sqrt(w) * P^n, sqrt(1 - p) * eye and u that the constructors built
-    # before they stored unit operators and scales
+    # the dense operators formed on first use are bitwise the products of
+    # scale and unit operator: sqrt(w) * P^n, sqrt(1 - p) * eye and 1.0 * u
     amps = np.full(4, 0.5)
     for weights in ((1 - p, p / 3, p / 3, p / 3), (1 - p, p, 0, 0),
                     (1 - p, 0, 0, p)):
@@ -204,9 +217,10 @@ def test_derived_kraus_is_the_dense_product(n, p):
         assert_bitwise(c.kraus[0], np.sqrt(1.0 - p) * np.eye(2**n, dtype=complex))
         assert_bitwise(c.kraus[1], np.sqrt(p) * pauli_string(
             "I" * i + "X" + "I" * (n - i - 1)))
-    # Z^n and Y^n hold zeros of both signs, which a scale of 1.0 would clear
+    # a unitary channel holds u with scale one; Z^n and Y^n hold zeros of
+    # both signs, and the product with 1.0 clears some of them
     for u in (pauli_string("Z" * n), pauli_string("Y" * n), pauli_string("X" * n)):
-        assert_bitwise(unitary_channel(u).kraus[0], u)
+        assert_bitwise(unitary_channel(u).kraus[0], 1.0 * u)
 
 
 def test_named_constructors_share_unit_operators():
@@ -220,6 +234,38 @@ def test_named_constructors_share_unit_operators():
     assert b.ops[0] is pauli_string("II") and b.ops[1] is pauli_string("XI")
     assert "kraus" not in vars(b)
     assert c.kraus is c.kraus
+
+
+def test_raw_kraus_channel_stores_ones():
+    # the Kraus operators given themselves become unit operators of scale 1
+    c = VacuumExtendedChannel((np.eye(2), X), np.array([S2, S2]))
+    assert c.scales.dtype == float and np.array_equal(c.scales, [1.0, 1.0])
+    assert_bitwise(c.kraus[1], 1.0 * X)
+    assert np.array_equal(unitary_channel(Y).scales, [1.0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_kraus_columns_on_a_stack_equal_per_point_gathers(n):
+    # one gather for the stack gives every point bitwise its own gather and
+    # the columns of its dense Kraus operators on the reached rows; every
+    # other row is zero
+    amps = np.full(4, 0.5)
+    cols = np.arange(0, 2**n, 3)
+    for make in (lambda p: (depolarizing_correlated(p, n, amps),
+                            pauli_channel_correlated((1 - p, 0, 0, p), n, amps)),
+                 lambda p: tuple(memoryless_bitflip(i, n, p, (S2, S2))
+                                 for i in range(n))):
+        stack = [make(p) for p in (0.0, 0.3, 1.0)]
+        reach, stacked = channels.kraus_columns(stack, cols)
+        assert stacked.shape == (3, sum(len(c.ops) for c in stack[0]),
+                                 len(reach), len(cols))
+        for point, chans in zip(stacked, stack):
+            one_reach, one = channels.kraus_columns([chans], cols)
+            assert np.array_equal(one_reach, reach)
+            assert_bitwise(point, one[0])
+            dense = np.array([k[:, cols] for c in chans for k in c.kraus])
+            assert_bitwise(point, dense[:, reach])
+            assert not np.delete(dense, reach, axis=1).any()
 
 
 def test_scales_must_match_operators():

@@ -307,19 +307,32 @@ def test_zero_input_is_cached_and_read_only():
     assert first.input.mat[0, 0] == 1.0
 
 
-def dense_plus_tables(scenario):
-    """Reference for ``_plus_tables``: every whole d x d table
-    w_xy K_x rho K_y^dag from the dense Kraus operators, cut to the rows
-    and columns any table reaches."""
+def _cb(scenario):
     channels = scenario.channels
-    kraus = np.concatenate([ch.kraus for ch in channels])
     branch = np.repeat(np.arange(len(channels)), [len(ch.kraus) for ch in channels])
-    cb = (scenario.control.amplitudes * scenario.measurement_basis[0].conj())[branch]
+    return (scenario.control.amplitudes * scenario.measurement_basis[0].conj())[branch]
+
+
+def dense_plus_tables(scenario):
+    """The whole d x d tables w_xy K_x rho K_y^dag from the dense Kraus
+    operators, cut to the rows and columns any table reaches."""
+    kraus = np.concatenate([ch.kraus for ch in scenario.channels])
+    cb = _cb(scenario)
     tables = np.matmul((kraus @ scenario.input.mat)[:, None],
                        kraus.conj().transpose(0, 2, 1)[None])
     tables *= np.outer(cb, cb.conj())[:, :, None, None]
     reach = (tables.any(axis=(0, 1, 2)) | tables.any(axis=(0, 1, 3))).nonzero()[0]
     return reach, tables.take(reach, 2).take(reach, 3)
+
+
+def image_plus_tables(scenario, reach):
+    """Reference for ``_plus_tables`` on |0...0>: each table
+    w_xy outer(v_x, conj(v_y)) from the images v_x = K_x[:, 0] of the dense
+    Kraus operators, on ``reach``."""
+    v = np.concatenate([ch.kraus for ch in scenario.channels])[:, reach, 0]
+    cb = _cb(scenario)
+    return np.array([[np.outer(vx, vy.conj()) * (cx * cy.conj())
+                      for vy, cy in zip(v, cb)] for vx, cx in zip(v, cb)])
 
 
 OBJECTIVE_SPECS = sorted(
@@ -331,14 +344,16 @@ OBJECTIVE_SPECS = sorted(
 
 @pytest.mark.parametrize("spec", OBJECTIVE_SPECS, ids=lambda spec: spec.name)
 def test_plus_tables_equal_the_whole_tables_cut(spec):
-    # only the reached rows of K_x rho and columns of K_y^dag are formed,
-    # yet every kept entry is bitwise that of the whole d x d tables
+    # the tables are formed from the images of |0...0> on the reached rows
+    # only: bitwise the outer products of those images, and in value the
+    # whole d x d tables K_x rho K_y^dag cut to the same rows
     for p, q in ((0.0, 0.0), (0.5, 0.5), (0.3, 1.0), (1.0, 0.7)):
         scenario = build_scenario(spec, p, q)
         reach, _, tables = scenarios._plus_tables(scenario)
         dense_reach, dense_tables = dense_plus_tables(scenario)
         assert np.array_equal(reach, dense_reach), (p, q)
-        assert _bitwise_equal(tables, dense_tables), (p, q)
+        assert _bitwise_equal(tables, image_plus_tables(scenario, reach)), (p, q)
+        assert np.array_equal(tables, dense_tables), (p, q)
 
 
 def test_objective_build_forms_no_whole_table():

@@ -1,3 +1,6 @@
+from itertools import product
+from math import prod
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -90,6 +93,14 @@ def test_control_state_normalization():
         ControlState(np.array([np.nan, 0.0]))
     assert plus_control().dim == 2
     assert np.allclose(uniform_control(3).amplitudes, np.full(3, 1 / np.sqrt(3)))
+
+
+def test_nan_basis_is_not_orthonormal():
+    # a NaN basis vector is refused here, not later as a non-Hermitian state
+    scen = build_scenario(builtin("fig4a_red"), 0.3)
+    with pytest.raises(SuperpositionError):
+        SuperpositionScenario(scen.channels, scen.input, scen.control,
+                              (np.array([np.nan, 0.0]), np.array([0.0, 1.0])))
 
 
 def test_fourier_basis_orthonormal():
@@ -288,25 +299,39 @@ def _bitwise_equal(a, b):
             and np.array_equal(np.signbit(a), np.signbit(b)))
 
 
+def dense_joint_columns(channels, cols):
+    """Reference for ``_joint_columns``: columns ``cols`` of every S_i with a
+    coefficient that does not vanish, in multi-index order, on every joint
+    row: column t*n + l is coeff_l(i) times column t of the dense
+    ``kraus[i_l]`` of channel l, at rows l::n."""
+    n = len(channels)
+    t, branch = np.divmod(cols, n)
+    out = []
+    for i in product(*(range(len(c.kraus)) for c in channels)):
+        amps = [c.vacuum_amplitudes[k] for c, k in zip(channels, i)]
+        coeff = [prod(amps[k] for k in range(n) if k != l) for l in range(n)]
+        if not any(coeff):
+            continue
+        s = np.empty((channels[0].dim, n, len(cols)), dtype=complex)
+        for l, (c, k) in enumerate(zip(channels, i)):
+            s[:, l] = np.where(branch == l, coeff[l] * c.kraus[k][:, t], 0)
+        out.append(s.reshape(-1, len(cols)))
+    return np.array(out)
+
+
 @pytest.mark.parametrize("name", sorted(BUILTIN_SPECS))
 def test_joint_columns_equal_the_dense_kraus_gather(name):
     # scaling only the gathered unit columns gives bitwise the columns of
-    # the dense Kraus operators, on the same reached rows; the copies hold
-    # those operators themselves
+    # the dense Kraus operators; the joint rows left out are zero
     for p in (0.0, 0.3, 1.0):
         channels = build_scenario(BUILTIN_SPECS[name], p).channels
-        dense = tuple(VacuumExtendedChannel(c.kraus, c.vacuum_amplitudes)
-                      for c in channels)
-        assert all(c.scales is None for c in dense)
-        cols = np.arange(channels[0].dim * len(channels))
-        reach, local, scaled = superposition._joint_columns([channels], cols)
-        dense_reach, dense_local, gathered = superposition._joint_columns(
-            [dense], cols)
         n = len(channels)
-        assert np.array_equal(reach[local // n] * n + local % n,
-                              dense_reach[dense_local // n] * n
-                              + dense_local % n), p
-        assert _bitwise_equal(scaled, gathered), p
+        cols = np.arange(channels[0].dim * n)
+        reach, local, scaled = superposition._joint_columns([channels], cols)
+        gathered = dense_joint_columns(channels, cols)
+        rows = reach[local // n] * n + local % n
+        assert _bitwise_equal(scaled[0], gathered[:, rows]), p
+        assert not np.delete(gathered, rows, axis=1).any(), p
 
 
 @pytest.mark.parametrize("spec", [ScenarioSpec("ghz8", "ghz_depolarizing", 8,

@@ -48,6 +48,12 @@ def test_coin_must_be_unitary():
         step_operator(spec)
 
 
+def test_nan_coin_is_not_unitary():
+    spec = WalkSpec(4, np.array([[np.nan, 0], [0, 1]]), 1, symmetric_initial(4, 2))
+    with pytest.raises(NotUnitaryError):
+        step_operator(spec)
+
+
 def test_walk_spec_validation():
     with pytest.raises(DimMismatchError):
         WalkSpec(4, np.eye(3), 1, symmetric_initial(4, 2))

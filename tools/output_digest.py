@@ -1,0 +1,142 @@
+"""SHA-256 digests of the program's outputs, bit for bit.
+
+Run from the root of a source checkout, with no arguments:
+
+    PYTHONPATH=src python3 tools/output_digest.py
+
+Each line is ``<name> <sha256>``. Arrays are hashed over their raw bytes and
+floats as ``float.hex``, so a change that only flips the sign of a zero
+changes a digest. Two checkouts whose outputs are byte-identical print the
+same lines; point ``PYTHONPATH`` at the other checkout's ``src`` to compare.
+
+The digests cover:
+
+- ``run``: probabilities and post states, and ``apply``'s joint state, for
+  every builtin at p in {0, .13, .5, .77, 1} x q in {0, .31, 1};
+- ``sweep``: every builtin's 7 x 5 grid records;
+- ``run_stack``: 21-point stacks of larger inline specs and seeded random
+  configs, with ``measure_control(apply(s))`` on every fifth point;
+- ``_fixed_noise_objective``: its values at seeded proposals;
+- ``optimize --p 0.5 --restarts 4``: the JSON of five specs at seeds 7 and 11.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+
+import numpy as np
+
+from linksim import cli, scenarios
+from linksim.metrics import VacuumConfig
+from linksim.scenarios import ScenarioSpec, build_scenario, builtin, builtin_names
+from linksim.superposition import apply, measure_control, run, run_stack
+
+_S2 = 1.0 / np.sqrt(2.0)
+
+
+def _outcomes(h, outcomes) -> None:
+    for out in outcomes:
+        h.update(f"{out.outcome_index} {out.probability.hex()};".encode())
+        h.update(b"none" if out.post_state is None else out.post_state.mat.tobytes())
+
+
+def run_digest() -> str:
+    h = hashlib.sha256()
+    for name in builtin_names():
+        for p in (0.0, 0.13, 0.5, 0.77, 1.0):
+            for q in (0.0, 0.31, 1.0):
+                scenario = build_scenario(builtin(name), p, q)
+                _outcomes(h, run(scenario))
+                h.update(apply(scenario).mat.tobytes())
+    return h.hexdigest()
+
+
+def sweep_digest() -> str:
+    h = hashlib.sha256()
+    for name in builtin_names():
+        for r in scenarios.sweep(builtin(name), np.linspace(0, 1, 7),
+                                 np.linspace(0, 1, 5)):
+            fields = (r.p, r.q, r.probability, r.fidelity, r.conc_pairwise,
+                      r.conc_one_vs_rest, r.oracle_fidelity)
+            h.update(" ".join("None" if x is None else float(x).hex()
+                              for x in fields).encode())
+            h.update(f" {r.outcome};".encode())
+    return h.hexdigest()
+
+
+def _unit(rng, size: int) -> np.ndarray:
+    v = rng.standard_normal(size)
+    return v / np.linalg.norm(v)
+
+
+def stack_specs() -> list[ScenarioSpec]:
+    rng = np.random.default_rng(15)
+    return [
+        ScenarioSpec("ghz8", "ghz_depolarizing", 8, scenarios.PROP5_P05),
+        ScenarioSpec("ghz6_bitphase", "ghz_bitphase", 6, scenarios.COR2_P05),
+        ScenarioSpec("w5", "w_memoryless", 5, VacuumConfig(((_S2, _S2),) * 5)),
+        ScenarioSpec("w6", "w_memoryless", 6, VacuumConfig(
+            tuple(_unit(rng, 2) for _ in range(6)))),
+        ScenarioSpec("ghz7_ideal", "ideal_ghz", 7, scenarios._ideal_config(2)),
+        ScenarioSpec("w5_ideal", "ideal_w", 5, scenarios._ideal_config(5)),
+        *(ScenarioSpec(f"bell_random{k}", "bell_depolarizing", 2, VacuumConfig(
+            (_unit(rng, 4), _unit(rng, 4)))) for k in range(3)),
+        *(ScenarioSpec(f"w_random{k}", "w_memoryless", 3, VacuumConfig(
+            tuple(_unit(rng, 2) for _ in range(3)))) for k in range(3)),
+    ]
+
+
+def stack_digest() -> str:
+    h = hashlib.sha256()
+    ps = np.linspace(0, 1, 21)
+    for spec in stack_specs():
+        stack = [build_scenario(spec, p, 1.0 - p) for p in ps]
+        for outcomes in run_stack(stack):
+            _outcomes(h, outcomes)
+        for scenario in stack[::5]:
+            joint = apply(scenario)
+            h.update(joint.mat.tobytes())
+            _outcomes(h, measure_control(joint, scenario.measurement_basis))
+    return h.hexdigest()
+
+
+def objective_digest() -> str:
+    h = hashlib.sha256()
+    rng = np.random.default_rng(7)
+    specs = [builtin(name) for name in builtin_names()
+             if not builtin(name).family.startswith("ideal")]
+    specs += [s for s in stack_specs() if not s.family.startswith("ideal")]
+    for spec in specs:
+        dim = sum(np.count_nonzero(m)
+                  for m in scenarios._free_slots(spec.family, spec.n))
+        for p, q in ((0.0, 0.0), (0.3, 0.7), (0.5, 0.5), (1.0, 0.2)):
+            objective = scenarios._fixed_noise_objective(spec, p, q)
+            for _ in range(5):
+                h.update(float(objective(rng.standard_normal(dim))).hex().encode())
+    return h.hexdigest()
+
+
+def optimize_digest() -> str:
+    h = hashlib.sha256()
+    for name in ("prop4_p05", "fig8_green", "cor1_p05", "prop5_p05", "fig7a_blue"):
+        for seed in (7, 11):
+            text = io.StringIO()
+            with contextlib.redirect_stdout(text):
+                cli.main(["optimize", "--scenario", name, "--p", "0.5",
+                          "--restarts", "4", "--seed", str(seed)])
+            h.update(text.getvalue().encode())
+    return h.hexdigest()
+
+
+def main() -> None:
+    for name, digest in (("run", run_digest), ("sweep", sweep_digest),
+                         ("run_stack", stack_digest),
+                         ("objective", objective_digest),
+                         ("optimize", optimize_digest)):
+        print(name, digest(), flush=True)
+
+
+if __name__ == "__main__":
+    main()
