@@ -14,7 +14,6 @@ from .channels import (
     pauli_channel_correlated,
     pauli_string,
     unitary_channel,
-    validate,
 )
 from .linalg import (
     DensityMatrix,
@@ -35,8 +34,6 @@ from .metrics import (
     fid_closed_w3,
     fidelity_pure,
     fidelity_up_to_phase,
-    ghz_state,
-    uhlmann_fidelity,
     w_state,
 )
 from .scenarios import (

@@ -88,16 +88,6 @@ def pauli_string(spec: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ValidationReport:
-    cptp_defect: float
-    amplitude_defect: float
-
-    @property
-    def ok(self) -> bool:
-        return self.cptp_defect < CPTP_TOL and self.amplitude_defect < 1e-10
-
-
-@dataclass(frozen=True)
 class VacuumExtendedChannel:
     """Kraus operators paired with their vacuum amplitudes.
 
@@ -106,8 +96,7 @@ class VacuumExtendedChannel:
     ``VacuumExtendedChannel(kraus, amps)`` takes the Kraus operators
     themselves and stores scales of one.
 
-    The dataclass itself performs only shape checks so that diagnostic
-    ``validate`` can be run on deliberately broken instances; the named
+    The dataclass itself performs only shape checks; the named
     constructors below always produce validated channels.
     """
 
@@ -145,38 +134,29 @@ class VacuumExtendedChannel:
         first use and kept."""
         return tuple(s * op for s, op in zip(self.scales, self.ops))
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Action of the reduced CPTP map: sum_k K rho K^dagger."""
-        return sum(k @ rho @ k.conj().T for k in self.kraus)
+
+def scale_row(channels) -> np.ndarray:
+    """The scales of every Kraus operator of ``channels``, channel after
+    channel: one row of ``kraus_columns``' table."""
+    return np.concatenate([c.scales for c in channels])
 
 
-def kraus_columns(stack, cols) -> tuple[np.ndarray, np.ndarray]:
-    """Columns ``cols`` of every Kraus operator, for each point of ``stack``,
-    on the rows any unit operator reaches from them.
+def kraus_columns(channels, scales, cols) -> tuple[np.ndarray, np.ndarray]:
+    """Columns ``cols`` of every Kraus operator of ``channels``, at each row
+    of the (P, K) table ``scales``, on the rows any unit operator reaches
+    from them.
 
-    ``stack`` holds one channel tuple per point; the points share their
-    unit operators and differ only in their scales. Returns ``(reach,
-    columns)``: ``reach``, the sorted reached rows, and ``columns`` of shape
-    (P, K, len(reach), len(cols)), K running over the Kraus operators of
-    every channel in channel order. The unit columns are gathered once and
-    each entry is the one product scale * unit entry that ``kraus`` holds.
-    Every other row of a Kraus operator is zero in these columns, whatever
-    the scales.
+    K runs over the Kraus operators of every channel in channel order (one
+    row is ``scale_row``); only the unit operators of ``channels`` are read.
+    Returns ``(reach, columns)``: ``reach``, the sorted reached rows, and
+    ``columns`` of shape (P, K, len(reach), len(cols)). The unit columns
+    are gathered once and each entry is the one product scale * unit entry
+    that ``kraus`` holds. Every other row of a Kraus operator is zero in
+    these columns, whatever the scales.
     """
-    units = np.array([op[:, cols] for c in stack[0] for op in c.ops])
+    units = np.array([op[:, cols] for c in channels for op in c.ops])
     reach = units.any(axis=(0, 2)).nonzero()[0]
-    # (P, K): the scales of each channel at every point, channel after channel
-    scales = np.hstack([np.array([point[l].scales for point in stack])
-                        for l in range(len(stack[0]))])
     return reach, scales[:, :, None, None] * units.take(reach, 1)
-
-
-def validate(c: VacuumExtendedChannel) -> ValidationReport:
-    """Diagnostic CPTP and amplitude-normalization defects."""
-    acc = sum(k.conj().T @ k for k in c.kraus)
-    cptp_defect = float(np.max(np.abs(acc - np.eye(c.dim))))
-    amp_defect = float(abs(np.sum(np.abs(c.vacuum_amplitudes) ** 2) - 1.0))
-    return ValidationReport(cptp_defect, amp_defect)
 
 
 def _check_amps(amps, length: int) -> np.ndarray:

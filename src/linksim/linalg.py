@@ -171,7 +171,9 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Trace out every subsystem not listed in ``keep``.
 
     The kept subsystems stay in their original order. Tracing out all
-    subsystems yields a 1x1 matrix equal to the trace.
+    subsystems yields a 1x1 matrix equal to the trace. The metrics call
+    ``partial_traces``; this one stays because ``perfbench/tracer.py``
+    wraps it by name and ``tests/test_tracer_names.py`` requires it.
     """
     mat = partial_traces(rho, [keep])[0]
     kept = sorted({int(k) for k in keep})

@@ -43,14 +43,6 @@ def bell_state(sign: int = +1) -> np.ndarray:
     return v / np.sqrt(2.0)
 
 
-def ghz_state(n: int, phase: float = 0.0) -> np.ndarray:
-    """(|0>^n + e^{i phase} |1>^n) / sqrt(2)."""
-    v = np.zeros(2**n, dtype=complex)
-    v[0] = 1.0
-    v[-1] = np.exp(1j * phase)
-    return v / np.sqrt(2.0)
-
-
 def w_state(n: int, outcome: int = 0) -> np.ndarray:
     """n-qubit W state, phase-corrected for Fourier control outcome ``outcome``.
 
@@ -75,15 +67,6 @@ def fidelity_pure(rho: DensityMatrix, target) -> float:
         raise DimMismatchError("state and target dimensions differ")
     val = (psi.conj() @ rho.mat @ psi).real
     return sqrt(min(max(val, 0.0), 1.0))
-
-
-def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """General Tr sqrt(sqrt(rho) sigma sqrt(rho)) form."""
-    if rho.dim != sigma.dim:
-        raise DimMismatchError("state dimensions differ")
-    r = sqrt_psd(rho.mat)
-    inner = sqrt_psd(r @ sigma.mat @ r)
-    return float(np.trace(inner).real)
 
 
 def fidelity_up_to_phase(rho: DensityMatrix, n: int) -> tuple[float, float]:
@@ -150,19 +133,23 @@ def avg_pairwise_concurrence(rho: DensityMatrix) -> float:
 
 
 def avg_one_vs_rest_concurrence(rho: DensityMatrix) -> float:
-    """Mean over qubits k of sqrt(max{0, 2 (1 - Tr rho_k^2)}).
+    """Mean over qubits k of 2 sqrt(max{0, det rho_k}).
 
-    For pure global states this is the one-vs-rest bipartite concurrence;
-    for mixed states it is only a descriptive purity statistic.
+    For a qubit of trace one 2 det rho_k = 1 - Tr rho_k^2, so this is
+    sqrt(2 (1 - Tr rho_k^2)), but a product state gives an exact 0 rather
+    than the square root of the purity's rounding. For pure global states
+    it is the one-vs-rest bipartite concurrence; for mixed states it is
+    only a descriptive purity statistic.
     """
     n = len(rho.dims)
     if n < 2:
         raise DimMismatchError("need at least two qubits")
-    acc = 0.0
-    for rk in partial_traces(rho, [[k] for k in range(n)]):
-        purity = float(np.trace(rk @ rk).real)
-        acc += sqrt(max(0.0, 2.0 * (1.0 - purity)))
-    return acc / n
+    if any(d != 2 for d in rho.dims):
+        raise DimMismatchError("one-vs-rest concurrence needs qubits")
+    r = partial_traces(rho, [[k] for k in range(n)])
+    det = (r[:, 0, 0] * r[:, 1, 1] - r[:, 0, 1] * r[:, 1, 0]).real
+    # the builtin sum adds in qubit order
+    return sum(2.0 * sqrt(max(0.0, x)) for x in det.tolist()) / n
 
 
 # ---------------------------------------------------------------------------

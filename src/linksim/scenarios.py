@@ -19,6 +19,7 @@ from .channels import (
     memoryless_bitflip,
     pauli_channel_correlated,
     pauli_string,
+    scale_row,
     unitary_channel,
 )
 from .linalg import DensityMatrix, LinksimError
@@ -269,55 +270,50 @@ def build_scenario(spec: ScenarioSpec, p: float,
     """Instantiate channels, control and basis for a spec at noise (p, q).
 
     ``q`` defaults to ``p``; ``w_memoryless`` sets every channel to ``p``
-    and ideal families ignore the noise.
+    and ideal families ignore the noise. Every check here but those of the
+    channel constructors (``_channels``) holds at any noise point.
     """
     n = spec.n
-    family = spec.family
-    cfg = spec.config
     # reject before building 2^n x 2^n Kraus operators; a huge n never
     # reaches the power
-    branches = n if family in _W_FAMILIES else 2
+    branches = n if spec.family in _W_FAMILIES else 2
     if n >= JOINT_DIM_CAP.bit_length() or 2**n * branches > JOINT_DIM_CAP:
         raise ScenarioError(
             f"{spec.name}: {branches} branches on {n} qubits exceed the "
             f"joint dimension cap {JOINT_DIM_CAP}"
         )
-    if len(cfg.vectors) != branches:
+    if len(spec.config.vectors) != branches:
         raise ScenarioError(f"{spec.name}: expected {branches} amplitude "
-                            f"vectors, got {len(cfg.vectors)}")
-    if q is None:
-        q = p
-
-    if family in _W_FAMILIES:
+                            f"vectors, got {len(spec.config.vectors)}")
+    if spec.family in _W_FAMILIES:
         control, basis = uniform_control(n), fourier_basis(n)
     else:
         control, basis = plus_control(), pm_basis()
+    return SuperpositionScenario(_channels(spec, p, p if q is None else q),
+                                 _zero_input(n), control, basis)
+
+
+def _channels(spec: ScenarioSpec, p: float, q: float):
+    """The channels of a spec at noise (p, q), each from its named
+    constructor, which checks the noise and computes the Kraus scales."""
+    n, family, cfg = spec.n, spec.family, spec.config
     if family == "ideal_bell" or family == "ideal_ghz":
-        channels = (
-            unitary_channel(pauli_string("X" * n)),
-            unitary_channel(pauli_string("Z" * n)),
-        )
-    elif family == "ideal_w":
-        channels = tuple(
+        return (unitary_channel(pauli_string("X" * n)),
+                unitary_channel(pauli_string("Z" * n)))
+    if family == "ideal_w":
+        return tuple(
             unitary_channel(pauli_string("I" * i + "X" + "I" * (n - i - 1)))
             for i in range(n)
         )
-    elif family in _DEPOL_FAMILIES:
-        channels = (
-            depolarizing_correlated(p, n, cfg.alpha),
-            depolarizing_correlated(q, n, cfg.beta),
-        )
-    elif family in _BITPHASE_FAMILIES:
+    if family in _DEPOL_FAMILIES:
+        return (depolarizing_correlated(p, n, cfg.alpha),
+                depolarizing_correlated(q, n, cfg.beta))
+    if family in _BITPHASE_FAMILIES:
         bit, phase = (np.flatnonzero(m) for m in _free_slots(family, n))
-        channels = (
-            pauli_channel_correlated((1 - p, p, 0, 0), n, cfg.alpha, bit),
-            pauli_channel_correlated((1 - q, 0, 0, q), n, cfg.beta, phase),
-        )
-    else:  # w_memoryless
-        channels = tuple(
-            memoryless_bitflip(i, n, p, cfg.vectors[i]) for i in range(n)
-        )
-    return SuperpositionScenario(channels, _zero_input(n), control, basis)
+        return (pauli_channel_correlated((1 - p, p, 0, 0), n, cfg.alpha, bit),
+                pauli_channel_correlated((1 - q, 0, 0, q), n, cfg.beta, phase))
+    # w_memoryless
+    return tuple(memoryless_bitflip(i, n, p, cfg.vectors[i]) for i in range(n))
 
 
 def outcome_fidelity(spec: ScenarioSpec, outcome: MeasurementOutcome) -> float:
@@ -400,18 +396,22 @@ def sweep(spec: ScenarioSpec, p_grid, q_grid=None, *,
     """Evaluate a spec over a noise grid.
 
     With no ``q_grid`` the sweep is one-dimensional with q locked to p.
-    Records are ordered p-major, then q, then outcome. The points are
-    evaluated ``_CHUNK`` at a time by ``run_stack``, which evolves and
-    measures a chunk as one stack, so memory does not grow with the number
-    of points, and each point's outcomes are turned into records by
-    ``evaluate_point``, bitwise as if it had evaluated the point alone.
+    Records are ordered p-major, then q, then outcome. The scenario is
+    built and checked once, at the first point; a point adds only the row
+    of Kraus scales that its channel constructors compute (``_channels``).
+    The points are evaluated ``_CHUNK`` at a time by ``run_stack``, which
+    evolves and measures a chunk as one stack, so memory does not grow
+    with the number of points, and each point's outcomes are turned into
+    records by ``evaluate_point``, bitwise as if it had evaluated the point
+    alone.
     """
     points = ((float(p), float(q)) for p in p_grid
               for q in (q_grid if q_grid is not None else [p]))
-    records = []
+    records, scenario = [], None
     while chunk := list(islice(points, _CHUNK)):
-        outcomes = run_stack([build_scenario(spec, p, q) for p, q in chunk])
-        for (p, q), outs in zip(chunk, outcomes):
+        scenario = scenario or build_scenario(spec, *chunk[0])
+        scales = [scale_row(_channels(spec, p, q)) for p, q in chunk]
+        for (p, q), outs in zip(chunk, run_stack(scenario, scales)):
             records += evaluate_point(spec, p, q, emit_oracle=emit_oracle,
                                       _outcomes=outs)
     return records
@@ -474,7 +474,7 @@ def _plus_tables(scenario: SuperpositionScenario):
     channels = scenario.channels
     branch = np.repeat(np.arange(len(channels)), [len(ch.ops) for ch in channels])
     cb = (scenario.control.amplitudes * scenario.measurement_basis[0].conj())[branch]
-    rows, images = kraus_columns([channels], [0])
+    rows, images = kraus_columns(channels, scale_row(channels)[None], [0])
     v = images[0, :, :, 0]
     tables = v[:, None, :, None] * v.conj()[None, :, None, :]
     tables *= np.outer(cb, cb.conj())[:, :, None, None]

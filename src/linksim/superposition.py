@@ -12,21 +12,22 @@ familiar  b_j F_i (x) |0><0| + a_i N_j (x) |1><1|  construction. The joint
 state sum_i S_i (rho_t (x) rho_c) S_i^dag is trace one, and measuring the
 control in an orthonormal basis projects the target.
 
-``run_stack`` is the one evaluation core: it evolves and measures a stack
-of scenarios that differ only in their Kraus scales, such as the points of
+``run_stack`` is the one evaluation core: it evolves and measures one
+scenario at every row of a table of Kraus scales, such as the points of
 one sweep, together; ``apply``, ``measure_control`` and ``run`` are its
-one-point calls. It forms rho_t (x) rho_c only on its support, which is a
+one-point calls. A noise point changes only the scales: the unit
+operators, vacuum amplitudes, input, control and basis are the
+scenario's. It forms rho_t (x) rho_c only on its support, which is a
 few rows for the paper's pure product inputs, and builds only the columns
-of each S_i that meet it. A channel holds unit operators and scales;
-``channels.kraus_columns`` gathers the unit columns once per stack and
-scales only them, per point, so no 2^n x 2^n operator is formed per
-noise point, and each scaled entry is the one product the dense operator
-holds. The measurement contracts only the target rows that the joint
-states reach, for every point and outcome in one einsum. Each step keeps
-the order of every sum that the whole-matrix computation of one point
-uses, so neither the restriction nor the stacking changes an output bit.
-``global_kraus`` builds the dense operators literally from the formula
-and serves as the reference.
+of each S_i that meet it. ``channels.kraus_columns`` gathers the unit
+columns once per stack and scales only them, per row of the table, so no
+2^n x 2^n operator is formed per noise point, and each scaled entry is the
+one product the dense operator holds. The measurement contracts only the
+target rows that the joint states reach, for every point and outcome in
+one einsum. Each step keeps the order of every sum that the whole-matrix
+computation of one point uses, so neither the restriction nor the
+stacking changes an output bit. ``global_kraus`` builds the dense
+operators literally from the formula and serves as the reference.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from math import prod
 
 import numpy as np
 
-from .channels import VacuumExtendedChannel, kraus_columns
+from .channels import VacuumExtendedChannel, kraus_columns, scale_row
 from .linalg import DensityMatrix, DimMismatchError, LinksimError, check_densities
 
 #: target dim x control dim beyond which we refuse to build joint operators
@@ -140,27 +141,24 @@ class MeasurementOutcome:
     post_state: DensityMatrix | None
 
 
-def _joint_columns(stack, cols):
+def _joint_columns(channels, scales, cols):
     """Columns ``cols`` of the joint Kraus operators S_i whose coefficients
-    do not all vanish, for every point of ``stack``, on the joint rows that
-    any point reaches.
+    do not all vanish, at every row of the (P, K) table ``scales`` of Kraus
+    scales (see ``kraus_columns``), on the joint rows that any row reaches.
 
-    ``stack`` holds one channel tuple per point; the points share their
-    unit operators and vacuum amplitudes and differ only in their scales.
     Returns ``(reach, local, cols)``: ``reach``, the sorted target rows the
     unit columns can reach; ``local``, the sorted kept positions in the
     (len(reach), n) grid of joint rows reach[r] * n + l; and an array of
-    shape (P, M, len(local), len(cols)), one slice per point and kept
+    shape (P, M, len(local), len(cols)), one slice per row and kept
     multi-index, in the lexicographic order of ``global_kraus``.
 
     Column t*n + l of S_i is coeff_l(i) K^(l)_{i_l}[:, t] at rows l::n,
     with coeff_l(i) = prod_{k != l} a^(k)_{i_k}. The multi-indices and
     coefficients depend only on the amplitudes, and the Kraus columns in
-    ``t`` come from ``kraus_columns``, scaled per point on the rows they can
+    ``t`` come from ``kraus_columns``, scaled per row on the rows they can
     reach, with no sum reordered, so the result is bitwise the gather from
     ``channel.kraus``, which is never built here.
     """
-    channels = stack[0]
     n = len(channels)
     t, branch = np.divmod(cols, n)
     idx = np.indices([len(c.ops) for c in channels]).reshape(n, -1)
@@ -168,11 +166,11 @@ def _joint_columns(stack, cols):
     coeff = np.array([prod(amps[k] for k in range(n) if k != l) for l in range(n)])
     keep = coeff.any(axis=0).nonzero()[0]
     idx, coeff = idx.take(keep, 1), coeff.take(keep, 1)
-    reach, kcols = kraus_columns(stack, t)
+    reach, kcols = kraus_columns(channels, scales, t)
     # position of each channel's first Kraus operator in kcols
     start = np.cumsum([0] + [len(c.ops) for c in channels])
     # target (x) control with control as the rightmost factor: row r*n + l
-    out = np.empty((len(stack), idx.shape[1], len(reach), n, len(cols)),
+    out = np.empty((len(scales), idx.shape[1], len(reach), n, len(cols)),
                    dtype=complex)
     for l in range(n):
         out[:, :, :, l] = np.where(
@@ -206,18 +204,17 @@ def global_kraus(channels) -> list[np.ndarray]:
     return ops
 
 
-def _joint_blocks(scenarios):
-    """The joint states of a stack of scenarios that differ only in their
-    Kraus scales, on the joint rows any of them reaches: ``(reach, local,
-    rows, blocks)``, with ``reach`` and ``local`` as ``_joint_columns``
+def _joint_blocks(scenario, scales):
+    """The joint states of ``scenario`` at every row of the table
+    ``scales``, on the joint rows any row reaches: ``(reach, local, rows,
+    blocks)``, with ``reach`` and ``local`` as ``_joint_columns``
     returns them, ``rows`` the joint row of each position in ``local``, and
     blocks of shape (P, len(rows), len(rows)), symmetrized, unchecked.
 
     Only the columns of each S_i on the support ``sup`` of the input J are
     built: sum_i S_i J S_i^dag = sum_i S_i[:, sup] J[sup, sup] S_i[:, sup]^dag.
     """
-    first = scenarios[0]
-    rho, c = first.input.mat, first.control.amplitudes
+    rho, c = scenario.input.mat, scenario.control.amplitudes
     n = len(c)
     # row t*n + l of J is non-zero exactly when row t of rho and c_l are
     rho_sup, c_sup = rho.any(axis=1).nonzero()[0], c.nonzero()[0]
@@ -228,12 +225,12 @@ def _joint_blocks(scenarios):
     joint_in = (rho.take(rho_sup, 0).take(rho_sup, 1)[:, None, :, None]
                 * (c[:, None] * c.conj())[:, None, :])
     joint_in = joint_in.reshape(len(sup), len(sup))
-    reach, local, cols = _joint_columns([s.channels for s in scenarios], sup)
+    reach, local, cols = _joint_columns(scenario.channels, scales, sup)
     r, l = np.divmod(local, n)
     rows = reach[r] * n + l
     left = cols @ joint_in
     right = cols.conj().swapaxes(-1, -2)
-    blocks = np.zeros((len(scenarios), len(rows), len(rows)), dtype=complex)
+    blocks = np.zeros((len(scales), len(rows), len(rows)), dtype=complex)
     term = np.empty_like(blocks)
     # one term at a time, in multi-index order, for every point at once:
     # fusing the sum into one product would reorder it and change the
@@ -273,21 +270,13 @@ def _measure(t, keep, target_dims, basis):
         yield outcomes
 
 
-def _shared(scenario) -> tuple:
-    """What every point of a stack must share: all but the Kraus scales.
-    The unit operators and the input are cached and shared, so they are
-    compared by identity."""
-    return (id(scenario.input), scenario.control.amplitudes.tobytes(),
-            tuple(b.tobytes() for b in scenario.measurement_basis),
-            tuple((tuple(map(id, c.ops)), c.vacuum_amplitudes.tobytes())
-                  for c in scenario.channels))
-
-
-def run_stack(scenarios) -> Iterator[list[MeasurementOutcome]]:
-    """The control-measurement outcomes of each of ``scenarios``, scenarios
-    that differ only in their channels' Kraus scales (the points of one
-    spec's sweep), computed as one stack; yields one outcome list per
-    scenario, in order.
+def run_stack(scenario: SuperpositionScenario,
+              scales) -> Iterator[list[MeasurementOutcome]]:
+    """The control-measurement outcomes of ``scenario`` at every row of the
+    (P, K) table ``scales`` of Kraus scales, K running over every channel's
+    operators in channel order (a row is ``channels.scale_row``), computed
+    as one stack; yields one outcome list per row, in order. The scales
+    the scenario's channels hold are not read.
 
     The joint states are evolved together (``_joint_blocks``) and checked
     as one stack, each against its whole matrix's trace, then measured
@@ -295,30 +284,38 @@ def run_stack(scenarios) -> Iterator[list[MeasurementOutcome]]:
     probability Tr[(I (x) |b_k><b_k|) rho]; outcomes below ``ZERO_PROB``
     carry no post state, and every other post state is the normalized
     target block, built and checked by ``DensityMatrix.from_block``.
-    Each output is bitwise that of the scenario evaluated alone.
+    Each output is bitwise that of its row evaluated alone.
     """
-    scenarios = list(scenarios)
-    if len(scenarios) > 1 and len(set(map(_shared, scenarios))) > 1:
-        raise SuperpositionError("stacked scenarios differ beyond their Kraus scales")
-    first = scenarios[0]
-    reach, local, rows, blocks = _joint_blocks(scenarios)
-    d, n = first.input.dim, first.control.dim
+    k = sum(len(c.ops) for c in scenario.channels)
+    try:
+        scales = np.asarray(scales)
+    except ValueError as exc:  # ragged rows
+        raise SuperpositionError(f"scale table is not an array: {exc}") from None
+    if (scales.dtype.kind not in "fiu" or scales.ndim != 2 or not len(scales)
+            or scales.shape[1] != k):
+        raise SuperpositionError(f"scale table of {scales.dtype} and shape "
+                                 f"{scales.shape}, expected real (P, {k}), P >= 1")
+    reach, local, rows, blocks = _joint_blocks(scenario, scales)
+    d, n = scenario.input.dim, scenario.control.dim
     # each trace summed over the whole joint's diagonal, zeros in place
-    diag = np.zeros((len(scenarios), d * n), dtype=complex)
+    diag = np.zeros((len(scales), d * n), dtype=complex)
     diag[:, rows] = blocks.diagonal(axis1=1, axis2=2)
     check_densities(blocks, diag.sum(axis=-1))
     # the joints on the target rows the unit columns reach, every column kept
-    t = np.zeros((len(scenarios), len(reach) * n, d * n), dtype=complex)
+    t = np.zeros((len(scales), len(reach) * n, d * n), dtype=complex)
     t[:, local[:, None], rows] = blocks
-    t = t.reshape(len(scenarios), len(reach), n, d, n)
-    return _measure(t, reach, first.input.dims, np.array(first.measurement_basis))
+    t = t.reshape(len(scales), len(reach), n, d, n)
+    return _measure(t, reach, scenario.input.dims,
+                    np.array(scenario.measurement_basis))
 
 
 def apply(scenario: SuperpositionScenario) -> DensityMatrix:
     """Evolve rho_t (x) rho_c under the superposed channels: the joint
     state of ``run_stack``'s evolution for this one scenario, built by
-    ``DensityMatrix.from_block`` on the rows it reaches."""
-    _, _, rows, blocks = _joint_blocks([scenario])
+    ``DensityMatrix.from_block`` on the rows it reaches. No command calls
+    it; it stays because ``perfbench/tracer.py`` wraps it by name and
+    ``tests/test_tracer_names.py`` requires it."""
+    _, _, rows, blocks = _joint_blocks(scenario, scale_row(scenario.channels)[None])
     dims = scenario.input.dims + (scenario.control.dim,)
     return DensityMatrix.from_block(dims, rows, blocks[0])
 
@@ -330,6 +327,8 @@ def measure_control(joint: DensityMatrix, basis) -> list[MeasurementOutcome]:
 
     Outcome k has probability Tr[(I (x) |b_k><b_k|) rho]; its post state is
     the normalized target state after projecting the control onto |b_k>.
+    No command calls it; it stays because ``perfbench/tracer.py`` wraps it
+    by name and ``tests/test_tracer_names.py`` requires it.
     """
     basis = np.asarray(basis, dtype=complex)
     n = basis.shape[-1]
@@ -343,5 +342,5 @@ def measure_control(joint: DensityMatrix, basis) -> list[MeasurementOutcome]:
 
 def run(scenario: SuperpositionScenario) -> list[MeasurementOutcome]:
     """Evolution and control measurement of one scenario: ``run_stack``
-    on a stack of one."""
-    return next(run_stack([scenario]))
+    on its own scales."""
+    return next(run_stack(scenario, scale_row(scenario.channels)[None]))

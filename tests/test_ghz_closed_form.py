@@ -93,12 +93,24 @@ def test_ghz_sweep_matches_the_closed_form_block(family, cfg, n):
             assert abs(rec.fidelity - sqrt(0.5 + abs(m[0, 1]))) <= 1e-12, (p, q)
             purity = m[0, 0].real ** 2 + m[1, 1].real ** 2
             if block[0, 0] == 0 or block[1, 1] == 0:
-                # a product state: its purity rounds one unit below 1 and
-                # the square root of twice that unit reads 2.1e-8, so the
-                # squares are compared
-                assert rec.conc_one_vs_rest ** 2 <= 1e-12, (p, q)
+                # a product state: every one-qubit reduction has
+                # determinant 0
+                assert rec.conc_one_vs_rest == 0.0, (p, q)
             else:
                 assert abs(rec.conc_one_vs_rest
                            - sqrt(2 * (1 - purity))) <= 1e-12, (p, q)
             # every pair reduction is diag(m00, 0, 0, m11): concurrence 0
             assert 0.0 <= rec.conc_pairwise <= 1e-12, (p, q)
+
+
+def test_product_state_one_vs_rest_is_exactly_zero():
+    # at p = 0 the bit flip branch applies only I, and the amplitudes
+    # leave the plus outcome on |0...0>: a product state, whose
+    # one-vs-rest value is 0, not the square root of a purity one unit
+    # below 1 (2.1e-8)
+    cfg = VacuumConfig((np.array([0.6, 0.8, 0, 0]), np.array([0.6, 0, 0, 0.8])))
+    spec = ScenarioSpec("ghz_bitphase_n3", "ghz_bitphase", 3, cfg)
+    (rec,) = sweep(spec, [0.0], [0.5])
+    block = plus_block("ghz_bitphase", 0.0, 0.5, cfg.alpha, cfg.beta, 3)
+    assert block[1, 1] == 0
+    assert rec.conc_one_vs_rest == 0.0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from linksim.channels import BadProbabilityError
-from linksim.linalg import DensityMatrix, partial_trace
+from linksim.linalg import DensityMatrix, DimMismatchError, partial_trace
 from linksim.metrics import (
     DivisionByZeroError,
     VacuumConfig,
@@ -17,12 +17,11 @@ from linksim.metrics import (
     fid_closed_w3,
     fidelity_pure,
     fidelity_up_to_phase,
-    ghz_state,
-    uhlmann_fidelity,
     w_state,
 )
 from linksim.scenarios import PROP5_P05, ScenarioSpec, build_scenario
 from linksim.superposition import run
+from reference import ghz_state, uhlmann_fidelity
 
 S2 = 1.0 / np.sqrt(2.0)
 S3 = 1.0 / np.sqrt(3.0)
@@ -164,6 +163,13 @@ def test_avg_one_vs_rest_ghz_and_w():
     w = DensityMatrix.pure((2, 2, 2), w_state(3))
     assert avg_one_vs_rest_concurrence(w) == pytest.approx(
         2 * np.sqrt(2) / 3, abs=1e-10)
+
+
+def test_one_vs_rest_needs_qubits():
+    with pytest.raises(DimMismatchError):
+        avg_one_vs_rest_concurrence(DensityMatrix((3, 2), np.eye(6) / 6))
+    with pytest.raises(DimMismatchError):
+        avg_one_vs_rest_concurrence(DensityMatrix((3, 3), np.eye(9) / 9))
 
 
 @pytest.mark.parametrize("family, n, amps, target", [

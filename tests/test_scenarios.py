@@ -4,6 +4,11 @@ import numpy as np
 import pytest
 
 from linksim import scenarios
+from linksim.channels import (
+    BadProbabilityError,
+    depolarizing_correlated,
+    pauli_channel_correlated,
+)
 from linksim.metrics import VacuumConfig
 from linksim.superposition import run
 from linksim.scenarios import (
@@ -442,6 +447,45 @@ def test_sweep_records_come_from_evaluate_point(monkeypatch):
     records = sweep(spec, grid)
     assert calls == [(float(p), float(p), True) for p in grid]
     assert [r.fidelity for r in records] == [r.fidelity + 1.0 for r in expected]
+
+
+def test_sweep_builds_one_scenario(monkeypatch):
+    # one checked scenario per call; each point builds only its channels
+    build, channels, calls = scenarios.build_scenario, scenarios._channels, []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    spec = builtin("fig7a_green")
+    grid = np.linspace(0.0, 1.0, 2 * scenarios._CHUNK + 1)
+    expected = sweep(spec, grid, [0.3])
+    monkeypatch.setattr(scenarios, "build_scenario", counted(build))
+    monkeypatch.setattr(scenarios, "_channels", counted(channels))
+    assert _hex(sweep(spec, grid, [0.3])) == _hex(expected)
+    # build_scenario takes its own channels at the first point
+    assert calls == ["build_scenario"] + ["_channels"] * (len(grid) + 1)
+    calls.clear()
+    assert sweep(spec, []) == [] and calls == []
+
+
+def test_sweep_refuses_a_bad_point_in_a_later_chunk():
+    # the scenario is checked at the first point; a bad noise value in the
+    # second chunk still raises the channel constructor's own error
+    good = list(np.linspace(0.0, 1.0, scenarios._CHUNK + 1))
+    for constructor, name, grids in (
+            (lambda: depolarizing_correlated(1.5, 2, scenarios.PROP4_P05.alpha),
+             "fig4a_blue", (good + [1.5],)),
+            (lambda: pauli_channel_correlated((-0.5, 0, 0, 1.5), 3,
+                                              scenarios.COR2_P05.beta, (0, 3)),
+             "fig7a_blue", ([0.5], good + [1.5]))):
+        with pytest.raises(BadProbabilityError) as alone:
+            constructor()
+        with pytest.raises(BadProbabilityError) as swept:
+            sweep(builtin(name), *grids)
+        assert str(swept.value) == str(alone.value)
 
 
 def test_sweep_memory_does_not_grow_with_points():

@@ -11,10 +11,11 @@ from linksim.channels import (
     depolarizing_correlated,
     memoryless_bitflip,
     pauli_channel_correlated,
+    scale_row,
     unitary_channel,
 )
 from linksim import superposition
-from linksim.linalg import DensityMatrix, partial_trace
+from linksim.linalg import DensityMatrix, NonHermitianError, partial_trace
 from linksim.scenarios import (
     PROP5_P05,
     ScenarioSpec,
@@ -36,6 +37,7 @@ from linksim.superposition import (
     run_stack,
     uniform_control,
 )
+from reference import channel_apply
 
 S2 = 1.0 / np.sqrt(2.0)
 
@@ -183,7 +185,7 @@ def test_branch_control_reduces_to_single_channel():
         e[l] = 1.0
         scen = SuperpositionScenario(channels, inp, ControlState(e), pm_basis())
         reduced = partial_trace(apply(scen), [0])
-        assert np.allclose(reduced.mat, channels[l].apply(rho), atol=1e-12)
+        assert np.allclose(reduced.mat, channel_apply(channels[l], rho), atol=1e-12)
 
 
 def test_measurement_probabilities_sum_to_one():
@@ -327,7 +329,8 @@ def test_joint_columns_equal_the_dense_kraus_gather(name):
         channels = build_scenario(BUILTIN_SPECS[name], p).channels
         n = len(channels)
         cols = np.arange(channels[0].dim * n)
-        reach, local, scaled = superposition._joint_columns([channels], cols)
+        reach, local, scaled = superposition._joint_columns(
+            channels, scale_row(channels)[None], cols)
         gathered = dense_joint_columns(channels, cols)
         rows = reach[local // n] * n + local % n
         assert _bitwise_equal(scaled[0], gathered[:, rows]), p
@@ -414,13 +417,25 @@ def test_apply_matches_dense_reference_on_random_channels(seed, count, kind):
     assert_measure_matches_dense_projection(joint, scen.measurement_basis)
 
 
-def test_run_stack_refuses_scenarios_that_differ_beyond_their_scales():
-    a = build_scenario(BUILTIN_SPECS["fig4a_red"], 0.3)
-    b = build_scenario(BUILTIN_SPECS["fig4a_blue"], 0.3)  # other amplitudes
-    with pytest.raises(SuperpositionError):
-        run_stack([a, b])
-    with pytest.raises(SuperpositionError):
-        run_stack([a, build_scenario(BUILTIN_SPECS["fig7a_red"], 0.3)])
+def test_run_stack_refuses_a_badly_shaped_scale_table():
+    # one row per point and one column per Kraus operator of every channel
+    scenario = build_scenario(BUILTIN_SPECS["fig4a_red"], 0.3)
+    row = scale_row(scenario.channels)
+    assert row.shape == (8,)
+    for table in ([], np.empty((0, 8)), row, row[None, None], row[None, :7],
+                  np.hstack([row, row])[None], [row, row[:7]], [row * 1j],
+                  [["1"] * 8]):
+        with pytest.raises(SuperpositionError):
+            run_stack(scenario, table)
+    assert len(list(run_stack(scenario, [row, row]))) == 2
+
+
+def test_run_stack_nan_scale_fails_the_density_check():
+    scenario = build_scenario(BUILTIN_SPECS["fig4a_red"], 0.3)
+    table = np.array([scale_row(scenario.channels)] * 3)
+    table[1, 2] = np.nan
+    with pytest.raises(NonHermitianError):
+        run_stack(scenario, table)
 
 
 def _random_unitary(rng, d):
@@ -431,8 +446,9 @@ def _random_unitary(rng, d):
 @pytest.mark.parametrize("seed", range(8))
 def test_run_stack_equals_run_on_random_scaled_channels(seed):
     # dense random unitaries as unit operators, random Kraus weights per
-    # point (some zero), random amplitudes, mixed inputs and controls: the
-    # stack gives every point's outcomes bitwise as that point alone
+    # point (some zero), random amplitudes, mixed inputs and controls: one
+    # scenario and a table of the points' scales give every point's
+    # outcomes bitwise as that point alone
     rng = np.random.default_rng(seed)
     d, count = int(rng.choice([2, 4])), int(rng.integers(2, 4))
     ops = [tuple(_random_unitary(rng, d) for _ in range(rng.integers(1, 4)))
@@ -452,7 +468,12 @@ def test_run_stack_equals_run_on_random_scaled_channels(seed):
             w = w / w.sum() if w.any() else np.eye(len(channel_ops))[0]
             channels.append(VacuumExtendedChannel(channel_ops, a, np.sqrt(w)))
         scenarios.append(SuperpositionScenario(tuple(channels), rho, control, basis))
-    for stacked, scenario in zip(run_stack(scenarios), scenarios):
+    # the stacked scenario's own scales (ones) are not read
+    unit = SuperpositionScenario(tuple(VacuumExtendedChannel(channel_ops, a)
+                                       for channel_ops, a in zip(ops, amps)),
+                                 rho, control, basis)
+    table = [scale_row(scenario.channels) for scenario in scenarios]
+    for stacked, scenario in zip(run_stack(unit, table), scenarios, strict=True):
         alone = run(scenario)
         assert [o.probability for o in stacked] == [o.probability for o in alone]
         for s, a in zip(stacked, alone):

@@ -14,8 +14,8 @@ The digests cover:
 - ``run``: probabilities and post states, and ``apply``'s joint state, for
   every builtin at p in {0, .13, .5, .77, 1} x q in {0, .31, 1};
 - ``sweep``: every builtin's 7 x 5 grid records;
-- ``run_stack``: 21-point stacks of larger inline specs and seeded random
-  configs, with ``measure_control(apply(s))`` on every fifth point;
+- ``run_stack``: 21-point scale tables of larger inline specs and seeded
+  random configs, with ``measure_control(apply(s))`` on every fifth point;
 - ``_fixed_noise_objective``: its values at seeded proposals;
 - ``optimize --p 0.5 --restarts 4``: the JSON of five specs at seeds 7 and 11.
 """
@@ -29,6 +29,7 @@ import io
 import numpy as np
 
 from linksim import cli, scenarios
+from linksim.channels import scale_row
 from linksim.metrics import VacuumConfig
 from linksim.scenarios import ScenarioSpec, build_scenario, builtin, builtin_names
 from linksim.superposition import apply, measure_control, run, run_stack
@@ -93,7 +94,8 @@ def stack_digest() -> str:
     ps = np.linspace(0, 1, 21)
     for spec in stack_specs():
         stack = [build_scenario(spec, p, 1.0 - p) for p in ps]
-        for outcomes in run_stack(stack):
+        scales = [scale_row(scenario.channels) for scenario in stack]
+        for outcomes in run_stack(stack[0], scales):
             _outcomes(h, outcomes)
         for scenario in stack[::5]:
             joint = apply(scenario)
