@@ -119,7 +119,7 @@ def _spec_from_config(cfg: dict) -> ScenarioSpec:
             if vectors is None:
                 vectors = [scen["alpha"], scen["beta"]]
             spec = ScenarioSpec(
-                name=scen.get("name", "custom"),
+                name=_kind(scen.get("name", "custom"), "name", str, "a string"),
                 family=scen["family"],
                 n=_number(scen.get("n", 2), "n", 2, integer=True),
                 config=VacuumConfig(tuple(np.asarray(v, float) for v in vectors)),

@@ -270,8 +270,9 @@ def build_scenario(spec: ScenarioSpec, p: float,
     """Instantiate channels, control and basis for a spec at noise (p, q).
 
     ``q`` defaults to ``p``; ``w_memoryless`` sets every channel to ``p``
-    and ideal families ignore the noise. Every check here but those of the
-    channel constructors (``_channels``) holds at any noise point.
+    and ideal families ignore the noise; ``plus_only`` measures only outcome
+    0, |+> (|0~> for W). Every check here but those of the channel
+    constructors (``_channels``) holds at any noise point.
     """
     n = spec.n
     # reject before building 2^n x 2^n Kraus operators; a huge n never
@@ -289,8 +290,9 @@ def build_scenario(spec: ScenarioSpec, p: float,
         control, basis = uniform_control(n), fourier_basis(n)
     else:
         control, basis = plus_control(), pm_basis()
+    keep = 1 if spec.outcome_policy == "plus_only" else None
     return SuperpositionScenario(_channels(spec, p, p if q is None else q),
-                                 _zero_input(n), control, basis)
+                                 _zero_input(n), control, basis[:keep])
 
 
 def _channels(spec: ScenarioSpec, p: float, q: float):
@@ -360,15 +362,13 @@ _CHUNK = 32
 
 def evaluate_point(spec: ScenarioSpec, p: float, q: float, *,
                    emit_oracle: bool = True, _outcomes=None) -> list[SweepRecord]:
-    """All reported outcome records for a spec at one noise point.
+    """One record per non-zero outcome a spec measures at one noise point.
 
     ``sweep`` passes the point's outcomes from its stacked evaluation as
     ``_outcomes``; without them the point is built and run alone, with
     bitwise the same outcomes.
     """
     outcomes = _outcomes if _outcomes is not None else run(build_scenario(spec, p, q))
-    if spec.outcome_policy == "plus_only":
-        outcomes = outcomes[:1]
     records = []
     for out in outcomes:
         if out.post_state is None:

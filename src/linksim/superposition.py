@@ -10,7 +10,7 @@ i.e. branch l applies channel l's Kraus operator weighted by the vacuum
 amplitudes of every channel that is *not* traversed. For N = 2 this is the
 familiar  b_j F_i (x) |0><0| + a_i N_j (x) |1><1|  construction. The joint
 state sum_i S_i (rho_t (x) rho_c) S_i^dag is trace one, and measuring the
-control in an orthonormal basis projects the target.
+control on 1 to N orthonormal vectors (the outcomes) projects the target.
 
 ``run_stack`` is the one evaluation core: it evolves and measures one
 scenario at every row of a table of Kraus scales, such as the points of
@@ -95,7 +95,7 @@ def fourier_basis(n: int) -> tuple[np.ndarray, ...]:
 
 @dataclass(frozen=True)
 class SuperpositionScenario:
-    """One experiment: channels, target input, control, measurement basis."""
+    """One experiment: channels, target input, control, measured outcomes."""
 
     channels: tuple[VacuumExtendedChannel, ...]
     input: DensityMatrix
@@ -115,12 +115,12 @@ class SuperpositionScenario:
         if self.input.dim != d:
             raise DimMismatchError("input state does not match channel dimension")
         n = len(channels)
-        if self.control.dim != n or len(basis) != n:
-            raise DimMismatchError(
-                "channel count, control dimension and basis size must agree"
-            )
+        if (self.control.dim != n or not 1 <= len(basis) <= n
+                or any(b.shape != (n,) for b in basis)):
+            raise DimMismatchError(f"{n} channels need a control of dimension "
+                                   f"{n} and 1 to {n} basis vectors of length {n}")
         b = np.array(basis)
-        if not np.max(np.abs(b.conj() @ b.T - np.eye(n))) <= 1e-10:  # NaN fails
+        if not np.max(np.abs(b.conj() @ b.T - np.eye(len(b)))) <= 1e-10:  # NaN fails
             raise SuperpositionError("measurement basis is not orthonormal")
         if d * n > JOINT_DIM_CAP:
             raise SuperpositionError(

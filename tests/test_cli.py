@@ -398,6 +398,12 @@ BAD_INPUTS = {
         argv, {"scenario": {"family": "bell_depolarizing",
                             "amps": [[1, 0, 0, 0]]}}, 2)
        for argv in (["sweep"], ["optimize", "--p", "0.5"])},
+    # an inline name is printed and written to JSON as given
+    **{f"{argv[0]}_inline_name_not_a_string": (
+        argv, {"scenario": {"family": "bell_depolarizing",
+                            "name": [1, {"a": None}],
+                            "amps": [[1, 0, 0, 0], [1, 0, 0, 0]]}}, 2)
+       for argv in (["sweep"], ["optimize", "--p", "0.5"])},
     "ghz_bitphase_extra_amplitude_vector": (
         ["sweep"], {"scenario": {"family": "ghz_bitphase", "n": 3,
                                  "amps": [[0, 1, 0, 0], [0, 0, 0, 1],

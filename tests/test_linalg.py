@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -355,9 +356,12 @@ def test_partial_traces_equal_trace_loop(n):
 
 
 def test_partial_traces_equal_trace_loop_on_post_states():
-    scenarios = [build_scenario(builtin(name), p)
-                 for name in builtin_names() for p in (0.0, 0.3, 1.0)]
-    spec = ScenarioSpec("ghz_depolarizing8", "ghz_depolarizing", 8, PROP5_P05)
+    # every outcome, not only those a plus_only spec reports
+    every = [replace(builtin(name), outcome_policy="all_outcomes")
+             for name in builtin_names()]
+    scenarios = [build_scenario(spec, p) for spec in every for p in (0.0, 0.3, 1.0)]
+    spec = ScenarioSpec("ghz_depolarizing8", "ghz_depolarizing", 8, PROP5_P05,
+                        outcome_policy="all_outcomes")
     scenarios.append(build_scenario(spec, 0.3))
     checked = 0
     for scenario in scenarios:
@@ -365,7 +369,7 @@ def test_partial_traces_equal_trace_loop_on_post_states():
             if outcome.post_state is not None:
                 _assert_equal_trace_loop(outcome.post_state)
                 checked += 1
-    assert checked > 3 * len(builtin_names())
+    assert checked >= 326
 
 
 def test_partial_traces_mixed_dims_need_one_layout():

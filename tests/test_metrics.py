@@ -180,7 +180,8 @@ def test_one_vs_rest_needs_qubits():
 def test_avg_pairwise_equals_per_pair_sum(family, n, amps, target):
     # one stacked call for all pairs, added in pair order, must give the
     # bits of one concurrence call per pair
-    spec = ScenarioSpec(f"{family}{n}", family, n, VacuumConfig(amps))
+    spec = ScenarioSpec(f"{family}{n}", family, n, VacuumConfig(amps),
+                        outcome_policy="all_outcomes")
     states = [o.post_state for p in (0.0, 0.3, 0.6, 1.0)
               for o in run(build_scenario(spec, p)) if o.post_state is not None]
     states.append(DensityMatrix.pure((2,) * n, target(n)))

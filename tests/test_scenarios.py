@@ -1,3 +1,4 @@
+import sys
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from linksim.channels import (
     depolarizing_correlated,
     pauli_channel_correlated,
 )
+from linksim.linalg import DensityMatrix
 from linksim.metrics import VacuumConfig
 from linksim.superposition import run
 from linksim.scenarios import (
@@ -469,6 +471,22 @@ def test_sweep_builds_one_scenario(monkeypatch):
     assert calls == ["build_scenario"] + ["_channels"] * (len(grid) + 1)
     calls.clear()
     assert sweep(spec, []) == [] and calls == []
+
+
+def test_plus_only_sweep_builds_one_post_state_per_point(monkeypatch):
+    # the scenario measures only the reported outcome: an n = 8 GHZ sweep
+    # builds one post state per point, not one per basis vector
+    original, callers = DensityMatrix.from_block.__func__, []
+
+    def counted(cls, *args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(cls, *args)
+
+    monkeypatch.setattr(DensityMatrix, "from_block", classmethod(counted))
+    spec = ScenarioSpec("ghz8", "ghz_depolarizing", 8, PROP5_P05)
+    assert spec.outcome_policy == "plus_only"
+    assert len(sweep(spec, np.linspace(0.0, 1.0, 55))) == 55
+    assert callers.count("_measure") == 55
 
 
 def test_sweep_refuses_a_bad_point_in_a_later_chunk():

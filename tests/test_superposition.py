@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import product
 from math import prod
 
@@ -15,7 +16,12 @@ from linksim.channels import (
     unitary_channel,
 )
 from linksim import superposition
-from linksim.linalg import DensityMatrix, NonHermitianError, partial_trace
+from linksim.linalg import (
+    DensityMatrix,
+    DimMismatchError,
+    NonHermitianError,
+    partial_trace,
+)
 from linksim.scenarios import (
     PROP5_P05,
     ScenarioSpec,
@@ -225,6 +231,29 @@ def test_scenario_validation():
         SuperpositionScenario((ch, ch), inp, plus_control(), bad_basis)
 
 
+def test_scenario_measures_one_to_n_orthonormal_vectors_of_length_n():
+    # the basis is the set of outcomes computed, outcome k on vector k: a
+    # count outside 1..n or a vector not of length n is a dimension error
+    # (ragged and too-long vectors once escaped as numpy errors), a set
+    # that is not orthonormal a superposition error
+    rng = np.random.default_rng(17)
+    ch = random_channel(rng)
+    inp = DensityMatrix((2,), random_density(rng, 2))
+    plus, minus = pm_basis()
+    every = run(SuperpositionScenario((ch, ch), inp, plus_control(), (plus, minus)))
+    for k, b in enumerate((plus, minus)):
+        (out,) = run(SuperpositionScenario((ch, ch), inp, plus_control(), (b,)))
+        assert (out.outcome_index, out.probability) == (0, every[k].probability)
+    for basis in ((), (plus, minus, plus), ([1, 0], [0, 1, 0]),
+                  ([1, 0, 0], [0, 1, 0]), ([[1, 0]],)):
+        with pytest.raises(DimMismatchError):
+            SuperpositionScenario((ch, ch), inp, plus_control(), basis)
+    for basis in (([1, 0], [1, 0]), ([2, 0],), ([np.nan, 0],),
+                  (plus, [np.nan, 1])):
+        with pytest.raises(SuperpositionError):
+            SuperpositionScenario((ch, ch), inp, plus_control(), basis)
+
+
 def test_measure_control_dim_mismatch():
     rng = np.random.default_rng(16)
     channels = (random_channel(rng), random_channel(rng))
@@ -370,7 +399,7 @@ def _random_input(rng, d, kind):
 def assert_measure_matches_dense_projection(joint, basis):
     """Every outcome of ``measure_control`` against the literal projection
     (I (x) <b_k|) rho (I (x) |b_k>), to 1e-12."""
-    d = joint.dim // len(basis)
+    d = joint.dim // len(basis[0])
     for out, b in zip(measure_control(joint, basis), basis):
         bra = np.kron(np.eye(d), b.conj()[None, :])
         block = bra @ joint.mat @ bra.conj().T
@@ -384,11 +413,28 @@ def assert_measure_matches_dense_projection(joint, basis):
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_SPECS))
 def test_measure_control_equals_dense_projection_on_builtins(name):
-    spec = BUILTIN_SPECS[name]
+    # every outcome, not only those a plus_only spec reports
+    spec = replace(BUILTIN_SPECS[name], outcome_policy="all_outcomes")
     for p, q in ((0.0, 0.31), (0.5, 0.5), (0.77, 1.0)):
         scen = build_scenario(spec, p, q)
         assert_measure_matches_dense_projection(apply(scen),
                                                 scen.measurement_basis)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SPECS))
+def test_plus_only_run_is_outcome_0_of_every_outcome_bitwise(name):
+    # a plus_only scenario measures outcome 0 alone, bit for bit as the
+    # first of every outcome
+    plus = replace(BUILTIN_SPECS[name], outcome_policy="plus_only")
+    every = replace(plus, outcome_policy="all_outcomes")
+    for p, q in ((0.0, 0.31), (0.13, 1.0), (0.5, 0.5), (0.77, 0.0), (1.0, 1.0)):
+        (alone,) = run(build_scenario(plus, p, q))
+        first = run(build_scenario(every, p, q))[0]
+        assert alone.outcome_index == first.outcome_index == 0
+        assert alone.probability.hex() == first.probability.hex()
+        assert (alone.post_state is None) == (first.post_state is None)
+        if first.post_state is not None:
+            assert alone.post_state.mat.tobytes() == first.post_state.mat.tobytes()
 
 
 @PROPERTY

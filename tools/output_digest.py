@@ -6,13 +6,17 @@ Run from the root of a source checkout, with no arguments:
 
 Each line is ``<name> <sha256>``. Arrays are hashed over their raw bytes and
 floats as ``float.hex``, so a change that only flips the sign of a zero
-changes a digest. Two checkouts whose outputs are byte-identical print the
-same lines; point ``PYTHONPATH`` at the other checkout's ``src`` to compare.
+changes a digest. Only the outcomes a spec reports are hashed, outcome 0
+for ``plus_only`` and every outcome for ``all_outcomes``, whether or not
+the program computes the others. Two checkouts whose reported outputs are
+byte-identical print the same lines; point ``PYTHONPATH`` at the other
+checkout's ``src`` to compare.
 
 The digests cover:
 
-- ``run``: probabilities and post states, and ``apply``'s joint state, for
-  every builtin at p in {0, .13, .5, .77, 1} x q in {0, .31, 1};
+- ``run``: the reported probabilities and post states, and ``apply``'s
+  joint state, for every builtin at p in {0, .13, .5, .77, 1} x q in
+  {0, .31, 1};
 - ``sweep``: every builtin's 7 x 5 grid records;
 - ``run_stack``: 21-point scale tables of larger inline specs and seeded
   random configs, with ``measure_control(apply(s))`` on every fifth point;
@@ -37,19 +41,20 @@ from linksim.superposition import apply, measure_control, run, run_stack
 _S2 = 1.0 / np.sqrt(2.0)
 
 
-def _outcomes(h, outcomes) -> None:
-    for out in outcomes:
+def _outcomes(h, spec, outcomes) -> None:
+    """Hash the outcomes that ``spec`` reports."""
+    for out in outcomes[:1] if spec.outcome_policy == "plus_only" else outcomes:
         h.update(f"{out.outcome_index} {out.probability.hex()};".encode())
         h.update(b"none" if out.post_state is None else out.post_state.mat.tobytes())
 
 
 def run_digest() -> str:
     h = hashlib.sha256()
-    for name in builtin_names():
+    for spec in map(builtin, builtin_names()):
         for p in (0.0, 0.13, 0.5, 0.77, 1.0):
             for q in (0.0, 0.31, 1.0):
-                scenario = build_scenario(builtin(name), p, q)
-                _outcomes(h, run(scenario))
+                scenario = build_scenario(spec, p, q)
+                _outcomes(h, spec, run(scenario))
                 h.update(apply(scenario).mat.tobytes())
     return h.hexdigest()
 
@@ -96,11 +101,11 @@ def stack_digest() -> str:
         stack = [build_scenario(spec, p, 1.0 - p) for p in ps]
         scales = [scale_row(scenario.channels) for scenario in stack]
         for outcomes in run_stack(stack[0], scales):
-            _outcomes(h, outcomes)
+            _outcomes(h, spec, outcomes)
         for scenario in stack[::5]:
             joint = apply(scenario)
             h.update(joint.mat.tobytes())
-            _outcomes(h, measure_control(joint, scenario.measurement_basis))
+            _outcomes(h, spec, measure_control(joint, scenario.measurement_basis))
     return h.hexdigest()
 
 
