@@ -79,7 +79,8 @@ def sqrt_psd(m: np.ndarray) -> np.ndarray:
     lowest = vals[..., -1].min()
     if lowest < -PSD_TOL:
         raise NegativeEigenvalueError(f"matrix has negative eigenvalue {lowest:.3e}")
-    vals = np.clip(vals, 0.0, None)
+    # what np.clip(vals, 0.0, None) computes, without its Python wrapper
+    vals = np.maximum(vals, 0.0)
     return (vecs * np.sqrt(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
@@ -110,59 +111,97 @@ def check_densities(mats: np.ndarray, traces) -> None:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Density matrix together with its ordered subsystem dimensions.
+    """Density matrix together with its ordered subsystem dimensions, held
+    on its support: ``block`` is the matrix on the rows and columns
+    ``support`` (distinct indices into the ``dim``-square matrix), and every
+    other entry is zero. Both are read-only.
 
-    ``DensityMatrix(dims, mat)`` checks the whole matrix with
-    ``check_densities``. ``DensityMatrix.from_block(dims, support, block)``
-    builds a matrix that is zero outside the rows and columns ``support``
-    and checks only ``block``.
+    ``DensityMatrix(dims, mat)`` holds the whole matrix as the block, on
+    every row. ``DensityMatrix.from_block(dims, support, block)`` holds
+    ``block`` on ``support`` and allocates no ``dim``-square array. Either
+    way the block is checked with ``check_densities`` against the whole
+    matrix's trace, which is exact: every entry off the block is a zero.
+    ``mat`` forms the whole matrix on its first request.
     """
 
     dims: tuple[int, ...]
-    mat: np.ndarray
+    block: np.ndarray
+    support: np.ndarray | None = None
 
     HERM_TOL = 1e-12
     TRACE_TOL = 1e-12
     EIG_TOL = 1e-10
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        mat = np.asarray(self.mat, dtype=complex)
-        object.__setattr__(self, "mat", mat)
-        if mat.shape != (self.dim, self.dim):
-            raise DimMismatchError(
-                f"matrix shape {mat.shape} does not match dims {self.dims}"
-            )
-        check_densities(mat, mat.trace())
+        dims = tuple(map(int, self.dims))
+        dim = prod(dims)
+        block = np.asarray(self.block)
+        if self.support is None:
+            if block.shape != (dim, dim):
+                raise DimMismatchError(
+                    f"matrix shape {block.shape} does not match dims {dims}")
+            support = np.arange(dim)
+        else:
+            support = np.asarray(self.support)
+            if support.ndim != 1 or block.shape != (len(support),) * 2:
+                raise DimMismatchError(
+                    f"block {block.shape} on support of shape {support.shape}")
+            rows = support.tolist()
+            if rows and (support.dtype.kind not in "iu" or min(rows) < 0
+                         or max(rows) >= dim or len(set(rows)) < len(rows)):
+                raise BadIndexError(
+                    f"support {rows} is not distinct rows in 0..{dim - 1}")
+        # a read-only support is held as given, any other one copied
+        if support.dtype != np.intp or support.flags.writeable:
+            support = support.astype(np.intp)
+            support.setflags(write=False)
+        block = np.array(block, dtype=complex)
+        block.setflags(write=False)
+        self.__dict__.update(dims=dims, block=block, support=support)
+        # the whole matrix's diagonal, zeros in place, so the sum rounds as
+        # its trace
+        diag = np.zeros(dim, dtype=complex)
+        diag[support] = block.diagonal()
+        check_densities(block, diag.sum())
 
     @property
     def dim(self) -> int:
         return prod(self.dims)
 
+    @property
+    def mat(self) -> np.ndarray:
+        """The whole matrix, the block placed into zeros: formed on the
+        first request and kept, read-only."""
+        if "_mat" not in self.__dict__:
+            mat = np.zeros((self.dim,) * 2, dtype=complex)
+            mat[self.support[:, None], self.support] = self.block
+            mat.setflags(write=False)
+            object.__setattr__(self, "_mat", mat)
+        return self._mat
+
+    def entries(self, rows, cols) -> list:
+        """``mat[i, j]`` for each pair ``i, j`` of ``rows`` and ``cols``
+        (indices in ``0..dim-1``), read from the block."""
+        at = self.support.tolist()
+        return [self.block.item(at.index(i), at.index(j)) if i in at and j in at
+                else 0j for i, j in zip(rows, cols)]
+
     @classmethod
     def from_block(cls, dims, support, block: np.ndarray) -> "DensityMatrix":
         """The density matrix that is ``block`` on the rows and columns
-        ``support`` (distinct indices) and zeros placed here elsewhere, so
-        checking the block against the whole matrix's trace is exact."""
-        block = np.asarray(block, dtype=complex)
-        if block.shape != (len(support),) * 2:
-            raise DimMismatchError(f"block {block.shape} on {len(support)} rows")
-        support = np.asarray(support, dtype=np.intp)
-        mat = np.zeros((prod(dims),) * 2, dtype=complex)
-        mat[support[:, None], support] = block
-        check_densities(block, mat.trace())
-        # past __post_init__, whose whole-matrix check this one replaces
-        rho = object.__new__(cls)
-        rho.__dict__.update(dims=tuple(int(k) for k in dims), mat=mat)
-        return rho
+        ``support`` (distinct indices) and zero elsewhere."""
+        return cls(dims, block, support)
 
     @classmethod
     def pure(cls, dims, vector: np.ndarray) -> "DensityMatrix":
-        """Density matrix of a (normalized) pure state vector."""
+        """Density matrix of a state vector, normalized here."""
         v = np.asarray(vector, dtype=complex)
         if v.shape != (prod(dims),):
             raise DimMismatchError(f"vector {v.shape} does not match dims {dims}")
-        v = v / np.linalg.norm(v)
+        norm = float(np.linalg.norm(v))
+        if not 0.0 < norm < np.inf:  # NaN fails
+            raise LinalgError(f"cannot normalize a state vector of norm {norm!r}")
+        v = v / norm
         support = v.nonzero()[0]
         return cls.from_block(dims, support, np.outer(v[support], v[support].conj()))
 
@@ -194,16 +233,22 @@ def partial_traces(rho: DensityMatrix, keeps) -> np.ndarray:
     qubit, ``np.trace`` over one axis pair is the single addition
     ``x0 + x1``, and tracing the dropped subsystems out one by one from the
     highest index down performs the same additions in the same order, so
-    every entry is bitwise that loop's, signed zeros included. The whole
-    stack is checked once with ``check_densities``.
+    every entry is bitwise that loop's, signed zeros included. The gather
+    reads the block padded with a zero row and column, so an entry off the
+    support is the zero ``mat`` holds there, and ``mat`` is never formed.
+    The whole stack is checked once with ``check_densities``.
     """
     n = len(rho.dims)
     keeps = tuple(map(tuple, keeps))
     for keep in keeps:
         if keep and (min(keep) < 0 or max(keep) >= n):
             raise BadIndexError(f"keep={list(keep)} outside subsystems 0..{n - 1}")
-    traced, kept, traced_dims = _reduction_offsets(rho.dims, keeps)
-    x = rho.mat.take(traced + kept)
+    index, traced_dims = _reduction_index(rho.dims, tuple(rho.support.tolist()),
+                                          keeps)
+    s = len(rho.support)
+    padded = np.zeros((s + 1, s + 1), dtype=complex)
+    padded[:s, :s] = rho.block
+    x = padded.take(index)
     for dt in traced_dims:
         x = x.reshape((dt, -1) + x.shape[1:])
         total = x[0]
@@ -215,16 +260,21 @@ def partial_traces(rho: DensityMatrix, keeps) -> np.ndarray:
     return out
 
 
-# bounded like ``channels.pauli_string``: one entry per (dims, keeps) in use
+# bounded like ``channels.pauli_string``: one entry per (dims, support,
+# keeps) in use; a sweep's post states share one support
 @lru_cache(maxsize=32)
-def _reduction_offsets(dims: tuple[int, ...], keeps: tuple[tuple, ...]):
-    """The two read-only parts of the flat indices, into the
-    ``prod(dims)``-square matrix, of the entries each reduction sums over:
-    ``traced + kept`` has shape ``(T, len(keeps), d, d)``, with ``traced``
-    ``(T, len(keeps), 1, 1)`` and ``kept`` ``(len(keeps), d, d)``. Also the
-    traced dimensions, highest subsystem first, which are the digits of the
-    leading axis from the most significant. Only the parts are kept: the
-    whole index is as large as the gather and would stay resident."""
+def _reduction_index(dims: tuple[int, ...], support: tuple[int, ...],
+                     keeps: tuple[tuple, ...]):
+    """The flat indices, into the block of a state on ``support`` padded
+    with a zero row and column, of the entries each reduction sums over,
+    shape ``(T, len(keeps), d, d)``; also the traced dimensions, highest
+    subsystem first, which are the digits of the leading axis from the
+    most significant.
+
+    Entry ``[t, k, a, b]`` is ``mat[t + a', t + b']``, with ``t`` the
+    offset of the traced multi-index and ``a'``, ``b'`` those of the kept
+    ones, mapped to its place in the block, or to the pad zero when its row
+    or column is off the support."""
     n = len(dims)
     keeps = [sorted({int(k) for k in keep}) for keep in keeps]
     drops = [[q for q in reversed(range(n)) if q not in keep] for keep in keeps]
@@ -244,11 +294,10 @@ def _reduction_offsets(dims: tuple[int, ...], keeps: tuple[tuple, ...]):
         at = np.array(subsystems, dtype=np.intp).reshape(len(keeps), len(sub_dims))
         return strides[at] @ digits
 
-    size = prod(dims)
-    kept = offsets(keeps, kept_dims)
-    kept = kept[:, :, None] * size + kept[:, None, :]
-    traced = (size + 1) * np.ascontiguousarray(offsets(drops, traced_dims).T)
-    traced = traced[:, :, None, None]
-    for part in (traced, kept):
-        part.flags.writeable = False
-    return traced, kept, traced_dims
+    # (T, len(keeps), d): the row of mat of each traced and kept multi-index
+    rows = offsets(drops, traced_dims).T[:, :, None] + offsets(keeps, kept_dims)
+    at = np.full(prod(dims), len(support), dtype=np.intp)
+    at[list(support)] = np.arange(len(support))
+    at = at[rows]
+    # left writable: ``take`` copies a read-only index before every gather
+    return at[..., :, None] * (len(support) + 1) + at[..., None, :], traced_dims

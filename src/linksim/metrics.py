@@ -11,6 +11,7 @@ folded through the symmetrization a_i b_j -> (a_i* b_j + a_i b_j*) / 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import sqrt
 
@@ -35,14 +36,22 @@ class DivisionByZeroError(LinksimError, ZeroDivisionError):
 # target states
 
 
+# The targets are built once per argument list and shared, so they are
+# read-only; every record and objective call scores against one of them.
+
+
+@lru_cache(maxsize=8)
 def bell_state(sign: int = +1) -> np.ndarray:
     """|Phi+-> = (|00> +- |11>) / sqrt(2)."""
     v = np.zeros(4, dtype=complex)
     v[0] = 1.0
     v[3] = sign
-    return v / np.sqrt(2.0)
+    v = v / np.sqrt(2.0)
+    v.setflags(write=False)
+    return v
 
 
+@lru_cache(maxsize=64)
 def w_state(n: int, outcome: int = 0) -> np.ndarray:
     """n-qubit W state, phase-corrected for Fourier control outcome ``outcome``.
 
@@ -53,7 +62,9 @@ def w_state(n: int, outcome: int = 0) -> np.ndarray:
     v = np.zeros(2**n, dtype=complex)
     for l in range(n):
         v[1 << (n - 1 - l)] = omega ** (-outcome * l)
-    return v / np.sqrt(n)
+    v = v / np.sqrt(n)
+    v.setflags(write=False)
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +72,11 @@ def w_state(n: int, outcome: int = 0) -> np.ndarray:
 
 
 def fidelity_pure(rho: DensityMatrix, target) -> float:
-    """sqrt(<psi|rho|psi>) against a pure target state."""
+    """sqrt(<psi|rho|psi>) against a pure target state.
+
+    Reads the whole ``mat``: the same product on the block and the
+    target's entries on the support rounds differently in the last bit.
+    """
     psi = np.asarray(target)
     if rho.dim != len(psi):
         raise DimMismatchError("state and target dimensions differ")
@@ -74,13 +89,14 @@ def fidelity_up_to_phase(rho: DensityMatrix, n: int) -> tuple[float, float]:
 
     Maximizes fid against (|0>^n + e^{i phi} |1>^n)/sqrt(2); the maximum is
     attained at phi = -arg rho[0, last] and only involves the extreme
-    populations and the single extreme off-diagonal element.
+    populations and the single extreme off-diagonal element, which are
+    read from the block.
     """
     if rho.dim != 2**n:
         raise DimMismatchError(f"state is not {n}-qubit")
-    m = rho.mat
-    coh = m[0, -1]
-    val = 0.5 * (m[0, 0].real + m[-1, -1].real) + abs(coh)
+    end = rho.dim - 1
+    first, last, coh = rho.entries([0, end, 0], [0, end, end])
+    val = 0.5 * (first.real + last.real) + abs(coh)
     phi = float(-np.angle(coh)) if abs(coh) > 0 else 0.0
     return sqrt(min(max(val, 0.0), 1.0)), phi
 
@@ -107,7 +123,8 @@ def _concurrences(rho: np.ndarray) -> list[float]:
     r = sqrt_psd(rho)
     m = r @ rho_tilde @ r
     vals, _ = eig_hermitian((m + m.conj().swapaxes(-1, -2)) / 2.0, tol=1e-8)
-    vals = np.clip(vals, 0.0, None)
+    # what np.clip(vals, 0.0, None) computes, without its Python wrapper
+    vals = np.maximum(vals, 0.0)
     # eigenvalues at the numerical noise floor would each contribute
     # sqrt(eps) ~ 1e-8 after the square root; treat them as exact zeros
     vals[vals < 1e-12 * np.maximum(vals[:, :1], 1e-30)] = 0.0

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
+from math import sqrt
 
 import numpy as np
 
@@ -239,13 +240,11 @@ def builtin_names() -> list[str]:
 # before it asks, so the cache stays small
 @lru_cache(maxsize=None)
 def _zero_input(n: int) -> DensityMatrix:
-    """|0...0><0...0| on n qubits, cached and shared, so its matrix is
-    read-only."""
+    """|0...0><0...0| on n qubits, cached and shared, which is safe as a
+    ``DensityMatrix`` is read-only."""
     v = np.zeros(2**n, dtype=complex)
     v[0] = 1.0
-    rho = DensityMatrix.pure((2,) * n, v)
-    rho.mat.flags.writeable = False
-    return rho
+    return DensityMatrix.pure((2,) * n, v)
 
 
 def _free_slots(family: str, n: int) -> list[np.ndarray]:
@@ -446,11 +445,13 @@ def _amplitudes(slots: list[np.ndarray], x: np.ndarray) -> list[np.ndarray] | No
     each block is projected onto the unit sphere and scattered into its
     mask. Returns None when a block has vanishing norm.
     """
+    x = np.asarray(x, dtype=float)
     vectors, start = [], 0
     for mask in slots:
         part = x[start:start + np.count_nonzero(mask)]
         start += len(part)
-        norm = np.linalg.norm(part)
+        # np.linalg.norm's own sum and root, without its argument handling
+        norm = sqrt(part.dot(part))
         if norm < 1e-9:
             return None
         v = np.zeros(len(mask), dtype=complex)
@@ -500,6 +501,7 @@ def _fixed_noise_objective(spec: ScenarioSpec, p, q):
     scenario = build_scenario(spec, p, q)
     slots = _free_slots(spec.family, spec.n)
     reach, branch, tables = _plus_tables(scenario)
+    reach.setflags(write=False)  # the support every post state shares
     const = np.einsum("xxab->ab", tables)
     tables[branch[:, None] == branch[None, :]] = 0.0
     tables = tables.reshape(len(branch) ** 2, -1)
@@ -511,7 +513,8 @@ def _fixed_noise_objective(spec: ScenarioSpec, p, q):
         if vectors is None:
             return 1.0
         a = np.concatenate(vectors)
-        block = const + (np.outer(a.conj(), a).ravel() @ tables).reshape(const.shape)
+        # the product np.outer forms, without its argument handling
+        block = const + ((a.conj()[:, None] * a).ravel() @ tables).reshape(const.shape)
         diag[reach] = block.diagonal()
         prob = float(diag.sum().real)
         if prob < ZERO_PROB:

@@ -93,6 +93,19 @@ def fourier_basis(n: int) -> tuple[np.ndarray, ...]:
     )
 
 
+def _checked_basis(basis, n: int) -> tuple[np.ndarray, ...]:
+    """``basis`` as complex vectors, if it is 1 to n orthonormal vectors of
+    length n: the measured control outcomes, outcome k being vector k."""
+    basis = tuple(np.asarray(b, dtype=complex) for b in basis)
+    if not 1 <= len(basis) <= n or any(b.shape != (n,) for b in basis):
+        raise DimMismatchError(f"a control of dimension {n} needs 1 to {n} "
+                               f"basis vectors of length {n}")
+    b = np.array(basis)
+    if not np.max(np.abs(b.conj() @ b.T - np.eye(len(b)))) <= 1e-10:  # NaN fails
+        raise SuperpositionError("measurement basis is not orthonormal")
+    return basis
+
+
 @dataclass(frozen=True)
 class SuperpositionScenario:
     """One experiment: channels, target input, control, measured outcomes."""
@@ -104,9 +117,7 @@ class SuperpositionScenario:
 
     def __post_init__(self):
         channels = tuple(self.channels)
-        basis = tuple(np.asarray(b, dtype=complex) for b in self.measurement_basis)
         object.__setattr__(self, "channels", channels)
-        object.__setattr__(self, "measurement_basis", basis)
         if len(channels) < 2:
             raise SuperpositionError("need at least two channels to superpose")
         d = channels[0].dim
@@ -115,13 +126,10 @@ class SuperpositionScenario:
         if self.input.dim != d:
             raise DimMismatchError("input state does not match channel dimension")
         n = len(channels)
-        if (self.control.dim != n or not 1 <= len(basis) <= n
-                or any(b.shape != (n,) for b in basis)):
-            raise DimMismatchError(f"{n} channels need a control of dimension "
-                                   f"{n} and 1 to {n} basis vectors of length {n}")
-        b = np.array(basis)
-        if not np.max(np.abs(b.conj() @ b.T - np.eye(len(b)))) <= 1e-10:  # NaN fails
-            raise SuperpositionError("measurement basis is not orthonormal")
+        if self.control.dim != n:
+            raise DimMismatchError(f"{n} channels need a control of dimension {n}")
+        object.__setattr__(self, "measurement_basis",
+                           _checked_basis(self.measurement_basis, n))
         if d * n > JOINT_DIM_CAP:
             raise SuperpositionError(
                 f"joint dimension {d * n} exceeds cap {JOINT_DIM_CAP}"
@@ -214,15 +222,18 @@ def _joint_blocks(scenario, scales):
     Only the columns of each S_i on the support ``sup`` of the input J are
     built: sum_i S_i J S_i^dag = sum_i S_i[:, sup] J[sup, sup] S_i[:, sup]^dag.
     """
-    rho, c = scenario.input.mat, scenario.control.amplitudes
+    rho, c = scenario.input, scenario.control.amplitudes
     n = len(c)
-    # row t*n + l of J is non-zero exactly when row t of rho and c_l are
-    rho_sup, c_sup = rho.any(axis=1).nonzero()[0], c.nonzero()[0]
+    # row t*n + l of J is non-zero exactly when row t of rho and c_l are;
+    # ``pick``, the block rows of rho's non-zero rows in ascending order
+    pick = rho.block.any(axis=1).nonzero()[0]
+    pick = pick[np.argsort(rho.support[pick])]
+    rho_sup, c_sup = rho.support[pick], c.nonzero()[0]
     sup = (rho_sup[:, None] * n + c_sup).ravel()
     # J[sup, sup] as one broadcast product of the sub-blocks, entry by entry
     # the product kron(rho, |c><c|) would form
     c = c[c_sup]
-    joint_in = (rho.take(rho_sup, 0).take(rho_sup, 1)[:, None, :, None]
+    joint_in = (rho.block.take(pick, 0).take(pick, 1)[:, None, :, None]
                 * (c[:, None] * c.conj())[:, None, :])
     joint_in = joint_in.reshape(len(sup), len(sup))
     reach, local, cols = _joint_columns(scenario.channels, scales, sup)
@@ -251,8 +262,8 @@ def _measure(t, keep, target_dims, basis):
     (with a single column the iterator could fuse those two sums into one
     loop, which adds in another order). Each probability is summed over the
     length-d diagonal with zeros in place, so it rounds as the d x d trace.
-    The post states are built when their point is reached, so a stack holds
-    no d x d matrix per point.
+    Each post state is held on the reached rows (``from_block``), so no
+    d x d matrix is formed for it.
     """
     blocks = np.einsum("bk,pikjl,bl->pbij", basis.conj(), t, basis).take(keep, 3)
     diag = np.zeros(blocks.shape[:2] + (t.shape[3],), dtype=complex)
@@ -296,6 +307,7 @@ def run_stack(scenario: SuperpositionScenario,
         raise SuperpositionError(f"scale table of {scales.dtype} and shape "
                                  f"{scales.shape}, expected real (P, {k}), P >= 1")
     reach, local, rows, blocks = _joint_blocks(scenario, scales)
+    reach.setflags(write=False)  # the support every post state shares
     d, n = scenario.input.dim, scenario.control.dim
     # each trace summed over the whole joint's diagonal, zeros in place
     diag = np.zeros((len(scales), d * n), dtype=complex)
@@ -325,15 +337,15 @@ def measure_control(joint: DensityMatrix, basis) -> list[MeasurementOutcome]:
     ``run_stack``'s measurement of this one joint state, on the target rows
     where it has a non-zero entry.
 
-    Outcome k has probability Tr[(I (x) |b_k><b_k|) rho]; its post state is
-    the normalized target state after projecting the control onto |b_k>.
+    ``basis`` is held to the scenario's rule: 1 to n orthonormal vectors
+    of length n, n the dimension of the last subsystem. Outcome k has
+    probability Tr[(I (x) |b_k><b_k|) rho]; its post state is the
+    normalized target state after projecting the control onto |b_k>.
     No command calls it; it stays because ``perfbench/tracer.py`` wraps it
     by name and ``tests/test_tracer_names.py`` requires it.
     """
-    basis = np.asarray(basis, dtype=complex)
-    n = basis.shape[-1]
-    if joint.dims[-1] != n:
-        raise DimMismatchError("basis dimension does not match control subsystem")
+    n = joint.dims[-1]
+    basis = np.array(_checked_basis(basis, n))
     d = joint.dim // n
     t = joint.mat.reshape(d, n, d, n)
     keep = t.any(axis=(1, 2, 3)).nonzero()[0]

@@ -254,6 +254,24 @@ def test_scenario_measures_one_to_n_orthonormal_vectors_of_length_n():
             SuperpositionScenario((ch, ch), inp, plus_control(), basis)
 
 
+def test_measure_control_holds_the_basis_to_the_scenario_rule():
+    # the rule the scenario states, through the one check both share: a
+    # single vector and a ragged basis once escaped as numpy errors, and a
+    # basis that is not orthonormal returned two outcomes
+    joint = apply(build_scenario(builtin("fig4a_red"), 0.3))
+    plus, minus = pm_basis()
+    (out,) = measure_control(joint, (plus,))
+    assert out.probability == measure_control(joint, (plus, minus))[0].probability
+    for basis in (plus, (), (plus, minus, plus), ([1, 0], [0, 1, 0]),
+                  ([1, 0, 0], [0, 1, 0]), ([[1, 0]],)):
+        with pytest.raises(DimMismatchError):
+            measure_control(joint, basis)
+    for basis in (([1, 0], [1, 0]), ([2, 0],), ([np.nan, 0],),
+                  (plus, [np.nan, 1])):
+        with pytest.raises(SuperpositionError):
+            measure_control(joint, basis)
+
+
 def test_measure_control_dim_mismatch():
     rng = np.random.default_rng(16)
     channels = (random_channel(rng), random_channel(rng))
