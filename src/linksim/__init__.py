@@ -55,7 +55,6 @@ from .superposition import (
     fourier_basis,
     global_kraus,
     measure_control,
-    plus_control,
     pm_basis,
     run,
     uniform_control,

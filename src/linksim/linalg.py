@@ -51,8 +51,9 @@ def kron_all(*mats: np.ndarray) -> np.ndarray:
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
-    """Largest |m - m^dag| entry, over every matrix of a stack (..., d, d)."""
-    return float(np.abs(m - m.conj().swapaxes(-1, -2)).max())
+    """Largest |m - m^dag| entry, over every matrix of a stack (..., d, d);
+    0 for an empty stack, NaN if any entry is NaN."""
+    return float(np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0))
 
 
 def eig_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL):
@@ -84,25 +85,24 @@ def sqrt_psd(m: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def check_densities(mats: np.ndarray, traces) -> None:
+def check_densities(mats: np.ndarray) -> None:
     """Raise unless every matrix of the stack ``mats`` (..., d, d) passes the
     density checks, to ``DensityMatrix``'s tolerances.
 
-    In order: the Hermiticity defect is at most ``HERM_TOL``; each of
-    ``traces`` (given, so a caller can check a block of a matrix against the
-    whole matrix's trace) is within ``TRACE_TOL`` of 1; the lowest
-    eigenvalue is at least ``-EIG_TOL``. A stack with one bad matrix raises
-    the class that matrix raises alone. Each test is written so that a NaN
-    fails it, wherever it sits in the stack.
+    In order: the Hermiticity defect is at most ``HERM_TOL``; each trace is
+    within ``TRACE_TOL`` of 1; the lowest eigenvalue is at least
+    ``-EIG_TOL``. A stack with one bad matrix raises the class that matrix
+    raises alone. Each test is written so that a NaN fails it, wherever it
+    sits in the stack.
     """
     if not hermiticity_defect(mats) <= DensityMatrix.HERM_TOL:
         raise NonHermitianError("density matrix is not Hermitian")
+    traces = np.trace(mats, axis1=-2, axis2=-1).real
     # ``all`` over .flat: a numpy reduction would cost a single matrix, the
     # most frequent check, about 0.5 us more each
-    off = abs(traces.real - 1.0)
+    off = abs(traces - 1.0)
     if not all(x <= DensityMatrix.TRACE_TOL for x in off.flat):
-        worst = np.ravel(traces.real)[np.argmax(off)]
-        raise LinalgError(f"trace {worst!r} != 1")
+        raise LinalgError(f"trace {np.ravel(traces)[np.argmax(off)].item()!r} != 1")
     # eigenvalues come back ascending
     lowest = np.linalg.eigvalsh(mats)[..., 0]
     if not all(x >= -DensityMatrix.EIG_TOL for x in lowest.flat):
@@ -117,11 +117,11 @@ class DensityMatrix:
     other entry is zero. Both are read-only.
 
     ``DensityMatrix(dims, mat)`` holds the whole matrix as the block, on
-    every row. ``DensityMatrix.from_block(dims, support, block)`` holds
-    ``block`` on ``support`` and allocates no ``dim``-square array. Either
-    way the block is checked with ``check_densities`` against the whole
-    matrix's trace, which is exact: every entry off the block is a zero.
-    ``mat`` forms the whole matrix on its first request.
+    every row; ``DensityMatrix(dims, block, support)`` holds ``block`` on
+    ``support`` and allocates nothing of length ``dim``. Either way the
+    block is checked with ``check_densities``: every entry off the block is
+    a zero, so the block's checks are the whole matrix's. ``mat`` forms the
+    whole matrix on its first request.
     """
 
     dims: tuple[int, ...]
@@ -158,11 +158,7 @@ class DensityMatrix:
         block = np.array(block, dtype=complex)
         block.setflags(write=False)
         self.__dict__.update(dims=dims, block=block, support=support)
-        # the whole matrix's diagonal, zeros in place, so the sum rounds as
-        # its trace
-        diag = np.zeros(dim, dtype=complex)
-        diag[support] = block.diagonal()
-        check_densities(block, diag.sum())
+        check_densities(block)
 
     @property
     def dim(self) -> int:
@@ -187,12 +183,6 @@ class DensityMatrix:
                 else 0j for i, j in zip(rows, cols)]
 
     @classmethod
-    def from_block(cls, dims, support, block: np.ndarray) -> "DensityMatrix":
-        """The density matrix that is ``block`` on the rows and columns
-        ``support`` (distinct indices) and zero elsewhere."""
-        return cls(dims, block, support)
-
-    @classmethod
     def pure(cls, dims, vector: np.ndarray) -> "DensityMatrix":
         """Density matrix of a state vector, normalized here."""
         v = np.asarray(vector, dtype=complex)
@@ -203,7 +193,7 @@ class DensityMatrix:
             raise LinalgError(f"cannot normalize a state vector of norm {norm!r}")
         v = v / norm
         support = v.nonzero()[0]
-        return cls.from_block(dims, support, np.outer(v[support], v[support].conj()))
+        return cls(dims, np.outer(v[support], v[support].conj()), support)
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
@@ -256,7 +246,7 @@ def partial_traces(rho: DensityMatrix, keeps) -> np.ndarray:
             total = total + x[j]
         x = total
     out = x[0]
-    check_densities(out, np.trace(out, axis1=1, axis2=2))
+    check_densities(out)
     return out
 
 

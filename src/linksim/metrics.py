@@ -84,8 +84,8 @@ def fidelity_pure(rho: DensityMatrix, target) -> float:
     return sqrt(min(max(val, 0.0), 1.0))
 
 
-def fidelity_up_to_phase(rho: DensityMatrix, n: int) -> tuple[float, float]:
-    """Best GHZ fidelity over the relative phase, with the optimal phase.
+def fidelity_up_to_phase(rho: DensityMatrix, n: int) -> float:
+    """Best GHZ fidelity over the relative phase.
 
     Maximizes fid against (|0>^n + e^{i phi} |1>^n)/sqrt(2); the maximum is
     attained at phi = -arg rho[0, last] and only involves the extreme
@@ -97,8 +97,7 @@ def fidelity_up_to_phase(rho: DensityMatrix, n: int) -> tuple[float, float]:
     end = rho.dim - 1
     first, last, coh = rho.entries([0, end, 0], [0, end, end])
     val = 0.5 * (first.real + last.real) + abs(coh)
-    phi = float(-np.angle(coh)) if abs(coh) > 0 else 0.0
-    return sqrt(min(max(val, 0.0), 1.0)), phi
+    return sqrt(min(max(val, 0.0), 1.0))
 
 
 # ---------------------------------------------------------------------------

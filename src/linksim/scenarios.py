@@ -42,7 +42,6 @@ from .superposition import (
     MeasurementOutcome,
     SuperpositionScenario,
     fourier_basis,
-    plus_control,
     pm_basis,
     run,
     run_stack,
@@ -285,13 +284,12 @@ def build_scenario(spec: ScenarioSpec, p: float,
     if len(spec.config.vectors) != branches:
         raise ScenarioError(f"{spec.name}: expected {branches} amplitude "
                             f"vectors, got {len(spec.config.vectors)}")
-    if spec.family in _W_FAMILIES:
-        control, basis = uniform_control(n), fourier_basis(n)
-    else:
-        control, basis = plus_control(), pm_basis()
+    # pm_basis, not fourier_basis(2): its |-> differs in the last bits
+    basis = fourier_basis(n) if spec.family in _W_FAMILIES else pm_basis()
     keep = 1 if spec.outcome_policy == "plus_only" else None
     return SuperpositionScenario(_channels(spec, p, p if q is None else q),
-                                 _zero_input(n), control, basis[:keep])
+                                 _zero_input(n), uniform_control(branches),
+                                 basis[:keep])
 
 
 def _channels(spec: ScenarioSpec, p: float, q: float):
@@ -332,8 +330,7 @@ def outcome_fidelity(spec: ScenarioSpec, outcome: MeasurementOutcome) -> float:
         return fidelity_pure(outcome.post_state, w_state(spec.n, outcome.outcome_index))
     if family in _BELL_FAMILIES and outcome.outcome_index == 0:
         return fidelity_pure(outcome.post_state, bell_state(+1))
-    fid, _ = fidelity_up_to_phase(outcome.post_state, spec.n)
-    return fid
+    return fidelity_up_to_phase(outcome.post_state, spec.n)
 
 
 def oracle_fidelity(spec: ScenarioSpec, p: float, q: float) -> float | None:
@@ -519,8 +516,8 @@ def _fixed_noise_objective(spec: ScenarioSpec, p, q):
         prob = float(diag.sum().real)
         if prob < ZERO_PROB:
             return 1.0
-        post = DensityMatrix.from_block(scenario.input.dims, reach,
-                                        (block + block.conj().T) / (2.0 * prob))
+        post = DensityMatrix(scenario.input.dims,
+                             (block + block.conj().T) / (2.0 * prob), reach)
         return -outcome_fidelity(spec, MeasurementOutcome(0, prob, post))
 
     return objective
@@ -602,7 +599,7 @@ def verify_propositions() -> list[PropositionCheck]:
     for n in (2, 3, 4, 5):
         spec = builtin(f"prop2_ideal_ghz_n{n}")
         for out in run(build_scenario(spec, 0.0)):
-            fid, _ = fidelity_up_to_phase(out.post_state, n)
+            fid = fidelity_up_to_phase(out.post_state, n)
             checks.append(_check(
                 "prop2", f"ideal GHZ n={n}, outcome {out.outcome_index}, "
                          "fid up to phase", fid, 1.0 - tol))

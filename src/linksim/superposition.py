@@ -70,10 +70,6 @@ class ControlState:
         return len(self.amplitudes)
 
 
-def plus_control() -> ControlState:
-    return ControlState(np.array([1.0, 1.0]) / np.sqrt(2.0))
-
-
 def uniform_control(n: int) -> ControlState:
     """|0~> = (1/sqrt(n)) sum_j |j>, the uniform Fourier state."""
     return ControlState(np.full(n, 1.0 / np.sqrt(n)))
@@ -262,8 +258,8 @@ def _measure(t, keep, target_dims, basis):
     (with a single column the iterator could fuse those two sums into one
     loop, which adds in another order). Each probability is summed over the
     length-d diagonal with zeros in place, so it rounds as the d x d trace.
-    Each post state is held on the reached rows (``from_block``), so no
-    d x d matrix is formed for it.
+    Each post state is held on the reached rows, so no d x d matrix is
+    formed for it.
     """
     blocks = np.einsum("bk,pikjl,bl->pbij", basis.conj(), t, basis).take(keep, 3)
     diag = np.zeros(blocks.shape[:2] + (t.shape[3],), dtype=complex)
@@ -276,7 +272,7 @@ def _measure(t, keep, target_dims, basis):
             if p < ZERO_PROB:
                 outcomes.append(MeasurementOutcome(k, 0.0, None))
                 continue
-            post = DensityMatrix.from_block(target_dims, keep, block / (2.0 * p))
+            post = DensityMatrix(target_dims, block / (2.0 * p), keep)
             outcomes.append(MeasurementOutcome(k, p, post))
         yield outcomes
 
@@ -290,11 +286,11 @@ def run_stack(scenario: SuperpositionScenario,
     the scenario's channels hold are not read.
 
     The joint states are evolved together (``_joint_blocks``) and checked
-    as one stack, each against its whole matrix's trace, then measured
-    together on the target rows any of them reaches. Outcome k has
-    probability Tr[(I (x) |b_k><b_k|) rho]; outcomes below ``ZERO_PROB``
-    carry no post state, and every other post state is the normalized
-    target block, built and checked by ``DensityMatrix.from_block``.
+    as one stack, then measured together on the target rows any of them
+    reaches. Outcome k has probability Tr[(I (x) |b_k><b_k|) rho]; outcomes
+    below ``ZERO_PROB`` carry no post state, and every other post state is
+    the normalized target block, built and checked by ``DensityMatrix`` on
+    the reached rows.
     Each output is bitwise that of its row evaluated alone.
     """
     k = sum(len(c.ops) for c in scenario.channels)
@@ -308,11 +304,8 @@ def run_stack(scenario: SuperpositionScenario,
                                  f"{scales.shape}, expected real (P, {k}), P >= 1")
     reach, local, rows, blocks = _joint_blocks(scenario, scales)
     reach.setflags(write=False)  # the support every post state shares
+    check_densities(blocks)
     d, n = scenario.input.dim, scenario.control.dim
-    # each trace summed over the whole joint's diagonal, zeros in place
-    diag = np.zeros((len(scales), d * n), dtype=complex)
-    diag[:, rows] = blocks.diagonal(axis1=1, axis2=2)
-    check_densities(blocks, diag.sum(axis=-1))
     # the joints on the target rows the unit columns reach, every column kept
     t = np.zeros((len(scales), len(reach) * n, d * n), dtype=complex)
     t[:, local[:, None], rows] = blocks
@@ -323,13 +316,13 @@ def run_stack(scenario: SuperpositionScenario,
 
 def apply(scenario: SuperpositionScenario) -> DensityMatrix:
     """Evolve rho_t (x) rho_c under the superposed channels: the joint
-    state of ``run_stack``'s evolution for this one scenario, built by
-    ``DensityMatrix.from_block`` on the rows it reaches. No command calls
+    state of ``run_stack``'s evolution for this one scenario, held on the
+    rows it reaches. No command calls
     it; it stays because ``perfbench/tracer.py`` wraps it by name and
     ``tests/test_tracer_names.py`` requires it."""
     _, _, rows, blocks = _joint_blocks(scenario, scale_row(scenario.channels)[None])
     dims = scenario.input.dims + (scenario.control.dim,)
-    return DensityMatrix.from_block(dims, rows, blocks[0])
+    return DensityMatrix(dims, blocks[0], rows)
 
 
 def measure_control(joint: DensityMatrix, basis) -> list[MeasurementOutcome]:

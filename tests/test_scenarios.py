@@ -476,13 +476,14 @@ def test_sweep_builds_one_scenario(monkeypatch):
 def test_plus_only_sweep_builds_one_post_state_per_point(monkeypatch):
     # the scenario measures only the reported outcome: an n = 8 GHZ sweep
     # builds one post state per point, not one per basis vector
-    original, callers = DensityMatrix.from_block.__func__, []
+    original, callers = DensityMatrix.__post_init__, []
 
-    def counted(cls, *args):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return original(cls, *args)
+    def counted(self):
+        # frame 1 is the dataclass __init__, frame 2 the constructor's caller
+        callers.append(sys._getframe(2).f_code.co_name)
+        return original(self)
 
-    monkeypatch.setattr(DensityMatrix, "from_block", classmethod(counted))
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counted)
     spec = ScenarioSpec("ghz8", "ghz_depolarizing", 8, PROP5_P05)
     assert spec.outcome_policy == "plus_only"
     assert len(sweep(spec, np.linspace(0.0, 1.0, 55))) == 55

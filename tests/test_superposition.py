@@ -37,7 +37,6 @@ from linksim.superposition import (
     fourier_basis,
     global_kraus,
     measure_control,
-    plus_control,
     pm_basis,
     run,
     run_stack,
@@ -99,7 +98,8 @@ def test_control_state_normalization():
         ControlState(np.array([1.0, 1.0]))
     with pytest.raises(SuperpositionError):
         ControlState(np.array([np.nan, 0.0]))
-    assert plus_control().dim == 2
+    # |+>, the control of every two-branch family
+    assert uniform_control(2).amplitudes.tobytes() == np.full(2, S2, complex).tobytes()
     assert np.allclose(uniform_control(3).amplitudes, np.full(3, 1 / np.sqrt(3)))
 
 
@@ -173,7 +173,7 @@ def test_apply_preserves_trace_and_dims():
     rng = np.random.default_rng(12)
     channels = (random_channel(rng), random_channel(rng))
     inp = DensityMatrix((2,), random_density(rng, 2))
-    scen = SuperpositionScenario(channels, inp, plus_control(), pm_basis())
+    scen = SuperpositionScenario(channels, inp, uniform_control(2), pm_basis())
     joint = apply(scen)
     assert joint.dims == (2, 2)
     assert np.trace(joint.mat).real == pytest.approx(1.0, abs=1e-12)
@@ -213,7 +213,7 @@ def test_zero_probability_outcome_sentinel():
     # outcome never fires
     ident = unitary_channel(np.eye(2))
     inp = DensityMatrix.pure((2,), np.array([1.0, 0.0]))
-    scen = SuperpositionScenario((ident, ident), inp, plus_control(), pm_basis())
+    scen = SuperpositionScenario((ident, ident), inp, uniform_control(2), pm_basis())
     outs = run(scen)
     assert outs[0].probability == pytest.approx(1.0, abs=1e-12)
     assert outs[1].probability == 0.0
@@ -225,10 +225,10 @@ def test_scenario_validation():
     ch = random_channel(rng)
     inp = DensityMatrix((2,), random_density(rng, 2))
     with pytest.raises(SuperpositionError):
-        SuperpositionScenario((ch,), inp, plus_control(), pm_basis())
+        SuperpositionScenario((ch,), inp, uniform_control(2), pm_basis())
     bad_basis = (np.array([1.0, 0.0]), np.array([1.0, 0.0]))
     with pytest.raises(SuperpositionError):
-        SuperpositionScenario((ch, ch), inp, plus_control(), bad_basis)
+        SuperpositionScenario((ch, ch), inp, uniform_control(2), bad_basis)
 
 
 def test_scenario_measures_one_to_n_orthonormal_vectors_of_length_n():
@@ -240,18 +240,18 @@ def test_scenario_measures_one_to_n_orthonormal_vectors_of_length_n():
     ch = random_channel(rng)
     inp = DensityMatrix((2,), random_density(rng, 2))
     plus, minus = pm_basis()
-    every = run(SuperpositionScenario((ch, ch), inp, plus_control(), (plus, minus)))
+    every = run(SuperpositionScenario((ch, ch), inp, uniform_control(2), (plus, minus)))
     for k, b in enumerate((plus, minus)):
-        (out,) = run(SuperpositionScenario((ch, ch), inp, plus_control(), (b,)))
+        (out,) = run(SuperpositionScenario((ch, ch), inp, uniform_control(2), (b,)))
         assert (out.outcome_index, out.probability) == (0, every[k].probability)
     for basis in ((), (plus, minus, plus), ([1, 0], [0, 1, 0]),
                   ([1, 0, 0], [0, 1, 0]), ([[1, 0]],)):
         with pytest.raises(DimMismatchError):
-            SuperpositionScenario((ch, ch), inp, plus_control(), basis)
+            SuperpositionScenario((ch, ch), inp, uniform_control(2), basis)
     for basis in (([1, 0], [1, 0]), ([2, 0],), ([np.nan, 0],),
                   (plus, [np.nan, 1])):
         with pytest.raises(SuperpositionError):
-            SuperpositionScenario((ch, ch), inp, plus_control(), basis)
+            SuperpositionScenario((ch, ch), inp, uniform_control(2), basis)
 
 
 def test_measure_control_holds_the_basis_to_the_scenario_rule():
@@ -276,7 +276,7 @@ def test_measure_control_dim_mismatch():
     rng = np.random.default_rng(16)
     channels = (random_channel(rng), random_channel(rng))
     inp = DensityMatrix((2,), random_density(rng, 2))
-    joint = apply(SuperpositionScenario(channels, inp, plus_control(), pm_basis()))
+    joint = apply(SuperpositionScenario(channels, inp, uniform_control(2), pm_basis()))
     from linksim.linalg import DimMismatchError
     with pytest.raises(DimMismatchError):
         measure_control(joint, fourier_basis(3))
@@ -290,7 +290,7 @@ def test_depolarizing_pair_plus_outcome_is_bell_diagonal():
         depolarizing_correlated(0.5, 2, (S2, 0, 0, S2)),
     )
     inp = DensityMatrix.pure((2, 2), np.array([1.0, 0, 0, 0]))
-    outs = run(SuperpositionScenario(channels, inp, plus_control(), pm_basis()))
+    outs = run(SuperpositionScenario(channels, inp, uniform_control(2), pm_basis()))
     m = outs[0].post_state.mat
     off = m - np.diag(np.diag(m))
     off[0, 3] = off[3, 0] = 0.0
