@@ -201,7 +201,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
 
     The kept subsystems stay in their original order. Tracing out all
     subsystems yields a 1x1 matrix equal to the trace. The metrics call
-    ``partial_traces``; this one stays because ``perfbench/tracer.py``
+    ``stack_partial_traces``; this one stays because ``perfbench/tracer.py``
     wraps it by name and ``tests/test_tracer_names.py`` requires it.
     """
     mat = partial_traces(rho, [keep])[0]
@@ -211,43 +211,83 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
 
 def partial_traces(rho: DensityMatrix, keeps) -> np.ndarray:
     """The reductions of ``rho`` to each ``keep`` in ``keeps``, stacked
-    ``(len(keeps), d, d)``.
+    ``(len(keeps), d, d)``: the one-state call of ``stack_partial_traces``."""
+    return stack_partial_traces(rho.dims, rho.support, rho.block[None], keeps)[0]
+
+
+#: the most gathered entries ``stack_partial_traces`` holds at once, unless
+#: one state needs more. Every state of a figure sweep's chunk but the
+#: n = 4 grid's pair reductions (10 states of 384 entries to a gather)
+#: fits one gather, while an n = 8 GHZ state's reductions (28,672 entries
+#: for its pairs, 4,096 for its qubits) are gathered one state at a time.
+#: The records of an 11-point n = 8 GHZ sweep read a tracemalloc peak of
+#: 0.88 MB so, 5.37 MB with the whole chunk in one gather and 0.97 MB when
+#: each state was reduced alone; a 32-point n = 10 sweep read 4.83, 96.3
+#: and 6.10 MB. At 2^14, four n = 8 states to a qubit gather, the peak
+#: RSS of 2600 in-process passes of the benchmark's ghz8 workload read
+#: 0.5 to 0.6 MB above one state at a time (x86-64, Python 3.11, numpy
+#: 2.4).
+_GATHER_ENTRIES = 2**12
+
+
+def stack_partial_traces(dims, support, blocks: np.ndarray, keeps) -> np.ndarray:
+    """The reductions to each ``keep`` in ``keeps`` of every state of a
+    stack that shares ``dims`` and ``support`` (as ``DensityMatrix`` holds
+    them), given as its blocks ``(P, s, s)``; stacked ``(P, len(keeps), d,
+    d)``.
 
     Every ``keep`` must leave the same kept and traced dimensions (for
     qubits: the same number of subsystems). The entries the reductions sum
     over, ``rho[(a, t), (b, t)]`` for each traced multi-index ``t``, are
-    taken with one gather into a ``(T, len(keeps), d, d)`` array whose
-    leading digit is the highest traced subsystem; the sums are then formed
-    by adding the slices of the leading digit in order, one digit at a
-    time (for qubits, ``x[:h] + x[h:]`` until one slice is left). For a
+    taken with one gather into a ``(T, len(keeps), d, d, states)`` array
+    whose leading digit is the highest traced subsystem; the sums are then
+    formed by adding the slices of the leading digit in order, one digit at
+    a time (for qubits, ``x[:h] += x[h:]`` until one slice is left). For a
     qubit, ``np.trace`` over one axis pair is the single addition
     ``x0 + x1``, and tracing the dropped subsystems out one by one from the
     highest index down performs the same additions in the same order, so
     every entry is bitwise that loop's, signed zeros included. The gather
-    reads the block padded with a zero row and column, so an entry off the
+    reads each block padded with a zero row and column, so an entry off the
     support is the zero ``mat`` holds there, and ``mat`` is never formed.
-    The whole stack is checked once with ``check_densities``.
+    States are gathered together, as many at a time as keep the gather
+    within ``_GATHER_ENTRIES`` entries (at least one state), and the
+    additions are elementwise, so each state's reductions are bitwise those
+    it has alone. The whole stack is checked once with ``check_densities``.
     """
-    n = len(rho.dims)
+    n = len(dims)
     keeps = tuple(map(tuple, keeps))
     for keep in keeps:
         if keep and (min(keep) < 0 or max(keep) >= n):
             raise BadIndexError(f"keep={list(keep)} outside subsystems 0..{n - 1}")
-    index, traced_dims = _reduction_index(rho.dims, tuple(rho.support.tolist()),
+    index, traced_dims = _reduction_index(tuple(dims), tuple(support.tolist()),
                                           keeps)
-    s = len(rho.support)
-    padded = np.zeros((s + 1, s + 1), dtype=complex)
-    padded[:s, :s] = rho.block
-    x = padded.take(index)
-    for dt in traced_dims:
-        x = x.reshape((dt, -1) + x.shape[1:])
-        total = x[0]
-        for j in range(1, dt):
-            total = total + x[j]
-        x = total
-    out = x[0]
+    p, s = len(blocks), len(support)
+    # the states on the last axis: the gather copies one row of states per
+    # entry, and each digit's slices are whole contiguous blocks
+    padded = np.zeros((s + 1, s + 1, p), dtype=complex)
+    padded[:s, :s] = np.moveaxis(blocks, 0, -1)
+    padded = padded.reshape(-1, p)
+    out = np.empty((p,) + index.shape[1:], dtype=complex)
+    step = max(1, _GATHER_ENTRIES // index.size)
+    for start in range(0, p, step):
+        # one statement, so no name holds the last slice's gather
+        out[start:start + step] = np.moveaxis(_traced_sums(
+            padded[:, start:start + step].take(index, axis=0), traced_dims), -1, 0)
     check_densities(out)
     return out
+
+
+def _traced_sums(x: np.ndarray, traced_dims) -> np.ndarray:
+    """The sums of a gather ``x`` (T, ...) over its leading axis, whose
+    digits run over ``traced_dims`` from the most significant: each
+    digit's slices are added in order into its first slice, which the
+    gather owns, so nothing more of the gather's size is allocated."""
+    for dt in traced_dims:
+        x = x.reshape((dt, -1) + x.shape[1:])
+        for j in range(1, dt):
+            np.add(x[0], x[j], out=x[0])
+        x = x[0]
+    return x[0]
 
 
 # bounded like ``channels.pauli_string``: one entry per (dims, support,
@@ -285,9 +325,12 @@ def _reduction_index(dims: tuple[int, ...], support: tuple[int, ...],
         return strides[at] @ digits
 
     # (T, len(keeps), d): the row of mat of each traced and kept multi-index
-    rows = offsets(drops, traced_dims).T[:, :, None] + offsets(keeps, kept_dims)
+    # C-contiguous, so the index formed from it is: ``take`` copies any
+    # other index before every gather
+    rows = np.ascontiguousarray(offsets(drops, traced_dims).T)[:, :, None] \
+        + offsets(keeps, kept_dims)
     at = np.full(prod(dims), len(support), dtype=np.intp)
     at[list(support)] = np.arange(len(support))
     at = at[rows]
-    # left writable: ``take`` copies a read-only index before every gather
+    # left writable: ``take`` copies a read-only index too
     return at[..., :, None] * (len(support) + 1) + at[..., None, :], traced_dims

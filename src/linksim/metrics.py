@@ -23,8 +23,8 @@ from .linalg import (
     DimMismatchError,
     LinksimError,
     eig_hermitian,
-    partial_traces,
     sqrt_psd,
+    stack_partial_traces,
 )
 
 
@@ -109,8 +109,8 @@ _YY = np.kron(Y, Y)
 
 def _concurrences(rho: np.ndarray) -> list[float]:
     """Wootters concurrence of each two-qubit state of the stack ``rho``
-    (k, 4, 4), in one stacked computation; ``partial_traces`` output goes
-    in as it is, with no per-state object.
+    (k, 4, 4), in one stacked computation; ``stack_partial_traces`` output
+    goes in as it is, with no per-state object.
 
     max{0, l1 - l2 - l3 - l4} where l_i are the square roots of the
     eigenvalues of rho rho~ in decreasing order, computed through the
@@ -132,24 +132,47 @@ def _concurrences(rho: np.ndarray) -> list[float]:
 
 
 def concurrence(rho: DensityMatrix) -> float:
-    """Wootters concurrence of a two-qubit state."""
-    return _concurrences(rho.mat[None])[0]
+    """Wootters concurrence of a two-qubit state, of dims ``(2, 2)``: the
+    one-state call of ``pairwise_concurrences``."""
+    if rho.dims != (2, 2):
+        raise DimMismatchError(f"concurrence needs two qubits, not dims {rho.dims}")
+    return pairwise_concurrences(rho.dims, rho.support, rho.block[None])[0]
 
 
 def avg_pairwise_concurrence(rho: DensityMatrix) -> float:
-    """Mean Wootters concurrence over all two-qubit reductions."""
-    n = len(rho.dims)
+    """Mean Wootters concurrence over all two-qubit reductions: the
+    one-state call of ``pairwise_concurrences``."""
+    return pairwise_concurrences(rho.dims, rho.support, rho.block[None])[0]
+
+
+def pairwise_concurrences(dims, support, blocks: np.ndarray) -> list[float]:
+    """``avg_pairwise_concurrence`` of every state of a stack that shares
+    ``dims`` and ``support``, given as its blocks ``(P, s, s)``.
+
+    All the states' pair reductions go through one ``_concurrences`` call;
+    for two qubits the reductions are the whole matrices, placed from the
+    blocks as ``mat`` places them.
+    """
+    n = len(dims)
     if n < 2:
         raise DimMismatchError("need at least two qubits")
     if n == 2:
-        return concurrence(rho)
+        if tuple(dims) != (2, 2):
+            raise DimMismatchError(f"concurrence needs two qubits, not dims {dims}")
+        mats = np.zeros((len(blocks), 4, 4), dtype=complex)
+        mats[:, support[:, None], support] = blocks
+        return _concurrences(mats)
     pairs = list(combinations(range(n), 2))
+    reduced = stack_partial_traces(dims, support, blocks, pairs)
+    c = _concurrences(reduced.reshape(-1, 4, 4))
+    k = len(pairs)
     # the builtin sum adds in pair order; np.sum would regroup the terms
-    return sum(_concurrences(partial_traces(rho, pairs))) / len(pairs)
+    return [sum(c[i:i + k]) / k for i in range(0, len(c), k)]
 
 
 def avg_one_vs_rest_concurrence(rho: DensityMatrix) -> float:
-    """Mean over qubits k of 2 sqrt(max{0, det rho_k}).
+    """Mean over qubits k of 2 sqrt(max{0, det rho_k}): the one-state call
+    of ``one_vs_rest_concurrences``.
 
     For a qubit of trace one 2 det rho_k = 1 - Tr rho_k^2, so this is
     sqrt(2 (1 - Tr rho_k^2)), but a product state gives an exact 0 rather
@@ -157,15 +180,22 @@ def avg_one_vs_rest_concurrence(rho: DensityMatrix) -> float:
     it is the one-vs-rest bipartite concurrence; for mixed states it is
     only a descriptive purity statistic.
     """
-    n = len(rho.dims)
+    return one_vs_rest_concurrences(rho.dims, rho.support, rho.block[None])[0]
+
+
+def one_vs_rest_concurrences(dims, support, blocks: np.ndarray) -> list[float]:
+    """``avg_one_vs_rest_concurrence`` of every state of a stack that
+    shares ``dims`` and ``support``, given as its blocks ``(P, s, s)``,
+    from one stack of single-qubit reductions."""
+    n = len(dims)
     if n < 2:
         raise DimMismatchError("need at least two qubits")
-    if any(d != 2 for d in rho.dims):
+    if any(d != 2 for d in dims):
         raise DimMismatchError("one-vs-rest concurrence needs qubits")
-    r = partial_traces(rho, [[k] for k in range(n)])
-    det = (r[:, 0, 0] * r[:, 1, 1] - r[:, 0, 1] * r[:, 1, 0]).real
+    r = stack_partial_traces(dims, support, blocks, [[k] for k in range(n)])
+    det = (r[..., 0, 0] * r[..., 1, 1] - r[..., 0, 1] * r[..., 1, 0]).real
     # the builtin sum adds in qubit order
-    return sum(2.0 * sqrt(max(0.0, x)) for x in det.tolist()) / n
+    return [sum(2.0 * sqrt(max(0.0, x)) for x in row) / n for row in det.tolist()]
 
 
 # ---------------------------------------------------------------------------

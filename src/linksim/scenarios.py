@@ -26,14 +26,14 @@ from .channels import (
 from .linalg import DensityMatrix, LinksimError
 from .metrics import (
     VacuumConfig,
-    avg_one_vs_rest_concurrence,
-    avg_pairwise_concurrence,
     bell_state,
     fid_closed_bitphase,
     fid_closed_depolarizing,
     fid_closed_w3,
     fidelity_pure,
     fidelity_up_to_phase,
+    one_vs_rest_concurrences,
+    pairwise_concurrences,
     w_state,
 )
 from .superposition import (
@@ -351,24 +351,58 @@ def oracle_fidelity(spec: ScenarioSpec, p: float, q: float) -> float | None:
 #: sweep, the largest the joint dimension cap allows. On the benchmark's
 #: figures workload (2-core x86-64, Python 3.11, numpy 2.4) a whole
 #: 225-point grid in one stack read a peak RSS of 44.6 MB against 43.5 MB
-#: at 32 points. Post states are built one point at a time whatever the
-#: size.
+#: at 32 points. A chunk's post states are kept until its records are
+#: made; their reductions are gathered together only as far as
+#: ``linalg._GATHER_ENTRIES`` allows.
 _CHUNK = 32
 
 
+def _concurrence_table(points) -> list[list[tuple[float, float]]]:
+    """The pairwise and one-vs-rest concurrence of every post state of
+    each point, from the points' outcome lists (as ``run_stack`` yields
+    them): one list per point of ``(pairwise, one_vs_rest)`` pairs, in
+    outcome order, zero-probability outcomes left out.
+
+    The post states of one outcome index share dims and support (the rows
+    ``run_stack`` reaches, or a lone point's own), so each outcome index
+    is one stacked pass of ``pairwise_concurrences`` and
+    ``one_vs_rest_concurrences``, bitwise the one-state calls.
+    """
+    table = [[] for _ in points]
+    for k in range(len(points[0])):
+        kept = [(row, outs[k].post_state) for row, outs in zip(table, points)
+                if outs[k].post_state is not None]
+        if not kept:
+            continue
+        dims, support = kept[0][1].dims, kept[0][1].support
+        if any(state.support is not support for _, state in kept):
+            raise ScenarioError(f"the post states of outcome {k} are held on "
+                                "different supports")
+        blocks = np.stack([state.block for _, state in kept])
+        values = zip(pairwise_concurrences(dims, support, blocks),
+                     one_vs_rest_concurrences(dims, support, blocks))
+        for (row, _), pair in zip(kept, values):
+            row.append(pair)
+    return table
+
+
 def evaluate_point(spec: ScenarioSpec, p: float, q: float, *,
-                   emit_oracle: bool = True, _outcomes=None) -> list[SweepRecord]:
+                   emit_oracle: bool = True, _outcomes=None,
+                   _concurrences=None) -> list[SweepRecord]:
     """One record per non-zero outcome a spec measures at one noise point.
 
     ``sweep`` passes the point's outcomes from its stacked evaluation as
-    ``_outcomes``; without them the point is built and run alone, with
-    bitwise the same outcomes.
+    ``_outcomes``, and their concurrences from its stacked metric pass
+    (its row of ``_concurrence_table``) as ``_concurrences``; without them
+    the point is built and run alone, and its concurrences taken by the
+    same pass on this one point, with bitwise the same records.
     """
     outcomes = _outcomes if _outcomes is not None else run(build_scenario(spec, p, q))
+    if _concurrences is None:
+        _concurrences = _concurrence_table([outcomes])[0]
+    kept = [out for out in outcomes if out.post_state is not None]
     records = []
-    for out in outcomes:
-        if out.post_state is None:
-            continue  # excluded from aggregation
+    for out, (pairwise, one_vs_rest) in zip(kept, _concurrences, strict=True):
         oracle = None
         if emit_oracle and out.outcome_index == 0:
             oracle = oracle_fidelity(spec, p, q)
@@ -379,8 +413,8 @@ def evaluate_point(spec: ScenarioSpec, p: float, q: float, *,
                 outcome=out.outcome_index,
                 probability=out.probability,
                 fidelity=outcome_fidelity(spec, out),
-                conc_pairwise=avg_pairwise_concurrence(out.post_state),
-                conc_one_vs_rest=avg_one_vs_rest_concurrence(out.post_state),
+                conc_pairwise=pairwise,
+                conc_one_vs_rest=one_vs_rest,
                 oracle_fidelity=oracle,
             )
         )
@@ -397,9 +431,10 @@ def sweep(spec: ScenarioSpec, p_grid, q_grid=None, *,
     of Kraus scales that its channel constructors compute (``_channels``).
     The points are evaluated ``_CHUNK`` at a time by ``run_stack``, which
     evolves and measures a chunk as one stack, so memory does not grow
-    with the number of points, and each point's outcomes are turned into
-    records by ``evaluate_point``, bitwise as if it had evaluated the point
-    alone.
+    with the number of points. The chunk's concurrences are then taken as
+    one stacked pass per outcome index (``_concurrence_table``), and each
+    point's records are made by ``evaluate_point`` from its outcomes and
+    concurrences, bitwise as if it had evaluated the point alone.
     """
     points = ((float(p), float(q)) for p in p_grid
               for q in (q_grid if q_grid is not None else [p]))
@@ -407,9 +442,10 @@ def sweep(spec: ScenarioSpec, p_grid, q_grid=None, *,
     while chunk := list(islice(points, _CHUNK)):
         scenario = scenario or build_scenario(spec, *chunk[0])
         scales = [scale_row(_channels(spec, p, q)) for p, q in chunk]
-        for (p, q), outs in zip(chunk, run_stack(scenario, scales)):
+        outcomes = list(run_stack(scenario, scales))
+        for (p, q), outs, conc in zip(chunk, outcomes, _concurrence_table(outcomes)):
             records += evaluate_point(spec, p, q, emit_oracle=emit_oracle,
-                                      _outcomes=outs)
+                                      _outcomes=outs, _concurrences=conc)
     return records
 
 

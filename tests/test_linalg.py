@@ -617,12 +617,30 @@ def test_partial_traces_on_the_support_equal_the_dense_gather(dims):
                 assert_bitwise(reduced, _trace_loop(whole, keep))
 
 
+@pytest.mark.parametrize("limit", [1, 200, 2**14])
+def test_stack_partial_traces_equal_each_state_alone(monkeypatch, limit):
+    """Bit for bit, signed zeros included, the reductions of a stack of
+    states on one support equal each state's own, however many states
+    each gather holds: one, a few with a shorter last slice, or all."""
+    rng = np.random.default_rng(31)
+    dims, support = (2, 3, 2), np.array([7, 0, 11, 4, 5])
+    states = [_held_on_support(rng, dims, support, signed_zeros=k % 2 == 1)
+              for k in range(7)]
+    blocks = np.stack([state.block for state in states])
+    monkeypatch.setattr(linalg, "_GATHER_ENTRIES", limit)
+    for keeps in _layout_groups(dims):
+        stack = linalg.stack_partial_traces(dims, states[0].support, blocks, keeps)
+        assert stack.shape[:2] == (len(states), len(keeps))
+        for state, reduced in zip(states, stack):
+            assert_bitwise(reduced, partial_traces(state, keeps))
+
+
 def test_records_of_a_large_ghz_post_state_allocate_no_dense_matrix():
     """From the post state's block to its three records, an n = 10 GHZ
     state allocates far less than the 16 MB one dense 1024 x 1024 complex
     matrix takes: the largest array is the gather of the 45 pair
-    reductions, 2.9 MB, and the peak, with its cached index and first
-    halving, about 5.9 MB."""
+    reductions, 2.9 MB, and the peak, with its cached index, about
+    4.4 MB, as the halving adds in place."""
     n, d = 10, 2**10
     block = np.array([[0.6, 0.45], [0.45, 0.4]])
     linalg._reduction_index.cache_clear()

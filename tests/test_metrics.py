@@ -169,6 +169,18 @@ def test_one_vs_rest_needs_qubits():
         avg_one_vs_rest_concurrence(DensityMatrix((3, 3), np.eye(9) / 9))
 
 
+def test_concurrence_needs_two_qubits():
+    # a four-level system has no two-qubit structure; its 4 x 4 state once
+    # read a concurrence of 0.9999999999999996
+    for rho in (DensityMatrix.pure((4,), [1, 0, 0, 1]),
+                DensityMatrix((4, 1), np.eye(4) / 4),
+                DensityMatrix((2, 2, 2), np.eye(8) / 8)):
+        with pytest.raises(DimMismatchError):
+            concurrence(rho)
+    with pytest.raises(DimMismatchError):
+        avg_pairwise_concurrence(DensityMatrix((1, 4), np.eye(4) / 4))
+
+
 @pytest.mark.parametrize("family, n, amps, target", [
     ("ghz_depolarizing", 8, PROP5_P05.vectors, ghz_state),
     ("w_memoryless", 3, ((S2, S2),) * 3, w_state),

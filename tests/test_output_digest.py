@@ -16,6 +16,8 @@ RECORDED = {
     "run": "a0b4df8ad6e2f6faf34e7495c49ca59b91f9802cbcfa0c8fbc1eb643e229032c",
     "sweep": "e3639957d5b5290280be78932faeda9d830131979e3675366bbcbe5639a2b943",
     "run_stack": "735c7202efb4e426a1b8357fdabb298e5f70b91541188d75a622e073cdd0d39d",
+    # recorded before records were made from a stacked pass per chunk
+    "sweep_stack": "960884a03bac9a705fe892bc821a7283764019c2e9a23667bf6162c9c26eb45d",
     "objective": "925854f57294ad890c614b67d7d363fb534b8e368c3a507f6805c1a94eeeb30a",
     "optimize": "df9003cf90db938bdcb17fa38cbbef296d652b383d5993ac6108f77b103d7ca7",
 }

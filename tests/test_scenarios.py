@@ -1,10 +1,12 @@
+import importlib.util
 import sys
 from dataclasses import astuple, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from linksim import scenarios
+from linksim import cli, linalg, scenarios
 from linksim.channels import (
     BadProbabilityError,
     depolarizing_correlated,
@@ -392,6 +394,20 @@ def _identity_only(family, n, channels, size):
                         VacuumConfig((np.eye(size)[0],) * channels))
 
 
+def _stack_specs():
+    """``stack_specs()`` of ``tools/output_digest.py``, which is loaded
+    from its file and never written."""
+    tool = Path(__file__).resolve().parents[1] / "tools" / "output_digest.py"
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec = importlib.util.spec_from_file_location("output_digest", tool)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module.stack_specs()
+
+
 STACK_SPECS = sorted({spec.name: spec for spec in map(builtin, builtin_names())}
                      .values(), key=lambda spec: spec.name) + [
     _identity_only("bell_bitphase", 2, 2, 4),
@@ -400,17 +416,19 @@ STACK_SPECS = sorted({spec.name: spec for spec in map(builtin, builtin_names())}
 
 
 @pytest.mark.parametrize("policy", ["plus_only", "all_outcomes"])
-@pytest.mark.parametrize("spec", STACK_SPECS, ids=lambda spec: spec.name)
+@pytest.mark.parametrize("spec", STACK_SPECS + _stack_specs(),
+                         ids=lambda spec: spec.name)
 def test_sweep_and_grid_equal_evaluate_point_bitwise(spec, policy):
-    # one stack per sweep or grid, point by point the records of the
-    # one-point path; the grid holds p, q in {0, 1}
+    # one stack and one metric pass per outcome index for a sweep or grid,
+    # point by point the records of the one-point path; both grids hold 0
+    # and 1
     spec = replace(spec, outcome_policy=policy)
-    grid = [0.0, 0.4, 1.0]
-    expected = [rec for p in grid for q in grid
-                for rec in evaluate_point(spec, p, q)]
-    assert _hex(sweep(spec, grid, grid)) == _hex(expected)
-    expected = [rec for p in grid for rec in evaluate_point(spec, p, p)]
-    assert _hex(sweep(spec, grid)) == _hex(expected)
+    p_grid, q_grid = np.linspace(0.0, 1.0, 7), np.linspace(0.0, 1.0, 5)
+    expected = [rec for p in p_grid for q in q_grid
+                for rec in evaluate_point(spec, float(p), float(q))]
+    assert _hex(sweep(spec, p_grid, q_grid)) == _hex(expected)
+    expected = [rec for p in p_grid for rec in evaluate_point(spec, float(p), float(p))]
+    assert _hex(sweep(spec, p_grid)) == _hex(expected)
 
 
 def test_stacks_drop_zero_probability_outcomes_per_point():
@@ -423,32 +441,100 @@ def test_stacks_drop_zero_probability_outcomes_per_point():
 
 @pytest.mark.parametrize("extra", [-31, -1, 0, 1, 33])
 def test_sweeps_across_chunk_edges_equal_evaluate_point(extra):
-    # 1, 31, 32, 33 and 65 points for chunks of 32
+    # 1, 31, 32, 33 and 65 points for chunks of 32, with p = 0 in mid-chunk:
+    # there outcome 1 of the identity-only Bell spec has probability 0, and
+    # the chunk's pass for outcome 1 leaves that point out
     points = scenarios._CHUNK + extra
-    spec = replace(builtin("fig7a_green"), outcome_policy="all_outcomes")
     grid = np.linspace(0.0, 1.0, points)
-    expected = [rec for p in grid
-                for rec in evaluate_point(spec, float(p), float(p))]
-    assert _hex(sweep(spec, grid)) == _hex(expected)
+    at = (points - 1) // 3
+    grid[[0, at]] = grid[[at, 0]]
+    for spec in (builtin("fig7a_green"),
+                 _identity_only("bell_depolarizing", 2, 2, 4)):
+        spec = replace(spec, outcome_policy="all_outcomes")
+        expected = [rec for p in grid
+                    for rec in evaluate_point(spec, float(p), float(p))]
+        records = sweep(spec, grid)
+        assert _hex(records) == _hex(expected)
+    # the Bell spec's records: two outcomes at every point but p = 0
+    assert [r.outcome for r in records if r.p == 0.0] == [0]
+    assert len(records) == 2 * points - 1
 
 
-def test_sweep_records_come_from_evaluate_point(monkeypatch):
-    # a wrapper around the module's evaluate_point sees every point of a
-    # stacked sweep, with its stacked outcomes, and its records are returned
-    evaluate, calls = scenarios.evaluate_point, []
+def test_sweep_records_come_from_evaluate_point(monkeypatch, tmp_path):
+    # evaluate_point patched on the module, as the benchmark's self-test
+    # patches it: it is called once per point, with the point's stacked
+    # outcomes and concurrences, and sweep returns, and the CLI writes,
+    # exactly the records it returns
+    evaluate, calls, returned = scenarios.evaluate_point, [], []
 
-    def shifted(spec, p, q, **kwargs):
-        calls.append((p, q, kwargs["_outcomes"] is not None))
-        return [replace(r, fidelity=r.fidelity + 1.0)
-                for r in evaluate(spec, p, q, **kwargs)]
+    def perturbed(spec, p, q, **kwargs):
+        calls.append((p, q, kwargs["_outcomes"] is not None,
+                      kwargs["_concurrences"] is not None))
+        records = [replace(r, fidelity=r.fidelity + 1.0,
+                           conc_pairwise=r.conc_pairwise + 2.0,
+                           conc_one_vs_rest=r.conc_one_vs_rest + 3.0)
+                   for r in evaluate(spec, p, q, **kwargs)]
+        returned.extend(records)
+        return records
 
-    spec = builtin("fig4a_red")
-    grid = np.linspace(0.0, 1.0, scenarios._CHUNK + 1)
+    monkeypatch.setattr(scenarios, "evaluate_point", perturbed)
+    ghz8 = ScenarioSpec("ghz8", "ghz_depolarizing", 8, PROP5_P05)
+    for spec, points in ((builtin("fig4a_red"), scenarios._CHUNK + 1), (ghz8, 11)):
+        calls.clear()
+        returned.clear()
+        grid = np.linspace(0.0, 1.0, points)
+        records = sweep(spec, grid)
+        assert calls == [(float(p), float(p), True, True) for p in grid]
+        assert len(records) == len(returned) == points
+        assert all(a is b for a, b in zip(records, returned))
+    returned.clear()
+    out, expected = tmp_path / "sweep.csv", tmp_path / "expected.csv"
+    assert cli.main(["sweep", "--scenario", "fig4a_red", "--points", "33",
+                     "--out", str(out)]) == 0
+    cli._write_records(returned, str(expected))
+    assert len(returned) == 33 and out.read_text() == expected.read_text()
+
+
+def _record_stage_peak(monkeypatch, spec, points) -> int:
+    """The tracemalloc peak of a sweep that replays outcomes measured
+    before it starts: building the scenario and the scale rows, and making
+    the records, with the reduction index built anew."""
+    import tracemalloc
+
+    grid = np.linspace(0.0, 1.0, points)
+    run_stack, chunks = scenarios.run_stack, []
+
+    def measured(scenario, scales):
+        chunks.append(list(run_stack(scenario, scales)))
+        return iter(chunks[-1])
+
+    monkeypatch.setattr(scenarios, "run_stack", measured)
     expected = sweep(spec, grid)
-    monkeypatch.setattr(scenarios, "evaluate_point", shifted)
-    records = sweep(spec, grid)
-    assert calls == [(float(p), float(p), True) for p in grid]
-    assert [r.fidelity for r in records] == [r.fidelity + 1.0 for r in expected]
+    replay = iter(chunks)
+    monkeypatch.setattr(scenarios, "run_stack", lambda *args: iter(next(replay)))
+    linalg._reduction_index.cache_clear()
+    tracemalloc.start()
+    try:
+        records = sweep(spec, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert records == expected
+    return peak
+
+
+@pytest.mark.parametrize("n, points, per_point_peak", [
+    (8, 11, 971_580), (10, 32, 6_104_799)])
+def test_record_stage_peaks_below_the_per_point_gathers(monkeypatch, n, points,
+                                                        per_point_peak):
+    """Gathering a chunk's reductions together, in slices of at most
+    ``linalg._GATHER_ENTRIES`` entries, keeps the record stage of GHZ
+    sweeps below the peak it read when each point's reductions were
+    gathered alone (``per_point_peak``, in bytes, measured by
+    ``_record_stage_peak`` on that path): the whole chunk in one gather
+    read 5.37 MB at n = 8 and 96.3 MB at n = 10."""
+    spec = ScenarioSpec(f"ghz{n}", "ghz_depolarizing", n, PROP5_P05)
+    assert _record_stage_peak(monkeypatch, spec, points) < per_point_peak
 
 
 def test_sweep_builds_one_scenario(monkeypatch):

@@ -19,7 +19,10 @@ The digests cover:
   {0, .31, 1};
 - ``sweep``: every builtin's 7 x 5 grid records;
 - ``run_stack``: 21-point scale tables of larger inline specs and seeded
-  random configs, with ``measure_control(apply(s))`` on every fifth point;
+  random configs (``stack_specs``), with ``measure_control(apply(s))`` on
+  every fifth point;
+- ``sweep_stack``: the 33-point sweep records of the ``stack_specs``
+  (n up to 8) under both outcome policies;
 - ``_fixed_noise_objective``: its values at seeded proposals;
 - ``optimize --p 0.5 --restarts 4``: the JSON of five specs at seeds 7 and 11.
 """
@@ -29,6 +32,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+from dataclasses import replace
 
 import numpy as np
 
@@ -59,16 +63,20 @@ def run_digest() -> str:
     return h.hexdigest()
 
 
+def _records(h, records) -> None:
+    for r in records:
+        fields = (r.p, r.q, r.probability, r.fidelity, r.conc_pairwise,
+                  r.conc_one_vs_rest, r.oracle_fidelity)
+        h.update(" ".join("None" if x is None else float(x).hex()
+                          for x in fields).encode())
+        h.update(f" {r.outcome};".encode())
+
+
 def sweep_digest() -> str:
     h = hashlib.sha256()
     for name in builtin_names():
-        for r in scenarios.sweep(builtin(name), np.linspace(0, 1, 7),
-                                 np.linspace(0, 1, 5)):
-            fields = (r.p, r.q, r.probability, r.fidelity, r.conc_pairwise,
-                      r.conc_one_vs_rest, r.oracle_fidelity)
-            h.update(" ".join("None" if x is None else float(x).hex()
-                              for x in fields).encode())
-            h.update(f" {r.outcome};".encode())
+        _records(h, scenarios.sweep(builtin(name), np.linspace(0, 1, 7),
+                                    np.linspace(0, 1, 5)))
     return h.hexdigest()
 
 
@@ -109,6 +117,15 @@ def stack_digest() -> str:
     return h.hexdigest()
 
 
+def sweep_stack_digest() -> str:
+    h = hashlib.sha256()
+    for spec in stack_specs():
+        for policy in ("plus_only", "all_outcomes"):
+            _records(h, scenarios.sweep(replace(spec, outcome_policy=policy),
+                                        np.linspace(0, 1, 33)))
+    return h.hexdigest()
+
+
 def objective_digest() -> str:
     h = hashlib.sha256()
     rng = np.random.default_rng(7)
@@ -140,6 +157,7 @@ def optimize_digest() -> str:
 def main() -> None:
     for name, digest in (("run", run_digest), ("sweep", sweep_digest),
                          ("run_stack", stack_digest),
+                         ("sweep_stack", sweep_stack_digest),
                          ("objective", objective_digest),
                          ("optimize", optimize_digest)):
         print(name, digest(), flush=True)
