@@ -6,12 +6,15 @@ placed in a spatial superposition; they satisfy sum |alpha_k|^2 = 1.
 
 Every channel stores each Kraus operator as a unit operator and one real
 scale. The named constructors share read-only unit operators (cached
-``pauli_string`` products), so building a channel at a new noise point
-allocates no 2^n x 2^n array. ``kraus_columns`` is the one reader of that
-format: it scales only the unit columns a computation reaches, and the
-dense ``kraus`` is formed on first use. Both multiply each entry once,
-scale times unit entry, so a scaled column is bitwise that of the dense
-operator.
+``pauli_string`` products), and each takes its scales from a table
+function over an array of noise values (``depolarizing_scales``,
+``pauli_scales``, ``bitflip_scales``), whose one-row call it is: each
+noise check and each sqrt(w) is stated once, and a sweep takes a whole
+table of scales with no channel per point. ``kraus_columns`` is the one
+reader of that format: it scales only the unit columns a computation
+reaches, and the dense ``kraus`` is formed on first use. Both multiply
+each entry once, scale times unit entry, so a scaled column is bitwise
+that of the dense operator.
 
 Pauli channels keep a fixed length-4 amplitude vector indexed by
 ``PAULI_INDEX`` = (I, X, Y, Z) even when some weights vanish, so amplitude
@@ -168,27 +171,64 @@ def _check_amps(amps, length: int) -> np.ndarray:
     return amps
 
 
-def _check_prob(p: float, name: str = "p") -> float:
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise BadProbabilityError(f"{name}={p} outside [0, 1]")
-    return p
+def _check_probs(values, name: str = "p") -> np.ndarray:
+    """``values`` as a float array, if each is in [0, 1]; else the first
+    that is not, in C order, raises."""
+    values = np.asarray(values, dtype=float)
+    bad = ~((values >= 0.0) & (values <= 1.0))  # NaN is bad
+    if bad.any():
+        raise BadProbabilityError(f"{name}={values.item(bad.argmax())} outside [0, 1]")
+    return values
+
+
+def pauli_scales(weights) -> np.ndarray:
+    """The scales sqrt(w) of each row of Pauli weights (..., 4), in I, X,
+    Y, Z order; the first row, in C order, that is no distribution raises."""
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape[-1:] != (4,):
+        raise BadProbabilityError("expected 4 Pauli weights")
+    w0, w1, w2, w3 = np.moveaxis(weights, -1, 0)
+    # the builtin sum's additions, in its order; a NaN fails, as does an
+    # infinite weight, whose sum may be NaN
+    with np.errstate(invalid="ignore"):
+        ok = (weights >= -1e-15).all(axis=-1) & (abs(w0 + w1 + w2 + w3 - 1.0) <= 1e-12)
+    if not ok.all():
+        bad = weights.reshape(-1, 4)[ok.argmin()].tolist()
+        raise BadProbabilityError(f"weights {bad} are not a distribution")
+    return np.sqrt(np.where(weights < 0.0, 0.0, weights))  # sqrt(max(w, 0))
+
+
+def depolarizing_scales(p) -> np.ndarray:
+    """The scales of ``depolarizing_correlated`` at each p: (..., 4)."""
+    p = _check_probs(p)
+    return pauli_scales(np.stack([1.0 - p, p / 3.0, p / 3.0, p / 3.0], axis=-1))
+
+
+def bitflip_scales(p) -> np.ndarray:
+    """The scales of ``memoryless_bitflip`` at each p: (..., 2)."""
+    p = _check_probs(p, "p_i")
+    return np.sqrt(np.stack([1.0 - p, p], axis=-1))
+
+
+def _pauli_channel(scales, n: int, amps) -> VacuumExtendedChannel:
+    ops = tuple(pauli_string(letter * n) for letter in PAULI_INDEX)
+    return VacuumExtendedChannel(ops, amps, scales)
 
 
 def depolarizing_correlated(p: float, n: int, amps) -> VacuumExtendedChannel:
     """Correlated n-qubit depolarizing channel.
 
     Kraus set {sqrt(1-p) I, sqrt(p/3) X^n, sqrt(p/3) Y^n, sqrt(p/3) Z^n}
-    with a length-4 amplitude vector in I, X, Y, Z order.
+    with a length-4 amplitude vector in I, X, Y, Z order: the one-row call
+    of ``depolarizing_scales``.
     """
-    p = _check_prob(p)
-    weights = (1.0 - p, p / 3.0, p / 3.0, p / 3.0)
-    return pauli_channel_correlated(weights, n, amps)
+    return _pauli_channel(depolarizing_scales([p])[0], n, _check_amps(amps, 4))
 
 
 def pauli_channel_correlated(weights, n: int, amps,
                              used_slots=(0, 1, 2, 3)) -> VacuumExtendedChannel:
-    """Correlated Pauli channel with Kraus sqrt(w_k) P_k^{(x)n}.
+    """Correlated Pauli channel with Kraus sqrt(w_k) P_k^{(x)n}, the scales
+    of ``pauli_scales``.
 
     Bit flip is weights (1-p, p, 0, 0); phase flip is (1-q, 0, 0, q).
     Zero-weight Kraus operators are retained so amplitude vectors keep
@@ -198,11 +238,7 @@ def pauli_channel_correlated(weights, n: int, amps,
     through its amplitude).
     """
     weights = [float(w) for w in weights]
-    if len(weights) != 4:
-        raise BadProbabilityError("expected 4 Pauli weights")
-    # NaN fails
-    if not (all(w >= -1e-15 for w in weights) and abs(sum(weights) - 1.0) <= 1e-12):
-        raise BadProbabilityError(f"weights {weights} are not a distribution")
+    scales = pauli_scales([weights])[0]
     amps = _check_amps(amps, 4)
     for k, (w, a) in enumerate(zip(weights, amps)):
         if k not in used_slots and (w != 0.0 or a != 0.0):
@@ -210,23 +246,21 @@ def pauli_channel_correlated(weights, n: int, amps,
                 f"structurally empty Pauli slot {PAULI_INDEX[k]} carries "
                 f"weight {w} / amplitude {a}"
             )
-    ops = tuple(pauli_string(letter * n) for letter in PAULI_INDEX)
-    scales = np.sqrt([max(w, 0.0) for w in weights])
-    return VacuumExtendedChannel(ops, amps, scales)
+    return _pauli_channel(scales, n, amps)
 
 
 def memoryless_bitflip(i: int, n: int, p_i: float, amps) -> VacuumExtendedChannel:
     """Bit-flip channel acting on qubit ``i`` of ``n`` only.
 
     Kraus set {sqrt(1-p_i) I, sqrt(p_i) X_i} with a length-2 amplitude
-    vector.
+    vector: the one-row call of ``bitflip_scales``.
     """
     if not 0 <= i < n:
         raise BadChannelIndexError(f"qubit index {i} outside 0..{n - 1}")
-    p_i = _check_prob(p_i, "p_i")
+    scales = bitflip_scales([p_i])[0]
     amps = _check_amps(amps, 2)
     ops = (pauli_string("I" * n), pauli_string("I" * i + "X" + "I" * (n - i - 1)))
-    return VacuumExtendedChannel(ops, amps, np.sqrt([1.0 - p_i, p_i]))
+    return VacuumExtendedChannel(ops, amps, scales)
 
 
 def unitary_channel(u: np.ndarray) -> VacuumExtendedChannel:

@@ -17,7 +17,7 @@ from math import sqrt
 
 import numpy as np
 
-from .channels import Y, BadNormalizationError, _check_prob
+from .channels import Y, BadNormalizationError, _check_probs
 from .linalg import (
     DensityMatrix,
     DimMismatchError,
@@ -229,14 +229,10 @@ def _sym(a, b) -> float:
     return float(((np.conj(a) * b + a * np.conj(b)) / 2.0).real)
 
 
-def _check_probs(*ps) -> list[float]:
-    return [_check_prob(p, "probability") for p in ps]
-
-
 def fid_closed_depolarizing(p: float, q: float, cfg: VacuumConfig) -> float:
     """Closed-form Bell fidelity for two superposed correlated depolarizing
     channels, as a function of the noise strengths and the vacuum amplitudes."""
-    p, q = _check_probs(p, q)
+    p, q = _check_probs((p, q), "probability").tolist()
     a, b = cfg.alpha, cfg.beta
     m = np.array([[_sym(a[i], b[j]) for j in range(4)] for i in range(4)])
     sg = np.array([1.0, -1.0, 1.0])  # signs of the (X, Y, Z) combination
@@ -265,7 +261,7 @@ def fid_closed_depolarizing(p: float, q: float, cfg: VacuumConfig) -> float:
 def fid_closed_bitphase(p: float, q: float, cfg: VacuumConfig) -> float:
     """Closed-form Bell fidelity for a superposed bit-flip (amplitudes in
     Pauli slots 0, 1) and phase-flip (slots 0, 3) channel pair."""
-    p, q = _check_probs(p, q)
+    p, q = _check_probs((p, q), "probability").tolist()
     a, b = cfg.alpha, cfg.beta
     shared = (
         1.0
@@ -282,7 +278,7 @@ def fid_closed_bitphase(p: float, q: float, cfg: VacuumConfig) -> float:
 def fid_closed_w3(p, cfg: VacuumConfig) -> float:
     """Closed-form W fidelity for three superposed memoryless bit-flip
     channels with per-channel noise (p_0, p_1, p_2) and 2-vector amplitudes."""
-    p = _check_probs(*p)
+    p = _check_probs(p, "probability").tolist()
     if len(p) != 3 or len(cfg.vectors) != 3:
         raise DimMismatchError("expected 3 probabilities and 3 amplitude pairs")
     num = sum(p)

@@ -15,10 +15,13 @@ from math import sqrt
 import numpy as np
 
 from .channels import (
+    bitflip_scales,
     depolarizing_correlated,
+    depolarizing_scales,
     kraus_columns,
     memoryless_bitflip,
     pauli_channel_correlated,
+    pauli_scales,
     pauli_string,
     scale_row,
     unitary_channel,
@@ -269,8 +272,10 @@ def build_scenario(spec: ScenarioSpec, p: float,
 
     ``q`` defaults to ``p``; ``w_memoryless`` sets every channel to ``p``
     and ideal families ignore the noise; ``plus_only`` measures only outcome
-    0, |+> (|0~> for W). Every check here but those of the channel
-    constructors (``_channels``) holds at any noise point.
+    0, |+> (|0~> for W). A sweep builds its scenario once, at its first
+    point: every check here holds at any noise point but the channel
+    constructors' noise checks (``_channels``), which ``_scale_table``
+    makes for every point.
     """
     n = spec.n
     # reject before building 2^n x 2^n Kraus operators; a huge n never
@@ -294,7 +299,8 @@ def build_scenario(spec: ScenarioSpec, p: float,
 
 def _channels(spec: ScenarioSpec, p: float, q: float):
     """The channels of a spec at noise (p, q), each from its named
-    constructor, which checks the noise and computes the Kraus scales."""
+    constructor, which checks the noise and the vacuum amplitudes and
+    computes the Kraus scales."""
     n, family, cfg = spec.n, spec.family, spec.config
     if family == "ideal_bell" or family == "ideal_ghz":
         return (unitary_channel(pauli_string("X" * n)),
@@ -309,10 +315,34 @@ def _channels(spec: ScenarioSpec, p: float, q: float):
                 depolarizing_correlated(q, n, cfg.beta))
     if family in _BITPHASE_FAMILIES:
         bit, phase = (np.flatnonzero(m) for m in _free_slots(family, n))
-        return (pauli_channel_correlated((1 - p, p, 0, 0), n, cfg.alpha, bit),
-                pauli_channel_correlated((1 - q, 0, 0, q), n, cfg.beta, phase))
+        bit_w, phase_w = _bitphase_weights(np.array([p]), np.array([q]))[0]
+        return (pauli_channel_correlated(bit_w, n, cfg.alpha, bit),
+                pauli_channel_correlated(phase_w, n, cfg.beta, phase))
     # w_memoryless
     return tuple(memoryless_bitflip(i, n, p, cfg.vectors[i]) for i in range(n))
+
+
+def _bitphase_weights(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The weights (1-p, p, 0, 0) of the bit flip and (1-q, 0, 0, q) of the
+    phase flip at each point (p[i], q[i]): shape (P, 2, 4)."""
+    z = np.zeros(len(p))
+    return np.array([[1 - p, p, z, z], [1 - q, z, z, q]]).transpose(2, 0, 1)
+
+
+def _scale_table(spec: ScenarioSpec, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The (P, K) table of Kraus scales at the points (p[i], q[i]): row i is
+    ``scale_row(_channels(spec, p[i], q[i]))``, taken from the
+    constructors' table functions, so no channel is built. The noise values
+    are checked point by point, p before q, as the constructors check them;
+    the vacuum amplitudes are ``build_scenario``'s to check."""
+    if spec.family in _DEPOL_FAMILIES:
+        return depolarizing_scales(np.column_stack([p, q])).reshape(len(p), -1)
+    if spec.family in _BITPHASE_FAMILIES:
+        return pauli_scales(_bitphase_weights(p, q)).reshape(len(p), -1)
+    if spec.family == "w_memoryless":
+        return np.tile(bitflip_scales(p), spec.n)
+    # an ideal family ignores the noise: one unitary per channel
+    return np.ones((len(p), len(spec.config.vectors)))
 
 
 def outcome_fidelity(spec: ScenarioSpec, outcome: MeasurementOutcome) -> float:
@@ -344,16 +374,17 @@ def oracle_fidelity(spec: ScenarioSpec, p: float, q: float) -> float | None:
     return None
 
 
-#: points per ``run_stack`` call in ``sweep``. The stack's arrays grow with
-#: it while the per-call numpy overhead it spreads flattens out. The
-#: largest is the joint on its reached target rows, P x Rt x n x d x n
-#: complex: 1 MB at 32 points for an n = 8 GHZ sweep, 75 MB for an n = 8 W
-#: sweep, the largest the joint dimension cap allows. On the benchmark's
-#: figures workload (2-core x86-64, Python 3.11, numpy 2.4) a whole
-#: 225-point grid in one stack read a peak RSS of 44.6 MB against 43.5 MB
-#: at 32 points. A chunk's post states are kept until its records are
-#: made; their reductions are gathered together only as far as
-#: ``linalg._GATHER_ENTRIES`` allows.
+#: points per ``run_stack`` call in ``sweep``, each chunk one table of
+#: Kraus scales and one density check of its post states. The stack's
+#: arrays grow with it while the per-call numpy overhead it spreads
+#: flattens out. The largest is the joint on its reached target rows,
+#: P x Rt x n x d x n complex: 1 MB at 32 points for an n = 8 GHZ sweep,
+#: 75 MB for an n = 8 W sweep, the largest the joint dimension cap allows.
+#: On the benchmark's figures workload (2-core x86-64, Python 3.11, numpy
+#: 2.4) a whole 225-point grid in one stack read a peak RSS of 44.6 MB
+#: against 43.5 MB at 32 points. A chunk's post states are kept until its
+#: records are made; their reductions are gathered together only as far
+#: as ``linalg._GATHER_ENTRIES`` allows.
 _CHUNK = 32
 
 
@@ -426,23 +457,21 @@ def sweep(spec: ScenarioSpec, p_grid, q_grid=None, *,
     """Evaluate a spec over a noise grid.
 
     With no ``q_grid`` the sweep is one-dimensional with q locked to p.
-    Records are ordered p-major, then q, then outcome. The scenario is
-    built and checked once, at the first point; a point adds only the row
-    of Kraus scales that its channel constructors compute (``_channels``).
-    The points are evaluated ``_CHUNK`` at a time by ``run_stack``, which
-    evolves and measures a chunk as one stack, so memory does not grow
-    with the number of points. The chunk's concurrences are then taken as
-    one stacked pass per outcome index (``_concurrence_table``), and each
-    point's records are made by ``evaluate_point`` from its outcomes and
-    concurrences, bitwise as if it had evaluated the point alone.
+    Records are ordered p-major, then q, then outcome. The scenario, with
+    its channels and vacuum amplitudes, is built and checked once, at the
+    first point. The points are taken ``_CHUNK`` at a time: a chunk is one
+    table of Kraus scales (``_scale_table``), with no channel per point,
+    evolved and measured as one stack by ``run_stack``, so memory does not
+    grow with the number of points. Its concurrences are one stacked pass
+    per outcome index (``_concurrence_table``), and each point's records
+    are made by ``evaluate_point``, bitwise as if it ran the point alone.
     """
     points = ((float(p), float(q)) for p in p_grid
               for q in (q_grid if q_grid is not None else [p]))
     records, scenario = [], None
     while chunk := list(islice(points, _CHUNK)):
         scenario = scenario or build_scenario(spec, *chunk[0])
-        scales = [scale_row(_channels(spec, p, q)) for p, q in chunk]
-        outcomes = list(run_stack(scenario, scales))
+        outcomes = list(run_stack(scenario, _scale_table(spec, *np.array(chunk).T)))
         for (p, q), outs, conc in zip(chunk, outcomes, _concurrence_table(outcomes)):
             records += evaluate_point(spec, p, q, emit_oracle=emit_oracle,
                                       _outcomes=outs, _concurrences=conc)

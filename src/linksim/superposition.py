@@ -258,40 +258,41 @@ def _measure(t, keep, target_dims, basis):
     (with a single column the iterator could fuse those two sums into one
     loop, which adds in another order). Each probability is summed over the
     length-d diagonal with zeros in place, so it rounds as the d x d trace.
-    Each post state is held on the reached rows, so no d x d matrix is
-    formed for it.
+    The post blocks of every point and outcome above ``ZERO_PROB`` are
+    normalized together and held on the reached rows by one
+    ``DensityMatrix.stack`` call, so one ``check_densities`` call covers
+    them and no d x d matrix is formed.
     """
     blocks = np.einsum("bk,pikjl,bl->pbij", basis.conj(), t, basis).take(keep, 3)
     diag = np.zeros(blocks.shape[:2] + (t.shape[3],), dtype=complex)
     diag[..., keep] = blocks.diagonal(axis1=2, axis2=3)
-    probs = diag.sum(axis=-1).real.tolist()
-    sym = blocks + blocks.conj().swapaxes(-1, -2)
-    for point_probs, point_sym in zip(probs, sym):
-        outcomes = []
-        for k, (p, block) in enumerate(zip(point_probs, point_sym)):
-            if p < ZERO_PROB:
-                outcomes.append(MeasurementOutcome(k, 0.0, None))
-                continue
-            post = DensityMatrix(target_dims, block / (2.0 * p), keep)
-            outcomes.append(MeasurementOutcome(k, p, post))
-        yield outcomes
+    probs = diag.sum(axis=-1).real
+    live = ~(probs < ZERO_PROB)  # a NaN stays, and fails the check
+    posts = blocks[live]
+    posts = (posts + posts.conj().swapaxes(-1, -2)) / (2.0 * probs[live])[:, None, None]
+    states = iter(DensityMatrix.stack(target_dims, posts, keep))
+    for point_probs, point_live in zip(probs.tolist(), live.tolist()):
+        yield [MeasurementOutcome(k, p, next(states)) if alive
+               else MeasurementOutcome(k, 0.0, None)
+               for k, (p, alive) in enumerate(zip(point_probs, point_live))]
 
 
 def run_stack(scenario: SuperpositionScenario,
               scales) -> Iterator[list[MeasurementOutcome]]:
     """The control-measurement outcomes of ``scenario`` at every row of the
     (P, K) table ``scales`` of Kraus scales, K running over every channel's
-    operators in channel order (a row is ``channels.scale_row``), computed
-    as one stack; yields one outcome list per row, in order. The scales
-    the scenario's channels hold are not read.
+    operators in channel order (a row is ``channels.scale_row``; a sweep's
+    chunk is ``scenarios._scale_table``), computed as one stack; yields one
+    outcome list per row, in order. The scales the scenario's channels hold
+    are not read.
 
     The joint states are evolved together (``_joint_blocks``) and checked
     as one stack, then measured together on the target rows any of them
     reaches. Outcome k has probability Tr[(I (x) |b_k><b_k|) rho]; outcomes
-    below ``ZERO_PROB`` carry no post state, and every other post state is
-    the normalized target block, built and checked by ``DensityMatrix`` on
-    the reached rows.
-    Each output is bitwise that of its row evaluated alone.
+    below ``ZERO_PROB`` carry no post state, and the normalized target
+    blocks of all others are held on the reached rows and checked as one
+    stack (``DensityMatrix.stack``). Each output is bitwise that of its row
+    evaluated alone.
     """
     k = sum(len(c.ops) for c in scenario.channels)
     try:

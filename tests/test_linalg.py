@@ -473,8 +473,60 @@ def test_stacked_check_raises_as_the_member_alone(monkeypatch, kind, error, past
     assert _raised(lambda: DensityMatrix((2, 2), stack[at])) is alone
 
 
+@pytest.mark.parametrize("at", [0, -1])
+@pytest.mark.parametrize("kind, error", [("hermiticity", NonHermitianError),
+                                         ("trace", LinalgError),
+                                         ("eigenvalue", NegativeEigenvalueError),
+                                         ("nan", NonHermitianError)])
+def test_density_stack_raises_as_the_member_alone(kind, error, at):
+    """One bad member of a stack of four, first or last, makes
+    ``DensityMatrix.stack`` raise what the one-state constructor raises on
+    that member."""
+    rng = np.random.default_rng(10)
+    dims, support = (2, 2, 2), [0, 2, 5]
+    stack = np.array([random_density(rng, 3) for _ in range(4)])
+    if kind == "hermiticity":
+        stack[at, 0, 1] += 1e-6
+    elif kind == "trace":
+        stack[at, 1, 1] += 1e-6
+    elif kind == "eigenvalue":
+        u, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        m = (u * [0.7, 0.4, -0.1]) @ u.conj().T
+        stack[at] = (m + m.conj().T) / 2
+    else:
+        stack[at, 2, 2] = np.nan
+    alone = _raised(lambda: DensityMatrix(dims, stack[at], support))
+    assert alone is error
+    assert _raised(lambda: DensityMatrix.stack(dims, stack, support)) is alone
+    assert DensityMatrix.stack(dims, np.delete(stack, at, axis=0), support)
+
+
+@pytest.mark.parametrize("support", [np.array([5, 0, 2]), None])
+def test_density_stack_holds_what_the_one_state_constructor_holds(support):
+    """The states are read-only, share one support array, and hold the
+    blocks ``DensityMatrix(dims, block, support)`` holds, bit for bit."""
+    rng = np.random.default_rng(11)
+    size = 8 if support is None else len(support)
+    blocks = np.array([random_density(rng, size) for _ in range(5)])
+    given = blocks.copy()
+    states = DensityMatrix.stack((2, 2, 2), given, support)
+    given[:] = 0  # the states hold their own copies
+    assert len(states) == 5
+    assert all(state.support is states[0].support for state in states)
+    for state, block in zip(states, blocks):
+        alone = DensityMatrix((2, 2, 2), block, support)
+        assert state.dims == alone.dims == (2, 2, 2)
+        assert_bitwise(state.support, alone.support)
+        assert_bitwise(state.block, alone.block)
+        assert_bitwise(state.mat, alone.mat)
+        for part in (state.block, state.support, state.mat):
+            assert not part.flags.writeable
+    assert DensityMatrix.stack((2, 2, 2), np.zeros((0, 3, 3)), [0, 2, 5]) == []
+
+
 def test_density_matrix_and_partial_traces_share_one_check(monkeypatch):
     rho = DensityMatrix.pure((2, 2), np.array([1, 0, 0, 1]) / np.sqrt(2))
+    scenario = build_scenario(builtin("prop4_p05"), 0.5)
 
     def refuse(mats):
         raise LinalgError("refused")
@@ -488,6 +540,13 @@ def test_density_matrix_and_partial_traces_share_one_check(monkeypatch):
         DensityMatrix.pure((2, 2), np.array([1, 0, 0, 1]) / np.sqrt(2))
     with pytest.raises(LinalgError, match="refused"):
         partial_traces(rho, [[0], [1]])
+    with pytest.raises(LinalgError, match="refused"):
+        DensityMatrix.stack((2, 2), np.full((3, 2, 2), 0.5), [0, 3])
+    with pytest.raises(LinalgError, match="refused"):
+        DensityMatrix.stack((2, 2), np.zeros((0, 2, 2)), [0, 3])
+    # the post states of a run
+    with pytest.raises(LinalgError, match="refused"):
+        run(scenario)
 
 
 def test_from_block_rejects_a_block_unlike_its_support():
@@ -509,6 +568,8 @@ def test_from_block_rejects_a_block_unlike_its_support():
 def test_from_block_validates_its_support(support, error):
     with pytest.raises(error):
         DensityMatrix((2, 2), np.eye(2) / 2, support)
+    with pytest.raises(error):
+        DensityMatrix.stack((2, 2), np.array([np.eye(2) / 2] * 3), support)
 
 
 def test_an_empty_block_fails_the_trace_check_and_an_empty_stack_passes():

@@ -9,10 +9,13 @@ import pytest
 from linksim import cli, linalg, scenarios
 from linksim.channels import (
     BadProbabilityError,
+    VacuumExtendedChannel,
     depolarizing_correlated,
     pauli_channel_correlated,
+    pauli_scales,
+    scale_row,
 )
-from linksim.linalg import DensityMatrix
+from linksim.linalg import LinksimError
 from linksim.metrics import VacuumConfig
 from linksim.superposition import run
 from linksim.scenarios import (
@@ -538,42 +541,52 @@ def test_record_stage_peaks_below_the_per_point_gathers(monkeypatch, n, points,
 
 
 def test_sweep_builds_one_scenario(monkeypatch):
-    # one checked scenario per call; each point builds only its channels
-    build, channels, calls = scenarios.build_scenario, scenarios._channels, []
+    # one checked scenario, and one channel tuple, per sweep; a point adds
+    # only its row of its chunk's scale table
+    calls = []
 
-    def counted(fn):
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
         def wrapper(*args):
-            calls.append(fn.__name__)
+            calls.append(name)
             return fn(*args)
-        return wrapper
+        monkeypatch.setattr(owner, name, wrapper)
 
     spec = builtin("fig7a_green")
     grid = np.linspace(0.0, 1.0, 2 * scenarios._CHUNK + 1)
     expected = sweep(spec, grid, [0.3])
-    monkeypatch.setattr(scenarios, "build_scenario", counted(build))
-    monkeypatch.setattr(scenarios, "_channels", counted(channels))
+    counted(scenarios, "build_scenario")
+    counted(scenarios, "_channels")
+    counted(VacuumExtendedChannel, "__post_init__")
     assert _hex(sweep(spec, grid, [0.3])) == _hex(expected)
-    # build_scenario takes its own channels at the first point
-    assert calls == ["build_scenario"] + ["_channels"] * (len(grid) + 1)
+    # the bit flip and the phase flip, built once at the first point
+    assert calls == ["build_scenario", "_channels"] + ["__post_init__"] * 2
+    calls.clear()
+    assert len(sweep(spec, np.linspace(0.0, 1.0, 33))) == 33
+    assert calls.count("__post_init__") == 2
     calls.clear()
     assert sweep(spec, []) == [] and calls == []
 
 
 def test_plus_only_sweep_builds_one_post_state_per_point(monkeypatch):
-    # the scenario measures only the reported outcome: an n = 8 GHZ sweep
-    # builds one post state per point, not one per basis vector
-    original, callers = DensityMatrix.__post_init__, []
+    # the scenario measures only the reported outcome, and each chunk's
+    # post states are checked as one stack: an n = 8 GHZ sweep of 55
+    # points checks 55 post states in 2 stacked calls, one per chunk
+    check, checked = linalg.check_densities, []
 
-    def counted(self):
-        # frame 1 is the dataclass __init__, frame 2 the constructor's caller
-        callers.append(sys._getframe(2).f_code.co_name)
-        return original(self)
+    def counted(mats):
+        # frame 1 is linalg._held, frame 2 the stack constructor
+        if sys._getframe(3).f_code.co_name == "_measure":
+            checked.append((sys._getframe(2).f_code.co_name, mats.shape))
+        return check(mats)
 
-    monkeypatch.setattr(DensityMatrix, "__post_init__", counted)
+    monkeypatch.setattr(linalg, "check_densities", counted)
     spec = ScenarioSpec("ghz8", "ghz_depolarizing", 8, PROP5_P05)
     assert spec.outcome_policy == "plus_only"
+    assert scenarios._CHUNK == 32
     assert len(sweep(spec, np.linspace(0.0, 1.0, 55))) == 55
-    assert callers.count("_measure") == 55
+    assert checked == [("stack", (32, 2, 2)), ("stack", (23, 2, 2))]
 
 
 def test_sweep_refuses_a_bad_point_in_a_later_chunk():
@@ -591,6 +604,101 @@ def test_sweep_refuses_a_bad_point_in_a_later_chunk():
         with pytest.raises(BadProbabilityError) as swept:
             sweep(builtin(name), *grids)
         assert str(swept.value) == str(alone.value)
+
+
+def _table_specs():
+    """A spec of every family, with w_memoryless at n = 3 to 8."""
+    w = [ScenarioSpec(f"w{n}", "w_memoryless", n, VacuumConfig(((S2, S2),) * n))
+         for n in range(3, 9)]
+    return [builtin("prop1_ideal_bell"), builtin("prop2_ideal_ghz_n3"),
+            builtin("prop3_ideal_w_n4"), builtin("fig4a_blue"),
+            builtin("fig4b_green"), builtin("prop5_p05"), builtin("fig7a_blue"),
+            ScenarioSpec("ghz8", "ghz_depolarizing", 8, PROP5_P05), *w]
+
+
+def _first_error(spec, p, q):
+    """What the per-point constructors raise first at the points (p[i],
+    q[i]), in order, as (class, message); None if every point is good."""
+    for pi, qi in zip(p, q):
+        try:
+            scenarios._channels(spec, float(pi), float(qi))
+        except LinksimError as exc:
+            return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("spec", _table_specs(), ids=lambda s: s.name)
+def test_scale_table_rows_are_the_constructors_scale_rows(spec):
+    # bitwise, signed zeros included, at 0, 1 and random values, in
+    # tables of the sizes a chunk takes at its edges
+    rng = np.random.default_rng(21)
+    for points in (1, 32, 33, 65):
+        p, q = rng.uniform(0.0, 1.0, (2, points))
+        p[::3], q[1::4] = 0.0, 1.0
+        p[1::5], q[::7] = 1.0, 0.0
+        table = scenarios._scale_table(spec, p, q)
+        rows = [scale_row(scenarios._channels(spec, pi, qi)) for pi, qi in zip(p, q)]
+        assert table.dtype == np.float64
+        assert table.tobytes() == np.array(rows).tobytes()
+
+
+@pytest.mark.parametrize("spec", _table_specs(), ids=lambda s: s.name)
+def test_scale_table_refuses_as_the_first_bad_constructor(spec):
+    # a bad value in the p or the q column, at a chunk's first or last
+    # point or inside it, raises what the constructors raise first in
+    # p-major order; the ideal families ignore the noise
+    rng = np.random.default_rng(22)
+    for bad in (np.nan, np.inf, -np.inf, -1e-3, 1 + 1e-9):
+        for points, at in ((1, 0), (32, 31), (33, 17), (65, 0), (65, 64)):
+            for column in (0, 1):
+                pq = rng.uniform(0.0, 1.0, (2, points))
+                pq[column, at] = bad
+                if at:  # a second bad value after the first
+                    pq[1 - column, at - 1:] = 1.5
+                expected = _first_error(spec, *pq)
+                try:
+                    scenarios._scale_table(spec, *pq)
+                    raised = None
+                except LinksimError as exc:
+                    raised = type(exc), str(exc)
+                assert raised == expected, (bad, points, at, column)
+                ignored = spec.family.startswith("ideal") or (
+                    spec.family == "w_memoryless" and column == 1 and not at)
+                assert (expected is None) == ignored
+
+
+def test_sweep_refuses_as_the_first_bad_constructor_in_any_chunk():
+    grid = list(np.linspace(0.0, 1.0, 2 * scenarios._CHUNK + 1))
+    for name in ("fig4a_blue", "fig7a_blue", "fig8_green"):
+        spec = builtin(name)
+        for bad in (np.nan, -np.inf, -1e-3, 1 + 1e-9):
+            for at in (0, scenarios._CHUNK, 2 * scenarios._CHUNK):
+                p = grid[:at] + [bad] + grid[at + 1:]
+                with pytest.raises(LinksimError) as swept:
+                    sweep(spec, p, [0.25])
+                expected = _first_error(spec, p, [0.25] * len(p))
+                assert (type(swept.value), str(swept.value)) == expected
+            # a bad q at every point: the first point's raises
+            if spec.family != "w_memoryless":
+                with pytest.raises(LinksimError) as swept:
+                    sweep(spec, grid, [bad])
+                expected = _first_error(spec, grid, [bad] * len(grid))
+                assert (type(swept.value), str(swept.value)) == expected
+
+
+def test_pauli_scales_keep_the_distribution_message():
+    for weights in ((-0.5, 1.5, 0, 0), (0.5, 0.6, 0, 0), (np.nan, 1, 0, 0)):
+        with pytest.raises(BadProbabilityError) as table:
+            pauli_scales([(1.0, 0, 0, 0), weights])
+        with pytest.raises(BadProbabilityError) as alone:
+            pauli_channel_correlated(weights, 2, (1, 0, 0, 0))
+        assert str(table.value) == str(alone.value)
+        assert str(alone.value) == (f"weights {[float(w) for w in weights]} "
+                                    "are not a distribution")
+    # p = 1.5 in a bit-flip sweep is the weights (-0.5, 1.5, 0, 0)
+    with pytest.raises(BadProbabilityError, match=r"weights \[-0\.5, 1\.5, 0\.0, "
+                                                   r"0\.0\] are not a distribution"):
+        sweep(builtin("fig7a_blue"), [0.5, 1.5])
 
 
 def test_sweep_memory_does_not_grow_with_points():
