@@ -27,6 +27,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 
@@ -316,7 +317,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_CONFIG)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; a parse leaves it unchanged."""
     # allow_abbrev=False: a prefix such as --p must not be read as --points
     parser = _Parser(
         prog="linksim",
@@ -360,6 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command with ``build_parser``'s one parser; return its code."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

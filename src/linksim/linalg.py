@@ -197,13 +197,6 @@ class DensityMatrix:
             object.__setattr__(self, "_mat", mat)
         return self._mat
 
-    def entries(self, rows, cols) -> list:
-        """``mat[i, j]`` for each pair ``i, j`` of ``rows`` and ``cols``
-        (indices in ``0..dim-1``), read from the block."""
-        at = self.support.tolist()
-        return [self.block.item(at.index(i), at.index(j)) if i in at and j in at
-                else 0j for i, j in zip(rows, cols)]
-
     @classmethod
     def pure(cls, dims, vector: np.ndarray) -> "DensityMatrix":
         """Density matrix of a state vector, normalized here."""

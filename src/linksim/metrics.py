@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import sqrt
+from math import prod, sqrt
 
 import numpy as np
 
@@ -72,32 +72,50 @@ def w_state(n: int, outcome: int = 0) -> np.ndarray:
 
 
 def fidelity_pure(rho: DensityMatrix, target) -> float:
-    """sqrt(<psi|rho|psi>) against a pure target state.
+    """sqrt(<psi|rho|psi>) against a pure target state: the one-state call
+    of ``fidelities_pure``."""
+    return fidelities_pure(rho.dims, rho.support, rho.block[None], target)[0]
 
-    Reads the whole ``mat``: the same product on the block and the
-    target's entries on the support rounds differently in the last bit.
-    """
+
+def fidelities_pure(dims, support, blocks: np.ndarray, target) -> list[float]:
+    """``fidelity_pure`` of every state of a stack that shares ``dims`` and
+    ``support``, given as its blocks ``(P, s, s)``. It reads the whole
+    matrices, as ``mat`` places them, and takes the last product as P
+    products (1, d) @ (d,): on the blocks, or as one (P, d) @ (d,)
+    product, the sums round otherwise in the last bit."""
     psi = np.asarray(target)
-    if rho.dim != len(psi):
+    if prod(dims) != len(psi):
         raise DimMismatchError("state and target dimensions differ")
-    val = (psi.conj() @ rho.mat @ psi).real
-    return sqrt(min(max(val, 0.0), 1.0))
+    mats = np.zeros((len(blocks), len(psi), len(psi)), dtype=complex)
+    mats[:, support[:, None], support] = blocks
+    vals = ((psi.conj() @ mats)[:, None] @ psi).real.ravel().tolist()
+    return [sqrt(min(max(val, 0.0), 1.0)) for val in vals]
 
 
 def fidelity_up_to_phase(rho: DensityMatrix, n: int) -> float:
-    """Best GHZ fidelity over the relative phase.
+    """Best GHZ fidelity over the relative phase: the one-state call of
+    ``fidelities_up_to_phase``."""
+    return fidelities_up_to_phase(rho.dims, rho.support, rho.block[None], n)[0]
+
+
+def fidelities_up_to_phase(dims, support, blocks: np.ndarray, n: int) -> list[float]:
+    """``fidelity_up_to_phase`` of every state of a stack that shares
+    ``dims`` and ``support``, given as its blocks ``(P, s, s)``.
 
     Maximizes fid against (|0>^n + e^{i phi} |1>^n)/sqrt(2); the maximum is
     attained at phi = -arg rho[0, last] and only involves the extreme
     populations and the single extreme off-diagonal element, which are
-    read from the block.
+    read from the blocks (an entry off the support is a zero).
     """
-    if rho.dim != 2**n:
+    if prod(dims) != 2**n:
         raise DimMismatchError(f"state is not {n}-qubit")
-    end = rho.dim - 1
-    first, last, coh = rho.entries([0, end, 0], [0, end, end])
-    val = 0.5 * (first.real + last.real) + abs(coh)
-    return sqrt(min(max(val, 0.0), 1.0))
+    end = 2**n - 1
+    at = support.tolist()
+    first, last, coh = (blocks[:, at.index(i), at.index(j)].tolist()
+                        if i in at and j in at else [0j] * len(blocks)
+                        for i, j in ((0, 0), (end, end), (0, end)))
+    return [sqrt(min(max(0.5 * (a.real + b.real) + abs(c), 0.0), 1.0))
+            for a, b, c in zip(first, last, coh)]
 
 
 # ---------------------------------------------------------------------------
@@ -229,64 +247,55 @@ def _sym(a, b) -> float:
     return float(((np.conj(a) * b + a * np.conj(b)) / 2.0).real)
 
 
-def fid_closed_depolarizing(p: float, q: float, cfg: VacuumConfig) -> float:
+def _fidelities(num: np.ndarray, den: np.ndarray) -> float | list[float]:
+    """sqrt(max(num, 0) / den) pointwise; a vanishing denominator raises."""
+    if (den <= 1e-14).any():
+        raise DivisionByZeroError("vanishing outcome probability")
+    return np.sqrt(np.maximum(num, 0.0) / den).tolist()
+
+
+def fid_closed_depolarizing(p, q, cfg: VacuumConfig) -> float | list[float]:
     """Closed-form Bell fidelity for two superposed correlated depolarizing
-    channels, as a function of the noise strengths and the vacuum amplitudes."""
-    p, q = _check_probs((p, q), "probability").tolist()
+    channels, as a function of the noise strengths and the vacuum
+    amplitudes: elementwise over arrays of (p, q), the amplitudes' terms
+    formed once; a float for floats."""
+    p, q = np.moveaxis(_check_probs(np.stack([p, q], -1), "probability"), -1, 0)
     a, b = cfg.alpha, cfg.beta
     m = np.array([[_sym(a[i], b[j]) for j in range(4)] for i in range(4)])
     sg = np.array([1.0, -1.0, 1.0])  # signs of the (X, Y, Z) combination
-    xyz_a = m[1:, :]
-    xyz_b = m[:, 1:]
-    c = (
-        3.0
-        + 3.0 * sqrt((1 - p) * (1 - q)) * m[0, 0]
-        + sqrt(3 * p * (1 - q)) * (sg @ xyz_a[:, 0])
-        + sqrt(3 * q * (1 - p)) * (xyz_b[0, :] @ sg)
-        + sqrt(p * q) * (sg @ m[1:, 1:] @ sg)
-    )
-    d = 2.0 * (
-        3.0
-        + 3.0 * sqrt((1 - p) * (1 - q)) * m[0, 0]
-        + sqrt(p * q) * m[3, 3]
-        + sqrt(3 * p * (1 - q)) * m[3, 0]
-        + sqrt(3 * q * (1 - p)) * m[0, 3]
-        + sqrt(p * q) * (m[1, 1] - m[1, 2] - m[2, 1] + m[2, 2])
-    )
-    if d <= 1e-14:
-        raise DivisionByZeroError("vanishing outcome probability")
-    return sqrt(max(c, 0.0) / d)
+    same, both = np.sqrt((1 - p) * (1 - q)), np.sqrt(p * q)
+    p_only, q_only = np.sqrt(3 * p * (1 - q)), np.sqrt(3 * q * (1 - p))
+    base = 3.0 + 3.0 * same * m[0, 0]
+    c = (base + p_only * (sg @ m[1:, 0]) + q_only * (m[0, 1:] @ sg)
+         + both * (sg @ m[1:, 1:] @ sg))
+    d = 2.0 * (base + both * m[3, 3] + p_only * m[3, 0] + q_only * m[0, 3]
+               + both * (m[1, 1] - m[1, 2] - m[2, 1] + m[2, 2]))
+    return _fidelities(c, d)
 
 
-def fid_closed_bitphase(p: float, q: float, cfg: VacuumConfig) -> float:
+def fid_closed_bitphase(p, q, cfg: VacuumConfig) -> float | list[float]:
     """Closed-form Bell fidelity for a superposed bit-flip (amplitudes in
-    Pauli slots 0, 1) and phase-flip (slots 0, 3) channel pair."""
-    p, q = _check_probs((p, q), "probability").tolist()
+    Pauli slots 0, 1) and phase-flip (slots 0, 3) channel pair, elementwise
+    over arrays of (p, q); a float for floats."""
+    p, q = np.moveaxis(_check_probs(np.stack([p, q], -1), "probability"), -1, 0)
     a, b = cfg.alpha, cfg.beta
-    shared = (
-        1.0
-        + sqrt(q * (1 - p)) * _sym(a[0], b[3])
-        + sqrt((1 - p) * (1 - q)) * _sym(a[0], b[0])
-    )
-    num = shared + sqrt(p * (1 - q)) * _sym(a[1], b[0]) + sqrt(p * q) * _sym(a[1], b[3])
-    den = 2.0 * shared
-    if den <= 1e-14:
-        raise DivisionByZeroError("vanishing outcome probability")
-    return sqrt(max(num, 0.0) / den)
+    shared = (1.0 + np.sqrt(q * (1 - p)) * _sym(a[0], b[3])
+              + np.sqrt((1 - p) * (1 - q)) * _sym(a[0], b[0]))
+    num = (shared + np.sqrt(p * (1 - q)) * _sym(a[1], b[0])
+           + np.sqrt(p * q) * _sym(a[1], b[3]))
+    return _fidelities(num, 2.0 * shared)
 
 
-def fid_closed_w3(p, cfg: VacuumConfig) -> float:
+def fid_closed_w3(p, cfg: VacuumConfig) -> float | list[float]:
     """Closed-form W fidelity for three superposed memoryless bit-flip
-    channels with per-channel noise (p_0, p_1, p_2) and 2-vector amplitudes."""
-    p = _check_probs(p, "probability").tolist()
-    if len(p) != 3 or len(cfg.vectors) != 3:
+    channels with per-channel noise p = (p_0, p_1, p_2) and 2-vector
+    amplitudes; elementwise over rows (..., 3) of p, a float for one row."""
+    p = _check_probs(p, "probability")
+    if p.shape[-1:] != (3,) or len(cfg.vectors) != 3:
         raise DimMismatchError("expected 3 probabilities and 3 amplitude pairs")
-    num = sum(p)
-    den = 9.0
-    for i, j in combinations(range(3), 2):
-        ai, aj = cfg.vectors[i], cfg.vectors[j]
-        num += 2.0 * _sym(ai[1], aj[1]) * sqrt(p[i] * p[j])
-        den += 6.0 * _sym(ai[0], aj[0]) * sqrt((1 - p[i]) * (1 - p[j]))
-    if den <= 1e-14:
-        raise DivisionByZeroError("vanishing outcome probability")
-    return sqrt(max(num, 0.0) / den)
+    channels = list(zip(cfg.vectors, np.moveaxis(p, -1, 0)))
+    num, den = sum(pi for _, pi in channels), 9.0
+    for (ai, pi), (aj, pj) in combinations(channels, 2):
+        num = num + 2.0 * _sym(ai[1], aj[1]) * np.sqrt(pi * pj)
+        den = den + 6.0 * _sym(ai[0], aj[0]) * np.sqrt((1 - pi) * (1 - pj))
+    return _fidelities(num, den)

@@ -33,6 +33,8 @@ from .metrics import (
     fid_closed_bitphase,
     fid_closed_depolarizing,
     fid_closed_w3,
+    fidelities_pure,
+    fidelities_up_to_phase,
     fidelity_pure,
     fidelity_up_to_phase,
     one_vs_rest_concurrences,
@@ -346,31 +348,38 @@ def _scale_table(spec: ScenarioSpec, p: np.ndarray, q: np.ndarray) -> np.ndarray
 
 
 def outcome_fidelity(spec: ScenarioSpec, outcome: MeasurementOutcome) -> float:
-    """Fidelity of one measurement outcome against its family target.
-
-    Outcome 0 of a Bell family is scored against |Phi+>; the minus outcome
-    and all GHZ outcomes are scored up to the relative phase. W outcomes
-    are scored against the phase-corrected W state for that Fourier
-    outcome.
-    """
-    if outcome.post_state is None:
+    """Fidelity of one measurement outcome against its family target: the
+    one-state call of ``_fidelity_column``."""
+    state = outcome.post_state
+    if state is None:
         raise ScenarioError("zero-probability outcome has no post state")
-    family = spec.family
-    if family in _W_FAMILIES:
-        return fidelity_pure(outcome.post_state, w_state(spec.n, outcome.outcome_index))
-    if family in _BELL_FAMILIES and outcome.outcome_index == 0:
-        return fidelity_pure(outcome.post_state, bell_state(+1))
-    return fidelity_up_to_phase(outcome.post_state, spec.n)
+    return _fidelity_column(spec, outcome.outcome_index, state.dims,
+                            state.support, state.block[None])[0]
 
 
-def oracle_fidelity(spec: ScenarioSpec, p: float, q: float) -> float | None:
-    """Closed-form plus-outcome fidelity where an exact expression exists."""
+def _fidelity_column(spec: ScenarioSpec, k: int, dims, support,
+                     blocks: np.ndarray) -> list[float]:
+    """The fidelity of outcome ``k`` of every post state of a stack that
+    shares ``dims`` and ``support``, given as its blocks ``(P, s, s)``.
+    Outcome 0 of a Bell family is scored against |Phi+>; the minus outcome
+    and all GHZ outcomes up to the relative phase; W outcomes against the
+    phase-corrected W state for that Fourier outcome."""
+    if spec.family in _W_FAMILIES:
+        return fidelities_pure(dims, support, blocks, w_state(spec.n, k))
+    if spec.family in _BELL_FAMILIES and k == 0:
+        return fidelities_pure(dims, support, blocks, bell_state(+1))
+    return fidelities_up_to_phase(dims, support, blocks, spec.n)
+
+
+def oracle_fidelity(spec: ScenarioSpec, p, q) -> float | list[float] | None:
+    """Closed-form plus-outcome fidelity where an exact expression exists,
+    else None; elementwise over arrays of (p, q), a float for floats."""
     if spec.family == "bell_depolarizing":
         return fid_closed_depolarizing(p, q, spec.config)
     if spec.family == "bell_bitphase":
         return fid_closed_bitphase(p, q, spec.config)
     if spec.family == "w_memoryless" and spec.n == 3:
-        return fid_closed_w3((p,) * 3, spec.config)
+        return fid_closed_w3(np.stack([p] * 3, axis=-1), spec.config)
     return None
 
 
@@ -388,68 +397,53 @@ def oracle_fidelity(spec: ScenarioSpec, p: float, q: float) -> float | None:
 _CHUNK = 32
 
 
-def _concurrence_table(points) -> list[list[tuple[float, float]]]:
-    """The pairwise and one-vs-rest concurrence of every post state of
-    each point, from the points' outcome lists (as ``run_stack`` yields
-    them): one list per point of ``(pairwise, one_vs_rest)`` pairs, in
-    outcome order, zero-probability outcomes left out.
-
-    The post states of one outcome index share dims and support (the rows
-    ``run_stack`` reaches, or a lone point's own), so each outcome index
-    is one stacked pass of ``pairwise_concurrences`` and
-    ``one_vs_rest_concurrences``, bitwise the one-state calls.
+def _record_rows(spec: ScenarioSpec, p: np.ndarray, q: np.ndarray, points,
+                 emit_oracle: bool) -> list[list[tuple]]:
+    """Each point's records but their p and q, from the points' outcome
+    lists (as ``run_stack`` yields them): a tuple ``(outcome, probability,
+    fidelity, conc_pairwise, conc_one_vs_rest, oracle_fidelity)`` per
+    non-zero outcome, in outcome order. The post states of one outcome
+    index share dims and support, so each outcome index is one stacked
+    pass of ``_fidelity_column`` and of the two concurrences, bitwise the
+    one-state calls; the oracle is one ``oracle_fidelity`` call over the
+    points whose outcome 0 has a post state, the records that carry it.
     """
-    table = [[] for _ in points]
+    live = [i for i, outs in enumerate(points) if outs[0].post_state is not None]
+    column = oracle_fidelity(spec, p[live], q[live]) if emit_oracle and live else None
+    oracles = dict(zip(live, column or ()))
+    rows = [[] for _ in points]
     for k in range(len(points[0])):
-        kept = [(row, outs[k].post_state) for row, outs in zip(table, points)
-                if outs[k].post_state is not None]
+        kept = [i for i, outs in enumerate(points) if outs[k].post_state is not None]
         if not kept:
             continue
-        dims, support = kept[0][1].dims, kept[0][1].support
-        if any(state.support is not support for _, state in kept):
+        states = [points[i][k].post_state for i in kept]
+        dims, support = states[0].dims, states[0].support
+        if any(state.support is not support for state in states):
             raise ScenarioError(f"the post states of outcome {k} are held on "
                                 "different supports")
-        blocks = np.stack([state.block for _, state in kept])
-        values = zip(pairwise_concurrences(dims, support, blocks),
-                     one_vs_rest_concurrences(dims, support, blocks))
-        for (row, _), pair in zip(kept, values):
-            row.append(pair)
-    return table
+        blocks = np.stack([state.block for state in states])
+        for i, *values in zip(kept, _fidelity_column(spec, k, dims, support, blocks),
+                              pairwise_concurrences(dims, support, blocks),
+                              one_vs_rest_concurrences(dims, support, blocks)):
+            rows[i].append((k, points[i][k].probability, *values,
+                            oracles.get(i) if k == 0 else None))
+    return rows
 
 
 def evaluate_point(spec: ScenarioSpec, p: float, q: float, *,
-                   emit_oracle: bool = True, _outcomes=None,
-                   _concurrences=None) -> list[SweepRecord]:
+                   emit_oracle: bool = True, _row=None) -> list[SweepRecord]:
     """One record per non-zero outcome a spec measures at one noise point.
 
-    ``sweep`` passes the point's outcomes from its stacked evaluation as
-    ``_outcomes``, and their concurrences from its stacked metric pass
-    (its row of ``_concurrence_table``) as ``_concurrences``; without them
-    the point is built and run alone, and its concurrences taken by the
-    same pass on this one point, with bitwise the same records.
+    ``sweep`` calls this once per point, through the module attribute, with
+    the point's row of ``_record_rows`` over its chunk as ``_row``; without
+    it the point is built and run alone and its row taken by the same
+    function, with bitwise the same records.
     """
-    outcomes = _outcomes if _outcomes is not None else run(build_scenario(spec, p, q))
-    if _concurrences is None:
-        _concurrences = _concurrence_table([outcomes])[0]
-    kept = [out for out in outcomes if out.post_state is not None]
-    records = []
-    for out, (pairwise, one_vs_rest) in zip(kept, _concurrences, strict=True):
-        oracle = None
-        if emit_oracle and out.outcome_index == 0:
-            oracle = oracle_fidelity(spec, p, q)
-        records.append(
-            SweepRecord(
-                p=p,
-                q=q,
-                outcome=out.outcome_index,
-                probability=out.probability,
-                fidelity=outcome_fidelity(spec, out),
-                conc_pairwise=pairwise,
-                conc_one_vs_rest=one_vs_rest,
-                oracle_fidelity=oracle,
-            )
-        )
-    return records
+    if _row is None:
+        outcomes = run(build_scenario(spec, p, q))
+        _row = _record_rows(spec, np.array([p]), np.array([q]), [outcomes],
+                            emit_oracle)[0]
+    return [SweepRecord(p, q, *fields) for fields in _row]
 
 
 def sweep(spec: ScenarioSpec, p_grid, q_grid=None, *,
@@ -462,19 +456,20 @@ def sweep(spec: ScenarioSpec, p_grid, q_grid=None, *,
     first point. The points are taken ``_CHUNK`` at a time: a chunk is one
     table of Kraus scales (``_scale_table``), with no channel per point,
     evolved and measured as one stack by ``run_stack``, so memory does not
-    grow with the number of points. Its concurrences are one stacked pass
-    per outcome index (``_concurrence_table``), and each point's records
-    are made by ``evaluate_point``, bitwise as if it ran the point alone.
+    grow with the number of points. Its records are taken as columns
+    (``_record_rows``), and each point's are made by ``evaluate_point``
+    from its row, bitwise as if it ran the point alone.
     """
     points = ((float(p), float(q)) for p in p_grid
               for q in (q_grid if q_grid is not None else [p]))
     records, scenario = [], None
     while chunk := list(islice(points, _CHUNK)):
         scenario = scenario or build_scenario(spec, *chunk[0])
-        outcomes = list(run_stack(scenario, _scale_table(spec, *np.array(chunk).T)))
-        for (p, q), outs, conc in zip(chunk, outcomes, _concurrence_table(outcomes)):
-            records += evaluate_point(spec, p, q, emit_oracle=emit_oracle,
-                                      _outcomes=outs, _concurrences=conc)
+        p, q = np.array(chunk).T
+        outcomes = list(run_stack(scenario, _scale_table(spec, p, q)))
+        rows = _record_rows(spec, p, q, outcomes, emit_oracle)
+        for point, row in zip(chunk, rows):
+            records += evaluate_point(spec, *point, _row=row)
     return records
 
 
@@ -688,14 +683,13 @@ def verify_propositions() -> list[PropositionCheck]:
         ("cor2_p05", "GHZ n=3, bit/phase flip p=q=1/2"),
     ):
         spec = builtin(name)
-        rec = evaluate_point(spec, *spec.noise)[0]
-        checks.append(_check(name.split("_")[0], detail, rec.fidelity, 1.0 - tol))
+        fid = outcome_fidelity(spec, run(build_scenario(spec, *spec.noise))[0])
+        checks.append(_check(name.split("_")[0], detail, fid, 1.0 - tol))
 
     spec = builtin("prop7_p1")
-    rec = evaluate_point(spec, 1.0, 1.0)[0]
-    checks.append(_check("prop7", "W n=3, memoryless bit flip p=1", rec.fidelity,
-                         1.0 - tol))
-    rec = evaluate_point(spec, 0.99, 0.99)[0]
-    checks.append(_check("prop7", "W n=3, memoryless bit flip p=0.99 (asymptotic)",
-                         rec.fidelity, 0.994))
+    for p, detail, threshold in ((1.0, "p=1", 1.0 - tol),
+                                 (0.99, "p=0.99 (asymptotic)", 0.994)):
+        fid = outcome_fidelity(spec, run(build_scenario(spec, p))[0])
+        checks.append(_check("prop7", f"W n=3, memoryless bit flip {detail}",
+                             fid, threshold))
     return checks

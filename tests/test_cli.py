@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import linksim
-from linksim import channels, scenarios, walk
+from linksim import channels, cli, scenarios, walk
 from linksim.cli import CSV_HEADER, main
 from linksim.linalg import LinksimError
 
@@ -527,6 +527,46 @@ def test_joint_dimension_cap_is_checked_before_building(tmp_path, capsys,
     assert exc.value.code == 2
     assert "joint dimension cap" in capsys.readouterr().err
     assert builds == []
+
+
+def test_calls_in_one_process_share_one_parser_and_no_state(tmp_path, capsys):
+    # main parses with the one parser build_parser makes per process; what
+    # one call gives leaves nothing behind for the next
+    parser = cli.build_parser()
+    builds = cli.build_parser.cache_info().misses
+    out = tmp_path / "out.csv"
+    assert run_cli(["sweep", "--scenario", "fig4a_red", "--points", "3",
+                    "--no-oracle", "--out", str(out)]) == 0
+    assert len(read_rows(out)) == 3
+    # a bad flag after a good run: one error line, exit 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["sweep", "--scenario", "fig4a_red", "--pionts", "3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    # --points and --no-oracle from the first call do not carry over
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"scenario": "fig4a_red", "sweep": {"points": 4}}))
+    assert run_cli(["sweep", "--config", str(path), "--out", str(out)]) == 0
+    rows = read_rows(out)
+    assert len(rows) == 4 and all(row[4] for row in rows)
+    capsys.readouterr()
+    assert run_cli(["sweep", "--scenario", "fig4a_red", "--dump-config"]) == 0
+    dumped = json.loads(capsys.readouterr().out)
+    assert dumped["sweep"]["points"] == 101 and dumped["emit_oracle"] is True
+    # a dump after a run still reruns as the same command
+    argv = ["grid", "--scenario", "fig4b_blue", "--points", "3", "--out", str(out)]
+    assert run_cli(argv) == 0
+    expected = out.read_bytes()
+    capsys.readouterr()
+    assert run_cli([*argv, "--dump-config"]) == 0
+    path.write_text(capsys.readouterr().out)
+    out.unlink()
+    assert run_cli(["grid", "--config", str(path)]) == 0
+    assert out.read_bytes() == expected
+    assert cli.build_parser() is parser
+    assert cli.build_parser.cache_info().misses == builds
 
 
 def test_unexpected_exception_keeps_its_traceback(monkeypatch):

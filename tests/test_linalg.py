@@ -614,7 +614,6 @@ def test_mat_is_the_block_placed_into_zeros_and_read_only():
     assert rho.support.tolist() == [5, 0, 3]
     for part in (rho.mat, rho.block, rho.support):
         assert not part.flags.writeable
-    assert rho.entries([5, 0, 1], [0, 3, 1]) == [block[0, 1], block[1, 2], 0j]
 
 
 @pytest.mark.filterwarnings("error")

@@ -274,6 +274,41 @@ def test_closed_form_vanishing_probability():
         fid_closed_depolarizing(0.0, 0.0, cfg)
 
 
+def test_closed_forms_are_elementwise_over_arrays():
+    # an array of points gives each point's float, bitwise; a float gives
+    # a float
+    rng = np.random.default_rng(4)
+    p, q = rng.uniform(0.0, 1.0, 9), rng.uniform(0.0, 1.0, 9)
+    p[:3], q[:3] = (0.0, 1.0, 0.5), (1.0, 0.0, 0.5)
+    depol = VacuumConfig(((-S2, S6, -S6, -S6), (S2, -S6, S6, S6)))
+    bitphase = VacuumConfig(((-S2, S2, 0, 0), (S2, 0, 0, S2)))
+    for closed, cfg in ((fid_closed_depolarizing, depol),
+                        (fid_closed_bitphase, bitphase)):
+        column = closed(p, q, cfg)
+        assert [x.hex() for x in column] == [
+            closed(a, b, cfg).hex() for a, b in zip(p.tolist(), q.tolist())]
+        assert type(closed(0.25, 0.75, cfg)) is float
+    w = VacuumConfig(((S3, np.sqrt(2 / 3)), (S2, S2), (0.6, 0.8)))
+    rows = rng.uniform(0.0, 1.0, (5, 3))
+    assert [x.hex() for x in fid_closed_w3(rows, w)] == [
+        fid_closed_w3(row, w).hex() for row in rows.tolist()]
+    with pytest.raises(DimMismatchError):
+        fid_closed_w3(rows[:, :2], w)
+
+
+def test_closed_form_columns_raise_at_the_first_bad_point():
+    cfg = VacuumConfig(((1, 0, 0, 0), (-1, 0, 0, 0)))
+    # checked point by point, p before q
+    with pytest.raises(BadProbabilityError, match=r"^probability=1\.5 "):
+        fid_closed_depolarizing([0.2, -0.1], [1.5, 0.3], cfg)
+    with pytest.raises(BadProbabilityError, match=r"^probability=-0\.1 "):
+        fid_closed_bitphase([0.2, -0.1], [0.5, 1.5], cfg)
+    # a vanishing denominator at any point raises
+    assert fid_closed_depolarizing([0.5], [0.5], cfg)[0] > 0.0
+    with pytest.raises(DivisionByZeroError, match="^vanishing outcome probability$"):
+        fid_closed_depolarizing([0.5, 0.0], [0.5, 0.0], cfg)
+
+
 def test_closed_form_complex_amplitudes_fold():
     # a global phase on one amplitude vector only enters through the
     # symmetrized products, so the result stays real and bounded

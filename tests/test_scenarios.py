@@ -16,7 +16,7 @@ from linksim.channels import (
     scale_row,
 )
 from linksim.linalg import LinksimError
-from linksim.metrics import VacuumConfig
+from linksim.metrics import DivisionByZeroError, VacuumConfig
 from linksim.superposition import run
 from linksim.scenarios import (
     PROP5_P05,
@@ -34,6 +34,7 @@ from linksim.scenarios import (
     verify_sweep_oracle,
 )
 
+import reference
 from test_superposition import _bitwise_equal
 
 S2 = 1.0 / np.sqrt(2.0)
@@ -465,14 +466,13 @@ def test_sweeps_across_chunk_edges_equal_evaluate_point(extra):
 
 def test_sweep_records_come_from_evaluate_point(monkeypatch, tmp_path):
     # evaluate_point patched on the module, as the benchmark's self-test
-    # patches it: it is called once per point, with the point's stacked
-    # outcomes and concurrences, and sweep returns, and the CLI writes,
+    # patches it: it is called once per point, with the point's row of
+    # the chunk's record columns, and sweep returns, and the CLI writes,
     # exactly the records it returns
     evaluate, calls, returned = scenarios.evaluate_point, [], []
 
     def perturbed(spec, p, q, **kwargs):
-        calls.append((p, q, kwargs["_outcomes"] is not None,
-                      kwargs["_concurrences"] is not None))
+        calls.append((p, q, kwargs["_row"] is not None))
         records = [replace(r, fidelity=r.fidelity + 1.0,
                            conc_pairwise=r.conc_pairwise + 2.0,
                            conc_one_vs_rest=r.conc_one_vs_rest + 3.0)
@@ -487,7 +487,7 @@ def test_sweep_records_come_from_evaluate_point(monkeypatch, tmp_path):
         returned.clear()
         grid = np.linspace(0.0, 1.0, points)
         records = sweep(spec, grid)
-        assert calls == [(float(p), float(p), True, True) for p in grid]
+        assert calls == [(float(p), float(p), True) for p in grid]
         assert len(records) == len(returned) == points
         assert all(a is b for a, b in zip(records, returned))
     returned.clear()
@@ -496,6 +496,147 @@ def test_sweep_records_come_from_evaluate_point(monkeypatch, tmp_path):
                      "--out", str(out)]) == 0
     cli._write_records(returned, str(expected))
     assert len(returned) == 33 and out.read_text() == expected.read_text()
+
+
+def _random_specs():
+    """Random real vacuum amplitudes for every noisy family: Bell through
+    depolarizing and through bit/phase flips, W at n = 3..5, GHZ at
+    n = 3..8."""
+    rng = np.random.default_rng(22)
+
+    def unit(size, slots):
+        v = np.zeros(size)
+        v[list(slots)] = rng.standard_normal(len(slots))
+        return v / np.linalg.norm(v)
+
+    depol, bit, phase = range(4), (0, 1), (0, 3)
+    specs = []
+    for k in range(2):
+        specs.append(ScenarioSpec(f"bell_depolarizing_{k}", "bell_depolarizing", 2,
+                                  VacuumConfig((unit(4, depol), unit(4, depol)))))
+        specs.append(ScenarioSpec(f"bell_bitphase_{k}", "bell_bitphase", 2,
+                                  VacuumConfig((unit(4, bit), unit(4, phase)))))
+    for n in (3, 4, 5):
+        specs.append(ScenarioSpec(f"w_memoryless_{n}", "w_memoryless", n, VacuumConfig(
+            tuple(unit(2, (0, 1)) for _ in range(n)))))
+    for n in range(3, 9):
+        specs.append(ScenarioSpec(f"ghz_depolarizing_{n}", "ghz_depolarizing", n,
+                                  VacuumConfig((unit(4, depol), unit(4, depol)))))
+        specs.append(ScenarioSpec(f"ghz_bitphase_{n}", "ghz_bitphase", n,
+                                  VacuumConfig((unit(4, bit), unit(4, phase)))))
+    return specs
+
+
+COLUMN_SPECS = [replace(spec, outcome_policy="all_outcomes") for spec in
+                {spec.name: spec for spec in map(builtin, builtin_names())}.values()
+                ] + [replace(spec, outcome_policy="all_outcomes")
+                     for spec in _random_specs()]
+
+
+def _bits(values):
+    return [None if v is None else float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("points", [1, 32, 33, 65])
+def test_record_columns_equal_the_one_point_formulas_bitwise(points):
+    # a chunk's fidelity and oracle columns are, point by point, the
+    # one-point outcome_fidelity and oracle_fidelity and the scalar code
+    # they replace (tests/reference.py); the grid holds 0 and 1 but for a
+    # single point
+    rng = np.random.default_rng(points)
+    grid = np.concatenate([[0.5, 0.0, 1.0], rng.uniform(0.0, 1.0, points)])[:points]
+    for spec in COLUMN_SPECS:
+        got = [(r.p, r.outcome, r.fidelity, r.oracle_fidelity) for r in sweep(spec, grid)]
+        expected, one_point = [], []
+        for p in grid.tolist():
+            for out in run(build_scenario(spec, p)):
+                if out.post_state is None:
+                    continue
+                oracle = reference.oracle_fidelity(spec, p, p) if out.outcome_index == 0 else None
+                expected.append((p, out.outcome_index,
+                                 reference.outcome_fidelity(spec, out), oracle))
+                one_point.append((p, out.outcome_index, scenarios.outcome_fidelity(spec, out),
+                                  scenarios.oracle_fidelity(spec, p, p)
+                                  if out.outcome_index == 0 else None))
+        assert [_bits(row) for row in got] == [_bits(row) for row in expected], spec.name
+        assert [_bits(row) for row in one_point] == [_bits(row) for row in expected]
+
+
+def test_no_oracle_leaves_every_other_column_bitwise():
+    grid = np.linspace(0.0, 1.0, scenarios._CHUNK + 1)
+    for name in ("fig4a_red", "fig4b_blue", "fig8_green", "fig7a_green"):
+        spec = replace(builtin(name), outcome_policy="all_outcomes")
+        with_oracle = sweep(spec, grid)
+        without = sweep(spec, grid, emit_oracle=False)
+        assert all(r.oracle_fidelity is None for r in without)
+        assert _hex(without) == _hex([replace(r, oracle_fidelity=None)
+                                      for r in with_oracle])
+
+
+# at p = q = 0 the plus outcome of these amplitudes has probability 0, and
+# the closed form's denominator vanishes
+_DEAD_PLUS = ScenarioSpec("dead_plus", "bell_depolarizing", 2, VacuumConfig(
+    ((1.0, 0.0, 0.0, 0.0), (-1.0, 0.0, 0.0, 0.0))), outcome_policy="all_outcomes")
+
+
+def test_a_point_without_outcome_0_gets_no_oracle_and_no_raise():
+    with pytest.raises(DivisionByZeroError):
+        scenarios.oracle_fidelity(_DEAD_PLUS, 0.0, 0.0)
+    grid = np.array([0.5, 0.0, 1.0, 0.0])
+    records = sweep(_DEAD_PLUS, grid)
+    assert [(r.p, r.outcome) for r in records] == [
+        (0.5, 0), (0.5, 1), (0.0, 1), (1.0, 0), (1.0, 1), (0.0, 1)]
+    assert [r.oracle_fidelity is None for r in records] == [
+        False, True, True, False, True, True]
+    assert _bits([records[0].oracle_fidelity]) == _bits(
+        [reference.oracle_fidelity(_DEAD_PLUS, 0.5, 0.5)])
+
+
+def test_a_live_point_with_a_vanishing_denominator_raises(monkeypatch):
+    # the outcomes measured at p = 0.5, where outcome 0 is live, are given
+    # to the points p = 0.0, where the closed form's denominator vanishes:
+    # the oracle raises there, as oracle_fidelity does, unless it is off
+    run_stack = scenarios.run_stack
+    live_scales = scenarios._scale_table(_DEAD_PLUS, np.array([0.5]), np.array([0.5]))
+
+    def measured_at_half(scenario, scales):
+        return run_stack(scenario, np.repeat(live_scales, len(scales), axis=0))
+
+    monkeypatch.setattr(scenarios, "run_stack", measured_at_half)
+    assert sweep(_DEAD_PLUS, [0.5, 0.5])[0].oracle_fidelity is not None
+    with pytest.raises(DivisionByZeroError, match="^vanishing outcome probability$"):
+        sweep(_DEAD_PLUS, [0.5, 0.0, 0.5])
+    records = sweep(_DEAD_PLUS, [0.5, 0.0], emit_oracle=False)
+    assert [(r.p, r.outcome) for r in records] == [(0.5, 0), (0.5, 1), (0.0, 0), (0.0, 1)]
+
+
+@pytest.mark.parametrize("points", [1, 32, 33, 65])
+def test_sweep_calls_evaluate_point_once_per_point_through_the_module(
+        monkeypatch, tmp_path, points):
+    # perfbench/selftest.py patches scenarios.evaluate_point and the
+    # benchmark's tracer counts points by its calls: a sweep, a grid and
+    # both CLI commands make every record through the module attribute
+    evaluate, calls = scenarios.evaluate_point, []
+
+    def counted(spec, p, q, **kwargs):
+        calls.append((spec.name, p, q))
+        return evaluate(spec, p, q, **kwargs)
+
+    monkeypatch.setattr(scenarios, "evaluate_point", counted)
+    grid = np.linspace(0.0, 1.0, points)
+    spec = replace(builtin("fig7a_green"), outcome_policy="all_outcomes")
+    sweep(spec, grid, emit_oracle=False)
+    assert calls == [("fig7a_green", float(p), float(p)) for p in grid]
+    calls.clear()
+    sweep(builtin("fig4a_red"), grid[:5], grid[:7])
+    assert calls == [("fig4a_red", float(p), float(q))
+                     for p in grid[:5] for q in grid[:7]]
+    for command, count in (("sweep", points), ("grid", min(points, 7) ** 2)):
+        calls.clear()
+        assert cli.main([command, "--scenario", "fig8_green", "--points",
+                         str(min(points, 7) if command == "grid" else points),
+                         "--out", str(tmp_path / "out.csv")]) == 0
+        assert len(calls) == count
 
 
 def _record_stage_peak(monkeypatch, spec, points) -> int:
