@@ -20,7 +20,6 @@ from .linalg import (
     LinksimError,
     eig_hermitian,
     partial_trace,
-    partial_traces,
     sqrt_psd,
 )
 from .metrics import (

@@ -109,38 +109,6 @@ def check_densities(mats: np.ndarray) -> None:
         raise NegativeEigenvalueError("density matrix is not PSD")
 
 
-def _held(dims, blocks, support, lead: tuple):
-    """``(dims, blocks, support)`` as ``DensityMatrix`` holds them, for
-    blocks of shape ``lead + (s, s)`` on one support (every row when it is
-    None), checked with one ``check_densities`` call."""
-    dims = tuple(map(int, dims))
-    dim = prod(dims)
-    blocks = np.asarray(blocks)
-    if support is None:
-        if blocks.shape != lead + (dim, dim):
-            raise DimMismatchError(
-                f"matrix shape {blocks.shape} does not match dims {dims}")
-        support = np.arange(dim)
-    else:
-        support = np.asarray(support)
-        if support.ndim != 1 or blocks.shape != lead + (len(support),) * 2:
-            raise DimMismatchError(
-                f"block {blocks.shape} on support of shape {support.shape}")
-        rows = support.tolist()
-        if rows and (support.dtype.kind not in "iu" or min(rows) < 0
-                     or max(rows) >= dim or len(set(rows)) < len(rows)):
-            raise BadIndexError(
-                f"support {rows} is not distinct rows in 0..{dim - 1}")
-    # a read-only support is held as given, any other one copied
-    if support.dtype != np.intp or support.flags.writeable:
-        support = support.astype(np.intp)
-        support.setflags(write=False)
-    blocks = np.array(blocks, dtype=complex)
-    blocks.setflags(write=False)
-    check_densities(blocks)
-    return dims, blocks, support
-
-
 @dataclass(frozen=True)
 class DensityMatrix:
     """Density matrix together with its ordered subsystem dimensions, held
@@ -150,11 +118,11 @@ class DensityMatrix:
 
     ``DensityMatrix(dims, mat)`` holds the whole matrix as the block, on
     every row; ``DensityMatrix(dims, block, support)`` holds ``block`` on
-    ``support`` and allocates nothing of length ``dim``. Either is the
-    one-state call of ``stack``, which checks the block with
-    ``check_densities``: every entry off the block is a zero, so the
-    block's checks are the whole matrix's. ``mat`` forms the whole matrix
-    on its first request.
+    ``support`` and allocates nothing of length ``dim``. Either way the
+    block is checked with ``check_densities``: every entry off the block
+    is a zero, so the block's checks are the whole matrix's. The
+    constructor is the one way to build a state, so every state is
+    checked. ``mat`` forms the whole matrix on its first request.
     """
 
     dims: tuple[int, ...]
@@ -166,21 +134,32 @@ class DensityMatrix:
     EIG_TOL = 1e-10
 
     def __post_init__(self):
-        dims, block, support = _held(self.dims, self.block, self.support, ())
+        dims = tuple(map(int, self.dims))
+        dim = prod(dims)
+        block, support = np.asarray(self.block), self.support
+        if support is None:
+            if block.shape != (dim, dim):
+                raise DimMismatchError(
+                    f"matrix shape {block.shape} does not match dims {dims}")
+            support = np.arange(dim)
+        else:
+            support = np.asarray(support)
+            if support.ndim != 1 or block.shape != (len(support),) * 2:
+                raise DimMismatchError(
+                    f"block {block.shape} on support of shape {support.shape}")
+            rows = support.tolist()
+            if rows and (support.dtype.kind not in "iu" or min(rows) < 0
+                         or max(rows) >= dim or len(set(rows)) < len(rows)):
+                raise BadIndexError(
+                    f"support {rows} is not distinct rows in 0..{dim - 1}")
+        # a read-only support is held as given, any other one copied
+        if support.dtype != np.intp or support.flags.writeable:
+            support = support.astype(np.intp)
+            support.setflags(write=False)
+        block = np.array(block, dtype=complex)
+        block.setflags(write=False)
+        check_densities(block)
         self.__dict__.update(dims=dims, block=block, support=support)
-
-    @classmethod
-    def stack(cls, dims, blocks, support=None) -> list["DensityMatrix"]:
-        """``DensityMatrix(dims, block, support)`` for each block of the
-        stack ``blocks`` (m, s, s), in order: the support is validated once,
-        the whole stack is checked by one ``check_densities`` call, and the
-        states share one read-only support array and the read-only stack."""
-        blocks = np.asarray(blocks)
-        dims, blocks, support = _held(dims, blocks, support, blocks.shape[:1])
-        states = [object.__new__(cls) for _ in blocks]
-        for state, block in zip(states, blocks):
-            state.__dict__.update(dims=dims, block=block, support=support)
-        return states
 
     @property
     def dim(self) -> int:
@@ -219,15 +198,9 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     ``stack_partial_traces``; this one stays because ``perfbench/tracer.py``
     wraps it by name and ``tests/test_tracer_names.py`` requires it.
     """
-    mat = partial_traces(rho, [keep])[0]
+    mat = stack_partial_traces(rho.dims, rho.support, rho.block[None], [keep])[0, 0]
     kept = sorted({int(k) for k in keep})
     return DensityMatrix(tuple(rho.dims[k] for k in kept), mat)
-
-
-def partial_traces(rho: DensityMatrix, keeps) -> np.ndarray:
-    """The reductions of ``rho`` to each ``keep`` in ``keeps``, stacked
-    ``(len(keeps), d, d)``: the one-state call of ``stack_partial_traces``."""
-    return stack_partial_traces(rho.dims, rho.support, rho.block[None], keeps)[0]
 
 
 #: the most gathered entries ``stack_partial_traces`` holds at once, unless

@@ -168,18 +168,14 @@ def pairwise_concurrences(dims, support, blocks: np.ndarray) -> list[float]:
     ``dims`` and ``support``, given as its blocks ``(P, s, s)``.
 
     All the states' pair reductions go through one ``_concurrences`` call;
-    for two qubits the reductions are the whole matrices, placed from the
-    blocks as ``mat`` places them.
+    for two qubits the one reduction traces nothing out and is the whole
+    matrix, bitwise.
     """
     n = len(dims)
     if n < 2:
         raise DimMismatchError("need at least two qubits")
-    if n == 2:
-        if tuple(dims) != (2, 2):
-            raise DimMismatchError(f"concurrence needs two qubits, not dims {dims}")
-        mats = np.zeros((len(blocks), 4, 4), dtype=complex)
-        mats[:, support[:, None], support] = blocks
-        return _concurrences(mats)
+    if any(d != 2 for d in dims):
+        raise DimMismatchError(f"concurrence needs qubits, not dims {tuple(dims)}")
     pairs = list(combinations(range(n), 2))
     reduced = stack_partial_traces(dims, support, blocks, pairs)
     c = _concurrences(reduced.reshape(-1, 4, 4))

@@ -26,7 +26,7 @@ from .channels import (
     scale_row,
     unitary_channel,
 )
-from .linalg import DensityMatrix, LinksimError
+from .linalg import DensityMatrix, LinksimError, check_densities
 from .metrics import (
     VacuumConfig,
     bell_state,
@@ -397,35 +397,37 @@ def oracle_fidelity(spec: ScenarioSpec, p, q) -> float | list[float] | None:
 _CHUNK = 32
 
 
-def _record_rows(spec: ScenarioSpec, p: np.ndarray, q: np.ndarray, points,
+def _record_rows(spec: ScenarioSpec, scenario: SuperpositionScenario,
+                 p: np.ndarray, q: np.ndarray, scales,
                  emit_oracle: bool) -> list[list[tuple]]:
-    """Each point's records but their p and q, from the points' outcome
-    lists (as ``run_stack`` yields them): a tuple ``(outcome, probability,
-    fidelity, conc_pairwise, conc_one_vs_rest, oracle_fidelity)`` per
-    non-zero outcome, in outcome order. The post states of one outcome
-    index share dims and support, so each outcome index is one stacked
-    pass of ``_fidelity_column`` and of the two concurrences, bitwise the
+    """Each point's records but their p and q, from ``run_stack`` of
+    ``scenario`` at the points' table ``scales``: a tuple ``(outcome,
+    probability, fidelity, conc_pairwise, conc_one_vs_rest,
+    oracle_fidelity)`` per live outcome, in outcome order. The post blocks
+    of outcome k are those of the live entries of column k of the mask, on
+    the stack's one support, so each outcome index is one stacked pass of
+    ``_fidelity_column`` and of the two concurrences, bitwise the
     one-state calls; the oracle is one ``oracle_fidelity`` call over the
-    points whose outcome 0 has a post state, the records that carry it.
+    points whose outcome 0 is live, the records that carry it.
     """
-    live = [i for i, outs in enumerate(points) if outs[0].post_state is not None]
-    column = oracle_fidelity(spec, p[live], q[live]) if emit_oracle and live else None
-    oracles = dict(zip(live, column or ()))
-    rows = [[] for _ in points]
-    for k in range(len(points[0])):
-        kept = [i for i, outs in enumerate(points) if outs[k].post_state is not None]
-        if not kept:
+    support, probs, live, posts = run_stack(scenario, scales)
+    dims, probs = scenario.input.dims, probs.tolist()
+    # the position in ``posts`` of each live outcome's block
+    at = live.cumsum().reshape(live.shape) - 1
+    plus = live[:, 0].nonzero()[0]
+    column = oracle_fidelity(spec, p[plus], q[plus]) if emit_oracle and len(plus) else None
+    oracles = dict(zip(plus.tolist(), column or ()))
+    rows = [[] for _ in probs]
+    for k in range(live.shape[1]):
+        kept = live[:, k].nonzero()[0]
+        if not len(kept):
             continue
-        states = [points[i][k].post_state for i in kept]
-        dims, support = states[0].dims, states[0].support
-        if any(state.support is not support for state in states):
-            raise ScenarioError(f"the post states of outcome {k} are held on "
-                                "different supports")
-        blocks = np.stack([state.block for state in states])
-        for i, *values in zip(kept, _fidelity_column(spec, k, dims, support, blocks),
+        blocks = posts[at[kept, k]]
+        for i, *values in zip(kept.tolist(),
+                              _fidelity_column(spec, k, dims, support, blocks),
                               pairwise_concurrences(dims, support, blocks),
                               one_vs_rest_concurrences(dims, support, blocks)):
-            rows[i].append((k, points[i][k].probability, *values,
+            rows[i].append((k, probs[i][k], *values,
                             oracles.get(i) if k == 0 else None))
     return rows
 
@@ -437,12 +439,13 @@ def evaluate_point(spec: ScenarioSpec, p: float, q: float, *,
     ``sweep`` calls this once per point, through the module attribute, with
     the point's row of ``_record_rows`` over its chunk as ``_row``; without
     it the point is built and run alone and its row taken by the same
-    function, with bitwise the same records.
+    function, with bitwise the same records. A lone call does not go
+    through ``sweep``, which would call this again.
     """
     if _row is None:
-        outcomes = run(build_scenario(spec, p, q))
-        _row = _record_rows(spec, np.array([p]), np.array([q]), [outcomes],
-                            emit_oracle)[0]
+        scenario = build_scenario(spec, p, q)
+        _row = _record_rows(spec, scenario, np.array([p]), np.array([q]),
+                            scale_row(scenario.channels)[None], emit_oracle)[0]
     return [SweepRecord(p, q, *fields) for fields in _row]
 
 
@@ -456,9 +459,10 @@ def sweep(spec: ScenarioSpec, p_grid, q_grid=None, *,
     first point. The points are taken ``_CHUNK`` at a time: a chunk is one
     table of Kraus scales (``_scale_table``), with no channel per point,
     evolved and measured as one stack by ``run_stack``, so memory does not
-    grow with the number of points. Its records are taken as columns
-    (``_record_rows``), and each point's are made by ``evaluate_point``
-    from its row, bitwise as if it ran the point alone.
+    grow with the number of points. Its records are taken as columns from
+    the stack's arrays (``_record_rows``), with no state object per point,
+    and each point's are made by ``evaluate_point`` from its row, bitwise
+    as if it ran the point alone.
     """
     points = ((float(p), float(q)) for p in p_grid
               for q in (q_grid if q_grid is not None else [p]))
@@ -466,8 +470,8 @@ def sweep(spec: ScenarioSpec, p_grid, q_grid=None, *,
     while chunk := list(islice(points, _CHUNK)):
         scenario = scenario or build_scenario(spec, *chunk[0])
         p, q = np.array(chunk).T
-        outcomes = list(run_stack(scenario, _scale_table(spec, p, q)))
-        rows = _record_rows(spec, p, q, outcomes, emit_oracle)
+        rows = _record_rows(spec, scenario, p, q, _scale_table(spec, p, q),
+                            emit_oracle)
         for point, row in zip(chunk, rows):
             records += evaluate_point(spec, *point, _row=row)
     return records
@@ -576,9 +580,9 @@ def _fixed_noise_objective(spec: ScenarioSpec, p, q):
         prob = float(diag.sum().real)
         if prob < ZERO_PROB:
             return 1.0
-        post = DensityMatrix(scenario.input.dims,
-                             (block + block.conj().T) / (2.0 * prob), reach)
-        return -outcome_fidelity(spec, MeasurementOutcome(0, prob, post))
+        post = (block + block.conj().T) / (2.0 * prob)
+        check_densities(post)
+        return -_fidelity_column(spec, 0, scenario.input.dims, reach, post[None])[0]
 
     return objective
 

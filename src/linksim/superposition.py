@@ -14,8 +14,10 @@ control on 1 to N orthonormal vectors (the outcomes) projects the target.
 
 ``run_stack`` is the one evaluation core: it evolves and measures one
 scenario at every row of a table of Kraus scales, such as the points of
-one sweep, together; ``apply``, ``measure_control`` and ``run`` are its
-one-point calls. A noise point changes only the scales: the unit
+one sweep, together, and returns arrays: the probabilities, the live
+outcomes and their post blocks. ``apply``, ``measure_control`` and
+``run`` are its one-point calls, and only they hold a state in a
+``DensityMatrix``. A noise point changes only the scales: the unit
 operators, vacuum amplitudes, input, control and basis are the
 scenario's. It forms rho_t (x) rho_c only on its support, which is a
 few rows for the paper's pure product inputs, and builds only the columns
@@ -32,7 +34,6 @@ operators literally from the formula and serves as the reference.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import product
 from math import prod
@@ -248,20 +249,21 @@ def _joint_blocks(scenario, scales):
     return reach, local, rows, (blocks + blocks.conj().swapaxes(-1, -2)) / 2.0
 
 
-def _measure(t, keep, target_dims, basis):
-    """Outcomes of the control measurement of each joint state of the stack
-    ``t`` (P, len(keep), n, d, n): the joints on their reached target rows
-    ``keep``, every column kept. Yields one outcome list per point.
+def _measure(t, keep, basis):
+    """The control measurement of each joint state of the stack ``t`` (P,
+    len(keep), n, d, n): the joints on their reached target rows ``keep``,
+    every column kept. Returns ``(probs, live, posts)``: the (P, K)
+    outcome probabilities, the (P, K) mask of those not below
+    ``ZERO_PROB``, and the normalized post blocks of the live outcomes on
+    the rows ``keep``, (m, s, s) in point-major, then outcome order,
+    unchecked.
 
     Only the rows are restricted: the einsum runs over every column, as on
     the whole joint, so each sum over the control indices rounds as there
     (with a single column the iterator could fuse those two sums into one
     loop, which adds in another order). Each probability is summed over the
     length-d diagonal with zeros in place, so it rounds as the d x d trace.
-    The post blocks of every point and outcome above ``ZERO_PROB`` are
-    normalized together and held on the reached rows by one
-    ``DensityMatrix.stack`` call, so one ``check_densities`` call covers
-    them and no d x d matrix is formed.
+    The post blocks are normalized together, so no d x d matrix is formed.
     """
     blocks = np.einsum("bk,pikjl,bl->pbij", basis.conj(), t, basis).take(keep, 3)
     diag = np.zeros(blocks.shape[:2] + (t.shape[3],), dtype=complex)
@@ -270,29 +272,36 @@ def _measure(t, keep, target_dims, basis):
     live = ~(probs < ZERO_PROB)  # a NaN stays, and fails the check
     posts = blocks[live]
     posts = (posts + posts.conj().swapaxes(-1, -2)) / (2.0 * probs[live])[:, None, None]
-    states = iter(DensityMatrix.stack(target_dims, posts, keep))
-    for point_probs, point_live in zip(probs.tolist(), live.tolist()):
-        yield [MeasurementOutcome(k, p, next(states)) if alive
-               else MeasurementOutcome(k, 0.0, None)
-               for k, (p, alive) in enumerate(zip(point_probs, point_live))]
+    return probs, live, posts
 
 
-def run_stack(scenario: SuperpositionScenario,
-              scales) -> Iterator[list[MeasurementOutcome]]:
-    """The control-measurement outcomes of ``scenario`` at every row of the
-    (P, K) table ``scales`` of Kraus scales, K running over every channel's
+def _outcome_lists(dims, support, probs, live, posts) -> list[list[MeasurementOutcome]]:
+    """One outcome list per point of a measured stack, as ``run_stack``
+    returns it: each live outcome's post state is
+    ``DensityMatrix(dims, block, support)``, so each is checked on its
+    own; the others carry none."""
+    states = iter(posts)
+    return [[MeasurementOutcome(k, p, DensityMatrix(dims, next(states), support))
+             if alive else MeasurementOutcome(k, 0.0, None)
+             for k, (p, alive) in enumerate(zip(point_probs, point_live))]
+            for point_probs, point_live in zip(probs.tolist(), live.tolist())]
+
+
+def run_stack(scenario: SuperpositionScenario, scales) -> tuple[np.ndarray, ...]:
+    """The control measurement of ``scenario`` at every row of the (P, K)
+    table ``scales`` of Kraus scales, K running over every channel's
     operators in channel order (a row is ``channels.scale_row``; a sweep's
-    chunk is ``scenarios._scale_table``), computed as one stack; yields one
-    outcome list per row, in order. The scales the scenario's channels hold
-    are not read.
+    chunk is ``scenarios._scale_table``), computed as one stack. The
+    scales the scenario's channels hold are not read.
 
-    The joint states are evolved together (``_joint_blocks``) and checked
-    as one stack, then measured together on the target rows any of them
-    reaches. Outcome k has probability Tr[(I (x) |b_k><b_k|) rho]; outcomes
-    below ``ZERO_PROB`` carry no post state, and the normalized target
-    blocks of all others are held on the reached rows and checked as one
-    stack (``DensityMatrix.stack``). Each output is bitwise that of its row
-    evaluated alone.
+    Returns ``(support, probs, live, posts)``: the read-only target rows
+    the post states are held on, and ``_measure``'s arrays. The joint
+    states are evolved together (``_joint_blocks``) and checked as one
+    stack, then measured together on the target rows any of them reaches.
+    Outcome k has probability Tr[(I (x) |b_k><b_k|) rho]; outcomes below
+    ``ZERO_PROB`` carry no post block, and the normalized target blocks of
+    all others are checked as one stack. Each output is bitwise that of
+    its row evaluated alone.
     """
     k = sum(len(c.ops) for c in scenario.channels)
     try:
@@ -311,8 +320,9 @@ def run_stack(scenario: SuperpositionScenario,
     t = np.zeros((len(scales), len(reach) * n, d * n), dtype=complex)
     t[:, local[:, None], rows] = blocks
     t = t.reshape(len(scales), len(reach), n, d, n)
-    return _measure(t, reach, scenario.input.dims,
-                    np.array(scenario.measurement_basis))
+    probs, live, posts = _measure(t, reach, np.array(scenario.measurement_basis))
+    check_densities(posts)
+    return reach, probs, live, posts
 
 
 def apply(scenario: SuperpositionScenario) -> DensityMatrix:
@@ -343,10 +353,12 @@ def measure_control(joint: DensityMatrix, basis) -> list[MeasurementOutcome]:
     d = joint.dim // n
     t = joint.mat.reshape(d, n, d, n)
     keep = t.any(axis=(1, 2, 3)).nonzero()[0]
-    return next(_measure(t.take(keep, 0)[None], keep, joint.dims[:-1], basis))
+    return _outcome_lists(joint.dims[:-1], keep,
+                          *_measure(t.take(keep, 0)[None], keep, basis))[0]
 
 
 def run(scenario: SuperpositionScenario) -> list[MeasurementOutcome]:
     """Evolution and control measurement of one scenario: ``run_stack``
-    on its own scales."""
-    return next(run_stack(scenario, scale_row(scenario.channels)[None]))
+    on its own scales, as outcome objects."""
+    return _outcome_lists(scenario.input.dims,
+                          *run_stack(scenario, scale_row(scenario.channels)[None]))[0]

@@ -19,8 +19,8 @@ from linksim.linalg import (
     hermiticity_defect,
     kron_all,
     partial_trace,
-    partial_traces,
     sqrt_psd,
+    stack_partial_traces,
 )
 from linksim.metrics import (
     avg_one_vs_rest_concurrence,
@@ -333,6 +333,12 @@ def assert_bitwise(a, b):
     assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
+def _reductions(rho, keeps):
+    """The reductions of one state to each ``keep``, ``(len(keeps), d, d)``:
+    ``stack_partial_traces`` of the stack that holds only ``rho``."""
+    return stack_partial_traces(rho.dims, rho.support, rho.block[None], keeps)[0]
+
+
 def _keep_groups(n):
     """All pairs, all singles and all triples (``[0, 2, 5]`` and the like)
     of n qubits, one group per size."""
@@ -342,7 +348,7 @@ def _keep_groups(n):
 
 def _assert_equal_trace_loop(rho):
     for keeps in _keep_groups(len(rho.dims)):
-        stack = partial_traces(rho, keeps)
+        stack = _reductions(rho, keeps)
         d = 2 ** len(keeps[0])
         assert stack.shape == (len(keeps), d, d)
         for keep, reduced in zip(keeps, stack):
@@ -355,7 +361,7 @@ def test_partial_traces_equal_trace_loop(n):
     rho = DensityMatrix((2,) * n, random_density(rng, 2**n))
     _assert_equal_trace_loop(rho)
     for keeps in _keep_groups(n):
-        for keep, reduced in zip(keeps, partial_traces(rho, keeps)):
+        for keep, reduced in zip(keeps, _reductions(rho, keeps)):
             single = partial_trace(rho, keep)
             assert single.dims == (2,) * len(keep)
             assert single.mat.tobytes() == reduced.tobytes()
@@ -363,7 +369,7 @@ def test_partial_traces_equal_trace_loop(n):
                                        rtol=0, atol=1e-14)
     for bad in ([0, n], [-1], [n + 3]):
         with pytest.raises(BadIndexError):
-            partial_traces(rho, [[0, 1], bad])
+            _reductions(rho, [[0, 1], bad])
 
 
 def test_partial_traces_equal_trace_loop_on_post_states():
@@ -389,15 +395,15 @@ def test_partial_traces_mixed_dims_need_one_layout():
                                                  for d in (2, 3, 2, 3)]))
     # both leave kept dims (2, 3) and traced dims (3, 2), highest first
     keeps = [[0, 1], [2, 3]]
-    stack = partial_traces(rho, keeps)
+    stack = _reductions(rho, keeps)
     assert stack.shape == (2, 6, 6)
     for keep, reduced in zip(keeps, stack):
         np.testing.assert_allclose(reduced, _trace_loop(rho, keep), rtol=0, atol=1e-14)
     # traced (3, 2) against (2, 3)
     with pytest.raises(DimMismatchError):
-        partial_traces(rho, [[0, 1], [0, 3]])
+        _reductions(rho, [[0, 1], [0, 3]])
     with pytest.raises(DimMismatchError):
-        partial_traces(rho, [])
+        _reductions(rho, [])
 
 
 def test_reduction_index_is_cached_and_bounded():
@@ -405,16 +411,16 @@ def test_reduction_index_is_cached_and_bounded():
     assert cache.cache_info().maxsize is not None
     rng = np.random.default_rng(8)
     rho = DensityMatrix((2, 2, 2), random_density(rng, 8))
-    partial_traces(rho, [[0, 1], [1, 2]])
+    _reductions(rho, [[0, 1], [1, 2]])
     index, traced_dims = cache((2, 2, 2), tuple(range(8)), ((0, 1), (1, 2)))
     assert index.shape == (2, 2, 4, 4) and traced_dims == (2,)
     before = cache.cache_info()
-    partial_traces(rho, [[0, 1], [1, 2]])
+    _reductions(rho, [[0, 1], [1, 2]])
     assert cache.cache_info().hits == before.hits + 1
     before = cache.cache_info()
     for bad in ([[0, 3]], [[0, 1], [-1, 2]]):
         with pytest.raises(BadIndexError):
-            partial_traces(rho, bad)
+            _reductions(rho, bad)
     assert cache.cache_info() == before
 
 
@@ -479,9 +485,10 @@ def test_stacked_check_raises_as_the_member_alone(monkeypatch, kind, error, past
                                          ("eigenvalue", NegativeEigenvalueError),
                                          ("nan", NonHermitianError)])
 def test_density_stack_raises_as_the_member_alone(kind, error, at):
-    """One bad member of a stack of four, first or last, makes
-    ``DensityMatrix.stack`` raise what the one-state constructor raises on
-    that member."""
+    """One bad member of a stack of four blocks on one support, first or
+    last, makes the stack's one ``check_densities`` call, as ``run_stack``
+    makes it on its post blocks, raise what the one-state constructor
+    raises on that member."""
     rng = np.random.default_rng(10)
     dims, support = (2, 2, 2), [0, 2, 5]
     stack = np.array([random_density(rng, 3) for _ in range(4)])
@@ -497,31 +504,8 @@ def test_density_stack_raises_as_the_member_alone(kind, error, at):
         stack[at, 2, 2] = np.nan
     alone = _raised(lambda: DensityMatrix(dims, stack[at], support))
     assert alone is error
-    assert _raised(lambda: DensityMatrix.stack(dims, stack, support)) is alone
-    assert DensityMatrix.stack(dims, np.delete(stack, at, axis=0), support)
-
-
-@pytest.mark.parametrize("support", [np.array([5, 0, 2]), None])
-def test_density_stack_holds_what_the_one_state_constructor_holds(support):
-    """The states are read-only, share one support array, and hold the
-    blocks ``DensityMatrix(dims, block, support)`` holds, bit for bit."""
-    rng = np.random.default_rng(11)
-    size = 8 if support is None else len(support)
-    blocks = np.array([random_density(rng, size) for _ in range(5)])
-    given = blocks.copy()
-    states = DensityMatrix.stack((2, 2, 2), given, support)
-    given[:] = 0  # the states hold their own copies
-    assert len(states) == 5
-    assert all(state.support is states[0].support for state in states)
-    for state, block in zip(states, blocks):
-        alone = DensityMatrix((2, 2, 2), block, support)
-        assert state.dims == alone.dims == (2, 2, 2)
-        assert_bitwise(state.support, alone.support)
-        assert_bitwise(state.block, alone.block)
-        assert_bitwise(state.mat, alone.mat)
-        for part in (state.block, state.support, state.mat):
-            assert not part.flags.writeable
-    assert DensityMatrix.stack((2, 2, 2), np.zeros((0, 3, 3)), [0, 2, 5]) == []
+    assert _raised(lambda: linalg.check_densities(stack)) is alone
+    linalg.check_densities(np.delete(stack, at, axis=0))
 
 
 def test_density_matrix_and_partial_traces_share_one_check(monkeypatch):
@@ -539,12 +523,11 @@ def test_density_matrix_and_partial_traces_share_one_check(monkeypatch):
     with pytest.raises(LinalgError, match="refused"):
         DensityMatrix.pure((2, 2), np.array([1, 0, 0, 1]) / np.sqrt(2))
     with pytest.raises(LinalgError, match="refused"):
-        partial_traces(rho, [[0], [1]])
+        stack_partial_traces(rho.dims, rho.support, rho.block[None], [[0], [1]])
     with pytest.raises(LinalgError, match="refused"):
-        DensityMatrix.stack((2, 2), np.full((3, 2, 2), 0.5), [0, 3])
-    with pytest.raises(LinalgError, match="refused"):
-        DensityMatrix.stack((2, 2), np.zeros((0, 2, 2)), [0, 3])
-    # the post states of a run
+        partial_trace(rho, [0])
+    # the post states of a run, each built by the constructor
+    monkeypatch.setattr(superposition, "check_densities", lambda mats: None)
     with pytest.raises(LinalgError, match="refused"):
         run(scenario)
 
@@ -568,8 +551,6 @@ def test_from_block_rejects_a_block_unlike_its_support():
 def test_from_block_validates_its_support(support, error):
     with pytest.raises(error):
         DensityMatrix((2, 2), np.eye(2) / 2, support)
-    with pytest.raises(error):
-        DensityMatrix.stack((2, 2), np.array([np.eye(2) / 2] * 3), support)
 
 
 def test_an_empty_block_fails_the_trace_check_and_an_empty_stack_passes():
@@ -629,7 +610,7 @@ def test_pure_names_the_norm_it_cannot_normalize(vector):
 def _layout_groups(dims):
     """Every keep of ``dims`` but the empty and the whole one, grouped by
     layout of kept and traced dimensions, so each group can be reduced in
-    one ``partial_traces`` call."""
+    one ``_reductions`` call."""
     n = len(dims)
     groups = {}
     for size in range(1, n):
@@ -671,8 +652,8 @@ def test_partial_traces_on_the_support_equal_the_dense_gather(dims):
         rho = _held_on_support(rng, dims, support, signed_zeros=k % 2 == 1)
         whole = DensityMatrix(dims, rho.mat)
         for keeps in _layout_groups(dims):
-            stack = partial_traces(rho, keeps)
-            assert_bitwise(stack, partial_traces(whole, keeps))
+            stack = _reductions(rho, keeps)
+            assert_bitwise(stack, _reductions(whole, keeps))
             for keep, reduced in zip(keeps, stack):
                 assert_bitwise(reduced, _trace_loop(whole, keep))
 
@@ -692,7 +673,7 @@ def test_stack_partial_traces_equal_each_state_alone(monkeypatch, limit):
         stack = linalg.stack_partial_traces(dims, states[0].support, blocks, keeps)
         assert stack.shape[:2] == (len(states), len(keeps))
         for state, reduced in zip(states, stack):
-            assert_bitwise(reduced, partial_traces(state, keeps))
+            assert_bitwise(reduced, _reductions(state, keeps))
 
 
 def test_records_of_a_large_ghz_post_state_allocate_no_dense_matrix():
@@ -738,9 +719,11 @@ def test_density_checks_see_only_the_reached_block(monkeypatch):
         seen.append(mats.shape)
         return check(mats)
 
-    # the joint states are checked as one stack by ``superposition``
+    # the joint and post states are checked as stacks by ``superposition``,
+    # the objective's post block by ``scenarios``
     monkeypatch.setattr(linalg, "check_densities", recorded)
     monkeypatch.setattr(superposition, "check_densities", recorded)
+    monkeypatch.setattr(scenarios, "check_densities", recorded)
     assert evaluate_point(spec, 0.3, 0.3)
     assert (1, reached, reached) in seen
     assert max(shape[-1] for shape in seen) == reached

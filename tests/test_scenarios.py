@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from linksim import cli, linalg, scenarios
+from linksim import cli, linalg, scenarios, superposition
 from linksim.channels import (
     BadProbabilityError,
     VacuumExtendedChannel,
@@ -593,8 +593,8 @@ def test_a_point_without_outcome_0_gets_no_oracle_and_no_raise():
 
 
 def test_a_live_point_with_a_vanishing_denominator_raises(monkeypatch):
-    # the outcomes measured at p = 0.5, where outcome 0 is live, are given
-    # to the points p = 0.0, where the closed form's denominator vanishes:
+    # the arrays run_stack measures at p = 0.5, where outcome 0 is live, are
+    # given to the points p = 0.0, where the closed form's denominator vanishes:
     # the oracle raises there, as oracle_fidelity does, unless it is off
     run_stack = scenarios.run_stack
     live_scales = scenarios._scale_table(_DEAD_PLUS, np.array([0.5]), np.array([0.5]))
@@ -608,6 +608,54 @@ def test_a_live_point_with_a_vanishing_denominator_raises(monkeypatch):
         sweep(_DEAD_PLUS, [0.5, 0.0, 0.5])
     records = sweep(_DEAD_PLUS, [0.5, 0.0], emit_oracle=False)
     assert [(r.p, r.outcome) for r in records] == [(0.5, 0), (0.5, 1), (0.0, 0), (0.0, 1)]
+
+
+def test_a_lone_evaluate_point_passes_the_module_attribute_once(monkeypatch):
+    # the benchmark's tracer counts a point per call of the module
+    # attribute, and perfbench/selftest.py perturbs the records it returns:
+    # a lone evaluation must not reach it again through ``sweep``
+    evaluate, calls = scenarios.evaluate_point, []
+
+    def counted(spec, p, q, **kwargs):
+        calls.append((spec.name, p, q))
+        return evaluate(spec, p, q, **kwargs)
+
+    monkeypatch.setattr(scenarios, "evaluate_point", counted)
+    for name in ("fig4a_red", "prop1_ideal_bell", "fig8_green"):
+        calls.clear()
+        assert scenarios.evaluate_point(builtin(name), 0.3, 0.6)
+        assert calls == [(name, 0.3, 0.6)]
+
+
+def test_sweep_and_objective_build_no_state_object(monkeypatch):
+    # a stack stays arrays from the measurement to the records and the
+    # objective's value: no DensityMatrix, no MeasurementOutcome
+    built = []
+
+    def counted(cls):
+        init = cls.__init__
+
+        def wrapper(self, *args, **kwargs):
+            built.append(cls.__name__)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", wrapper)
+
+    specs = [replace(builtin(name), outcome_policy="all_outcomes")
+             for name in ("fig4a_blue", "fig7a_green", "fig8_blue")]
+    objectives = [scenarios._fixed_noise_objective(spec, 0.4, 0.7) for spec in specs]
+    counted(linalg.DensityMatrix)
+    counted(superposition.MeasurementOutcome)
+    for spec, objective in zip(specs, objectives):
+        assert sweep(spec, np.linspace(0.0, 1.0, 5), [0.0, 0.5])
+        assert evaluate_point(spec, 0.4, 0.7)
+        x = np.concatenate([v.real[m] for v, m in zip(
+            spec.config.vectors, scenarios._free_slots(spec.family, spec.n))])
+        assert objective(x) < 0
+    assert built == []
+    # the wrappers see the one-point API's objects
+    run(build_scenario(specs[0], 0.4, 0.7))
+    assert built.count("MeasurementOutcome") == 2
+    assert built.count("DensityMatrix") == 2
 
 
 @pytest.mark.parametrize("points", [1, 32, 33, 65])
@@ -649,13 +697,13 @@ def _record_stage_peak(monkeypatch, spec, points) -> int:
     run_stack, chunks = scenarios.run_stack, []
 
     def measured(scenario, scales):
-        chunks.append(list(run_stack(scenario, scales)))
-        return iter(chunks[-1])
+        chunks.append(run_stack(scenario, scales))
+        return chunks[-1]
 
     monkeypatch.setattr(scenarios, "run_stack", measured)
     expected = sweep(spec, grid)
     replay = iter(chunks)
-    monkeypatch.setattr(scenarios, "run_stack", lambda *args: iter(next(replay)))
+    monkeypatch.setattr(scenarios, "run_stack", lambda *args: next(replay))
     linalg._reduction_index.cache_clear()
     tracemalloc.start()
     try:
@@ -712,22 +760,22 @@ def test_sweep_builds_one_scenario(monkeypatch):
 
 def test_plus_only_sweep_builds_one_post_state_per_point(monkeypatch):
     # the scenario measures only the reported outcome, and each chunk's
-    # post states are checked as one stack: an n = 8 GHZ sweep of 55
-    # points checks 55 post states in 2 stacked calls, one per chunk
-    check, checked = linalg.check_densities, []
+    # post blocks are checked as one stack: an n = 8 GHZ sweep of 55
+    # points checks 55 post blocks in 2 stacked calls, one per chunk, each
+    # after its chunk's joint states
+    check, checked = superposition.check_densities, []
 
     def counted(mats):
-        # frame 1 is linalg._held, frame 2 the stack constructor
-        if sys._getframe(3).f_code.co_name == "_measure":
-            checked.append((sys._getframe(2).f_code.co_name, mats.shape))
+        checked.append(mats.shape)
         return check(mats)
 
-    monkeypatch.setattr(linalg, "check_densities", counted)
+    monkeypatch.setattr(superposition, "check_densities", counted)
     spec = ScenarioSpec("ghz8", "ghz_depolarizing", 8, PROP5_P05)
     assert spec.outcome_policy == "plus_only"
     assert scenarios._CHUNK == 32
     assert len(sweep(spec, np.linspace(0.0, 1.0, 55))) == 55
-    assert checked == [("stack", (32, 2, 2)), ("stack", (23, 2, 2))]
+    assert [shape[0] for shape in checked] == [32, 32, 23, 23]
+    assert checked[1::2] == [(32, 2, 2), (23, 2, 2)]
 
 
 def test_sweep_refuses_a_bad_point_in_a_later_chunk():

@@ -491,7 +491,9 @@ def test_run_stack_refuses_a_badly_shaped_scale_table():
                   [["1"] * 8]):
         with pytest.raises(SuperpositionError):
             run_stack(scenario, table)
-    assert len(list(run_stack(scenario, [row, row]))) == 2
+    support, probs, live, posts = run_stack(scenario, [row, row])
+    assert probs.shape == live.shape == (2, 1)  # plus_only: one outcome
+    assert posts.shape == (live.sum(), len(support), len(support))
 
 
 def test_run_stack_nan_scale_fails_the_density_check():
@@ -537,7 +539,8 @@ def test_run_stack_equals_run_on_random_scaled_channels(seed):
                                        for channel_ops, a in zip(ops, amps)),
                                  rho, control, basis)
     table = [scale_row(scenario.channels) for scenario in scenarios]
-    for stacked, scenario in zip(run_stack(unit, table), scenarios, strict=True):
+    stack = superposition._outcome_lists(rho.dims, *run_stack(unit, table))
+    for stacked, scenario in zip(stack, scenarios, strict=True):
         alone = run(scenario)
         assert [o.probability for o in stacked] == [o.probability for o in alone]
         for s, a in zip(stacked, alone):

@@ -19,8 +19,9 @@ The digests cover:
   {0, .31, 1};
 - ``sweep``: every builtin's 7 x 5 grid records;
 - ``run_stack``: 21-point scale tables of larger inline specs and seeded
-  random configs (``stack_specs``), with ``measure_control(apply(s))`` on
-  every fifth point;
+  random configs (``stack_specs``), its arrays turned into outcome lists
+  by the helper ``run`` uses, with ``measure_control(apply(s))`` on every
+  fifth point;
 - ``sweep_stack``: the 33-point sweep records of the ``stack_specs``
   (n up to 8) under both outcome policies;
 - ``_fixed_noise_objective``: its values at seeded proposals;
@@ -40,7 +41,13 @@ from linksim import cli, scenarios
 from linksim.channels import scale_row
 from linksim.metrics import VacuumConfig
 from linksim.scenarios import ScenarioSpec, build_scenario, builtin, builtin_names
-from linksim.superposition import apply, measure_control, run, run_stack
+from linksim.superposition import (
+    _outcome_lists,
+    apply,
+    measure_control,
+    run,
+    run_stack,
+)
 
 _S2 = 1.0 / np.sqrt(2.0)
 
@@ -108,7 +115,8 @@ def stack_digest() -> str:
     for spec in stack_specs():
         stack = [build_scenario(spec, p, 1.0 - p) for p in ps]
         scales = [scale_row(scenario.channels) for scenario in stack]
-        for outcomes in run_stack(stack[0], scales):
+        for outcomes in _outcome_lists(stack[0].input.dims,
+                                       *run_stack(stack[0], scales)):
             _outcomes(h, spec, outcomes)
         for scenario in stack[::5]:
             joint = apply(scenario)
