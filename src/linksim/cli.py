@@ -42,10 +42,8 @@ EXIT_CONFIG = 2
 EXIT_SCENARIO = 3
 
 # size limits; MAX_POINTS caps the points a sweep or grid evaluates and
-# the rows a walk writes, and a walk builds dense (2 positions)^2 complex
-# matrices
+# the rows, (steps + 1) positions, a walk writes
 MAX_POINTS = 10**6
-MAX_POSITIONS = 1024
 MAX_RESTARTS = 1000
 
 
@@ -278,7 +276,7 @@ def cmd_walk(args) -> int:
     coin = _COINS.get(cfg["coin"]) if isinstance(cfg["coin"], str) else None
     if coin is None:
         raise ConfigError(f"unknown coin {cfg['coin']!r}")
-    n = _number(cfg["positions"], "positions", 1, MAX_POSITIONS, integer=True)
+    n = _number(cfg["positions"], "positions", 1, integer=True)
     steps = _number(cfg["steps"], "steps", 0, integer=True)
     if (steps + 1) * n > MAX_POINTS:
         raise ConfigError(f"a walk of {steps} steps on {n} positions writes "

@@ -56,7 +56,7 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0))
 
 
-def eig_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL):
+def eig_hermitian(m: np.ndarray):
     """Eigendecomposition of a Hermitian matrix, or of each matrix of a
     stack (..., d, d).
 
@@ -66,7 +66,7 @@ def eig_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL):
     """
     m = np.asarray(m, dtype=complex)
     defect = hermiticity_defect(m)
-    if defect > tol:
+    if defect > HERMITIAN_TOL:
         raise NonHermitianError(f"matrix is not Hermitian (defect {defect:.3e})")
     vals, vecs = np.linalg.eigh(m)
     return vals[..., ::-1].copy(), vecs[..., ::-1].copy()
@@ -107,6 +107,14 @@ def check_densities(mats: np.ndarray) -> None:
     lowest = np.linalg.eigvalsh(mats)[..., 0]
     if not all(x >= -DensityMatrix.EIG_TOL for x in lowest.flat):
         raise NegativeEigenvalueError("density matrix is not PSD")
+
+
+def _normalized(v: np.ndarray) -> np.ndarray:
+    """``v`` over its norm, which must be finite and non-zero."""
+    norm = float(np.linalg.norm(v))
+    if not 0.0 < norm < np.inf:  # NaN fails
+        raise LinalgError(f"cannot normalize a state vector of norm {norm!r}")
+    return v / norm
 
 
 @dataclass(frozen=True)
@@ -182,10 +190,7 @@ class DensityMatrix:
         v = np.asarray(vector, dtype=complex)
         if v.shape != (prod(dims),):
             raise DimMismatchError(f"vector {v.shape} does not match dims {dims}")
-        norm = float(np.linalg.norm(v))
-        if not 0.0 < norm < np.inf:  # NaN fails
-            raise LinalgError(f"cannot normalize a state vector of norm {norm!r}")
-        v = v / norm
+        v = _normalized(v)
         support = v.nonzero()[0]
         return cls(dims, np.outer(v[support], v[support].conj()), support)
 

@@ -139,7 +139,7 @@ def _concurrences(rho: np.ndarray) -> list[float]:
     rho_tilde = _YY @ rho.conj() @ _YY
     r = sqrt_psd(rho)
     m = r @ rho_tilde @ r
-    vals, _ = eig_hermitian((m + m.conj().swapaxes(-1, -2)) / 2.0, tol=1e-8)
+    vals, _ = eig_hermitian((m + m.conj().swapaxes(-1, -2)) / 2.0)
     # what np.clip(vals, 0.0, None) computes, without its Python wrapper
     vals = np.maximum(vals, 0.0)
     # eigenvalues at the numerical noise floor would each contribute
@@ -243,6 +243,13 @@ def _sym(a, b) -> float:
     return float(((np.conj(a) * b + a * np.conj(b)) / 2.0).real)
 
 
+def _check_shape(cfg: VacuumConfig, count: int, length: int) -> None:
+    """Raise unless ``cfg`` holds ``count`` amplitude vectors of ``length``."""
+    if [len(v) for v in cfg.vectors] != [length] * count:
+        raise DimMismatchError(f"expected {count} amplitude vectors of length "
+                               f"{length}, got {[len(v) for v in cfg.vectors]}")
+
+
 def _fidelities(num: np.ndarray, den: np.ndarray) -> float | list[float]:
     """sqrt(max(num, 0) / den) pointwise; a vanishing denominator raises."""
     if (den <= 1e-14).any():
@@ -256,6 +263,7 @@ def fid_closed_depolarizing(p, q, cfg: VacuumConfig) -> float | list[float]:
     amplitudes: elementwise over arrays of (p, q), the amplitudes' terms
     formed once; a float for floats."""
     p, q = np.moveaxis(_check_probs(np.stack([p, q], -1), "probability"), -1, 0)
+    _check_shape(cfg, 2, 4)
     a, b = cfg.alpha, cfg.beta
     m = np.array([[_sym(a[i], b[j]) for j in range(4)] for i in range(4)])
     sg = np.array([1.0, -1.0, 1.0])  # signs of the (X, Y, Z) combination
@@ -274,6 +282,7 @@ def fid_closed_bitphase(p, q, cfg: VacuumConfig) -> float | list[float]:
     Pauli slots 0, 1) and phase-flip (slots 0, 3) channel pair, elementwise
     over arrays of (p, q); a float for floats."""
     p, q = np.moveaxis(_check_probs(np.stack([p, q], -1), "probability"), -1, 0)
+    _check_shape(cfg, 2, 4)
     a, b = cfg.alpha, cfg.beta
     shared = (1.0 + np.sqrt(q * (1 - p)) * _sym(a[0], b[3])
               + np.sqrt((1 - p) * (1 - q)) * _sym(a[0], b[0]))
@@ -287,8 +296,9 @@ def fid_closed_w3(p, cfg: VacuumConfig) -> float | list[float]:
     channels with per-channel noise p = (p_0, p_1, p_2) and 2-vector
     amplitudes; elementwise over rows (..., 3) of p, a float for one row."""
     p = _check_probs(p, "probability")
-    if p.shape[-1:] != (3,) or len(cfg.vectors) != 3:
-        raise DimMismatchError("expected 3 probabilities and 3 amplitude pairs")
+    if p.shape[-1:] != (3,):
+        raise DimMismatchError("expected 3 probabilities")
+    _check_shape(cfg, 3, 2)
     channels = list(zip(cfg.vectors, np.moveaxis(p, -1, 0)))
     num, den = sum(pi for _, pi in channels), 9.0
     for (ai, pi), (aj, pj) in combinations(channels, 2):

@@ -36,7 +36,6 @@ from .metrics import (
     fidelities_pure,
     fidelities_up_to_phase,
     fidelity_pure,
-    fidelity_up_to_phase,
     one_vs_rest_concurrences,
     pairwise_concurrences,
     w_state,
@@ -92,6 +91,8 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ScenarioError(f"unknown family {self.family!r}")
+        if not isinstance(self.n, int) or isinstance(self.n, bool):
+            raise ScenarioError(f"n must be an integer, got {self.n!r}")
         if self.n < 2 or (self.family in _BELL_FAMILIES and self.n != 2):
             raise ScenarioError(f"family {self.family!r} cannot have n={self.n}")
         if self.outcome_policy not in ("plus_only", "all_outcomes"):
@@ -433,19 +434,19 @@ def _record_rows(spec: ScenarioSpec, scenario: SuperpositionScenario,
 
 
 def evaluate_point(spec: ScenarioSpec, p: float, q: float, *,
-                   emit_oracle: bool = True, _row=None) -> list[SweepRecord]:
-    """One record per non-zero outcome a spec measures at one noise point.
+                   _row=None) -> list[SweepRecord]:
+    """One record per non-zero outcome at one noise point, with its oracle if any.
 
     ``sweep`` calls this once per point, through the module attribute, with
     the point's row of ``_record_rows`` over its chunk as ``_row``; without
     it the point is built and run alone and its row taken by the same
-    function, with bitwise the same records. A lone call does not go
-    through ``sweep``, which would call this again.
+    functions, a one-point chunk, with bitwise the same records. A lone
+    call does not go through ``sweep``, which would call this again.
     """
     if _row is None:
-        scenario = build_scenario(spec, p, q)
-        _row = _record_rows(spec, scenario, np.array([p]), np.array([q]),
-                            scale_row(scenario.channels)[None], emit_oracle)[0]
+        point = np.array([p]), np.array([q])
+        _row = _record_rows(spec, build_scenario(spec, p, q), *point,
+                            _scale_table(spec, *point), emit_oracle=True)[0]
     return [SweepRecord(p, q, *fields) for fields in _row]
 
 
@@ -588,18 +589,17 @@ def _fixed_noise_objective(spec: ScenarioSpec, p, q):
 
 
 def optimize_amplitudes(spec: ScenarioSpec, p: float, q: float | None = None,
-                        seed: int = 0, restarts: int = 20,
-                        max_iter: int = 500) -> OptimizationResult:
+                        seed: int = 0, restarts: int = 20) -> OptimizationResult:
     """Derivative-free search over real vacuum amplitudes at fixed noise.
 
-    Uses a Nelder-Mead simplex over unconstrained real vectors; every
-    proposal is projected to the per-channel unit spheres before the
-    plus-outcome fidelity is evaluated. The channels are built once per
-    call (see ``_fixed_noise_objective``). The published configurations
-    with one vector per channel are always injected as the first restarts
-    so the result is never worse than the paper's own operating point.
-    Deterministic for a fixed seed. scipy is imported here, on the first
-    call, and by nothing else in the package.
+    Uses a Nelder-Mead simplex of at most 500 iterations per restart over
+    unconstrained real vectors; every proposal is projected to the
+    per-channel unit spheres before the plus-outcome fidelity is evaluated.
+    The channels are built once per call (see ``_fixed_noise_objective``).
+    The published configurations with one vector per channel are always
+    injected as the first restarts so the result is never worse than the
+    paper's own operating point. Deterministic for a fixed seed. scipy is
+    imported here, on the first call, and by nothing else in the package.
     """
     # imported here: every other command would otherwise pay for this import
     from scipy.optimize import minimize
@@ -624,12 +624,11 @@ def optimize_amplitudes(spec: ScenarioSpec, p: float, q: float | None = None,
     for x0 in starts:
         res = minimize(
             objective, x0, method="Nelder-Mead",
-            options={"maxiter": max_iter, "xatol": 1e-10, "fatol": 1e-12},
+            options={"maxiter": 500, "xatol": 1e-10, "fatol": 1e-12},
         )
         iterations += int(res.nit)
-        val = objective(res.x)
-        if val < best_val:
-            best_val, best_x = val, res.x
+        if res.fun < best_val:
+            best_val, best_x = res.fun, res.x
     return OptimizationResult(
         best_config=VacuumConfig(tuple(_amplitudes(slots, best_x))),
         best_fidelity=-best_val,
@@ -663,7 +662,7 @@ def verify_propositions() -> list[PropositionCheck]:
     for n in (2, 3, 4, 5):
         spec = builtin(f"prop2_ideal_ghz_n{n}")
         for out in run(build_scenario(spec, 0.0)):
-            fid = fidelity_up_to_phase(out.post_state, n)
+            fid = outcome_fidelity(spec, out)
             checks.append(_check(
                 "prop2", f"ideal GHZ n={n}, outcome {out.outcome_index}, "
                          "fid up to phase", fid, 1.0 - tol))
@@ -671,7 +670,7 @@ def verify_propositions() -> list[PropositionCheck]:
     for n in (3, 4):
         spec = builtin(f"prop3_ideal_w_n{n}")
         for out in run(build_scenario(spec, 0.0)):
-            fid = fidelity_pure(out.post_state, w_state(n, out.outcome_index))
+            fid = outcome_fidelity(spec, out)
             checks.append(_check(
                 "prop3", f"ideal W n={n}, outcome {out.outcome_index}, "
                          f"prob {out.probability:.6f}", fid, 1.0 - tol))

@@ -16,17 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import NotUnitaryError, unitary_channel
-from .linalg import DimMismatchError
+from .channels import unitary_channel
+from .linalg import DimMismatchError, LinksimError, _normalized
 from .superposition import global_kraus
-
-UNITARY_TOL = 1e-10
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
 class WalkSpec:
+    """``steps`` >= 0 steps of a 2x2 unitary coin from ``initial``, normalized here."""
+
     positions: int
     coin: np.ndarray
     steps: int
@@ -35,12 +35,15 @@ class WalkSpec:
     def __post_init__(self):
         coin = np.asarray(self.coin, dtype=complex)
         init = np.asarray(self.initial, dtype=complex)
-        object.__setattr__(self, "coin", coin)
-        object.__setattr__(self, "initial", init / np.linalg.norm(init))
         if coin.shape != (2, 2):
             raise DimMismatchError("coin must be 2x2")
-        if len(init) != 2 * self.positions:
+        unitary_channel(coin)  # the channels' unitarity check: NotUnitaryError
+        if init.shape != (2 * self.positions,):
             raise DimMismatchError("initial state must live on position (x) coin")
+        if isinstance(self.steps, bool) or not isinstance(self.steps, int) or self.steps < 0:
+            raise LinksimError(f"steps must be an integer of at least 0, got {self.steps!r}")
+        object.__setattr__(self, "coin", coin)
+        object.__setattr__(self, "initial", _normalized(init))
 
 
 def shift_operator(n: int) -> np.ndarray:
@@ -52,15 +55,6 @@ def shift_operator(n: int) -> np.ndarray:
     return np.kron(up, p0) + np.kron(down, p1)
 
 
-def step_operator(spec: WalkSpec) -> np.ndarray:
-    """One-step unitary U = T (I (x) C)."""
-    c = spec.coin
-    if not np.max(np.abs(c.conj().T @ c - np.eye(2))) <= UNITARY_TOL:  # NaN fails
-        raise NotUnitaryError("coin is not unitary")
-    n = spec.positions
-    return shift_operator(n) @ np.kron(np.eye(n, dtype=complex), c)
-
-
 def position_distribution(state: np.ndarray, n: int) -> np.ndarray:
     """Marginal probability of each lattice position."""
     amp = state.reshape(n, 2)
@@ -68,13 +62,16 @@ def position_distribution(state: np.ndarray, n: int) -> np.ndarray:
 
 
 def simulate(spec: WalkSpec) -> list[np.ndarray]:
-    """Position distributions after 0, 1, ..., steps applications of U."""
-    u = step_operator(spec)
-    state = spec.initial.copy()
-    dists = [position_distribution(state, spec.positions)]
+    """Position distributions after 0, 1, ..., steps applications of U, on a
+    (positions, 2) state: one product with C^T, then T rolls coin 0 up, 1 down."""
+    n = spec.positions
+    state = spec.initial.reshape(n, 2)
+    dists = [position_distribution(state, n)]
     for _ in range(spec.steps):
-        state = u @ state
-        dists.append(position_distribution(state, spec.positions))
+        state = state @ spec.coin.T
+        state[:, 0] = np.roll(state[:, 0], 1)
+        state[:, 1] = np.roll(state[:, 1], -1)
+        dists.append(position_distribution(state, n))
     return dists
 
 

@@ -167,8 +167,7 @@ def test_criterion_08_optimizer():
     worst = 1.0
     for name in ("prop4_p1", "prop4_p05", "cor1_p1", "cor1_p05"):
         spec = builtin(name)
-        res = optimize_amplitudes(spec, *spec.noise, seed=0,
-                                  restarts=20, max_iter=500)
+        res = optimize_amplitudes(spec, *spec.noise, seed=0, restarts=20)
         worst = min(worst, res.best_fidelity)
     grid_ok = True
     for name in ("prop4_p1", "cor1_p1"):
@@ -179,8 +178,7 @@ def test_criterion_08_optimizer():
                     ScenarioSpec(spec.name, spec.family, spec.n, cfg, None),
                     p, p)[0].fidelity
                 for cfg in published_configs(spec.family))
-            res = optimize_amplitudes(spec, p, p, seed=0, restarts=2,
-                                      max_iter=500)
+            res = optimize_amplitudes(spec, p, p, seed=0, restarts=2)
             if res.best_fidelity < floor - 1e-9:
                 grid_ok = False
     ok = worst >= 1.0 - 1e-6 and grid_ok

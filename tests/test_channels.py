@@ -176,6 +176,12 @@ def test_nan_operator_is_not_unitary():
         unitary_channel(np.array([[np.nan, 0], [0, 1]]))
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4,), (1, 2, 2)])
+def test_non_square_operator_is_not_unitary(shape):
+    with pytest.raises(NotUnitaryError):
+        unitary_channel(np.ones(shape))
+
+
 def test_channel_shape_checks():
     with pytest.raises(ChannelError):
         VacuumExtendedChannel((np.eye(2),), np.array([1.0, 0.0]))

@@ -335,6 +335,18 @@ def test_walk_csv(tmp_path):
         assert total == pytest.approx(1.0, abs=1e-6)
 
 
+def test_walk_on_more_positions_than_a_dense_operator_allows(tmp_path):
+    # (2 x 2000)^2 complex entries would be 256 MB; rows still cap the walk
+    out = tmp_path / "walk.csv"
+    assert run_cli(["walk", "--positions", "2000", "--steps", "3",
+                    "--out", str(out)]) == 0
+    rows = out.read_text().strip().split("\n")[1:]
+    assert len(rows) == 4 * 2000
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["walk", "--positions", "2000", "--steps", "500"])
+    assert exc.value.code == 2
+
+
 def test_walk_unknown_coin():
     with pytest.raises(SystemExit):
         run_cli(["walk", "--coin", "nope"])

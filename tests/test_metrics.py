@@ -268,6 +268,30 @@ def test_closed_forms_reject_bad_probability():
         fid_closed_bitphase(-0.1, 0.5, cfg)
 
 
+_ONE_PAULI = VacuumConfig(((1, 0, 0, 0),))
+_TWO_PAIRS = VacuumConfig(((S2, S2), (S2, S2)))
+_THREE_PAULI = VacuumConfig(((1, 0, 0, 0),) * 3)
+_PAULI_PAIR = VacuumConfig(((0.5, 0.5, 0.5, 0.5),) * 2)
+
+
+@pytest.mark.parametrize("cfg", [_ONE_PAULI, _TWO_PAIRS, _THREE_PAULI])
+def test_depolarizing_closed_form_refuses_a_config_of_the_wrong_shape(cfg):
+    with pytest.raises(DimMismatchError, match="2 amplitude vectors of length 4"):
+        fid_closed_depolarizing(0.5, 0.5, cfg)
+
+
+@pytest.mark.parametrize("cfg", [_ONE_PAULI, _TWO_PAIRS, _THREE_PAULI])
+def test_bitphase_closed_form_refuses_a_config_of_the_wrong_shape(cfg):
+    with pytest.raises(DimMismatchError, match="2 amplitude vectors of length 4"):
+        fid_closed_bitphase(0.5, 0.5, cfg)
+
+
+@pytest.mark.parametrize("cfg", [_TWO_PAIRS, _THREE_PAULI, _PAULI_PAIR])
+def test_w3_closed_form_refuses_a_config_of_the_wrong_shape(cfg):
+    with pytest.raises(DimMismatchError, match="3 amplitude vectors of length 2"):
+        fid_closed_w3((0.5, 0.5, 0.5), cfg)
+
+
 def test_closed_form_vanishing_probability():
     cfg = VacuumConfig(((1, 0, 0, 0), (-1, 0, 0, 0)))
     with pytest.raises(DivisionByZeroError):

@@ -146,7 +146,8 @@ def test_emit_oracle_is_keyword_only():
         evaluate_point(spec, 1.0, 1.0, 1.0)
     with pytest.raises(TypeError):
         sweep(spec, [0.5], None, False)
-    assert evaluate_point(spec, 0.5, 0.5, emit_oracle=False)[0].oracle_fidelity is None
+    assert sweep(spec, [0.5], emit_oracle=False)[0].oracle_fidelity is None
+    assert evaluate_point(spec, 0.5, 0.5)[0].oracle_fidelity is not None
 
 
 def test_two_dimensional_sweep_ordering():
@@ -182,6 +183,13 @@ def test_scenario_spec_validation():
                      outcome_policy="sometimes")
 
 
+@pytest.mark.parametrize("n", [3.5, 2.0, True, "2", None])
+def test_scenario_spec_refuses_a_non_integer_n(n):
+    cfg = VacuumConfig(((1, 0, 0, 0), (1, 0, 0, 0)))
+    with pytest.raises(ScenarioError, match="n must be an integer"):
+        ScenarioSpec("x", "ghz_depolarizing", n, cfg)
+
+
 def test_random_configs_match_oracles():
     rng = np.random.default_rng(30)
     for _ in range(25):
@@ -197,8 +205,8 @@ def test_random_configs_match_oracles():
 def test_optimizer_deterministic_for_seed():
     for name, p in (("prop4_p1", 1.0), ("fig8_green", 0.5)):
         spec = builtin(name)
-        a = optimize_amplitudes(spec, p, p, seed=5, restarts=3, max_iter=100)
-        b = optimize_amplitudes(spec, p, p, seed=5, restarts=3, max_iter=100)
+        a = optimize_amplitudes(spec, p, p, seed=5, restarts=3)
+        b = optimize_amplitudes(spec, p, p, seed=5, restarts=3)
         assert (a.best_fidelity, a.iterations) == (b.best_fidelity, b.iterations)
         for va, vb in zip(a.best_config.vectors, b.best_config.vectors):
             assert np.array_equal(va, vb)
@@ -208,7 +216,7 @@ def test_optimizer_skips_published_configs_of_another_size():
     # the published W configurations have three channels
     cfg = VacuumConfig(((0.6, 0.8),) * 4)
     spec = ScenarioSpec("w4", "w_memoryless", 4, cfg, None)
-    res = optimize_amplitudes(spec, 0.5, seed=3, restarts=2, max_iter=20)
+    res = optimize_amplitudes(spec, 0.5, seed=3, restarts=2)
     assert len(res.best_config.vectors) == 4
 
 
@@ -266,7 +274,7 @@ def test_optimizer_never_below_published_floor():
     spec = builtin("cor1_p1")
     for p in (0.2, 0.7):
         rec = evaluate_point(spec, p, p)[0]
-        res = optimize_amplitudes(spec, p, p, seed=1, restarts=2, max_iter=200)
+        res = optimize_amplitudes(spec, p, p, seed=1, restarts=2)
         assert res.best_fidelity >= rec.fidelity - 1e-12
 
 

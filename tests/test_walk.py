@@ -1,15 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from linksim.channels import NotUnitaryError
-from linksim.linalg import DimMismatchError
+from linksim.linalg import DimMismatchError, LinalgError, LinksimError
 from linksim.walk import (
     HADAMARD,
     WalkSpec,
     position_distribution,
     shift_operator,
     simulate,
-    step_operator,
     verify_embedding,
 )
 
@@ -36,22 +37,52 @@ def test_shift_operator_unitary_and_moves():
     assert abs(out[2 * 1 + 1]) == pytest.approx(1.0)  # moved down
 
 
-def test_step_operator_unitary():
-    spec = WalkSpec(8, HADAMARD, 1, symmetric_initial(8, 4))
-    u = step_operator(spec)
-    assert np.allclose(u.conj().T @ u, np.eye(16), atol=1e-12)
+def dense_step(n, coin):
+    # the literal one-step unitary U = T (I (x) C)
+    return shift_operator(n) @ np.kron(np.eye(n), coin)
+
+
+def random_unitary(rng, d):
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / abs(np.diag(r)))
+
+
+def test_simulate_matches_the_dense_step_operator():
+    rng = np.random.default_rng(24)
+    for n in range(1, 41):
+        coin = random_unitary(rng, 2)
+        init = rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n)
+        steps = int(rng.integers(0, 31))
+        spec = WalkSpec(n, coin, steps, init)
+        u, state = dense_step(n, coin), spec.initial
+        dists = simulate(spec)
+        assert len(dists) == steps + 1
+        for dist in dists:
+            assert np.max(np.abs(dist - position_distribution(state, n))) <= 1e-12
+            state = u @ state
+
+
+def test_simulate_forms_no_dense_operator():
+    # one dense 4000 x 4000 complex operator is 256 MB
+    spec = WalkSpec(2000, HADAMARD, 10, symmetric_initial(2000, 1000))
+    tracemalloc.start()
+    try:
+        simulate(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_coin_must_be_unitary():
-    spec = WalkSpec(4, np.array([[1, 0], [0, 2]]), 1, symmetric_initial(4, 2))
     with pytest.raises(NotUnitaryError):
-        step_operator(spec)
+        WalkSpec(4, np.array([[1, 0], [0, 2]]), 1, symmetric_initial(4, 2))
 
 
 def test_nan_coin_is_not_unitary():
-    spec = WalkSpec(4, np.array([[np.nan, 0], [0, 1]]), 1, symmetric_initial(4, 2))
     with pytest.raises(NotUnitaryError):
-        step_operator(spec)
+        WalkSpec(4, np.array([[np.nan, 0], [0, 1]]), 1, symmetric_initial(4, 2))
 
 
 def test_walk_spec_validation():
@@ -59,6 +90,17 @@ def test_walk_spec_validation():
         WalkSpec(4, np.eye(3), 1, symmetric_initial(4, 2))
     with pytest.raises(DimMismatchError):
         WalkSpec(4, HADAMARD, 1, np.ones(6))
+    for steps in (-1, 1.5, True):
+        with pytest.raises(LinksimError, match="steps"):
+            WalkSpec(4, HADAMARD, steps, symmetric_initial(4, 2))
+
+
+@pytest.mark.parametrize("value", [0.0, np.nan, np.inf])
+def test_initial_state_needs_a_finite_non_zero_norm(value):
+    init = np.zeros(8, dtype=complex)
+    init[0] = value
+    with pytest.raises(LinalgError, match="norm"):
+        WalkSpec(4, HADAMARD, 1, init)
 
 
 def test_distributions_are_normalized():
