@@ -266,7 +266,7 @@ def memoryless_bitflip(i: int, n: int, p_i: float, amps) -> VacuumExtendedChanne
 def unitary_channel(u: np.ndarray) -> VacuumExtendedChannel:
     """Single-Kraus channel from a unitary; its vacuum amplitude is 1."""
     u = np.asarray(u, dtype=complex)
-    square = u.ndim == 2 and u.shape[0] == u.shape[1]
+    square = u.ndim == 2 and u.shape[0] == u.shape[1] > 0
     if not (square and np.max(np.abs(u.conj().T @ u - np.eye(len(u)))) <= CPTP_TOL):  # NaN fails
         raise NotUnitaryError("operator is not unitary")
     return VacuumExtendedChannel((u,), np.array([1.0 + 0j]))

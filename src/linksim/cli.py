@@ -150,13 +150,14 @@ def _check_writable(out_path: str | None) -> None:
                           "a new file in a writable directory")
 
 
-def _write(text: str, out_path: str | None) -> None:
-    """Write ``text`` to ``out_path``, or to stdout without a path."""
+def _write(chunks, out_path: str | None) -> None:
+    """Write the strings ``chunks`` in order, each as it is made, to
+    ``out_path``, or to stdout without a path."""
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _write_records(records, out_path: str | None) -> None:
@@ -164,7 +165,7 @@ def _write_records(records, out_path: str | None) -> None:
         _fmt(r.p), _fmt(r.q), str(r.outcome), _fmt(r.fidelity),
         _fmt(r.oracle_fidelity), _fmt(r.conc_pairwise), _fmt(r.conc_one_vs_rest),
     ]) for r in records]
-    _write("\n".join([CSV_HEADER, *rows]) + "\n", out_path)
+    _write(["\n".join([CSV_HEADER, *rows]) + "\n"], out_path)
 
 
 def cmd_sweep(args) -> int:
@@ -258,7 +259,7 @@ def cmd_optimize(args) -> int:
         "restarts": restarts,
         "seed": result.seed,
     }
-    _write(json.dumps(payload, indent=2) + "\n", out)
+    _write([json.dumps(payload, indent=2) + "\n"], out)
     if out:
         print(f"best fidelity {_fmt(result.best_fidelity)} -> {out}")
     return 0
@@ -267,6 +268,13 @@ def cmd_optimize(args) -> int:
 _COINS = {"hadamard": walk.HADAMARD,
           "identity": np.eye(2, dtype=complex),
           "x": np.array([[0, 1], [1, 0]], dtype=complex)}
+
+
+def _walk_csv(spec: walk.WalkSpec):
+    """The walk's CSV, one string per step, each made as it is asked for."""
+    yield "step,position,probability\n"
+    for step, dist in enumerate(walk.simulate(spec)):
+        yield "".join(f"{step},{pos},{_fmt(prob)}\n" for pos, prob in enumerate(dist))
 
 
 def cmd_walk(args) -> int:
@@ -296,12 +304,7 @@ def cmd_walk(args) -> int:
     _check_writable(out)
     initial = np.zeros(2 * n, dtype=complex)
     initial[2 * start: 2 * start + 2] = state / norm
-    spec = walk.WalkSpec(n, coin, steps, initial)
-    lines = ["step,position,probability"]
-    for step, dist in enumerate(walk.simulate(spec)):
-        for pos, prob in enumerate(dist):
-            lines.append(f"{step},{pos},{_fmt(prob)}")
-    _write("\n".join(lines) + "\n", out)
+    _write(_walk_csv(walk.WalkSpec(n, coin, steps, initial)), out)
     if out:
         print(f"walk: {steps} steps on {n} positions -> {out}")
     return 0

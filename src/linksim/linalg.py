@@ -208,21 +208,6 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix(tuple(rho.dims[k] for k in kept), mat)
 
 
-#: the most gathered entries ``stack_partial_traces`` holds at once, unless
-#: one state needs more. Every state of a figure sweep's chunk but the
-#: n = 4 grid's pair reductions (10 states of 384 entries to a gather)
-#: fits one gather, while an n = 8 GHZ state's reductions (28,672 entries
-#: for its pairs, 4,096 for its qubits) are gathered one state at a time.
-#: The records of an 11-point n = 8 GHZ sweep read a tracemalloc peak of
-#: 0.88 MB so, 5.37 MB with the whole chunk in one gather and 0.97 MB when
-#: each state was reduced alone; a 32-point n = 10 sweep read 4.83, 96.3
-#: and 6.10 MB. At 2^14, four n = 8 states to a qubit gather, the peak
-#: RSS of 2600 in-process passes of the benchmark's ghz8 workload read
-#: 0.5 to 0.6 MB above one state at a time (x86-64, Python 3.11, numpy
-#: 2.4).
-_GATHER_ENTRIES = 2**12
-
-
 def stack_partial_traces(dims, support, blocks: np.ndarray, keeps) -> np.ndarray:
     """The reductions to each ``keep`` in ``keeps`` of every state of a
     stack that shares ``dims`` and ``support`` (as ``DensityMatrix`` holds
@@ -230,74 +215,62 @@ def stack_partial_traces(dims, support, blocks: np.ndarray, keeps) -> np.ndarray
     d)``.
 
     Every ``keep`` must leave the same kept and traced dimensions (for
-    qubits: the same number of subsystems). The entries the reductions sum
-    over, ``rho[(a, t), (b, t)]`` for each traced multi-index ``t``, are
-    taken with one gather into a ``(T, len(keeps), d, d, states)`` array
-    whose leading digit is the highest traced subsystem; the sums are then
-    formed by adding the slices of the leading digit in order, one digit at
-    a time (for qubits, ``x[:h] += x[h:]`` until one slice is left). For a
-    qubit, ``np.trace`` over one axis pair is the single addition
-    ``x0 + x1``, and tracing the dropped subsystems out one by one from the
-    highest index down performs the same additions in the same order, so
-    every entry is bitwise that loop's, signed zeros included. The gather
-    reads each block padded with a zero row and column, so an entry off the
-    support is the zero ``mat`` holds there, and ``mat`` is never formed.
-    States are gathered together, as many at a time as keep the gather
-    within ``_GATHER_ENTRIES`` entries (at least one state), and the
-    additions are elementwise, so each state's reductions are bitwise those
-    it has alone. The whole stack is checked once with ``check_densities``.
+    qubits: the same number of subsystems). Entry ``[k, a, b]`` sums
+    ``rho[(a, t), (b, t)]`` over the traced multi-indices ``t``; only the
+    block entries whose row and column are both on the support contribute,
+    and ``_support_plan`` lists them. They are added as the literal loop
+    adds them: tracing the dropped subsystems out one by one from the
+    highest index down, where ``np.trace`` over one axis pair adds the
+    digit's terms in order (``x0 + x1`` for a qubit). Each level of that
+    tree adds a node's children in digit order, and a child with no
+    contribution below it reads an appended ``+0.0``, the sum of the zeros
+    ``mat`` holds off the support. So every entry is bitwise that loop's,
+    signed zeros included, but for a sum of -0.0 terms alone: the tree
+    keeps it -0.0, and ``np.trace``, which sums from +0.0, makes it +0.0.
+    ``mat`` is never formed. The additions are elementwise over the stack,
+    so each state's reductions are bitwise those it has alone. The whole
+    stack is checked once with ``check_densities``.
     """
     n = len(dims)
     keeps = tuple(map(tuple, keeps))
     for keep in keeps:
         if keep and (min(keep) < 0 or max(keep) >= n):
             raise BadIndexError(f"keep={list(keep)} outside subsystems 0..{n - 1}")
-    index, traced_dims = _reduction_index(tuple(dims), tuple(support.tolist()),
-                                          keeps)
+    levels, targets, shape = _support_plan(tuple(dims), tuple(support.tolist()), keeps)
     p, s = len(blocks), len(support)
-    # the states on the last axis: the gather copies one row of states per
-    # entry, and each digit's slices are whole contiguous blocks
-    padded = np.zeros((s + 1, s + 1, p), dtype=complex)
-    padded[:s, :s] = np.moveaxis(blocks, 0, -1)
-    padded = padded.reshape(-1, p)
-    out = np.empty((p,) + index.shape[1:], dtype=complex)
-    step = max(1, _GATHER_ENTRIES // index.size)
-    for start in range(0, p, step):
-        # one statement, so no name holds the last slice's gather
-        out[start:start + step] = np.moveaxis(_traced_sums(
-            padded[:, start:start + step].take(index, axis=0), traced_dims), -1, 0)
+    # the states on the last axis, so each level takes whole rows
+    v = np.zeros((s * s + 1, p), dtype=complex)
+    v[:-1] = blocks.reshape(p, s * s).T
+    for children in levels:
+        acc = v.take(children[0], axis=0)
+        for child in children[1:]:
+            acc += v.take(child, axis=0)
+        v = acc
+    out = np.zeros((p, prod(shape)), dtype=complex)
+    out[:, targets] = v[:-1].T
+    out = out.reshape((p,) + shape)
     check_densities(out)
     return out
-
-
-def _traced_sums(x: np.ndarray, traced_dims) -> np.ndarray:
-    """The sums of a gather ``x`` (T, ...) over its leading axis, whose
-    digits run over ``traced_dims`` from the most significant: each
-    digit's slices are added in order into its first slice, which the
-    gather owns, so nothing more of the gather's size is allocated."""
-    for dt in traced_dims:
-        x = x.reshape((dt, -1) + x.shape[1:])
-        for j in range(1, dt):
-            np.add(x[0], x[j], out=x[0])
-        x = x[0]
-    return x[0]
 
 
 # bounded like ``channels.pauli_string``: one entry per (dims, support,
 # keeps) in use; a sweep's post states share one support
 @lru_cache(maxsize=32)
-def _reduction_index(dims: tuple[int, ...], support: tuple[int, ...],
-                     keeps: tuple[tuple, ...]):
-    """The flat indices, into the block of a state on ``support`` padded
-    with a zero row and column, of the entries each reduction sums over,
-    shape ``(T, len(keeps), d, d)``; also the traced dimensions, highest
-    subsystem first, which are the digits of the leading axis from the
-    most significant.
+def _support_plan(dims: tuple[int, ...], support: tuple[int, ...],
+                  keeps: tuple[tuple, ...]):
+    """How ``stack_partial_traces`` sums a state on ``support``: one
+    ``(dt, nodes + 1)`` index array per traced subsystem, highest first;
+    the flat targets in ``(len(keeps), d, d)`` of the last level's nodes;
+    and that shape.
 
-    Entry ``[t, k, a, b]`` is ``mat[t + a', t + b']``, with ``t`` the
-    offset of the traced multi-index and ``a'``, ``b'`` those of the kept
-    ones, mapped to its place in the block, or to the pad zero when its row
-    or column is off the support."""
+    The leaves are the block entries ``(r, c)`` whose traced digits agree,
+    at their flat place in the block. A node of level ``j`` sums, in digit
+    order, the nodes of level ``j - 1`` (the leaves for ``j = 0``) that
+    differ only in traced digit ``j``: column ``i`` of the level's array
+    lists them, one row per digit value, and ``-1`` where no contribution
+    lies below that child. The values each level reads end in one
+    ``+0.0``, the block's appended by the caller and every level's own as
+    its last column, whose children are all ``-1``."""
     n = len(dims)
     keeps = [sorted({int(k) for k in keep}) for keep in keeps]
     drops = [[q for q in reversed(range(n)) if q not in keep] for keep in keeps]
@@ -307,23 +280,36 @@ def _reduction_index(dims: tuple[int, ...], support: tuple[int, ...],
         raise DimMismatchError(
             "reductions taken together need one layout of kept and traced dims")
     ((kept_dims, traced_dims),) = layouts
-    strides = np.array([prod(dims[q + 1:]) for q in range(n)], dtype=np.intp)
+    rows = np.array(support, dtype=np.intp)
+    strides = [prod(dims[q + 1:]) for q in range(n)]
+    digits = rows[:, None] // np.array(strides, dtype=np.intp) % dims  # (s, n)
 
-    def offsets(subsystems, sub_dims):
-        # (len(keeps), prod(sub_dims)) flat offsets of every multi-index over
-        # the listed subsystems, the first listed as the leading digit
-        digits = np.indices(sub_dims, dtype=np.intp).reshape(len(sub_dims),
-                                                             prod(sub_dims))
+    def multi_index(subsystems, sub_dims):
+        # (len(keeps), s): each row's multi-index over the listed
+        # subsystems, the first listed as the leading digit
+        weights = [prod(sub_dims[i + 1:]) for i in range(len(sub_dims))]
         at = np.array(subsystems, dtype=np.intp).reshape(len(keeps), len(sub_dims))
-        return strides[at] @ digits
+        return (digits[:, at] @ np.array(weights, dtype=np.intp)).T
 
-    # (T, len(keeps), d): the row of mat of each traced and kept multi-index
-    # C-contiguous, so the index formed from it is: ``take`` copies any
-    # other index before every gather
-    rows = np.ascontiguousarray(offsets(drops, traced_dims).T)[:, :, None] \
-        + offsets(keeps, kept_dims)
-    at = np.full(prod(dims), len(support), dtype=np.intp)
-    at[list(support)] = np.arange(len(support))
-    at = at[rows]
-    # left writable: ``take`` copies a read-only index too
-    return at[..., :, None] * (len(support) + 1) + at[..., None, :], traced_dims
+    kept, traced = multi_index(keeps, kept_dims), multi_index(drops, traced_dims)
+    d = prod(kept_dims)
+    k, r, c = np.nonzero(traced[:, :, None] == traced[:, None, :])
+    # each node by its target entry and its traced digits not yet summed
+    node, rest = (k * d + kept[k, r]) * d + kept[k, c], traced[k, r]
+    children, levels = r * len(rows) + c, []
+    # no traced subsystem: one level of one child, which only takes
+    for j, dt in enumerate(traced_dims or (1,)):
+        low = prod(traced_dims[j + 1:])
+        key = node * low + rest % low
+        # the distinct keys and each one's place among them, read from a
+        # mark per possible key: a sort (``np.unique``) pages numpy's sort
+        # kernels in, about 0.4 MB of resident memory (x86-64, numpy 2.4)
+        mark = np.zeros(len(keeps) * d * d * low, dtype=bool)
+        mark[key] = True
+        key, inverse = np.flatnonzero(mark), np.cumsum(mark)[key] - 1
+        # C-contiguous rows, left writable: ``take`` copies any other index
+        level = np.full((dt, len(key) + 1), -1, dtype=np.intp)
+        level[rest // low, inverse] = children
+        levels.append(level)
+        node, rest, children = key // low, key % low, np.arange(len(key))
+    return tuple(levels), node, (len(keeps), d, d)

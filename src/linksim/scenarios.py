@@ -393,8 +393,8 @@ def oracle_fidelity(spec: ScenarioSpec, p, q) -> float | list[float] | None:
 #: On the benchmark's figures workload (2-core x86-64, Python 3.11, numpy
 #: 2.4) a whole 225-point grid in one stack read a peak RSS of 44.6 MB
 #: against 43.5 MB at 32 points. A chunk's post states are kept until its
-#: records are made; their reductions are gathered together only as far
-#: as ``linalg._GATHER_ENTRIES`` allows.
+#: records are made; their reductions sum only the block entries that
+#: contribute (``linalg._support_plan``), all of the chunk's at once.
 _CHUNK = 32
 
 

@@ -12,6 +12,7 @@ against that construction.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,18 +62,18 @@ def position_distribution(state: np.ndarray, n: int) -> np.ndarray:
     return np.sum(np.abs(amp) ** 2, axis=1)
 
 
-def simulate(spec: WalkSpec) -> list[np.ndarray]:
-    """Position distributions after 0, 1, ..., steps applications of U, on a
-    (positions, 2) state: one product with C^T, then T rolls coin 0 up, 1 down."""
+def simulate(spec: WalkSpec) -> Iterator[np.ndarray]:
+    """Position distributions after 0, 1, ..., steps applications of U, each
+    yielded as it is made, on a (positions, 2) state: one product with C^T,
+    then T rolls coin 0 up, 1 down."""
     n = spec.positions
     state = spec.initial.reshape(n, 2)
-    dists = [position_distribution(state, n)]
+    yield position_distribution(state, n)
     for _ in range(spec.steps):
         state = state @ spec.coin.T
         state[:, 0] = np.roll(state[:, 0], 1)
         state[:, 1] = np.roll(state[:, 1], -1)
-        dists.append(position_distribution(state, n))
-    return dists
+        yield position_distribution(state, n)
 
 
 def verify_embedding(u1: np.ndarray, u2: np.ndarray) -> bool:

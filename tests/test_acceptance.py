@@ -221,7 +221,7 @@ def test_criterion_10_quantum_walk():
     init = np.zeros(2 * n, dtype=complex)
     init[2 * start] = 1.0 / np.sqrt(2.0)
     init[2 * start + 1] = 1.0j / np.sqrt(2.0)
-    final = simulate(WalkSpec(n, HADAMARD, steps, init))[-1]
+    *_, final = simulate(WalkSpec(n, HADAMARD, steps, init))
     asym = max(abs(final[(start + k) % n] - final[(start - k) % n])
                for k in range(1, n // 2))
     up = np.roll(np.eye(n), 1, axis=0)

@@ -23,7 +23,7 @@ from linksim.channels import (
     pauli_string,
     unitary_channel,
 )
-from linksim.linalg import kron_all
+from linksim.linalg import LinksimError, kron_all
 from reference import channel_apply, validate
 
 S2 = 1.0 / np.sqrt(2.0)
@@ -180,6 +180,13 @@ def test_nan_operator_is_not_unitary():
 def test_non_square_operator_is_not_unitary(shape):
     with pytest.raises(NotUnitaryError):
         unitary_channel(np.ones(shape))
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0,), (0, 2)])
+def test_empty_operator_is_not_unitary(shape):
+    with pytest.raises(NotUnitaryError) as info:
+        unitary_channel(np.zeros(shape))
+    assert isinstance(info.value, LinksimError)
 
 
 def test_channel_shape_checks():

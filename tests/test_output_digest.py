@@ -20,6 +20,8 @@ RECORDED = {
     "sweep_stack": "960884a03bac9a705fe892bc821a7283764019c2e9a23667bf6162c9c26eb45d",
     "objective": "925854f57294ad890c614b67d7d363fb534b8e368c3a507f6805c1a94eeeb30a",
     "optimize": "df9003cf90db938bdcb17fa38cbbef296d652b383d5993ac6108f77b103d7ca7",
+    # recorded before the walk wrote its rows as they were made
+    "walk": "e4de02359d022cc4cc3c3a82ad23d153d21404a43813f81cbbc89060b1df768a",
 }
 
 

@@ -56,7 +56,7 @@ def test_simulate_matches_the_dense_step_operator():
         steps = int(rng.integers(0, 31))
         spec = WalkSpec(n, coin, steps, init)
         u, state = dense_step(n, coin), spec.initial
-        dists = simulate(spec)
+        dists = list(simulate(spec))
         assert len(dists) == steps + 1
         for dist in dists:
             assert np.max(np.abs(dist - position_distribution(state, n))) <= 1e-12
@@ -68,7 +68,8 @@ def test_simulate_forms_no_dense_operator():
     spec = WalkSpec(2000, HADAMARD, 10, symmetric_initial(2000, 1000))
     tracemalloc.start()
     try:
-        simulate(spec)
+        for _ in simulate(spec):
+            pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -113,7 +114,7 @@ def test_distributions_are_normalized():
 def test_hadamard_symmetric_coin_gives_symmetric_distribution():
     n, start, steps = 64, 32, 20
     spec = WalkSpec(n, HADAMARD, steps, symmetric_initial(n, start))
-    final = simulate(spec)[-1]
+    *_, final = simulate(spec)
     asym = max(abs(final[(start + k) % n] - final[(start - k) % n])
                for k in range(1, n // 2))
     assert asym < 1e-12
@@ -124,7 +125,7 @@ def test_identity_coin_is_ballistic():
     init = np.zeros(2 * n, dtype=complex)
     init[2 * start] = 1.0  # coin |0> only
     spec = WalkSpec(n, np.eye(2), steps, init)
-    final = simulate(spec)[-1]
+    *_, final = simulate(spec)
     assert final[start + steps] == pytest.approx(1.0)
 
 
@@ -148,5 +149,7 @@ def test_verify_embedding_shift_pair():
 def test_verify_embedding_rejects_bad_input():
     with pytest.raises(NotUnitaryError):
         verify_embedding(np.diag([1.0, 2.0]), np.eye(2))
+    with pytest.raises(NotUnitaryError):
+        verify_embedding(np.zeros((0, 0)), np.zeros((0, 0)))
     with pytest.raises(DimMismatchError):
         verify_embedding(np.eye(2), np.eye(3))

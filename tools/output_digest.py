@@ -25,7 +25,8 @@ The digests cover:
 - ``sweep_stack``: the 33-point sweep records of the ``stack_specs``
   (n up to 8) under both outcome policies;
 - ``_fixed_noise_objective``: its values at seeded proposals;
-- ``optimize --p 0.5 --restarts 4``: the JSON of five specs at seeds 7 and 11.
+- ``optimize --p 0.5 --restarts 4``: the JSON of five specs at seeds 7 and 11;
+- ``walk``: the CSV of the default walk and of walks with each coin.
 """
 
 from __future__ import annotations
@@ -162,12 +163,24 @@ def optimize_digest() -> str:
     return h.hexdigest()
 
 
+def walk_digest() -> str:
+    h = hashlib.sha256()
+    for flags in ([], ["--coin", "x", "--positions", "8", "--steps", "3"],
+                  ["--coin", "identity", "--positions", "33", "--steps", "40"],
+                  ["--positions", "256", "--steps", "100"]):
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            cli.main(["walk", *flags])
+        h.update(text.getvalue().encode())
+    return h.hexdigest()
+
+
 def main() -> None:
     for name, digest in (("run", run_digest), ("sweep", sweep_digest),
                          ("run_stack", stack_digest),
                          ("sweep_stack", sweep_stack_digest),
                          ("objective", objective_digest),
-                         ("optimize", optimize_digest)):
+                         ("optimize", optimize_digest), ("walk", walk_digest)):
         print(name, digest(), flush=True)
 
 
