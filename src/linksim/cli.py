@@ -32,7 +32,7 @@ from functools import cache
 import numpy as np
 
 from . import scenarios, walk
-from .linalg import LinksimError
+from .linalg import LinalgError, LinksimError
 from .metrics import VacuumConfig
 from .scenarios import ScenarioSpec, ScenarioError
 
@@ -296,15 +296,17 @@ def cmd_walk(args) -> int:
         state = np.array(cfg["coin_state"], dtype=complex)
     except (TypeError, ValueError):
         state = np.zeros(0)
-    norm = np.linalg.norm(state)
-    if state.shape != (2,) or not 0.0 < norm < np.inf:
+    # a state of another shape places zeros, which ``WalkSpec`` refuses
+    initial = np.zeros(2 * n, dtype=complex)
+    initial[2 * start: 2 * start + 2] = state if state.shape == (2,) else 0.0
+    try:
+        spec = walk.WalkSpec(n, coin, steps, initial)  # normalizes the state
+    except LinalgError:
         raise ConfigError("coin_state must be a non-zero 2-vector, "
-                          f"got {cfg['coin_state']!r}")
+                          f"got {cfg['coin_state']!r}") from None
     out = _kind(cfg["out"], "out", (str, type(None)), "a path or null")
     _check_writable(out)
-    initial = np.zeros(2 * n, dtype=complex)
-    initial[2 * start: 2 * start + 2] = state / norm
-    _write(_walk_csv(walk.WalkSpec(n, coin, steps, initial)), out)
+    _write(_walk_csv(spec), out)
     if out:
         print(f"walk: {steps} steps on {n} positions -> {out}")
     return 0

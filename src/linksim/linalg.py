@@ -203,16 +203,19 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     ``stack_partial_traces``; this one stays because ``perfbench/tracer.py``
     wraps it by name and ``tests/test_tracer_names.py`` requires it.
     """
-    mat = stack_partial_traces(rho.dims, rho.support, rho.block[None], [keep])[0, 0]
+    mat = stack_partial_traces(rho.dims, rho.support, rho.block[None], [keep])[0][0, 0]
     kept = sorted({int(k) for k in keep})
     return DensityMatrix(tuple(rho.dims[k] for k in kept), mat)
 
 
-def stack_partial_traces(dims, support, blocks: np.ndarray, keeps) -> np.ndarray:
+def stack_partial_traces(dims, support, blocks: np.ndarray, keeps):
     """The reductions to each ``keep`` in ``keeps`` of every state of a
     stack that shares ``dims`` and ``support`` (as ``DensityMatrix`` holds
-    them), given as its blocks ``(P, s, s)``; stacked ``(P, len(keeps), d,
-    d)``.
+    them), given as its blocks ``(P, s, s)``: the ``u`` distinct ones
+    ``(P, u, d, d)`` and each keep's class, its index on axis 1. The keeps
+    of a class add the same block entries in the same order
+    (``_support_plan``), so their reductions are bitwise equal and each
+    class is summed and checked once.
 
     Every ``keep`` must leave the same kept and traced dimensions (for
     qubits: the same number of subsystems). Entry ``[k, a, b]`` sums
@@ -228,15 +231,16 @@ def stack_partial_traces(dims, support, blocks: np.ndarray, keeps) -> np.ndarray
     signed zeros included, but for a sum of -0.0 terms alone: the tree
     keeps it -0.0, and ``np.trace``, which sums from +0.0, makes it +0.0.
     ``mat`` is never formed. The additions are elementwise over the stack,
-    so each state's reductions are bitwise those it has alone. The whole
-    stack is checked once with ``check_densities``.
+    so each state's reductions are bitwise those it has alone. The ``u``
+    reductions are checked once with ``check_densities``.
     """
     n = len(dims)
     keeps = tuple(map(tuple, keeps))
     for keep in keeps:
         if keep and (min(keep) < 0 or max(keep) >= n):
             raise BadIndexError(f"keep={list(keep)} outside subsystems 0..{n - 1}")
-    levels, targets, shape = _support_plan(tuple(dims), tuple(support.tolist()), keeps)
+    levels, targets, shape, classes = _support_plan(tuple(dims),
+                                                    tuple(support.tolist()), keeps)
     p, s = len(blocks), len(support)
     # the states on the last axis, so each level takes whole rows
     v = np.zeros((s * s + 1, p), dtype=complex)
@@ -250,7 +254,7 @@ def stack_partial_traces(dims, support, blocks: np.ndarray, keeps) -> np.ndarray
     out[:, targets] = v[:-1].T
     out = out.reshape((p,) + shape)
     check_densities(out)
-    return out
+    return out, classes
 
 
 # bounded like ``channels.pauli_string``: one entry per (dims, support,
@@ -260,8 +264,13 @@ def _support_plan(dims: tuple[int, ...], support: tuple[int, ...],
                   keeps: tuple[tuple, ...]):
     """How ``stack_partial_traces`` sums a state on ``support``: one
     ``(dt, nodes + 1)`` index array per traced subsystem, highest first;
-    the flat targets in ``(len(keeps), d, d)`` of the last level's nodes;
-    and that shape.
+    the flat targets in ``(u, d, d)`` of the last level's nodes; that
+    shape; and each keep's class, a tuple of indices into ``u``.
+
+    Two keeps are one class when every support row has the same kept and
+    the same traced multi-index under both: they add the same entries, in
+    the same order, into the same targets. Classes are numbered in the
+    order of their first keep, and the levels are built for it alone.
 
     The leaves are the block entries ``(r, c)`` whose traced digits agree,
     at their flat place in the block. A node of level ``j`` sums, in digit
@@ -292,6 +301,11 @@ def _support_plan(dims: tuple[int, ...], support: tuple[int, ...],
         return (digits[:, at] @ np.array(weights, dtype=np.intp)).T
 
     kept, traced = multi_index(keeps, kept_dims), multi_index(drops, traced_dims)
+    index = {}
+    classes = tuple(index.setdefault(row.tobytes(), len(index))
+                    for row in np.hstack([kept, traced]))
+    firsts = [classes.index(c) for c in range(len(index))]
+    kept, traced = kept[firsts], traced[firsts]
     d = prod(kept_dims)
     k, r, c = np.nonzero(traced[:, :, None] == traced[:, None, :])
     # each node by its target entry and its traced digits not yet summed
@@ -304,7 +318,7 @@ def _support_plan(dims: tuple[int, ...], support: tuple[int, ...],
         # the distinct keys and each one's place among them, read from a
         # mark per possible key: a sort (``np.unique``) pages numpy's sort
         # kernels in, about 0.4 MB of resident memory (x86-64, numpy 2.4)
-        mark = np.zeros(len(keeps) * d * d * low, dtype=bool)
+        mark = np.zeros(len(firsts) * d * d * low, dtype=bool)
         mark[key] = True
         key, inverse = np.flatnonzero(mark), np.cumsum(mark)[key] - 1
         # C-contiguous rows, left writable: ``take`` copies any other index
@@ -312,4 +326,4 @@ def _support_plan(dims: tuple[int, ...], support: tuple[int, ...],
         level[rest // low, inverse] = children
         levels.append(level)
         node, rest, children = key // low, key % low, np.arange(len(key))
-    return tuple(levels), node, (len(keeps), d, d)
+    return tuple(levels), node, (len(firsts), d, d), classes

@@ -167,9 +167,10 @@ def pairwise_concurrences(dims, support, blocks: np.ndarray) -> list[float]:
     """``avg_pairwise_concurrence`` of every state of a stack that shares
     ``dims`` and ``support``, given as its blocks ``(P, s, s)``.
 
-    All the states' pair reductions go through one ``_concurrences`` call;
-    for two qubits the one reduction traces nothing out and is the whole
-    matrix, bitwise.
+    The distinct pair reductions of all the states (one for a GHZ
+    support, whatever n) go through one ``_concurrences`` call, and each
+    mean adds ``c[class of pair j]`` in pair order; for two qubits the one
+    reduction traces nothing out and is the whole matrix, bitwise.
     """
     n = len(dims)
     if n < 2:
@@ -177,11 +178,11 @@ def pairwise_concurrences(dims, support, blocks: np.ndarray) -> list[float]:
     if any(d != 2 for d in dims):
         raise DimMismatchError(f"concurrence needs qubits, not dims {tuple(dims)}")
     pairs = list(combinations(range(n), 2))
-    reduced = stack_partial_traces(dims, support, blocks, pairs)
+    reduced, classes = stack_partial_traces(dims, support, blocks, pairs)
     c = _concurrences(reduced.reshape(-1, 4, 4))
-    k = len(pairs)
+    u = reduced.shape[1]
     # the builtin sum adds in pair order; np.sum would regroup the terms
-    return [sum(c[i:i + k]) / k for i in range(0, len(c), k)]
+    return [sum(c[i + j] for j in classes) / len(pairs) for i in range(0, len(c), u)]
 
 
 def avg_one_vs_rest_concurrence(rho: DensityMatrix) -> float:
@@ -200,16 +201,18 @@ def avg_one_vs_rest_concurrence(rho: DensityMatrix) -> float:
 def one_vs_rest_concurrences(dims, support, blocks: np.ndarray) -> list[float]:
     """``avg_one_vs_rest_concurrence`` of every state of a stack that
     shares ``dims`` and ``support``, given as its blocks ``(P, s, s)``,
-    from one stack of single-qubit reductions."""
+    from one stack of the distinct single-qubit reductions, each mean
+    adding the term of qubit k's class in qubit order."""
     n = len(dims)
     if n < 2:
         raise DimMismatchError("need at least two qubits")
     if any(d != 2 for d in dims):
         raise DimMismatchError("one-vs-rest concurrence needs qubits")
-    r = stack_partial_traces(dims, support, blocks, [[k] for k in range(n)])
+    r, classes = stack_partial_traces(dims, support, blocks, [[k] for k in range(n)])
     det = (r[..., 0, 0] * r[..., 1, 1] - r[..., 0, 1] * r[..., 1, 0]).real
+    terms = [[2.0 * sqrt(max(0.0, x)) for x in row] for row in det.tolist()]
     # the builtin sum adds in qubit order
-    return [sum(2.0 * sqrt(max(0.0, x)) for x in row) / n for row in det.tolist()]
+    return [sum(row[j] for j in classes) / n for row in terms]
 
 
 # ---------------------------------------------------------------------------

@@ -394,7 +394,9 @@ def oracle_fidelity(spec: ScenarioSpec, p, q) -> float | list[float] | None:
 #: 2.4) a whole 225-point grid in one stack read a peak RSS of 44.6 MB
 #: against 43.5 MB at 32 points. A chunk's post states are kept until its
 #: records are made; their reductions sum only the block entries that
-#: contribute (``linalg._support_plan``), all of the chunk's at once.
+#: contribute (``linalg._support_plan``), all of the chunk's at once, and
+#: each distinct reduction once: an n = 8 GHZ chunk decomposes one pair
+#: reduction per point, not 28.
 _CHUNK = 32
 
 

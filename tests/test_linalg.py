@@ -23,9 +23,12 @@ from linksim.linalg import (
     stack_partial_traces,
 )
 from linksim.metrics import (
+    _concurrences,
     avg_one_vs_rest_concurrence,
     avg_pairwise_concurrence,
     fidelity_up_to_phase,
+    one_vs_rest_concurrences,
+    pairwise_concurrences,
 )
 from linksim.scenarios import (
     PROP5_P05,
@@ -335,8 +338,11 @@ def assert_bitwise(a, b):
 
 def _reductions(rho, keeps):
     """The reductions of one state to each ``keep``, ``(len(keeps), d, d)``:
-    ``stack_partial_traces`` of the stack that holds only ``rho``."""
-    return stack_partial_traces(rho.dims, rho.support, rho.block[None], keeps)[0]
+    ``stack_partial_traces`` of the stack that holds only ``rho``, each
+    keep's read through its class."""
+    reduced, classes = stack_partial_traces(rho.dims, rho.support, rho.block[None],
+                                            keeps)
+    return reduced[0, list(classes)]
 
 
 def _keep_groups(n):
@@ -412,9 +418,11 @@ def test_support_plan_is_cached_and_bounded():
     rng = np.random.default_rng(8)
     rho = DensityMatrix((2, 2, 2), random_density(rng, 8))
     _reductions(rho, [[0, 1], [1, 2]])
-    levels, targets, shape = cache((2, 2, 2), tuple(range(8)), ((0, 1), (1, 2)))
+    levels, targets, shape, classes = cache((2, 2, 2), tuple(range(8)),
+                                            ((0, 1), (1, 2)))
     # one traced qubit: each of the 2 x 16 entries sums two children
     assert [level.shape for level in levels] == [(2, 33)] and shape == (2, 4, 4)
+    assert classes == (0, 1)
     assert np.array_equal(targets, np.arange(32))
     before = cache.cache_info()
     _reductions(rho, [[0, 1], [1, 2]])
@@ -427,17 +435,36 @@ def test_support_plan_is_cached_and_bounded():
 
 
 def test_support_plan_of_a_ghz_pair_holds_only_its_contributions():
-    """An n = 10 GHZ state on 2 rows: its 45 pair reductions take 90 block
-    entries, the diagonal ones, where a dense gather would take T x 45 x
-    d^2 = 256 x 45 x 16 = 184,320; each level holds one node per entry."""
+    """An n = 10 GHZ state on 2 rows: its 45 pair reductions are one class,
+    whose one reduction takes 2 block entries, the diagonal ones, where a
+    dense gather would take T x 45 x d^2 = 256 x 45 x 16 = 184,320; each
+    level holds one node per entry."""
     n = 10
     pairs = tuple(combinations(range(n), 2))
-    levels, targets, shape = linalg._support_plan((2,) * n, (0, 2**n - 1), pairs)
-    assert len(levels) == n - 2 and shape == (45, 4, 4)
-    assert np.count_nonzero(levels[0] >= 0) == 90
+    levels, targets, shape, classes = linalg._support_plan((2,) * n, (0, 2**n - 1),
+                                                           pairs)
+    assert len(levels) == n - 2 and shape == (1, 4, 4)
+    assert classes == (0,) * 45
+    assert np.count_nonzero(levels[0] >= 0) == 2
     assert np.array_equal(np.unique(levels[0][levels[0] >= 0]), [0, 3])
-    assert all(level.shape == (2, 91) for level in levels)
-    assert len(targets) == 90
+    assert all(level.shape == (2, 3) for level in levels)
+    assert len(targets) == 2
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_a_ghz_support_puts_every_pair_and_every_qubit_in_one_class(n):
+    for size in (2, 1):
+        keeps = tuple(combinations(range(n), size))
+        *_, shape, classes = linalg._support_plan((2,) * n, (0, 2**n - 1), keeps)
+        assert shape[0] == 1 and classes == (0,) * len(keeps)
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_a_w_support_keeps_every_pair_in_its_own_class(n):
+    pairs = tuple(combinations(range(n), 2))
+    support = tuple(1 << (n - 1 - q) for q in range(n))
+    *_, shape, classes = linalg._support_plan((2,) * n, support, pairs)
+    assert shape[0] == len(pairs) and classes == tuple(range(len(pairs)))
 
 
 # True: just past the tolerance; False: just inside it; or a NaN in the
@@ -493,6 +520,40 @@ def test_stacked_check_raises_as_the_member_alone(monkeypatch, kind, error, past
     assert alone is (error if past else None)
     assert together is alone
     assert _raised(lambda: DensityMatrix((2, 2), stack[at])) is alone
+
+
+@pytest.mark.parametrize("past", [True, False])
+@pytest.mark.parametrize("kind, error", [("hermiticity", NonHermitianError),
+                                         ("trace", LinalgError),
+                                         ("eigenvalue", NegativeEigenvalueError)])
+def test_ghz_pair_reductions_raise_as_the_member_alone(kind, error, past):
+    """The 28 pair reductions of an n = 8 GHZ state are one class, and the
+    check reads that one reduction. Moved just past a tolerance in one
+    member of a stack of four, it makes the reductions raise what
+    ``DensityMatrix`` raises on that member's pair state, diag(b00, 0, 0,
+    b11); moved just inside, both pass."""
+    n, at = 8, 2
+    dims, support = (2,) * n, np.array([0, 2**n - 1])
+    pairs = list(combinations(range(n), 2))
+    blocks = np.full((4, 2, 2), 0.5, dtype=complex)
+    scale = 1.5 if past else 0.5
+    if kind == "hermiticity":
+        # the defect of a diagonal entry is twice its imaginary part
+        blocks[at, 0, 0] += 0.5j * scale * DensityMatrix.HERM_TOL
+    elif kind == "trace":
+        blocks[at, 1, 1] += scale * DensityMatrix.TRACE_TOL
+    else:
+        eps = scale * DensityMatrix.EIG_TOL
+        blocks[at] = [[1.0 + eps, 0.0], [0.0, -eps]]
+    member = np.diag([blocks[at, 0, 0], 0.0, 0.0, blocks[at, 1, 1]])
+    alone = _raised(lambda: DensityMatrix((2, 2), member))
+    together = _raised(lambda: stack_partial_traces(dims, support, blocks, pairs))
+    assert alone is (error if past else None)
+    assert together is alone
+    if not past:
+        reduced, classes = stack_partial_traces(dims, support, blocks, pairs)
+        assert reduced.shape == (4, 1, 4, 4) and classes == (0,) * len(pairs)
+        assert_bitwise(reduced[at, 0], member)
 
 
 @pytest.mark.parametrize("at", [0, -1])
@@ -684,10 +745,46 @@ def test_stack_partial_traces_equal_each_state_alone(count):
               for k in range(count)]
     blocks = np.stack([state.block for state in states])
     for keeps in _layout_groups(dims):
-        stack = linalg.stack_partial_traces(dims, states[0].support, blocks, keeps)
-        assert stack.shape[:2] == (len(states), len(keeps))
-        for state, reduced in zip(states, stack):
+        stack, classes = linalg.stack_partial_traces(dims, states[0].support, blocks,
+                                                     keeps)
+        assert stack.shape[0] == len(states) and len(classes) == len(keeps)
+        for state, reduced in zip(states, stack[:, list(classes)]):
             assert_bitwise(reduced, _reductions(state, keeps))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1))
+def test_reductions_read_through_their_class_equal_each_keep_alone(seed):
+    """On random qubit supports and stacks of 1 to 3 states (n = 2 to 5,
+    some blocks holding -0.0), each keep's reduction, read through its
+    class, equals the literal ``np.trace`` loop bit for bit, and both
+    concurrence columns equal the means of the one-keep reductions' own,
+    added in pair and in qubit order."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 6))
+    dims, d = (2,) * n, 2**n
+    support = rng.choice(d, int(rng.integers(1, min(d, 8) + 1)), replace=False)
+    states = [_held_on_support(rng, dims, support, signed_zeros=bool(rng.integers(2)))
+              for _ in range(int(rng.integers(1, 4)))]
+    blocks = np.stack([state.block for state in states])
+    for keeps in _keep_groups(n):
+        stack, classes = stack_partial_traces(dims, states[0].support, blocks, keeps)
+        assert stack.shape[1] == len(set(classes)) == max(classes) + 1
+        for state, reduced in zip(states, stack):
+            for keep, k in zip(keeps, classes):
+                assert_bitwise(reduced[k], _trace_loop(state, keep))
+    pairs = list(combinations(range(n), 2))
+    pairwise, one_vs_rest = [], []
+    for state in states:
+        c = [_concurrences(partial_trace(state, pair).mat[None])[0] for pair in pairs]
+        pairwise.append(sum(c) / len(pairs))
+        r = np.array([partial_trace(state, [k]).mat for k in range(n)])
+        det = (r[:, 0, 0] * r[:, 1, 1] - r[:, 0, 1] * r[:, 1, 0]).real
+        one_vs_rest.append(sum(2.0 * np.sqrt(max(0.0, x)) for x in det.tolist()) / n)
+    args = (dims, states[0].support, blocks)
+    assert np.array(pairwise_concurrences(*args)).tobytes() == np.array(pairwise).tobytes()
+    assert (np.array(one_vs_rest_concurrences(*args)).tobytes()
+            == np.array(one_vs_rest).tobytes())
 
 
 @pytest.mark.parametrize("n", [5, 6])
