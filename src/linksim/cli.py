@@ -16,8 +16,8 @@ Each setting is one config key, which a flag overrides; commands and
 ``--dump-config`` read only the effective config, so a dump reruns as the
 same command. ``main`` maps errors to exit codes: 2 for an invalid config,
 flag or inline scenario (checked before anything runs), 3 for a valid
-config that fails while running. Any other exception is a bug and keeps
-its traceback.
+config that fails while running; the CSV rows written before it stay.
+Any other exception is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import os
 import sys
 from dataclasses import replace
 from functools import cache
+from itertools import chain
 
 import numpy as np
 
@@ -161,11 +162,11 @@ def _write(chunks, out_path: str | None) -> None:
 
 
 def _write_records(records, out_path: str | None) -> None:
-    rows = [",".join([
+    rows = (",".join([
         _fmt(r.p), _fmt(r.q), str(r.outcome), _fmt(r.fidelity),
         _fmt(r.oracle_fidelity), _fmt(r.conc_pairwise), _fmt(r.conc_one_vs_rest),
-    ]) for r in records]
-    _write(["\n".join([CSV_HEADER, *rows]) + "\n"], out_path)
+    ]) + "\n" for r in records)
+    _write(chain([CSV_HEADER + "\n"], rows), out_path)
 
 
 def cmd_sweep(args) -> int:
@@ -198,12 +199,19 @@ def cmd_sweep(args) -> int:
     _check_writable(out)
     records = scenarios.sweep(spec, p_grid, q_grid=p_grid if is_grid else None,
                               emit_oracle=emit_oracle)
-    _write_records(records, out)
+    n, low, high = 0, np.inf, -np.inf  # count and fidelity range, as they pass
+
+    def counted():
+        nonlocal n, low, high
+        for r in records:
+            n, low, high = n + 1, min(low, r.fidelity), max(high, r.fidelity)
+            yield r
+
+    _write_records(counted(), out)
     if out:
         # zero-probability outcomes are dropped, so there may be no record
-        fids = [r.fidelity for r in records]
-        span = f", fidelity range [{_fmt(min(fids))}, {_fmt(max(fids))}]" if fids else ""
-        print(f"{spec.name}: {len(records)} records{span} -> {out}")
+        span = f", fidelity range [{_fmt(low)}, {_fmt(high)}]" if n else ""
+        print(f"{spec.name}: {n} records{span} -> {out}")
     return 0
 
 

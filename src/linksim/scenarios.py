@@ -7,6 +7,7 @@ every reported result is reproducible by name from the CLI.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
@@ -393,10 +394,10 @@ def oracle_fidelity(spec: ScenarioSpec, p, q) -> float | list[float] | None:
 #: On the benchmark's figures workload (2-core x86-64, Python 3.11, numpy
 #: 2.4) a whole 225-point grid in one stack read a peak RSS of 44.6 MB
 #: against 43.5 MB at 32 points. A chunk's post states are kept until its
-#: records are made; their reductions sum only the block entries that
-#: contribute (``linalg._support_plan``), all of the chunk's at once, and
-#: each distinct reduction once: an n = 8 GHZ chunk decomposes one pair
-#: reduction per point, not 28.
+#: rows are made, its records until they are yielded; the reductions sum
+#: only the block entries that contribute (``linalg._support_plan``), the
+#: chunk's at once, each distinct one once: an n = 8 GHZ chunk decomposes
+#: one pair reduction per point, not 28.
 _CHUNK = 32
 
 
@@ -453,31 +454,30 @@ def evaluate_point(spec: ScenarioSpec, p: float, q: float, *,
 
 
 def sweep(spec: ScenarioSpec, p_grid, q_grid=None, *,
-          emit_oracle: bool = True) -> list[SweepRecord]:
-    """Evaluate a spec over a noise grid.
+          emit_oracle: bool = True) -> Iterator[SweepRecord]:
+    """Evaluate a spec over a noise grid, yielding each record as it is made.
 
     With no ``q_grid`` the sweep is one-dimensional with q locked to p.
-    Records are ordered p-major, then q, then outcome. The scenario, with
-    its channels and vacuum amplitudes, is built and checked once, at the
-    first point. The points are taken ``_CHUNK`` at a time: a chunk is one
-    table of Kraus scales (``_scale_table``), with no channel per point,
-    evolved and measured as one stack by ``run_stack``, so memory does not
-    grow with the number of points. Its records are taken as columns from
-    the stack's arrays (``_record_rows``), with no state object per point,
-    and each point's are made by ``evaluate_point`` from its row, bitwise
-    as if it ran the point alone.
+    Records are ordered p-major, then q, then outcome. The scenario is built
+    and checked once, at the first point; nothing runs, or raises, until
+    the first record is asked for. The points are taken ``_CHUNK`` at a
+    time: a chunk is one table of Kraus scales (``_scale_table``), evolved
+    and measured as one stack by ``run_stack``, so memory does not grow
+    with the number of points. Its records are taken as columns from the
+    stack's arrays (``_record_rows``), with no state object per point, and
+    each point's are made by ``evaluate_point`` from its row, bitwise as if
+    it ran the point alone. Callers that keep them take ``list(sweep(...))``.
     """
     points = ((float(p), float(q)) for p in p_grid
               for q in (q_grid if q_grid is not None else [p]))
-    records, scenario = [], None
+    scenario = None
     while chunk := list(islice(points, _CHUNK)):
         scenario = scenario or build_scenario(spec, *chunk[0])
         p, q = np.array(chunk).T
         rows = _record_rows(spec, scenario, p, q, _scale_table(spec, p, q),
                             emit_oracle)
         for point, row in zip(chunk, rows):
-            records += evaluate_point(spec, *point, _row=row)
-    return records
+            yield from evaluate_point(spec, *point, _row=row)
 
 
 def verify_sweep_oracle(records) -> float:

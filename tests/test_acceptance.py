@@ -83,7 +83,7 @@ def test_criterion_04_bell_regime_points():
 
 def test_criterion_05_figure_regression():
     t0 = time.perf_counter()
-    curves = {name: sweep(builtin(name), np.linspace(0.0, 1.0, 101))
+    curves = {name: list(sweep(builtin(name), np.linspace(0.0, 1.0, 101)))
               for name in ("fig4a_red", "fig4a_green", "fig4b_blue",
                            "fig6a_blue", "fig6b_red", "fig8_green")}
     elapsed = time.perf_counter() - t0

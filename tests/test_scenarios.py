@@ -120,7 +120,7 @@ def test_figure_spot_values():
 
 
 def test_fig4b_red_monotone_increasing():
-    recs = sweep(builtin("fig4b_red"), np.linspace(0.0, 1.0, 21))
+    recs = list(sweep(builtin("fig4b_red"), np.linspace(0.0, 1.0, 21)))
     fids = [r.fidelity for r in recs]
     assert all(b >= a - 1e-12 for a, b in zip(fids, fids[1:]))
     assert fids[0] == pytest.approx(S2, abs=1e-10)
@@ -129,14 +129,15 @@ def test_fig4b_red_monotone_increasing():
 
 def test_sweep_matches_oracle_everywhere():
     for name in ("fig4a_red", "fig4b_blue", "fig8_red"):
-        recs = sweep(builtin(name), np.linspace(0.0, 1.0, 21))
-        assert verify_sweep_oracle(recs) < 1e-10, name
+        recs = list(sweep(builtin(name), np.linspace(0.0, 1.0, 21)))
+        assert len(recs) == 21 and verify_sweep_oracle(recs) < 1e-10, name
 
 
 def test_sweep_is_deterministic():
     spec = builtin("fig4a_red")
     grid = np.linspace(0.0, 1.0, 11)
-    assert sweep(spec, grid) == sweep(spec, grid)
+    records = list(sweep(spec, grid))
+    assert len(records) == 11 and list(sweep(spec, grid)) == records
 
 
 def test_emit_oracle_is_keyword_only():
@@ -145,14 +146,14 @@ def test_emit_oracle_is_keyword_only():
     with pytest.raises(TypeError):
         evaluate_point(spec, 1.0, 1.0, 1.0)
     with pytest.raises(TypeError):
-        sweep(spec, [0.5], None, False)
-    assert sweep(spec, [0.5], emit_oracle=False)[0].oracle_fidelity is None
+        list(sweep(spec, [0.5], None, False))
+    assert list(sweep(spec, [0.5], emit_oracle=False))[0].oracle_fidelity is None
     assert evaluate_point(spec, 0.5, 0.5)[0].oracle_fidelity is not None
 
 
 def test_two_dimensional_sweep_ordering():
     grid = np.array([0.0, 0.5, 1.0])
-    recs = sweep(builtin("fig4a_red"), grid, q_grid=grid)
+    recs = list(sweep(builtin("fig4a_red"), grid, q_grid=grid))
     assert len(recs) == 9
     assert [r.p for r in recs[:3]] == [0.0, 0.0, 0.0]
     assert [r.q for r in recs[:3]] == [0.0, 0.5, 1.0]
@@ -289,8 +290,8 @@ def test_ghz8_sweep_equals_ghz4_sweep():
     GHZ sweep gives the same row at every noise point: the large
     (512 x 512 joint) path checked against the small one."""
     points = [0.0, 0.37, 0.91]
-    rows = {n: sweep(ScenarioSpec(f"ghz{n}", "ghz_depolarizing", n, PROP5_P05),
-                     points)
+    rows = {n: list(sweep(ScenarioSpec(f"ghz{n}", "ghz_depolarizing", n, PROP5_P05),
+                          points))
             for n in (4, 8)}
     assert len(rows[8]) == len(rows[4]) == len(points)
     for big, small in zip(rows[8], rows[4]):
@@ -445,7 +446,7 @@ def test_sweep_and_grid_equal_evaluate_point_bitwise(spec, policy):
 
 def test_stacks_drop_zero_probability_outcomes_per_point():
     spec = replace(STACK_SPECS[-1], outcome_policy="all_outcomes")
-    records = sweep(spec, [0.0, 0.5])
+    records = list(sweep(spec, [0.0, 0.5]))
     # p = 0 keeps only outcome 0; p = 0.5 keeps all three
     assert [(r.p, r.outcome) for r in records] == [
         (0.0, 0), (0.5, 0), (0.5, 1), (0.5, 2)]
@@ -465,7 +466,7 @@ def test_sweeps_across_chunk_edges_equal_evaluate_point(extra):
         spec = replace(spec, outcome_policy="all_outcomes")
         expected = [rec for p in grid
                     for rec in evaluate_point(spec, float(p), float(p))]
-        records = sweep(spec, grid)
+        records = list(sweep(spec, grid))
         assert _hex(records) == _hex(expected)
     # the Bell spec's records: two outcomes at every point but p = 0
     assert [r.outcome for r in records if r.p == 0.0] == [0]
@@ -475,7 +476,7 @@ def test_sweeps_across_chunk_edges_equal_evaluate_point(extra):
 def test_sweep_records_come_from_evaluate_point(monkeypatch, tmp_path):
     # evaluate_point patched on the module, as the benchmark's self-test
     # patches it: it is called once per point, with the point's row of
-    # the chunk's record columns, and sweep returns, and the CLI writes,
+    # the chunk's record columns, and sweep yields, and the CLI writes,
     # exactly the records it returns
     evaluate, calls, returned = scenarios.evaluate_point, [], []
 
@@ -494,7 +495,7 @@ def test_sweep_records_come_from_evaluate_point(monkeypatch, tmp_path):
         calls.clear()
         returned.clear()
         grid = np.linspace(0.0, 1.0, points)
-        records = sweep(spec, grid)
+        records = list(sweep(spec, grid))
         assert calls == [(float(p), float(p), True) for p in grid]
         assert len(records) == len(returned) == points
         assert all(a is b for a, b in zip(records, returned))
@@ -574,8 +575,9 @@ def test_no_oracle_leaves_every_other_column_bitwise():
     grid = np.linspace(0.0, 1.0, scenarios._CHUNK + 1)
     for name in ("fig4a_red", "fig4b_blue", "fig8_green", "fig7a_green"):
         spec = replace(builtin(name), outcome_policy="all_outcomes")
-        with_oracle = sweep(spec, grid)
-        without = sweep(spec, grid, emit_oracle=False)
+        with_oracle = list(sweep(spec, grid))
+        without = list(sweep(spec, grid, emit_oracle=False))
+        assert len(without) >= len(grid)
         assert all(r.oracle_fidelity is None for r in without)
         assert _hex(without) == _hex([replace(r, oracle_fidelity=None)
                                       for r in with_oracle])
@@ -591,7 +593,7 @@ def test_a_point_without_outcome_0_gets_no_oracle_and_no_raise():
     with pytest.raises(DivisionByZeroError):
         scenarios.oracle_fidelity(_DEAD_PLUS, 0.0, 0.0)
     grid = np.array([0.5, 0.0, 1.0, 0.0])
-    records = sweep(_DEAD_PLUS, grid)
+    records = list(sweep(_DEAD_PLUS, grid))
     assert [(r.p, r.outcome) for r in records] == [
         (0.5, 0), (0.5, 1), (0.0, 1), (1.0, 0), (1.0, 1), (0.0, 1)]
     assert [r.oracle_fidelity is None for r in records] == [
@@ -611,10 +613,10 @@ def test_a_live_point_with_a_vanishing_denominator_raises(monkeypatch):
         return run_stack(scenario, np.repeat(live_scales, len(scales), axis=0))
 
     monkeypatch.setattr(scenarios, "run_stack", measured_at_half)
-    assert sweep(_DEAD_PLUS, [0.5, 0.5])[0].oracle_fidelity is not None
+    assert list(sweep(_DEAD_PLUS, [0.5, 0.5]))[0].oracle_fidelity is not None
     with pytest.raises(DivisionByZeroError, match="^vanishing outcome probability$"):
-        sweep(_DEAD_PLUS, [0.5, 0.0, 0.5])
-    records = sweep(_DEAD_PLUS, [0.5, 0.0], emit_oracle=False)
+        list(sweep(_DEAD_PLUS, [0.5, 0.0, 0.5]))
+    records = list(sweep(_DEAD_PLUS, [0.5, 0.0], emit_oracle=False))
     assert [(r.p, r.outcome) for r in records] == [(0.5, 0), (0.5, 1), (0.0, 0), (0.0, 1)]
 
 
@@ -654,7 +656,7 @@ def test_sweep_and_objective_build_no_state_object(monkeypatch):
     counted(linalg.DensityMatrix)
     counted(superposition.MeasurementOutcome)
     for spec, objective in zip(specs, objectives):
-        assert sweep(spec, np.linspace(0.0, 1.0, 5), [0.0, 0.5])
+        assert list(sweep(spec, np.linspace(0.0, 1.0, 5), [0.0, 0.5]))
         assert evaluate_point(spec, 0.4, 0.7)
         x = np.concatenate([v.real[m] for v, m in zip(
             spec.config.vectors, scenarios._free_slots(spec.family, spec.n))])
@@ -681,10 +683,10 @@ def test_sweep_calls_evaluate_point_once_per_point_through_the_module(
     monkeypatch.setattr(scenarios, "evaluate_point", counted)
     grid = np.linspace(0.0, 1.0, points)
     spec = replace(builtin("fig7a_green"), outcome_policy="all_outcomes")
-    sweep(spec, grid, emit_oracle=False)
+    list(sweep(spec, grid, emit_oracle=False))
     assert calls == [("fig7a_green", float(p), float(p)) for p in grid]
     calls.clear()
-    sweep(builtin("fig4a_red"), grid[:5], grid[:7])
+    list(sweep(builtin("fig4a_red"), grid[:5], grid[:7]))
     assert calls == [("fig4a_red", float(p), float(q))
                      for p in grid[:5] for q in grid[:7]]
     for command, count in (("sweep", points), ("grid", min(points, 7) ** 2)):
@@ -709,17 +711,17 @@ def _record_stage_peak(monkeypatch, spec, points) -> int:
         return chunks[-1]
 
     monkeypatch.setattr(scenarios, "run_stack", measured)
-    expected = sweep(spec, grid)
+    expected = list(sweep(spec, grid))
     replay = iter(chunks)
     monkeypatch.setattr(scenarios, "run_stack", lambda *args: next(replay))
     linalg._support_plan.cache_clear()
     tracemalloc.start()
     try:
-        records = sweep(spec, grid)
+        records = list(sweep(spec, grid))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert records == expected
+    assert records == expected and len(records) == points
     return peak
 
 
@@ -754,7 +756,7 @@ def test_sweep_builds_one_scenario(monkeypatch):
 
     spec = builtin("fig7a_green")
     grid = np.linspace(0.0, 1.0, 2 * scenarios._CHUNK + 1)
-    expected = sweep(spec, grid, [0.3])
+    expected = list(sweep(spec, grid, [0.3]))
     counted(scenarios, "build_scenario")
     counted(scenarios, "_channels")
     counted(VacuumExtendedChannel, "__post_init__")
@@ -762,10 +764,10 @@ def test_sweep_builds_one_scenario(monkeypatch):
     # the bit flip and the phase flip, built once at the first point
     assert calls == ["build_scenario", "_channels"] + ["__post_init__"] * 2
     calls.clear()
-    assert len(sweep(spec, np.linspace(0.0, 1.0, 33))) == 33
+    assert len(list(sweep(spec, np.linspace(0.0, 1.0, 33)))) == 33
     assert calls.count("__post_init__") == 2
     calls.clear()
-    assert sweep(spec, []) == [] and calls == []
+    assert list(sweep(spec, [])) == [] and calls == []
 
 
 def test_plus_only_sweep_builds_one_post_state_per_point(monkeypatch):
@@ -783,7 +785,7 @@ def test_plus_only_sweep_builds_one_post_state_per_point(monkeypatch):
     spec = ScenarioSpec("ghz8", "ghz_depolarizing", 8, PROP5_P05)
     assert spec.outcome_policy == "plus_only"
     assert scenarios._CHUNK == 32
-    assert len(sweep(spec, np.linspace(0.0, 1.0, 55))) == 55
+    assert len(list(sweep(spec, np.linspace(0.0, 1.0, 55)))) == 55
     assert [shape[0] for shape in checked] == [32, 32, 23, 23]
     assert checked[1::2] == [(32, 2, 2), (23, 2, 2)]
 
@@ -801,7 +803,7 @@ def test_sweep_refuses_a_bad_point_in_a_later_chunk():
         with pytest.raises(BadProbabilityError) as alone:
             constructor()
         with pytest.raises(BadProbabilityError) as swept:
-            sweep(builtin(name), *grids)
+            list(sweep(builtin(name), *grids))
         assert str(swept.value) == str(alone.value)
 
 
@@ -874,13 +876,13 @@ def test_sweep_refuses_as_the_first_bad_constructor_in_any_chunk():
             for at in (0, scenarios._CHUNK, 2 * scenarios._CHUNK):
                 p = grid[:at] + [bad] + grid[at + 1:]
                 with pytest.raises(LinksimError) as swept:
-                    sweep(spec, p, [0.25])
+                    list(sweep(spec, p, [0.25]))
                 expected = _first_error(spec, p, [0.25] * len(p))
                 assert (type(swept.value), str(swept.value)) == expected
             # a bad q at every point: the first point's raises
             if spec.family != "w_memoryless":
                 with pytest.raises(LinksimError) as swept:
-                    sweep(spec, grid, [bad])
+                    list(sweep(spec, grid, [bad]))
                 expected = _first_error(spec, grid, [bad] * len(grid))
                 assert (type(swept.value), str(swept.value)) == expected
 
@@ -897,7 +899,7 @@ def test_pauli_scales_keep_the_distribution_message():
     # p = 1.5 in a bit-flip sweep is the weights (-0.5, 1.5, 0, 0)
     with pytest.raises(BadProbabilityError, match=r"weights \[-0\.5, 1\.5, 0\.0, "
                                                    r"0\.0\] are not a distribution"):
-        sweep(builtin("fig7a_blue"), [0.5, 1.5])
+        list(sweep(builtin("fig7a_blue"), [0.5, 1.5]))
 
 
 def test_sweep_memory_does_not_grow_with_points():
@@ -909,7 +911,7 @@ def test_sweep_memory_does_not_grow_with_points():
         grid = np.linspace(0.0, 1.0, points)
         tracemalloc.start()
         try:
-            records = sweep(spec, grid)
+            records = list(sweep(spec, grid))
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -917,6 +919,6 @@ def test_sweep_memory_does_not_grow_with_points():
         return peak - current
 
     spec = ScenarioSpec("ghz6", "ghz_depolarizing", 6, PROP5_P05)
-    sweep(spec, [0.5])  # the cached unit operators and input
+    list(sweep(spec, [0.5]))  # the cached unit operators and input
     small, large = overhead(2 * scenarios._CHUNK), overhead(16 * scenarios._CHUNK)
     assert large <= small + 64 * 1024, (small, large)
