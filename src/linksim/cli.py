@@ -107,7 +107,12 @@ def _kind(value, name: str, kinds, what: str):
     return value
 
 
-def _spec_from_config(cfg: dict) -> ScenarioSpec:
+def _spec_from_config(
+        cfg: dict) -> tuple[ScenarioSpec, scenarios.SuperpositionScenario | None]:
+    """The config's scenario spec, under its ``outcome_policy`` if the
+    command has that key, and for an inline spec the scenario built at
+    p = 0, which ran every channel and amplitude check once (None for a
+    builtin)."""
     scen = cfg["scenario"]
     if scen is ...:
         raise ConfigError("no scenario given (use --scenario or a config file)")
@@ -124,15 +129,24 @@ def _spec_from_config(cfg: dict) -> ScenarioSpec:
                 n=_number(scen.get("n", 2), "n", 2, integer=True),
                 config=VacuumConfig(tuple(np.asarray(v, float) for v in vectors)),
             )
-            # building at p = 0 runs every channel and amplitude check once
-            scenarios.build_scenario(spec, 0.0)
         except KeyError as exc:
             raise ConfigError(f"bad inline scenario: missing {exc}") from None
         except (TypeError, ValueError, LinksimError) as exc:
             raise ConfigError(f"bad inline scenario: {exc}") from None
     else:
         raise ConfigError("config must name a scenario (string or inline object)")
-    return spec
+    # only a missing key keeps the spec's own policy
+    if cfg.get("outcome_policy", ...) is not ...:
+        try:
+            spec = replace(spec, outcome_policy=cfg["outcome_policy"])
+        except ScenarioError as exc:
+            raise ConfigError(str(exc)) from None
+    if isinstance(scen, str):
+        return spec, None
+    try:
+        return spec, scenarios.build_scenario(spec, 0.0)
+    except (TypeError, ValueError, LinksimError) as exc:
+        raise ConfigError(f"bad inline scenario: {exc}") from None
 
 
 def _check_writable(out_path: str | None) -> None:
@@ -174,14 +188,8 @@ def cmd_sweep(args) -> int:
     cfg = _effective(_load_config(args.config), args, {
         "scenario": ..., "sweep": {"start": 0.0, "stop": 1.0, "points": 101},
         "out": None, "emit_oracle": True, "outcome_policy": ...})
-    spec = _spec_from_config(cfg)
-    # only a missing key keeps the spec's own policy
-    if cfg["outcome_policy"] is ...:
-        cfg["outcome_policy"] = spec.outcome_policy
-    try:
-        spec = replace(spec, outcome_policy=cfg["outcome_policy"])
-    except ScenarioError as exc:
-        raise ConfigError(str(exc)) from None
+    spec, scenario = _spec_from_config(cfg)
+    cfg["outcome_policy"] = spec.outcome_policy  # the dump shows the one in effect
     grid = cfg["sweep"]
     p_grid = np.linspace(_number(grid["start"], "start", 0, 1),
                          _number(grid["stop"], "stop", 0, 1),
@@ -198,7 +206,7 @@ def cmd_sweep(args) -> int:
         return 0
     _check_writable(out)
     records = scenarios.sweep(spec, p_grid, q_grid=p_grid if is_grid else None,
-                              emit_oracle=emit_oracle)
+                              emit_oracle=emit_oracle, _scenario=scenario)
     n, low, high = 0, np.inf, -np.inf  # count and fidelity range, as they pass
 
     def counted():
@@ -235,7 +243,7 @@ def cmd_optimize(args) -> int:
     cfg = _effective(_load_config(args.config), args, {
         "scenario": ..., "p": ..., "q": ..., "seed": 0, "restarts": 20,
         "out": None})
-    spec = _spec_from_config(cfg)
+    spec, _ = _spec_from_config(cfg)
     # only a family with free vacuum amplitudes has anything to optimize
     try:
         scenarios._free_slots(spec.family, spec.n)

@@ -454,23 +454,27 @@ def evaluate_point(spec: ScenarioSpec, p: float, q: float, *,
 
 
 def sweep(spec: ScenarioSpec, p_grid, q_grid=None, *,
-          emit_oracle: bool = True) -> Iterator[SweepRecord]:
+          emit_oracle: bool = True, _scenario=None) -> Iterator[SweepRecord]:
     """Evaluate a spec over a noise grid, yielding each record as it is made.
 
     With no ``q_grid`` the sweep is one-dimensional with q locked to p.
     Records are ordered p-major, then q, then outcome. The scenario is built
-    and checked once, at the first point; nothing runs, or raises, until
-    the first record is asked for. The points are taken ``_CHUNK`` at a
-    time: a chunk is one table of Kraus scales (``_scale_table``), evolved
-    and measured as one stack by ``run_stack``, so memory does not grow
-    with the number of points. Its records are taken as columns from the
-    stack's arrays (``_record_rows``), with no state object per point, and
-    each point's are made by ``evaluate_point`` from its row, bitwise as if
-    it ran the point alone. Callers that keep them take ``list(sweep(...))``.
+    and checked once, at the first point, unless the caller hands over the
+    one it built of ``spec`` at any noise as ``_scenario`` (the CLI's check
+    of an inline spec): ``run_stack`` reads the scales of the chunk's
+    table, not those the scenario's channels hold. Nothing runs, or
+    raises, until the first record is asked for. The points are taken
+    ``_CHUNK`` at a time: a chunk is one table of Kraus scales
+    (``_scale_table``), evolved and measured as one stack by ``run_stack``,
+    so memory does not grow with the number of points. Its records are
+    taken as columns from the stack's arrays (``_record_rows``), with no
+    state object per point, and each point's are made by ``evaluate_point``
+    from its row, bitwise as if it ran the point alone. Callers that keep
+    them take ``list(sweep(...))``.
     """
     points = ((float(p), float(q)) for p in p_grid
               for q in (q_grid if q_grid is not None else [p]))
-    scenario = None
+    scenario = _scenario
     while chunk := list(islice(points, _CHUNK)):
         scenario = scenario or build_scenario(spec, *chunk[0])
         p, q = np.array(chunk).T
@@ -590,6 +594,65 @@ def _fixed_noise_objective(spec: ScenarioSpec, p, q):
     return objective
 
 
+def _nelder_mead(f, x0: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """Minimize ``f`` from ``x0`` by the Nelder-Mead simplex (Nelder & Mead,
+    Comput. J. 7, 308, 1965): reflection 1, expansion 2, contraction 1/2,
+    shrink 1/2; at most 500 iterations, ending once every vertex is within
+    1e-10 of the best in each coordinate and 1e-12 in value. Returns the
+    best vertex, its value and the iteration count, counted from 1. Each
+    call of ``f`` gets a copy of its point.
+
+    The operations and their order are those of the reference
+    implementation that ``tests/test_scenarios.py`` names, so the two agree
+    bitwise and an optimizer result does not move with the implementation.
+    """
+    n = len(x0)
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([f(np.copy(x)) for x in sim], dtype=float)
+    for _ in range(2):  # the reference sorts the first simplex twice
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    nit = 1
+    while nit < 500:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= 1e-10
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-12):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]  # reflect
+        fxr = f(np.copy(xr))
+        shrink = False
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]  # expand
+            fxe = f(np.copy(xe))
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-1]:
+            xc = 1.5 * xbar - 0.5 * sim[-1]  # contract outside
+            fxc = f(np.copy(xc))
+            if fxc <= fxr:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                shrink = True
+        else:
+            xcc = 0.5 * xbar + 0.5 * sim[-1]  # contract inside
+            fxcc = f(np.copy(xcc))
+            if fxcc < fsim[-1]:
+                sim[-1], fsim[-1] = xcc, fxcc
+            else:
+                shrink = True
+        if shrink:
+            for j in range(1, n + 1):
+                sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                fsim[j] = f(np.copy(sim[j]))
+        nit += 1
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0], np.min(fsim), nit
+
+
 def optimize_amplitudes(spec: ScenarioSpec, p: float, q: float | None = None,
                         seed: int = 0, restarts: int = 20) -> OptimizationResult:
     """Derivative-free search over real vacuum amplitudes at fixed noise.
@@ -600,12 +663,8 @@ def optimize_amplitudes(spec: ScenarioSpec, p: float, q: float | None = None,
     The channels are built once per call (see ``_fixed_noise_objective``).
     The published configurations with one vector per channel are always
     injected as the first restarts so the result is never worse than the
-    paper's own operating point. Deterministic for a fixed seed. scipy is
-    imported here, on the first call, and by nothing else in the package.
+    paper's own operating point. Deterministic for a fixed seed.
     """
-    # imported here: every other command would otherwise pay for this import
-    from scipy.optimize import minimize
-
     if q is None:
         q = p
     if restarts < 1:
@@ -624,13 +683,10 @@ def optimize_amplitudes(spec: ScenarioSpec, p: float, q: float | None = None,
 
     best_x, best_val, iterations = None, np.inf, 0
     for x0 in starts:
-        res = minimize(
-            objective, x0, method="Nelder-Mead",
-            options={"maxiter": 500, "xatol": 1e-10, "fatol": 1e-12},
-        )
-        iterations += int(res.nit)
-        if res.fun < best_val:
-            best_val, best_x = res.fun, res.x
+        x, fun, nit = _nelder_mead(objective, x0)
+        iterations += nit
+        if fun < best_val:
+            best_val, best_x = fun, x
     return OptimizationResult(
         best_config=VacuumConfig(tuple(_amplitudes(slots, best_x))),
         best_fidelity=-best_val,

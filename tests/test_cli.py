@@ -129,6 +129,43 @@ def test_config_file_with_inline_scenario(tmp_path):
     assert float(rows[0][3]) == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("command", ["sweep", "grid"])
+@pytest.mark.parametrize("policy", ["plus_only", "all_outcomes"])
+def test_inline_scenario_is_built_once(command, policy, tmp_path, monkeypatch):
+    # the check of an inline spec at p = 0 builds the scenario the sweep
+    # runs, bitwise the one the sweep would build at its first point
+    spec = scenarios.builtin("prop5_p05")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "scenario": {"family": spec.family, "n": spec.n,
+                     "amps": [v.real.tolist() for v in spec.config.vectors]},
+        "sweep": {"start": 0.2, "stop": 0.9, "points": 3},
+        "outcome_policy": policy}))
+    sweep, build = scenarios.sweep, scenarios.build_scenario
+    builds = []
+
+    def counted(spec, *noise):
+        builds.append(noise)
+        return build(spec, *noise)
+
+    monkeypatch.setattr(scenarios, "build_scenario", counted)
+    handed, fresh = tmp_path / "handed.csv", tmp_path / "fresh.csv"
+    assert run_cli([command, "--config", str(path), "--out", str(handed)]) == 0
+    assert builds == [(0.0,)]
+    builds.clear()
+    monkeypatch.setattr(scenarios, "sweep",
+                        lambda *args, _scenario, **kwargs: sweep(*args, **kwargs))
+    assert run_cli([command, "--config", str(path), "--out", str(fresh)]) == 0
+    assert builds == [(0.0,), (0.2, 0.2)]
+    assert handed.read_bytes() == fresh.read_bytes()
+    # a builtin is checked by its one build, in the sweep
+    builds.clear()
+    monkeypatch.setattr(scenarios, "sweep", sweep)
+    assert run_cli([command, "--scenario", "prop5_p05", "--start", "0.2",
+                    "--out", str(fresh)]) == 0
+    assert builds == [(0.2, 0.2)]
+
+
 def test_inline_custom_family_is_a_config_error(tmp_path, capsys):
     cfg = {"scenario": {"family": "custom", "n": 2,
                         "alpha": [1, 0, 0, 0], "beta": [1, 0, 0, 0]}}
@@ -573,7 +610,9 @@ from linksim.cli import main
 out = sys.argv[1]
 for argv in (["sweep", "--scenario", "fig4a_red", "--points", "3"],
              ["grid", "--scenario", "prop5_p05", "--points", "2"],
-             ["walk", "--positions", "8", "--steps", "2"]):
+             ["walk", "--positions", "8", "--steps", "2"],
+             ["optimize", "--scenario", "prop4_p05", "--p", "0.5",
+              "--restarts", "1"]):
     if main([*argv, "--out", out]) != 0:
         sys.exit(f"{argv[0]} failed")
 if main(["verify"]) != 0:
@@ -586,7 +625,7 @@ if "numpy.ma" in sys.modules:
 """
 
 
-def test_only_optimize_loads_scipy(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run(
         [sys.executable, "-c", COLD_START, str(tmp_path / "out.csv")],

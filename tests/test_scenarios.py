@@ -279,6 +279,69 @@ def test_optimizer_never_below_published_floor():
         assert res.best_fidelity >= rec.fidelity - 1e-12
 
 
+NM_OPTIONS = {"maxiter": 500, "xatol": 1e-10, "fatol": 1e-12}
+
+
+def _assert_nelder_mead_is_scipys(f, x0):
+    """``_nelder_mead`` returns bitwise what scipy's Nelder-Mead does, whose
+    path it repeats operation for operation."""
+    minimize = pytest.importorskip("scipy.optimize").minimize
+    x, fun, nit = scenarios._nelder_mead(f, x0)
+    ref = minimize(f, x0, method="Nelder-Mead", options=NM_OPTIONS)
+    assert (x.dtype, x.tobytes(), float(fun).hex(), nit) == \
+        (ref.x.dtype, ref.x.tobytes(), float(ref.fun).hex(), ref.nit), x0
+
+
+def _has_free_amplitudes(name):
+    spec = builtin(name)
+    try:
+        scenarios._free_slots(spec.family, spec.n)
+    except ScenarioError:
+        return False
+    return True
+
+
+# The inputs of the two tests below run every branch of ``_nelder_mead``:
+# reflect, expand, outside contraction, inside contraction and shrink. A
+# line trace (sys.settrace) of the function over both tests ran every line
+# of it, the shrink after a rejected outside and after a rejected inside
+# contraction included.
+@pytest.mark.parametrize("i, name",
+                         enumerate(filter(_has_free_amplitudes, builtin_names())))
+def test_nelder_mead_is_scipys_on_the_objective(i, name):
+    spec = builtin(name)
+    slots = scenarios._free_slots(spec.family, spec.n)
+    rng = np.random.default_rng(i)
+    p, q = rng.uniform(size=2)
+    published = [np.concatenate([v.real[m] for v, m in zip(c.vectors, slots)])
+                 for c in published_configs(spec.family)
+                 if len(c.vectors) == len(slots)]
+    # the published starts on even builtins, a seeded one on odd builtins
+    x0 = published[i // 2 % len(published)] if i % 2 == 0 else \
+        rng.standard_normal(sum(np.count_nonzero(m) for m in slots))
+    _assert_nelder_mead_is_scipys(scenarios._fixed_noise_objective(spec, p, q), x0)
+
+
+def _rosenbrock(x):
+    return np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2)
+
+
+def _l1(x):
+    return np.sum(np.abs(x))
+
+
+@pytest.mark.parametrize("f", [_rosenbrock, _l1])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_nelder_mead_is_scipys_on_test_functions(f, n):
+    rng = np.random.default_rng(n)
+    for k in range(6):
+        x0 = rng.uniform(-2.0, 2.0, n)
+        if k % 3 == 0:
+            # a zero coordinate's vertex steps to 0.00025, not by 5%
+            x0[rng.integers(n)] = 0.0
+        _assert_nelder_mead_is_scipys(f, x0)
+
+
 def test_verify_propositions_all_pass():
     checks = verify_propositions()
     assert len(checks) >= 20
