@@ -9,12 +9,13 @@ scale. The named constructors share read-only unit operators (cached
 ``pauli_string`` products), and each takes its scales from a table
 function over an array of noise values (``depolarizing_scales``,
 ``pauli_scales``, ``bitflip_scales``), whose one-row call it is: each
-noise check and each sqrt(w) is stated once, and a sweep takes a whole
-table of scales with no channel per point. ``kraus_columns`` is the one
-reader of that format: it scales only the unit columns a computation
-reaches, and the dense ``kraus`` is formed on first use. Both multiply
-each entry once, scale times unit entry, so a scaled column is bitwise
-that of the dense operator.
+noise check and each sqrt(w) is stated once. Commands take every scale
+from these tables (``scenarios._scale_table``), a sweep a whole table
+with no channel per point, and call no named constructor.
+``kraus_columns`` is the one reader of that format: it scales only the
+unit columns a computation reaches, and the dense ``kraus`` is formed on
+first use. Both multiply each entry once, scale times unit entry, so a
+scaled column is bitwise that of the dense operator.
 
 Pauli channels keep a fixed length-4 amplitude vector indexed by
 ``PAULI_INDEX`` = (I, X, Y, Z) even when some weights vanish, so amplitude
@@ -94,8 +95,8 @@ def pauli_string(spec: str) -> np.ndarray:
 class VacuumExtendedChannel:
     """Kraus operators paired with their vacuum amplitudes.
 
-    Kraus operator k is ``scales[k] * ops[k]``: the named constructors pass
-    shared unit operators and real scales, and
+    Kraus operator k is ``scales[k] * ops[k]``: ``build_scenario`` and the
+    named constructors pass shared unit operators and real scales, and
     ``VacuumExtendedChannel(kraus, amps)`` takes the Kraus operators
     themselves and stores scales of one.
 
@@ -220,7 +221,7 @@ def depolarizing_correlated(p: float, n: int, amps) -> VacuumExtendedChannel:
 
     Kraus set {sqrt(1-p) I, sqrt(p/3) X^n, sqrt(p/3) Y^n, sqrt(p/3) Z^n}
     with a length-4 amplitude vector in I, X, Y, Z order: the one-row call
-    of ``depolarizing_scales``.
+    of ``depolarizing_scales``. No command calls it.
     """
     return _pauli_channel(depolarizing_scales([p])[0], n, _check_amps(amps, 4))
 
@@ -235,7 +236,7 @@ def pauli_channel_correlated(weights, n: int, amps,
     length 4 across a parameter sweep. Slots outside ``used_slots`` are
     structurally empty for the channel type and must carry zero amplitude
     (a weight that merely vanishes at a sweep endpoint may still interfere
-    through its amplitude).
+    through its amplitude). No command calls it.
     """
     weights = [float(w) for w in weights]
     scales = pauli_scales([weights])[0]
@@ -253,7 +254,7 @@ def memoryless_bitflip(i: int, n: int, p_i: float, amps) -> VacuumExtendedChanne
     """Bit-flip channel acting on qubit ``i`` of ``n`` only.
 
     Kraus set {sqrt(1-p_i) I, sqrt(p_i) X_i} with a length-2 amplitude
-    vector: the one-row call of ``bitflip_scales``.
+    vector: the one-row call of ``bitflip_scales``. No command calls it.
     """
     if not 0 <= i < n:
         raise BadChannelIndexError(f"qubit index {i} outside 0..{n - 1}")

@@ -107,12 +107,10 @@ def _kind(value, name: str, kinds, what: str):
     return value
 
 
-def _spec_from_config(
-        cfg: dict) -> tuple[ScenarioSpec, scenarios.SuperpositionScenario | None]:
+def _spec_from_config(cfg: dict) -> ScenarioSpec:
     """The config's scenario spec, under its ``outcome_policy`` if the
-    command has that key, and for an inline spec the scenario built at
-    p = 0, which ran every channel and amplitude check once (None for a
-    builtin)."""
+    command has that key; an inline spec checks its layout and amplitudes
+    when it is made."""
     scen = cfg["scenario"]
     if scen is ...:
         raise ConfigError("no scenario given (use --scenario or a config file)")
@@ -141,12 +139,7 @@ def _spec_from_config(
             spec = replace(spec, outcome_policy=cfg["outcome_policy"])
         except ScenarioError as exc:
             raise ConfigError(str(exc)) from None
-    if isinstance(scen, str):
-        return spec, None
-    try:
-        return spec, scenarios.build_scenario(spec, 0.0)
-    except (TypeError, ValueError, LinksimError) as exc:
-        raise ConfigError(f"bad inline scenario: {exc}") from None
+    return spec
 
 
 def _check_writable(out_path: str | None) -> None:
@@ -188,7 +181,7 @@ def cmd_sweep(args) -> int:
     cfg = _effective(_load_config(args.config), args, {
         "scenario": ..., "sweep": {"start": 0.0, "stop": 1.0, "points": 101},
         "out": None, "emit_oracle": True, "outcome_policy": ...})
-    spec, scenario = _spec_from_config(cfg)
+    spec = _spec_from_config(cfg)
     cfg["outcome_policy"] = spec.outcome_policy  # the dump shows the one in effect
     grid = cfg["sweep"]
     p_grid = np.linspace(_number(grid["start"], "start", 0, 1),
@@ -206,7 +199,7 @@ def cmd_sweep(args) -> int:
         return 0
     _check_writable(out)
     records = scenarios.sweep(spec, p_grid, q_grid=p_grid if is_grid else None,
-                              emit_oracle=emit_oracle, _scenario=scenario)
+                              emit_oracle=emit_oracle)
     n, low, high = 0, np.inf, -np.inf  # count and fidelity range, as they pass
 
     def counted():
@@ -243,7 +236,7 @@ def cmd_optimize(args) -> int:
     cfg = _effective(_load_config(args.config), args, {
         "scenario": ..., "p": ..., "q": ..., "seed": 0, "restarts": 20,
         "out": None})
-    spec, _ = _spec_from_config(cfg)
+    spec = _spec_from_config(cfg)
     # only a family with free vacuum amplitudes has anything to optimize
     try:
         scenarios._free_slots(spec.family, spec.n)

@@ -16,12 +16,13 @@ from math import sqrt
 import numpy as np
 
 from .channels import (
+    PAULI_INDEX,
+    BadNormalizationError,
+    VacuumExtendedChannel,
+    _check_amps,
     bitflip_scales,
-    depolarizing_correlated,
     depolarizing_scales,
     kraus_columns,
-    memoryless_bitflip,
-    pauli_channel_correlated,
     pauli_scales,
     pauli_string,
     scale_row,
@@ -80,8 +81,28 @@ class UnknownScenarioError(ScenarioError, KeyError):
         return self.args[0]
 
 
+def _free_slots(family: str, n: int) -> list[np.ndarray]:
+    """Which vacuum amplitudes of each channel may be non-zero.
+
+    The single statement of each family's amplitude layout: depolarizing
+    channels use all four Pauli slots, the bit flip uses (I, X) and the
+    phase flip (I, Z), and each memoryless W channel its two Kraus slots.
+    """
+    if family in _DEPOL_FAMILIES:
+        return [np.ones(4, dtype=bool)] * 2
+    if family in _BITPHASE_FAMILIES:
+        return [np.array([True, True, False, False]),
+                np.array([True, False, False, True])]
+    if family == "w_memoryless":
+        return [np.ones(2, dtype=bool)] * n
+    raise ScenarioError(f"family {family!r} has no free vacuum amplitudes")
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
+    """A family on n qubits with one vacuum amplitude vector per branch;
+    every check that does not depend on the noise runs when it is created."""
+
     name: str
     family: str
     n: int
@@ -98,6 +119,24 @@ class ScenarioSpec:
             raise ScenarioError(f"family {self.family!r} cannot have n={self.n}")
         if self.outcome_policy not in ("plus_only", "all_outcomes"):
             raise ScenarioError(f"bad outcome policy {self.outcome_policy!r}")
+        n, vectors = self.n, self.config.vectors
+        branches = n if self.family in _W_FAMILIES else 2
+        # before anything of size 2^n is made; a huge n never reaches the power
+        if n >= JOINT_DIM_CAP.bit_length() or 2**n * branches > JOINT_DIM_CAP:
+            raise ScenarioError(f"{self.name}: {branches} branches on {n} qubits "
+                                f"exceed the joint dimension cap {JOINT_DIM_CAP}")
+        if len(vectors) != branches:
+            raise ScenarioError(f"{self.name}: expected {branches} amplitude "
+                                f"vectors, got {len(vectors)}")
+        if self.family.startswith("ideal"):
+            return  # one unitary per channel: its vector is ignored
+        for v, mask in zip(vectors, _free_slots(self.family, n)):
+            _check_amps(v, len(mask))
+            empty = np.flatnonzero(~mask & (v != 0))
+            if len(empty):
+                raise BadNormalizationError(
+                    f"structurally empty Pauli slot {PAULI_INDEX[empty[0]]} "
+                    f"carries amplitude {v[empty[0]]}")
 
 
 @dataclass(frozen=True)
@@ -242,8 +281,8 @@ def builtin_names() -> list[str]:
 # scenario construction and evaluation
 
 
-# one entry per n; build_scenario checks n against the joint dimension cap
-# before it asks, so the cache stays small
+# one entry per n; a spec checks n against the joint dimension cap when
+# it is made, so the cache stays small
 @lru_cache(maxsize=None)
 def _zero_input(n: int) -> DensityMatrix:
     """|0...0><0...0| on n qubits, cached and shared, which is safe as a
@@ -253,21 +292,18 @@ def _zero_input(n: int) -> DensityMatrix:
     return DensityMatrix.pure((2,) * n, v)
 
 
-def _free_slots(family: str, n: int) -> list[np.ndarray]:
-    """Which vacuum amplitudes of each channel may be non-zero.
-
-    The single statement of each family's amplitude layout: depolarizing
-    channels use all four Pauli slots, the bit flip uses (I, X) and the
-    phase flip (I, Z), and each memoryless W channel its two Kraus slots.
-    """
-    if family in _DEPOL_FAMILIES:
-        return [np.ones(4, dtype=bool)] * 2
-    if family in _BITPHASE_FAMILIES:
-        return [np.array([True, True, False, False]),
-                np.array([True, False, False, True])]
-    if family == "w_memoryless":
-        return [np.ones(2, dtype=bool)] * n
-    raise ScenarioError(f"family {family!r} has no free vacuum amplitudes")
+def _unit_ops(family: str, n: int) -> list[tuple[np.ndarray, ...]]:
+    """The unit Kraus operators of each channel of a family on n qubits,
+    cached ``pauli_string`` products; only W families form the n
+    single-qubit flips."""
+    if family in ("ideal_bell", "ideal_ghz"):
+        return [(pauli_string("X" * n),), (pauli_string("Z" * n),)]
+    if family in _W_FAMILIES:
+        flips = [pauli_string("I" * i + "X" + "I" * (n - i - 1)) for i in range(n)]
+        if family == "ideal_w":
+            return [(flip,) for flip in flips]
+        return [(pauli_string("I" * n), flip) for flip in flips]
+    return [tuple(pauli_string(letter * n) for letter in PAULI_INDEX)] * 2
 
 
 def build_scenario(spec: ScenarioSpec, p: float,
@@ -276,54 +312,24 @@ def build_scenario(spec: ScenarioSpec, p: float,
 
     ``q`` defaults to ``p``; ``w_memoryless`` sets every channel to ``p``
     and ideal families ignore the noise; ``plus_only`` measures only outcome
-    0, |+> (|0~> for W). A sweep builds its scenario once, at its first
-    point: every check here holds at any noise point but the channel
-    constructors' noise checks (``_channels``), which ``_scale_table``
-    makes for every point.
+    0, |+> (|0~> for W). Each noisy channel takes its slice of the point's
+    row of ``_scale_table``, whose noise checks are the only checks here;
+    the spec checked the rest when it was made.
     """
-    n = spec.n
-    # reject before building 2^n x 2^n Kraus operators; a huge n never
-    # reaches the power
-    branches = n if spec.family in _W_FAMILIES else 2
-    if n >= JOINT_DIM_CAP.bit_length() or 2**n * branches > JOINT_DIM_CAP:
-        raise ScenarioError(
-            f"{spec.name}: {branches} branches on {n} qubits exceed the "
-            f"joint dimension cap {JOINT_DIM_CAP}"
-        )
-    if len(spec.config.vectors) != branches:
-        raise ScenarioError(f"{spec.name}: expected {branches} amplitude "
-                            f"vectors, got {len(spec.config.vectors)}")
+    n, units = spec.n, _unit_ops(spec.family, spec.n)
+    if spec.family.startswith("ideal"):
+        channels = tuple(unitary_channel(op) for op, in units)
+    else:
+        point = np.array([[p], [p if q is None else q]], dtype=float)
+        row = _scale_table(spec, *point)[0]
+        cuts = np.cumsum([len(ops) for ops in units])[:-1]
+        channels = tuple(VacuumExtendedChannel(*args) for args in
+                         zip(units, spec.config.vectors, np.split(row, cuts)))
     # pm_basis, not fourier_basis(2): its |-> differs in the last bits
     basis = fourier_basis(n) if spec.family in _W_FAMILIES else pm_basis()
     keep = 1 if spec.outcome_policy == "plus_only" else None
-    return SuperpositionScenario(_channels(spec, p, p if q is None else q),
-                                 _zero_input(n), uniform_control(branches),
-                                 basis[:keep])
-
-
-def _channels(spec: ScenarioSpec, p: float, q: float):
-    """The channels of a spec at noise (p, q), each from its named
-    constructor, which checks the noise and the vacuum amplitudes and
-    computes the Kraus scales."""
-    n, family, cfg = spec.n, spec.family, spec.config
-    if family == "ideal_bell" or family == "ideal_ghz":
-        return (unitary_channel(pauli_string("X" * n)),
-                unitary_channel(pauli_string("Z" * n)))
-    if family == "ideal_w":
-        return tuple(
-            unitary_channel(pauli_string("I" * i + "X" + "I" * (n - i - 1)))
-            for i in range(n)
-        )
-    if family in _DEPOL_FAMILIES:
-        return (depolarizing_correlated(p, n, cfg.alpha),
-                depolarizing_correlated(q, n, cfg.beta))
-    if family in _BITPHASE_FAMILIES:
-        bit, phase = (np.flatnonzero(m) for m in _free_slots(family, n))
-        bit_w, phase_w = _bitphase_weights(np.array([p]), np.array([q]))[0]
-        return (pauli_channel_correlated(bit_w, n, cfg.alpha, bit),
-                pauli_channel_correlated(phase_w, n, cfg.beta, phase))
-    # w_memoryless
-    return tuple(memoryless_bitflip(i, n, p, cfg.vectors[i]) for i in range(n))
+    return SuperpositionScenario(channels, _zero_input(n),
+                                 uniform_control(len(channels)), basis[:keep])
 
 
 def _bitphase_weights(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -334,11 +340,12 @@ def _bitphase_weights(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _scale_table(spec: ScenarioSpec, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The (P, K) table of Kraus scales at the points (p[i], q[i]): row i is
-    ``scale_row(_channels(spec, p[i], q[i]))``, taken from the
-    constructors' table functions, so no channel is built. The noise values
+    """The (P, K) table of Kraus scales at the points (p[i], q[i]), from
+    the channels' table functions, so no channel is built: row i is the
+    scales of ``build_scenario(spec, p[i], q[i])``, channel after channel,
+    and those of the named constructors at that point. The noise values
     are checked point by point, p before q, as the constructors check them;
-    the vacuum amplitudes are ``build_scenario``'s to check."""
+    the vacuum amplitudes were checked when the spec was made."""
     if spec.family in _DEPOL_FAMILIES:
         return depolarizing_scales(np.column_stack([p, q])).reshape(len(p), -1)
     if spec.family in _BITPHASE_FAMILIES:
@@ -454,16 +461,14 @@ def evaluate_point(spec: ScenarioSpec, p: float, q: float, *,
 
 
 def sweep(spec: ScenarioSpec, p_grid, q_grid=None, *,
-          emit_oracle: bool = True, _scenario=None) -> Iterator[SweepRecord]:
+          emit_oracle: bool = True) -> Iterator[SweepRecord]:
     """Evaluate a spec over a noise grid, yielding each record as it is made.
 
     With no ``q_grid`` the sweep is one-dimensional with q locked to p.
     Records are ordered p-major, then q, then outcome. The scenario is built
-    and checked once, at the first point, unless the caller hands over the
-    one it built of ``spec`` at any noise as ``_scenario`` (the CLI's check
-    of an inline spec): ``run_stack`` reads the scales of the chunk's
-    table, not those the scenario's channels hold. Nothing runs, or
-    raises, until the first record is asked for. The points are taken
+    once, at the first point: ``run_stack`` reads the scales of each
+    chunk's table, not those the scenario's channels hold. Nothing runs,
+    or raises, until the first record is asked for. The points are taken
     ``_CHUNK`` at a time: a chunk is one table of Kraus scales
     (``_scale_table``), evolved and measured as one stack by ``run_stack``,
     so memory does not grow with the number of points. Its records are
@@ -474,7 +479,7 @@ def sweep(spec: ScenarioSpec, p_grid, q_grid=None, *,
     """
     points = ((float(p), float(q)) for p in p_grid
               for q in (q_grid if q_grid is not None else [p]))
-    scenario = _scenario
+    scenario = None
     while chunk := list(islice(points, _CHUNK)):
         scenario = scenario or build_scenario(spec, *chunk[0])
         p, q = np.array(chunk).T

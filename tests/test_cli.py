@@ -132,38 +132,29 @@ def test_config_file_with_inline_scenario(tmp_path):
 @pytest.mark.parametrize("command", ["sweep", "grid"])
 @pytest.mark.parametrize("policy", ["plus_only", "all_outcomes"])
 def test_inline_scenario_is_built_once(command, policy, tmp_path, monkeypatch):
-    # the check of an inline spec at p = 0 builds the scenario the sweep
-    # runs, bitwise the one the sweep would build at its first point
+    # an inline spec and the builtin it copies are each built once, by the
+    # sweep at its first point, and write the same bytes
     spec = scenarios.builtin("prop5_p05")
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({
-        "scenario": {"family": spec.family, "n": spec.n,
-                     "amps": [v.real.tolist() for v in spec.config.vectors]},
-        "sweep": {"start": 0.2, "stop": 0.9, "points": 3},
-        "outcome_policy": policy}))
-    sweep, build = scenarios.sweep, scenarios.build_scenario
-    builds = []
+    inline = {"family": spec.family, "n": spec.n,
+              "amps": [v.real.tolist() for v in spec.config.vectors]}
+    build = scenarios.build_scenario
+    builds, written = [], []
 
     def counted(spec, *noise):
         builds.append(noise)
         return build(spec, *noise)
 
     monkeypatch.setattr(scenarios, "build_scenario", counted)
-    handed, fresh = tmp_path / "handed.csv", tmp_path / "fresh.csv"
-    assert run_cli([command, "--config", str(path), "--out", str(handed)]) == 0
-    assert builds == [(0.0,)]
-    builds.clear()
-    monkeypatch.setattr(scenarios, "sweep",
-                        lambda *args, _scenario, **kwargs: sweep(*args, **kwargs))
-    assert run_cli([command, "--config", str(path), "--out", str(fresh)]) == 0
-    assert builds == [(0.0,), (0.2, 0.2)]
-    assert handed.read_bytes() == fresh.read_bytes()
-    # a builtin is checked by its one build, in the sweep
-    builds.clear()
-    monkeypatch.setattr(scenarios, "sweep", sweep)
-    assert run_cli([command, "--scenario", "prop5_p05", "--start", "0.2",
-                    "--out", str(fresh)]) == 0
-    assert builds == [(0.2, 0.2)]
+    for scenario in (inline, spec.name):
+        path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        path.write_text(json.dumps({
+            "scenario": scenario, "sweep": {"start": 0.2, "stop": 0.9, "points": 3},
+            "outcome_policy": policy}))
+        assert run_cli([command, "--config", str(path), "--out", str(out)]) == 0
+        assert builds == [(0.2, 0.2)]
+        builds.clear()
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
 
 
 def test_inline_custom_family_is_a_config_error(tmp_path, capsys):
@@ -546,6 +537,18 @@ BAD_INPUTS = {
     "inline_n_not_an_integer": (
         ["sweep"], {"scenario": {"family": "ghz_bitphase", "n": 2.5,
                                  "amps": [[1, 0, 0, 0], [1, 0, 0, 0]]}}, 2),
+    # the spec checks each vector against its family's slots when it is
+    # made: an amplitude in the bit flip's Y slot, a norm 5e-12 off (which
+    # VacuumConfig's 1e-10 passes) and a W vector of length 4
+    "inline_bitphase_amplitude_in_empty_slot": (
+        ["sweep"], {"scenario": {"family": "bell_bitphase",
+                                 "amps": [[S2, 0, S2, 0], [S2, 0, 0, S2]]}}, 2),
+    "inline_alpha_norm_just_off": (
+        ["sweep"], {"scenario": {"family": "bell_depolarizing",
+                                 "amps": [[1 + 2.5e-12, 0, 0, 0], [1, 0, 0, 0]]}}, 2),
+    "inline_w_vector_of_length_4": (
+        ["sweep"], {"scenario": {"family": "w_memoryless", "n": 3,
+                                 "amps": [[0.5] * 4, [S2, S2], [S2, S2]]}}, 2),
     "joint_dimension_over_cap": (
         ["sweep"], {"scenario": {"family": "ideal_w", "n": 9,
                                  "amps": [[1]] * 9}}, 2),

@@ -8,12 +8,16 @@ import pytest
 
 from linksim import cli, linalg, scenarios, superposition
 from linksim.channels import (
+    BadNormalizationError,
     BadProbabilityError,
     VacuumExtendedChannel,
     depolarizing_correlated,
+    memoryless_bitflip,
     pauli_channel_correlated,
     pauli_scales,
+    pauli_string,
     scale_row,
+    unitary_channel,
 )
 from linksim.linalg import LinksimError
 from linksim.metrics import DivisionByZeroError, VacuumConfig
@@ -182,6 +186,30 @@ def test_scenario_spec_validation():
     with pytest.raises(ScenarioError):
         ScenarioSpec("x", "bell_depolarizing", 2, cfg, None,
                      outcome_policy="sometimes")
+
+
+def test_spec_refuses_a_bad_layout_when_it_is_made():
+    # each raises at ScenarioSpec(...), before anything is built, with the
+    # class a build of it raised when the checks were made there
+    one = (1, 0, 0, 0)
+    for family, n, vectors, cls, match in (
+            ("ghz_depolarizing", 12, (one, one), ScenarioError, "cap 4096"),
+            ("ideal_w", 9, [(1,)] * 9, ScenarioError, "cap 4096"),
+            ("bell_depolarizing", 2, (one,), ScenarioError, "expected 2 amplitude"),
+            ("bell_depolarizing", 2, ((1, 0, 0), one), BadNormalizationError,
+             "expected 4 vacuum amplitudes"),
+            ("w_memoryless", 3, [(0.5,) * 4] + [(S2, S2)] * 2,
+             BadNormalizationError, "expected 2 vacuum amplitudes"),
+            # 5e-12 off, inside VacuumConfig's 1e-10 but not AMP_TOL
+            ("bell_depolarizing", 2, ((1 + 2.5e-12, 0, 0, 0), one),
+             BadNormalizationError, "unit norm"),
+            ("bell_bitphase", 2, ((S2, 0, S2, 0), (S2, 0, 0, S2)),
+             BadNormalizationError, "slot Y carries amplitude")):
+        with pytest.raises(cls, match=match) as exc:
+            ScenarioSpec("x", family, n, VacuumConfig(vectors))
+        assert type(exc.value) is cls, (family, n)
+    # an ideal family counts its vectors and ignores what they hold
+    assert ScenarioSpec("x", "ideal_ghz", 3, VacuumConfig(((S2, S2), (1,))))
 
 
 @pytest.mark.parametrize("n", [3.5, 2.0, True, "2", None])
@@ -805,8 +833,8 @@ def test_record_stage_peaks_below_the_per_point_gathers(monkeypatch, n, points,
 
 
 def test_sweep_builds_one_scenario(monkeypatch):
-    # one checked scenario, and one channel tuple, per sweep; a point adds
-    # only its row of its chunk's scale table
+    # one scenario, and one channel tuple, per sweep; a point adds only
+    # its row of its chunk's scale table
     calls = []
 
     def counted(owner, name):
@@ -821,11 +849,10 @@ def test_sweep_builds_one_scenario(monkeypatch):
     grid = np.linspace(0.0, 1.0, 2 * scenarios._CHUNK + 1)
     expected = list(sweep(spec, grid, [0.3]))
     counted(scenarios, "build_scenario")
-    counted(scenarios, "_channels")
     counted(VacuumExtendedChannel, "__post_init__")
     assert _hex(sweep(spec, grid, [0.3])) == _hex(expected)
     # the bit flip and the phase flip, built once at the first point
-    assert calls == ["build_scenario", "_channels"] + ["__post_init__"] * 2
+    assert calls == ["build_scenario"] + ["__post_init__"] * 2
     calls.clear()
     assert len(list(sweep(spec, np.linspace(0.0, 1.0, 33)))) == 33
     assert calls.count("__post_init__") == 2
@@ -880,12 +907,31 @@ def _table_specs():
             ScenarioSpec("ghz8", "ghz_depolarizing", 8, PROP5_P05), *w]
 
 
+def _constructor_channels(spec, p, q):
+    """The channels of a spec at noise (p, q), each from its public named
+    constructor, which checks the noise and the vacuum amplitudes."""
+    n, cfg = spec.n, spec.config
+    if spec.family in ("ideal_bell", "ideal_ghz"):
+        return (unitary_channel(pauli_string("X" * n)),
+                unitary_channel(pauli_string("Z" * n)))
+    if spec.family == "ideal_w":
+        return tuple(unitary_channel(pauli_string("I" * i + "X" + "I" * (n - i - 1)))
+                     for i in range(n))
+    if spec.family.endswith("_depolarizing"):
+        return (depolarizing_correlated(p, n, cfg.alpha),
+                depolarizing_correlated(q, n, cfg.beta))
+    if spec.family.endswith("_bitphase"):
+        return (pauli_channel_correlated((1 - p, p, 0.0, 0.0), n, cfg.alpha, (0, 1)),
+                pauli_channel_correlated((1 - q, 0.0, 0.0, q), n, cfg.beta, (0, 3)))
+    return tuple(memoryless_bitflip(i, n, p, cfg.vectors[i]) for i in range(n))
+
+
 def _first_error(spec, p, q):
     """What the per-point constructors raise first at the points (p[i],
     q[i]), in order, as (class, message); None if every point is good."""
     for pi, qi in zip(p, q):
         try:
-            scenarios._channels(spec, float(pi), float(qi))
+            _constructor_channels(spec, float(pi), float(qi))
         except LinksimError as exc:
             return type(exc), str(exc)
     return None
@@ -901,9 +947,24 @@ def test_scale_table_rows_are_the_constructors_scale_rows(spec):
         p[::3], q[1::4] = 0.0, 1.0
         p[1::5], q[::7] = 1.0, 0.0
         table = scenarios._scale_table(spec, p, q)
-        rows = [scale_row(scenarios._channels(spec, pi, qi)) for pi, qi in zip(p, q)]
+        rows = [scale_row(_constructor_channels(spec, pi, qi))
+                for pi, qi in zip(p, q)]
         assert table.dtype == np.float64
         assert table.tobytes() == np.array(rows).tobytes()
+
+
+@pytest.mark.parametrize("spec", _table_specs(), ids=lambda s: s.name)
+def test_built_channels_are_the_constructors_channels(spec):
+    # unit operators, vacuum amplitudes and scales, bitwise, at the ends
+    # and inside the noise range
+    for p, q in ((0.0, 1.0), (0.3, 0.7), (1.0, 0.0)):
+        built = build_scenario(spec, p, q).channels
+        made = _constructor_channels(spec, p, q)
+        assert len(built) == len(made)
+        for a, b in zip(built, made):
+            assert [op.tobytes() for op in a.ops] == [op.tobytes() for op in b.ops]
+            assert a.vacuum_amplitudes.tobytes() == b.vacuum_amplitudes.tobytes()
+            assert a.scales.tobytes() == b.scales.tobytes()
 
 
 @pytest.mark.parametrize("spec", _table_specs(), ids=lambda s: s.name)
