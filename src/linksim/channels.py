@@ -9,13 +9,12 @@ scale. The named constructors share read-only unit operators (cached
 ``pauli_string`` products), and each takes its scales from a table
 function over an array of noise values (``depolarizing_scales``,
 ``pauli_scales``, ``bitflip_scales``), whose one-row call it is: each
-noise check and each sqrt(w) is stated once. Commands take every scale
-from these tables (``scenarios._scale_table``), a sweep a whole table
-with no channel per point, and call no named constructor.
-``kraus_columns`` is the one reader of that format: it scales only the
-unit columns a computation reaches, and the dense ``kraus`` is formed on
-first use. Both multiply each entry once, scale times unit entry, so a
-scaled column is bitwise that of the dense operator.
+noise check and each sqrt(w) is stated once, and a sweep takes a whole
+table of scales with no channel per point. ``kraus_columns`` is the one
+reader of that format: it scales only the unit columns a computation
+reaches, and the dense ``kraus`` is formed on first use. Both multiply
+each entry once, scale times unit entry, so a scaled column is bitwise
+that of the dense operator.
 
 Pauli channels keep a fixed length-4 amplitude vector indexed by
 ``PAULI_INDEX`` = (I, X, Y, Z) even when some weights vanish, so amplitude
@@ -95,8 +94,8 @@ def pauli_string(spec: str) -> np.ndarray:
 class VacuumExtendedChannel:
     """Kraus operators paired with their vacuum amplitudes.
 
-    Kraus operator k is ``scales[k] * ops[k]``: ``build_scenario`` and the
-    named constructors pass shared unit operators and real scales, and
+    Kraus operator k is ``scales[k] * ops[k]``: the named constructors pass
+    shared unit operators and real scales, and
     ``VacuumExtendedChannel(kraus, amps)`` takes the Kraus operators
     themselves and stores scales of one.
 
@@ -163,12 +162,22 @@ def kraus_columns(channels, scales, cols) -> tuple[np.ndarray, np.ndarray]:
     return reach, scales[:, :, None, None] * units.take(reach, 1)
 
 
-def _check_amps(amps, length: int) -> np.ndarray:
+def _check_amps(amps, length: int, used_slots=None) -> np.ndarray:
+    """``amps`` as a complex vector of ``length`` entries with unit norm
+    and, if ``used_slots`` is given, zeros in every other Pauli slot (the
+    structurally empty ones of the channel type)."""
     amps = np.asarray(amps, dtype=complex)
     if amps.shape != (length,):
         raise BadNormalizationError(f"expected {length} vacuum amplitudes")
     if not abs(np.sum(np.abs(amps) ** 2) - 1.0) <= AMP_TOL:  # NaN fails
         raise BadNormalizationError("vacuum amplitudes must have unit norm")
+    if used_slots is not None:
+        used = set(used_slots)  # `in` on an index array is a numpy comparison
+        empty = [k for k, a in enumerate(amps.tolist()) if a and k not in used]
+        if empty:
+            raise BadNormalizationError(
+                f"structurally empty Pauli slot {PAULI_INDEX[empty[0]]} "
+                f"carries amplitude {amps[empty[0]]}")
     return amps
 
 
@@ -221,7 +230,7 @@ def depolarizing_correlated(p: float, n: int, amps) -> VacuumExtendedChannel:
 
     Kraus set {sqrt(1-p) I, sqrt(p/3) X^n, sqrt(p/3) Y^n, sqrt(p/3) Z^n}
     with a length-4 amplitude vector in I, X, Y, Z order: the one-row call
-    of ``depolarizing_scales``. No command calls it.
+    of ``depolarizing_scales``.
     """
     return _pauli_channel(depolarizing_scales([p])[0], n, _check_amps(amps, 4))
 
@@ -236,17 +245,15 @@ def pauli_channel_correlated(weights, n: int, amps,
     length 4 across a parameter sweep. Slots outside ``used_slots`` are
     structurally empty for the channel type and must carry zero amplitude
     (a weight that merely vanishes at a sweep endpoint may still interfere
-    through its amplitude). No command calls it.
+    through its amplitude).
     """
     weights = [float(w) for w in weights]
     scales = pauli_scales([weights])[0]
-    amps = _check_amps(amps, 4)
-    for k, (w, a) in enumerate(zip(weights, amps)):
-        if k not in used_slots and (w != 0.0 or a != 0.0):
+    amps = _check_amps(amps, 4, used_slots)
+    for k, w in enumerate(weights):
+        if k not in used_slots and w != 0.0:
             raise BadNormalizationError(
-                f"structurally empty Pauli slot {PAULI_INDEX[k]} carries "
-                f"weight {w} / amplitude {a}"
-            )
+                f"structurally empty Pauli slot {PAULI_INDEX[k]} carries weight {w}")
     return _pauli_channel(scales, n, amps)
 
 
@@ -254,7 +261,7 @@ def memoryless_bitflip(i: int, n: int, p_i: float, amps) -> VacuumExtendedChanne
     """Bit-flip channel acting on qubit ``i`` of ``n`` only.
 
     Kraus set {sqrt(1-p_i) I, sqrt(p_i) X_i} with a length-2 amplitude
-    vector: the one-row call of ``bitflip_scales``. No command calls it.
+    vector: the one-row call of ``bitflip_scales``.
     """
     if not 0 <= i < n:
         raise BadChannelIndexError(f"qubit index {i} outside 0..{n - 1}")

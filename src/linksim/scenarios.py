@@ -16,13 +16,13 @@ from math import sqrt
 import numpy as np
 
 from .channels import (
-    PAULI_INDEX,
-    BadNormalizationError,
-    VacuumExtendedChannel,
     _check_amps,
     bitflip_scales,
+    depolarizing_correlated,
     depolarizing_scales,
     kraus_columns,
+    memoryless_bitflip,
+    pauli_channel_correlated,
     pauli_scales,
     pauli_string,
     scale_row,
@@ -131,12 +131,7 @@ class ScenarioSpec:
         if self.family.startswith("ideal"):
             return  # one unitary per channel: its vector is ignored
         for v, mask in zip(vectors, _free_slots(self.family, n)):
-            _check_amps(v, len(mask))
-            empty = np.flatnonzero(~mask & (v != 0))
-            if len(empty):
-                raise BadNormalizationError(
-                    f"structurally empty Pauli slot {PAULI_INDEX[empty[0]]} "
-                    f"carries amplitude {v[empty[0]]}")
+            _check_amps(v, len(mask), np.flatnonzero(mask))
 
 
 @dataclass(frozen=True)
@@ -292,41 +287,39 @@ def _zero_input(n: int) -> DensityMatrix:
     return DensityMatrix.pure((2,) * n, v)
 
 
-def _unit_ops(family: str, n: int) -> list[tuple[np.ndarray, ...]]:
-    """The unit Kraus operators of each channel of a family on n qubits,
-    cached ``pauli_string`` products; only W families form the n
-    single-qubit flips."""
-    if family in ("ideal_bell", "ideal_ghz"):
-        return [(pauli_string("X" * n),), (pauli_string("Z" * n),)]
-    if family in _W_FAMILIES:
-        flips = [pauli_string("I" * i + "X" + "I" * (n - i - 1)) for i in range(n)]
-        if family == "ideal_w":
-            return [(flip,) for flip in flips]
-        return [(pauli_string("I" * n), flip) for flip in flips]
-    return [tuple(pauli_string(letter * n) for letter in PAULI_INDEX)] * 2
-
-
 def build_scenario(spec: ScenarioSpec, p: float,
                    q: float | None = None) -> SuperpositionScenario:
     """Instantiate channels, control and basis for a spec at noise (p, q).
 
     ``q`` defaults to ``p``; ``w_memoryless`` sets every channel to ``p``
     and ideal families ignore the noise; ``plus_only`` measures only outcome
-    0, |+> (|0~> for W). Each noisy channel takes its slice of the point's
-    row of ``_scale_table``, whose noise checks are the only checks here;
-    the spec checked the rest when it was made.
+    0, |+> (|0~> for W). Each channel's named constructor checks the noise
+    and computes the Kraus scales; the spec made every other check. A sweep
+    builds once, at its first point, and ``_scale_table`` checks each point.
     """
-    n, units = spec.n, _unit_ops(spec.family, spec.n)
-    if spec.family.startswith("ideal"):
-        channels = tuple(unitary_channel(op) for op, in units)
-    else:
-        point = np.array([[p], [p if q is None else q]], dtype=float)
-        row = _scale_table(spec, *point)[0]
-        cuts = np.cumsum([len(ops) for ops in units])[:-1]
-        channels = tuple(VacuumExtendedChannel(*args) for args in
-                         zip(units, spec.config.vectors, np.split(row, cuts)))
+    n, family, cfg = spec.n, spec.family, spec.config
+    q = p if q is None else q
+    if family == "ideal_bell" or family == "ideal_ghz":
+        channels = (unitary_channel(pauli_string("X" * n)),
+                    unitary_channel(pauli_string("Z" * n)))
+    elif family == "ideal_w":
+        channels = tuple(
+            unitary_channel(pauli_string("I" * i + "X" + "I" * (n - i - 1)))
+            for i in range(n)
+        )
+    elif family in _DEPOL_FAMILIES:
+        channels = (depolarizing_correlated(p, n, cfg.alpha),
+                    depolarizing_correlated(q, n, cfg.beta))
+    elif family in _BITPHASE_FAMILIES:
+        bit, phase = (np.flatnonzero(m) for m in _free_slots(family, n))
+        bit_w, phase_w = _bitphase_weights(np.array([p]), np.array([q]))[0]
+        channels = (pauli_channel_correlated(bit_w, n, cfg.alpha, bit),
+                    pauli_channel_correlated(phase_w, n, cfg.beta, phase))
+    else:  # w_memoryless
+        channels = tuple(memoryless_bitflip(i, n, p, cfg.vectors[i])
+                         for i in range(n))
     # pm_basis, not fourier_basis(2): its |-> differs in the last bits
-    basis = fourier_basis(n) if spec.family in _W_FAMILIES else pm_basis()
+    basis = fourier_basis(n) if family in _W_FAMILIES else pm_basis()
     keep = 1 if spec.outcome_policy == "plus_only" else None
     return SuperpositionScenario(channels, _zero_input(n),
                                  uniform_control(len(channels)), basis[:keep])
@@ -340,10 +333,9 @@ def _bitphase_weights(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _scale_table(spec: ScenarioSpec, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The (P, K) table of Kraus scales at the points (p[i], q[i]), from
-    the channels' table functions, so no channel is built: row i is the
-    scales of ``build_scenario(spec, p[i], q[i])``, channel after channel,
-    and those of the named constructors at that point. The noise values
+    """The (P, K) table of Kraus scales at the points (p[i], q[i]): row i is
+    ``scale_row(build_scenario(spec, p[i], q[i]).channels)``, taken from the
+    constructors' table functions, so no channel is built. The noise values
     are checked point by point, p before q, as the constructors check them;
     the vacuum amplitudes were checked when the spec was made."""
     if spec.family in _DEPOL_FAMILIES:

@@ -116,9 +116,12 @@ def test_bitphase_channels_via_used_slots():
 
 
 def test_used_slots_rejects_leakage():
-    # amplitude in a structurally empty slot must be rejected
-    with pytest.raises(BadNormalizationError):
+    # amplitude, or weight, in a structurally empty slot must be rejected
+    with pytest.raises(BadNormalizationError, match="slot Y carries amplitude"):
         pauli_channel_correlated((0.4, 0.6, 0, 0), 1, (S2, 0, S2, 0),
+                                 used_slots=(0, 1))
+    with pytest.raises(BadNormalizationError, match="slot Y carries weight 0.3"):
+        pauli_channel_correlated((0.4, 0.3, 0.3, 0), 1, (S2, S2, 0, 0),
                                  used_slots=(0, 1))
     # but amplitude in a slot whose weight merely vanishes is fine
     c = pauli_channel_correlated((0.0, 1.0, 0, 0), 1, (S2, S2, 0, 0),

