@@ -11,7 +11,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from math import sqrt
 
 import numpy as np
 
@@ -87,6 +86,8 @@ def _free_slots(family: str, n: int) -> list[np.ndarray]:
     The single statement of each family's amplitude layout: depolarizing
     channels use all four Pauli slots, the bit flip uses (I, X) and the
     phase flip (I, Z), and each memoryless W channel its two Kraus slots.
+    The channels of a family have vectors of one length and as many free
+    slots each, so a vector of free amplitudes splits into equal blocks.
     """
     if family in _DEPOL_FAMILIES:
         return [np.ones(4, dtype=bool)] * 2
@@ -396,7 +397,10 @@ def oracle_fidelity(spec: ScenarioSpec, p, q) -> float | list[float] | None:
 #: rows are made, its records until they are yielded; the reductions sum
 #: only the block entries that contribute (``linalg._support_plan``), the
 #: chunk's at once, each distinct one once: an n = 8 GHZ chunk decomposes
-#: one pair reduction per point, not 28.
+#: one pair reduction per point, not 28. The optimizer's objective takes
+#: its proposals at most this many at a time too (``_lockstep``): it
+#: places each state in a d x d matrix, 33.5 MB for 32 proposals of an
+#: n = 8 W spec.
 _CHUNK = 32
 
 
@@ -503,26 +507,28 @@ def published_configs(family: str) -> list[VacuumConfig]:
     }.get(family, [])
 
 
-def _amplitudes(slots: list[np.ndarray], x: np.ndarray) -> list[np.ndarray] | None:
-    """Unit amplitude vector of each channel from a free real vector.
+def _amplitudes(slots: list[np.ndarray],
+                x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit amplitude vector of each channel from free real vectors.
 
-    ``x`` holds one block per channel, sized by its ``_free_slots`` mask;
-    each block is projected onto the unit sphere and scattered into its
-    mask. Returns None when a block has vanishing norm.
+    ``x`` is ``(..., dim)``: each row holds one equal block per channel,
+    one entry per free slot of its ``_free_slots`` mask; each block is
+    projected onto the unit sphere and scattered into its mask. Returns
+    ``(vectors, live)``: the ``(..., channels, len(mask))`` complex
+    vectors, and whether every block of the row has a norm of at least
+    1e-9; a block below it stays zero.
     """
+    masks = np.array(slots)
     x = np.asarray(x, dtype=float)
-    vectors, start = [], 0
-    for mask in slots:
-        part = x[start:start + np.count_nonzero(mask)]
-        start += len(part)
-        # np.linalg.norm's own sum and root, without its argument handling
-        norm = sqrt(part.dot(part))
-        if norm < 1e-9:
-            return None
-        v = np.zeros(len(mask), dtype=complex)
-        v[mask] = part / norm
-        vectors.append(v)
-    return vectors
+    blocks = x.reshape(*x.shape[:-1], len(masks), -1)
+    # each block's sum of squares as a (1, k) @ (k, 1) product, which
+    # numpy takes as a dot; a row sum or an einsum rounds otherwise
+    norm = np.sqrt(blocks[..., None, :] @ blocks[..., :, None])[..., 0]
+    big = ~(norm < 1e-9)  # a NaN block is scored, and fails its check
+    units = np.divide(blocks, norm, out=np.zeros_like(blocks), where=big)
+    vectors = np.zeros((*x.shape[:-1], *masks.shape), dtype=complex)
+    vectors[..., masks] = units.reshape(*x.shape[:-1], -1)
+    return vectors, big.all(axis=(-2, -1))
 
 
 def _plus_tables(scenario: SuperpositionScenario):
@@ -549,8 +555,11 @@ def _plus_tables(scenario: SuperpositionScenario):
 
 
 def _fixed_noise_objective(spec: ScenarioSpec, p, q):
-    """Negative plus-outcome fidelity at fixed noise, as a function of the
-    free amplitude vector (see ``_amplitudes``).
+    """Negative plus-outcome fidelity at fixed noise, as a function from an
+    ``(m, dim)`` stack of free amplitude vectors (see ``_amplitudes``) to
+    their ``(m,)`` values. A row with a block of vanishing norm, or whose
+    outcome probability is below ``ZERO_PROB``, scores 1.0. Each row is
+    computed as it would be alone, bitwise, whatever stack it is in.
 
     The Kraus operators K^l_i, input rho, control c and plus-outcome basis
     vector b do not depend on the vacuum amplitudes, so the channels are
@@ -570,44 +579,49 @@ def _fixed_noise_objective(spec: ScenarioSpec, p, q):
     const = np.einsum("xxab->ab", tables)
     tables[branch[:, None] == branch[None, :]] = 0.0
     tables = tables.reshape(len(branch) ** 2, -1)
-    # the whole d x d block's diagonal, whose sum rounds as its trace
-    diag = np.zeros(scenario.input.dim, dtype=complex)
+    dims, d = scenario.input.dims, scenario.input.dim
 
-    def objective(x: np.ndarray) -> float:
-        vectors = _amplitudes(slots, x)
-        if vectors is None:
-            return 1.0
-        a = np.concatenate(vectors)
-        # the product np.outer forms, without its argument handling
-        block = const + ((a.conj()[:, None] * a).ravel() @ tables).reshape(const.shape)
-        diag[reach] = block.diagonal()
-        prob = float(diag.sum().real)
-        if prob < ZERO_PROB:
-            return 1.0
-        post = (block + block.conj().T) / (2.0 * prob)
-        check_densities(post)
-        return -_fidelity_column(spec, 0, scenario.input.dims, reach, post[None])[0]
+    def objective(x: np.ndarray) -> np.ndarray:
+        vectors, live = _amplitudes(slots, x)
+        a = vectors.reshape(len(vectors), -1)
+        # each row's np.outer product, scored as one batched
+        # (1, R^2) @ (R^2, s^2) product
+        pairs = (a.conj()[:, :, None] * a[:, None, :]).reshape(len(a), 1, -1)
+        blocks = const + (pairs @ tables).reshape(-1, *const.shape)
+        # the whole d x d block's diagonal, whose sum rounds as its trace
+        diag = np.zeros((len(a), d), dtype=complex)
+        diag[:, reach] = blocks.diagonal(axis1=1, axis2=2)
+        probs = diag.sum(axis=1).real
+        live &= ~(probs < ZERO_PROB)  # a NaN probability goes on to its check
+        blocks, probs = blocks[live], probs[live]
+        posts = (blocks + blocks.conj().transpose(0, 2, 1)) / (2.0 * probs[:, None, None])
+        check_densities(posts)
+        values = np.ones(len(a))
+        values[live] = np.negative(_fidelity_column(spec, 0, dims, reach, posts))
+        return values
 
     return objective
 
 
-def _nelder_mead(f, x0: np.ndarray) -> tuple[np.ndarray, float, int]:
-    """Minimize ``f`` from ``x0`` by the Nelder-Mead simplex (Nelder & Mead,
+def _nelder_mead(x0: np.ndarray):
+    """Minimize from ``x0`` by the Nelder-Mead simplex (Nelder & Mead,
     Comput. J. 7, 308, 1965): reflection 1, expansion 2, contraction 1/2,
     shrink 1/2; at most 500 iterations, ending once every vertex is within
-    1e-10 of the best in each coordinate and 1e-12 in value. Returns the
-    best vertex, its value and the iteration count, counted from 1. Each
-    call of ``f`` gets a copy of its point.
+    1e-10 of the best in each coordinate and 1e-12 in value.
 
-    The operations and their order are those of the reference
-    implementation that ``tests/test_scenarios.py`` names, so the two agree
-    bitwise and an optimizer result does not move with the implementation.
+    A generator: it yields the points whose values it needs, a ``(k, dim)``
+    array (the first simplex, the n shrunk vertices, or one point), is sent
+    their ``(k,)`` values, and returns the best vertex, its value and the
+    iteration count, counted from 1 (``_lockstep`` drives it). The
+    operations and their order are those of the reference implementation
+    that ``tests/test_scenarios.py`` names, so the two agree bitwise and an
+    optimizer result does not move with the implementation.
     """
     n = len(x0)
     sim = np.tile(x0, (n + 1, 1))
     for k in range(n):
         sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.array([f(np.copy(x)) for x in sim], dtype=float)
+    fsim = np.array((yield sim), dtype=float)
     for _ in range(2):  # the reference sorts the first simplex twice
         ind = np.argsort(fsim)
         sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
@@ -618,36 +632,58 @@ def _nelder_mead(f, x0: np.ndarray) -> tuple[np.ndarray, float, int]:
             break
         xbar = np.add.reduce(sim[:-1], 0) / n
         xr = 2 * xbar - sim[-1]  # reflect
-        fxr = f(np.copy(xr))
+        fxr = (yield xr[None])[0]
         shrink = False
         if fxr < fsim[0]:
             xe = 3 * xbar - 2 * sim[-1]  # expand
-            fxe = f(np.copy(xe))
+            fxe = (yield xe[None])[0]
             sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fxr
         elif fxr < fsim[-1]:
             xc = 1.5 * xbar - 0.5 * sim[-1]  # contract outside
-            fxc = f(np.copy(xc))
+            fxc = (yield xc[None])[0]
             if fxc <= fxr:
                 sim[-1], fsim[-1] = xc, fxc
             else:
                 shrink = True
         else:
             xcc = 0.5 * xbar + 0.5 * sim[-1]  # contract inside
-            fxcc = f(np.copy(xcc))
+            fxcc = (yield xcc[None])[0]
             if fxcc < fsim[-1]:
                 sim[-1], fsim[-1] = xcc, fxcc
             else:
                 shrink = True
         if shrink:
-            for j in range(1, n + 1):
-                sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                fsim[j] = f(np.copy(sim[j]))
+            sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
+            fsim[1:] = yield sim[1:]
         nit += 1
         ind = np.argsort(fsim)
         sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
     return sim[0], np.min(fsim), nit
+
+
+def _lockstep(f, runs: list) -> list:
+    """Drive the ``_nelder_mead`` generators ``runs`` together: each round
+    stacks the points every unfinished run asks for, scores them by calls
+    of ``f`` on at most ``_CHUNK`` rows, and sends each run its values.
+    Returns each run's result, in order. The rows of ``f`` must not depend
+    on how they are grouped, so each run ends as it would alone."""
+    results = [None] * len(runs)
+    asks = {i: next(run) for i, run in enumerate(runs)}
+    while asks:
+        points = np.concatenate(list(asks.values()))
+        values = np.concatenate([f(points[at:at + _CHUNK])
+                                 for at in range(0, len(points), _CHUNK)])
+        at = 0
+        for i, ask in list(asks.items()):
+            try:
+                asks[i] = runs[i].send(values[at:at + len(ask)])
+            except StopIteration as stop:
+                results[i] = stop.value
+                del asks[i]
+            at += len(ask)
+    return results
 
 
 def optimize_amplitudes(spec: ScenarioSpec, p: float, q: float | None = None,
@@ -658,6 +694,9 @@ def optimize_amplitudes(spec: ScenarioSpec, p: float, q: float | None = None,
     unconstrained real vectors; every proposal is projected to the
     per-channel unit spheres before the plus-outcome fidelity is evaluated.
     The channels are built once per call (see ``_fixed_noise_objective``).
+    The restarts run in lockstep (``_lockstep``): each round scores the
+    proposals of every unfinished restart in stacks of at most ``_CHUNK``,
+    and each restart ends bitwise as it would alone.
     The published configurations with one vector per channel are always
     injected as the first restarts so the result is never worse than the
     paper's own operating point. Deterministic for a fixed seed.
@@ -679,13 +718,12 @@ def optimize_amplitudes(spec: ScenarioSpec, p: float, q: float | None = None,
     objective = _fixed_noise_objective(spec, p, q)
 
     best_x, best_val, iterations = None, np.inf, 0
-    for x0 in starts:
-        x, fun, nit = _nelder_mead(objective, x0)
+    for x, fun, nit in _lockstep(objective, [_nelder_mead(x0) for x0 in starts]):
         iterations += nit
         if fun < best_val:
             best_val, best_x = fun, x
     return OptimizationResult(
-        best_config=VacuumConfig(tuple(_amplitudes(slots, best_x))),
+        best_config=VacuumConfig(tuple(_amplitudes(slots, best_x)[0])),
         best_fidelity=-best_val,
         iterations=iterations,
         seed=seed,

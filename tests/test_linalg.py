@@ -867,5 +867,5 @@ def test_density_checks_see_only_the_reached_block(monkeypatch):
     assert (1, reached, reached) in seen
     assert max(shape[-1] for shape in seen) == reached
     seen.clear()
-    assert objective(x) < 0
-    assert seen == [(post_reached, post_reached)]
+    assert objective(x[None])[0] < 0
+    assert seen == [(1, post_reached, post_reached)]

@@ -269,24 +269,27 @@ def test_fixed_noise_objective_matches_run_path(name):
         objective = scenarios._fixed_noise_objective(spec, p, q)
         for _ in range(3):
             x = rng.standard_normal(dim)
-            cfg = VacuumConfig(tuple(scenarios._amplitudes(slots, x)))
+            cfg = VacuumConfig(tuple(scenarios._amplitudes(slots, x)[0]))
             plus = ScenarioSpec(spec.name, spec.family, spec.n, cfg, None)
             out = run(build_scenario(plus, p, q))[0]
             expected = 1.0 if out.post_state is None else \
                 -scenarios.outcome_fidelity(plus, out)
-            assert abs(objective(x) - expected) <= 1e-12, (p, q, x)
+            assert abs(objective(x[None])[0] - expected) <= 1e-12, (p, q, x)
         x[:np.count_nonzero(slots[0])] = 0.0  # first block has zero norm
-        assert objective(x) == 1.0
-        assert scenarios._amplitudes(slots, x) is None
+        assert objective(x[None])[0] == 1.0
+        assert not scenarios._amplitudes(slots, x)[1]
 
 
 @pytest.mark.parametrize("name", OPTIMIZABLE)
 def test_slot_table_round_trips_published_configs(name):
     spec = builtin(name)
     slots = scenarios._free_slots(spec.family, spec.n)
+    # ``_amplitudes`` splits a free vector into equal blocks
+    assert len({(len(m), np.count_nonzero(m)) for m in slots}) == 1
     for cfg in published_configs(spec.family):
         x = np.concatenate([v.real[m] for v, m in zip(cfg.vectors, slots)])
-        vectors = scenarios._amplitudes(slots, x)
+        vectors, live = scenarios._amplitudes(slots, x)
+        assert live
         for v, got, mask in zip(cfg.vectors, vectors, slots, strict=True):
             # nothing outside the mask is dropped by the gather
             assert not v[~mask].any()
@@ -308,11 +311,13 @@ NM_OPTIONS = {"maxiter": 500, "xatol": 1e-10, "fatol": 1e-12}
 
 
 def _assert_nelder_mead_is_scipys(f, x0):
-    """``_nelder_mead`` returns bitwise what scipy's Nelder-Mead does, whose
-    path it repeats operation for operation."""
+    """``_nelder_mead``, driven by ``_lockstep`` on the stacked function
+    ``f``, returns bitwise what scipy's Nelder-Mead does on ``f``'s rows,
+    whose path it repeats operation for operation."""
     minimize = pytest.importorskip("scipy.optimize").minimize
-    x, fun, nit = scenarios._nelder_mead(f, x0)
-    ref = minimize(f, x0, method="Nelder-Mead", options=NM_OPTIONS)
+    [(x, fun, nit)] = scenarios._lockstep(f, [scenarios._nelder_mead(x0)])
+    ref = minimize(lambda x: f(x[None])[0], x0, method="Nelder-Mead",
+                   options=NM_OPTIONS)
     assert (x.dtype, x.tobytes(), float(fun).hex(), nit) == \
         (ref.x.dtype, ref.x.tobytes(), float(ref.fun).hex(), ref.nit), x0
 
@@ -364,7 +369,134 @@ def test_nelder_mead_is_scipys_on_test_functions(f, n):
         if k % 3 == 0:
             # a zero coordinate's vertex steps to 0.00025, not by 5%
             x0[rng.integers(n)] = 0.0
-        _assert_nelder_mead_is_scipys(f, x0)
+        _assert_nelder_mead_is_scipys(
+            lambda xs: np.array([f(x) for x in xs]), x0)
+
+
+def _result_bits(result):
+    x, fun, nit = result
+    return x.dtype, x.tobytes(), float(fun).hex(), nit
+
+
+def _recorded(run, sizes):
+    """``run``, recording the number of points of each of its requests."""
+    ask = next(run)
+    while True:
+        sizes.append(len(ask))
+        try:
+            ask = run.send((yield ask))
+        except StopIteration as stop:
+            return stop.value
+
+
+@pytest.mark.parametrize("name", OPTIMIZABLE)
+def test_lockstep_restarts_end_as_they_end_alone(name):
+    """Each restart of 1, 4 or 20 run in lockstep ends bitwise as it ends
+    driven alone. The starts are ``optimize_amplitudes``'s; at (p, q) =
+    (1, 0) every family has restarts that stop in different rounds and
+    restarts that shrink (a request of dim points)."""
+    spec = builtin(name)
+    slots = scenarios._free_slots(spec.family, spec.n)
+    dim = sum(np.count_nonzero(m) for m in slots)
+    rng = np.random.default_rng(0)
+    starts = [np.concatenate([v.real[m] for v, m in zip(c.vectors, slots)])
+              for c in published_configs(spec.family)
+              if len(c.vectors) == len(slots)]
+    starts += [rng.standard_normal(dim) for _ in range(20 - len(starts))]
+    objective = scenarios._fixed_noise_objective(spec, 1.0, 0.0)
+    alone = [_result_bits(scenarios._lockstep(objective, [scenarios._nelder_mead(x0)])[0])
+             for x0 in starts]
+    for restarts in (1, 4, 20):
+        sizes = [[] for _ in range(restarts)]
+        together = scenarios._lockstep(
+            objective, [_recorded(scenarios._nelder_mead(x0), s)
+                        for x0, s in zip(starts, sizes)])
+        assert [_result_bits(r) for r in together] == alone[:restarts], restarts
+    assert len({nit for *_, nit in alone}) > 1
+    assert any(dim in s for s in sizes)
+
+
+def _proposals(name, rows):
+    spec = builtin(name)
+    dim = sum(np.count_nonzero(m)
+              for m in scenarios._free_slots(spec.family, spec.n))
+    return np.random.default_rng(len(name)).standard_normal((rows, dim))
+
+
+@pytest.mark.parametrize("name", filter(_has_free_amplitudes, builtin_names()))
+def test_objective_rows_do_not_depend_on_their_stack(name):
+    spec = builtin(name)
+    x = _proposals(name, 40)
+    order = np.random.default_rng(1).permutation(len(x))
+    for p, q in ((0.0, 0.0), (0.3, 0.8), (1.0, 1.0)):
+        objective = scenarios._fixed_noise_objective(spec, p, q)
+        single = np.concatenate([objective(row[None]) for row in x])
+        assert objective(x).tobytes() == single.tobytes(), (p, q)
+        shuffled = np.empty(len(x))
+        shuffled[order] = objective(x[order])
+        assert shuffled.tobytes() == single.tobytes(), (p, q)
+
+
+def test_objective_scores_dead_rows_one_without_a_warning():
+    """A row with a zero-norm block and a row whose plus outcome has
+    probability 0 score 1.0 in a stack of ordinary rows, whose values do
+    not move; nothing is divided by their norm or probability. A NaN row
+    raises in a stack as it does alone."""
+    import warnings
+
+    objective = scenarios._fixed_noise_objective(builtin("fig4a_red"), 0.0, 0.0)
+    x = _proposals("fig4a_red", 6)
+    x[1, :4] = 0.0  # the first channel's block has zero norm
+    x[4] = [1, 0, 0, 0, -1, 0, 0, 0]  # the two branches cancel on |+>
+    slots = scenarios._free_slots("bell_depolarizing", 2)
+    assert scenarios._amplitudes(slots, x)[1].tolist() == [True, False] + [True] * 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = objective(x)
+    assert values[1] == values[4] == 1.0
+    for i in (0, 2, 3, 5):
+        assert values[i] == objective(x[i:i + 1])[0] < 0
+    x[3, 5] = np.nan
+    for rows in (x, x[3:4]):
+        # dividing the NaN block warns, alone as in a stack
+        with pytest.raises(linalg.NonHermitianError), np.errstate(invalid="ignore"):
+            objective(rows)
+
+
+def test_optimizer_hands_the_objective_at_most_a_chunk(monkeypatch):
+    """The first round of 1000 restarts on an n = 8 W spec asks for 17000
+    points; the objective sees them ``_CHUNK`` at a time, each call about
+    as large as a sweep chunk of the spec, not 16 GiB at once."""
+    import tracemalloc
+
+    make, seen = scenarios._fixed_noise_objective, []
+
+    class Enough(Exception):
+        pass
+
+    def recorded(spec, p, q):
+        objective = make(spec, p, q)
+
+        def counted(x):
+            seen.append(len(x))
+            if len(seen) == 3:
+                raise Enough
+            return objective(x)
+        return counted
+
+    monkeypatch.setattr(scenarios, "_fixed_noise_objective", recorded)
+    spec = ScenarioSpec("w8", "w_memoryless", 8, VacuumConfig(((S2, S2),) * 8))
+    build_scenario(spec, 0.5)  # the cached unit operators and input
+    tracemalloc.start()
+    try:
+        with pytest.raises(Enough):
+            optimize_amplitudes(spec, 0.5, restarts=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seen == [scenarios._CHUNK] * 3
+    # one chunk's 32 placed 256 x 256 complex states are 33.5 MB
+    assert peak < 48 * 2**20
 
 
 def test_verify_propositions_all_pass():
@@ -748,7 +880,7 @@ def test_sweep_and_objective_build_no_state_object(monkeypatch):
         assert evaluate_point(spec, 0.4, 0.7)
         x = np.concatenate([v.real[m] for v, m in zip(
             spec.config.vectors, scenarios._free_slots(spec.family, spec.n))])
-        assert objective(x) < 0
+        assert objective(x[None])[0] < 0
     assert built == []
     # the wrappers see the one-point API's objects
     run(build_scenario(specs[0], 0.4, 0.7))

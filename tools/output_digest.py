@@ -147,7 +147,8 @@ def objective_digest() -> str:
         for p, q in ((0.0, 0.0), (0.3, 0.7), (0.5, 0.5), (1.0, 0.2)):
             objective = scenarios._fixed_noise_objective(spec, p, q)
             for _ in range(5):
-                h.update(float(objective(rng.standard_normal(dim))).hex().encode())
+                value = objective(rng.standard_normal(dim)[None])[0]
+                h.update(float(value).hex().encode())
     return h.hexdigest()
 
 
