@@ -22,6 +22,8 @@ RECORDED = {
     "optimize": "df9003cf90db938bdcb17fa38cbbef296d652b383d5993ac6108f77b103d7ca7",
     # recorded before the walk wrote its rows as they were made
     "walk": "e4de02359d022cc4cc3c3a82ad23d153d21404a43813f81cbbc89060b1df768a",
+    # recorded before Pauli strings were held as signed permutations
+    "kraus": "a980397acfb14671797d3d8615dde7c2bd88cf63f2fd39269161f2a6a0646150",
 }
 
 

@@ -26,7 +26,10 @@ The digests cover:
   (n up to 8) under both outcome policies;
 - ``_fixed_noise_objective``: its values at seeded proposals;
 - ``optimize --p 0.5 --restarts 4``: the JSON of five specs at seeds 7 and 11;
-- ``walk``: the CSV of the default walk and of walks with each coin.
+- ``walk``: the CSV of the default walk and of walks with each coin;
+- ``kraus``: ``kraus_columns`` of every column of every builtin's
+  channels at the ``run`` noise points, and their dense ``kraus`` for
+  n <= 4.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from dataclasses import replace
 import numpy as np
 
 from linksim import cli, scenarios
-from linksim.channels import scale_row
+from linksim.channels import kraus_columns, scale_row
 from linksim.metrics import VacuumConfig
 from linksim.scenarios import ScenarioSpec, build_scenario, builtin, builtin_names
 from linksim.superposition import (
@@ -176,12 +179,30 @@ def walk_digest() -> str:
     return h.hexdigest()
 
 
+def kraus_digest() -> str:
+    h = hashlib.sha256()
+    for spec in map(builtin, builtin_names()):
+        for p in (0.0, 0.13, 0.5, 0.77, 1.0):
+            for q in (0.0, 0.31, 1.0):
+                chans = build_scenario(spec, p, q).channels
+                reach, cols = kraus_columns(chans, scale_row(chans)[None],
+                                            np.arange(chans[0].dim))
+                h.update(reach.astype(np.int64).tobytes())
+                h.update(cols.tobytes())
+                if spec.n <= 4:
+                    for c in chans:
+                        for k in c.kraus:
+                            h.update(k.tobytes())
+    return h.hexdigest()
+
+
 def main() -> None:
     for name, digest in (("run", run_digest), ("sweep", sweep_digest),
                          ("run_stack", stack_digest),
                          ("sweep_stack", sweep_stack_digest),
                          ("objective", objective_digest),
-                         ("optimize", optimize_digest), ("walk", walk_digest)):
+                         ("optimize", optimize_digest), ("walk", walk_digest),
+                         ("kraus", kraus_digest)):
         print(name, digest(), flush=True)
 
 
