@@ -5,16 +5,14 @@ The amplitudes fix how the Kraus branches interfere when the channel is
 placed in a spatial superposition; they satisfy sum |alpha_k|^2 = 1.
 
 Every channel stores each Kraus operator as a unit operator and one real
-scale. The named constructors share read-only unit operators (cached
-``pauli_string`` products), and each takes its scales from a table
-function over an array of noise values (``depolarizing_scales``,
-``pauli_scales``, ``bitflip_scales``), whose one-row call it is: each
-noise check and each sqrt(w) is stated once, and a sweep takes a whole
-table of scales with no channel per point. ``kraus_columns`` is the one
-reader of that format: it scales only the unit columns a computation
-reaches, and the dense ``kraus`` is formed on first use. Both multiply
-each entry once, scale times unit entry, so a scaled column is bitwise
-that of the dense operator.
+scale. The named constructors share unit operators, the cached Pauli
+strings of ``pauli_string``, which form only the columns asked of them,
+and each is the one-row call of a table function of the scales over
+noise values (``depolarizing_scales``, ``pauli_scales``, ``bitflip_scales``),
+so a sweep takes a table of scales with no channel per point.
+``kraus_columns``, the one reader of that format, scales only the unit
+columns a computation reaches; the dense ``kraus`` is formed on first use.
+Each multiplies each entry once, scale times unit entry, bitwise alike.
 
 Pauli channels keep a fixed length-4 amplitude vector indexed by
 ``PAULI_INDEX`` = (I, X, Y, Z) even when some weights vanish, so amplitude
@@ -29,14 +27,13 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .linalg import LinksimError, kron_all
+from .linalg import LinksimError
 
-I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
-PAULI = {"I": I2, "X": X, "Y": Y, "Z": Z}
+PAULI = {"I": np.eye(2, dtype=complex), "X": X, "Y": Y, "Z": Z}
 #: index 0,1,2,3 -> I, X, Y, Z; fixed global convention for weight and
 #: amplitude vectors of Pauli channels.
 PAULI_INDEX = ("I", "X", "Y", "Z")
@@ -44,7 +41,7 @@ PAULI_INDEX = ("I", "X", "Y", "Z")
 CPTP_TOL = 1e-10
 AMP_TOL = 1e-12
 
-#: distinct Pauli strings kept by ``pauli_string``
+#: distinct Pauli strings, and column gathers, kept by ``pauli_string``
 PAULI_CACHE_SIZE = 32
 
 
@@ -72,22 +69,45 @@ class BadChannelIndexError(ChannelError):
     pass
 
 
-@lru_cache(maxsize=PAULI_CACHE_SIZE)
-def pauli_string(spec: str) -> np.ndarray:
-    """Tensor product of single-qubit Paulis, leftmost letter first.
+@dataclass(frozen=True)
+class PauliString:
+    """A tensor product of Paulis, leftmost letter first, held as its letters
+    and ``shape``: unitary by construction, with no 2^n x 2^n array. Its
+    columns ``op[:, cols]`` are kept (``_pauli_columns``); ``np.asarray(op)``,
+    the dense operator, is formed on each request."""
 
-    ``pauli_string("IXI")`` is the bit flip on qubit 1 of 3. Results are
-    cached and shared, so the returned array is read-only.
-    """
-    try:
-        factors = [PAULI[c] for c in spec]
-    except KeyError as exc:
-        raise BadLetterError(f"bad Pauli letter {exc.args[0]!r} in {spec!r}") from exc
-    if not factors:
-        raise BadLetterError("empty Pauli string")
-    out = kron_all(*factors)
+    spec: str
+
+    def __post_init__(self):
+        if not self.spec or not set(self.spec) <= PAULI.keys():
+            raise BadLetterError(f"bad Pauli string {self.spec!r}")
+        object.__setattr__(self, "shape", (2 ** len(self.spec),) * 2)
+
+    def __getitem__(self, key) -> np.ndarray:
+        if not (isinstance(key[0], slice) and key[0] == slice(None)):
+            raise IndexError("a Pauli string gives whole columns: op[:, cols]")
+        return _pauli_columns(self.spec, tuple(np.ravel(key[1]).tolist()))
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(_pauli_columns.__wrapped__(self.spec, range(self.shape[1])), dtype)
+
+
+@lru_cache(maxsize=PAULI_CACHE_SIZE)
+def _pauli_columns(spec: str, cols: tuple) -> np.ndarray:
+    """Columns ``cols`` of the string ``spec``, kept, as a sweep gathers the
+    same ones at every chunk: one column of each letter multiplied in
+    ``np.kron``'s left fold, bitwise the product's, signed zeros included."""
+    cols = np.arange(2 ** len(spec))[list(cols)]
+    bits = cols >> np.arange(len(spec) - 1, -1, -1)[:, None] & 1
+    out = PAULI[spec[0]][:, bits[0]]
+    for letter, b in zip(spec[1:], bits[1:]):
+        out = (out[:, None] * PAULI[letter][:, b]).reshape(-1, len(cols))
     out.flags.writeable = False
     return out
+
+
+#: the shared ``PauliString`` of each spec; "IXI" flips qubit 1 of 3
+pauli_string = lru_cache(maxsize=PAULI_CACHE_SIZE)(PauliString)
 
 
 @dataclass(frozen=True)
@@ -95,20 +115,20 @@ class VacuumExtendedChannel:
     """Kraus operators paired with their vacuum amplitudes.
 
     Kraus operator k is ``scales[k] * ops[k]``: the named constructors pass
-    shared unit operators and real scales, and
-    ``VacuumExtendedChannel(kraus, amps)`` takes the Kraus operators
-    themselves and stores scales of one.
+    shared Pauli strings and real scales, and ``VacuumExtendedChannel(kraus,
+    amps)`` takes the Kraus operators themselves and stores scales of one.
 
     The dataclass itself performs only shape checks; the named
     constructors below always produce validated channels.
     """
 
-    ops: tuple[np.ndarray, ...]
+    ops: tuple[np.ndarray | PauliString, ...]
     vacuum_amplitudes: np.ndarray
     scales: np.ndarray | None = None  # None stores ones
 
     def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.ops)
+        ops = tuple(k if isinstance(k, PauliString) else np.asarray(k, dtype=complex)
+                    for k in self.ops)
         amps = np.asarray(self.vacuum_amplitudes, dtype=complex)
         scales = np.ones(len(ops)) if self.scales is None else np.asarray(
             self.scales, dtype=float)
@@ -116,9 +136,7 @@ class VacuumExtendedChannel:
         object.__setattr__(self, "vacuum_amplitudes", amps)
         object.__setattr__(self, "scales", scales)
         if len(ops) != len(amps):
-            raise ChannelError(
-                f"{len(ops)} Kraus operators but {len(amps)} vacuum amplitudes"
-            )
+            raise ChannelError(f"{len(ops)} Kraus operators but {len(amps)} vacuum amplitudes")
         if scales.shape != (len(ops),):
             raise ChannelError(f"{len(ops)} Kraus operators but scales "
                                f"of shape {scales.shape}")
@@ -135,7 +153,7 @@ class VacuumExtendedChannel:
     def kraus(self) -> tuple[np.ndarray, ...]:
         """The dense Kraus operators, each ``scales[k] * ops[k]``, built on
         first use and kept."""
-        return tuple(s * op for s, op in zip(self.scales, self.ops))
+        return tuple(s * np.asarray(op) for s, op in zip(self.scales, self.ops))
 
 
 def scale_row(channels) -> np.ndarray:
@@ -145,18 +163,13 @@ def scale_row(channels) -> np.ndarray:
 
 
 def kraus_columns(channels, scales, cols) -> tuple[np.ndarray, np.ndarray]:
-    """Columns ``cols`` of every Kraus operator of ``channels``, at each row
-    of the (P, K) table ``scales``, on the rows any unit operator reaches
-    from them.
-
-    K runs over the Kraus operators of every channel in channel order (one
-    row is ``scale_row``); only the unit operators of ``channels`` are read.
-    Returns ``(reach, columns)``: ``reach``, the sorted reached rows, and
-    ``columns`` of shape (P, K, len(reach), len(cols)). The unit columns
-    are gathered once and each entry is the one product scale * unit entry
-    that ``kraus`` holds. Every other row of a Kraus operator is zero in
-    these columns, whatever the scales.
-    """
+    """``(reach, columns)``: columns ``cols`` of every Kraus operator of
+    ``channels`` at each row of the (P, K) table ``scales`` (K over every
+    channel's operators in channel order; a row is ``scale_row``), shaped
+    (P, K, len(reach), len(cols)), on the sorted rows ``reach`` any unit
+    operator reaches from them; every other row is zero. The unit columns,
+    ``op[:, cols]`` of a dense operator or a Pauli string, are gathered
+    once, and each entry is the product scale * unit entry ``kraus`` holds."""
     units = np.array([op[:, cols] for c in channels for op in c.ops])
     reach = units.any(axis=(0, 2)).nonzero()[0]
     return reach, scales[:, :, None, None] * units.take(reach, 1)
@@ -271,10 +284,11 @@ def memoryless_bitflip(i: int, n: int, p_i: float, amps) -> VacuumExtendedChanne
     return VacuumExtendedChannel(ops, amps, scales)
 
 
-def unitary_channel(u: np.ndarray) -> VacuumExtendedChannel:
+def unitary_channel(u) -> VacuumExtendedChannel:
     """Single-Kraus channel from a unitary; its vacuum amplitude is 1."""
-    u = np.asarray(u, dtype=complex)
-    square = u.ndim == 2 and u.shape[0] == u.shape[1] > 0
-    if not (square and np.max(np.abs(u.conj().T @ u - np.eye(len(u)))) <= CPTP_TOL):  # NaN fails
-        raise NotUnitaryError("operator is not unitary")
+    if not isinstance(u, PauliString):  # unitary by construction
+        u = np.asarray(u, dtype=complex)
+        square = u.ndim == 2 and u.shape[0] == u.shape[1] > 0
+        if not (square and np.max(np.abs(u.conj().T @ u - np.eye(len(u)))) <= CPTP_TOL):  # NaN fails
+            raise NotUnitaryError("operator is not unitary")
     return VacuumExtendedChannel((u,), np.array([1.0 + 0j]))

@@ -43,13 +43,6 @@ class DimMismatchError(LinalgError):
     pass
 
 
-def kron_all(*mats: np.ndarray) -> np.ndarray:
-    out = np.asarray(mats[0], dtype=complex)
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
-
-
 def hermiticity_defect(m: np.ndarray) -> float:
     """Largest |m - m^dag| entry, over every matrix of a stack (..., d, d);
     0 for an empty stack, NaN if any entry is NaN."""
@@ -257,8 +250,8 @@ def stack_partial_traces(dims, support, blocks: np.ndarray, keeps):
     return out, classes
 
 
-# bounded like ``channels.pauli_string``: one entry per (dims, support,
-# keeps) in use; a sweep's post states share one support
+# one entry per (dims, support, keeps) in use, bounded as the caches of
+# ``channels.pauli_string`` are; a sweep's post states share one support
 @lru_cache(maxsize=32)
 def _support_plan(dims: tuple[int, ...], support: tuple[int, ...],
                   keeps: tuple[tuple, ...]):

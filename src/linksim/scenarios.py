@@ -485,13 +485,6 @@ def sweep(spec: ScenarioSpec, p_grid, q_grid=None, *,
             yield from evaluate_point(spec, *point, _row=row)
 
 
-def verify_sweep_oracle(records) -> float:
-    """Largest |fidelity - oracle| over records that carry an oracle value."""
-    gaps = [abs(r.fidelity - r.oracle_fidelity) for r in records
-            if r.oracle_fidelity is not None]
-    return max(gaps) if gaps else 0.0
-
-
 # ---------------------------------------------------------------------------
 # amplitude optimization
 

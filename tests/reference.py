@@ -1,8 +1,10 @@
-"""Reference formulas that only the tests use: the channel defects, the
-channel's reduced action, the general Uhlmann fidelity, the GHZ state, and
-the one-point fidelities and closed forms as scalar code, one Python float
-operation at a time. The package computes none of them; the tests check it
-against them."""
+"""Reference formulas that only the tests use: the dense Kronecker
+product, the channel defects, the channel's reduced action, the
+interference-operator form of a measured superposition, the general
+Uhlmann fidelity, the GHZ state, the one-point fidelities and closed
+forms as scalar code, one Python float operation at a time, and a sweep's
+largest gap to its oracle. The package computes none of them; the tests
+check it against them."""
 
 from __future__ import annotations
 
@@ -12,9 +14,18 @@ from math import sqrt
 
 import numpy as np
 
-from linksim.channels import CPTP_TOL, VacuumExtendedChannel
+from linksim.channels import CPTP_TOL, VacuumExtendedChannel, scale_row
 from linksim.linalg import DensityMatrix, DimMismatchError, sqrt_psd
 from linksim.metrics import _sym, bell_state, w_state
+from linksim.superposition import ZERO_PROB, run_stack
+
+
+def kron_all(*mats) -> np.ndarray:
+    """The literal left fold of ``np.kron`` over ``mats``, as complex."""
+    out = np.asarray(mats[0], dtype=complex)
+    for m in mats[1:]:
+        out = np.kron(out, m)
+    return out
 
 
 @dataclass(frozen=True)
@@ -39,6 +50,52 @@ def validate(c: VacuumExtendedChannel) -> ValidationReport:
 def channel_apply(c: VacuumExtendedChannel, rho: np.ndarray) -> np.ndarray:
     """Action of the reduced CPTP map: sum_k K rho K^dagger."""
     return sum(k @ rho @ k.conj().T for k in c.kraus)
+
+
+def interference_blocks(scenario) -> list[np.ndarray]:
+    """The unnormalized post block of each measured control outcome k,
+
+        sum_l |c_l b_kl|^2 E_l(rho)
+          + sum_{l != m} c_l conj(c_m) conj(b_kl) b_km F_l rho F_m^dag,
+
+    with E_l(rho) = sum_i K^l_i rho K^l_i^dag and F_l = sum_i conj(a^l_i)
+    K^l_i, the vacuum-interference operator of channel l: the
+    superposition-of-trajectories form (Chiribella & Kristjansson, Proc.
+    R. Soc. A 475, 20180903, 2019), derived apart from the joint Kraus
+    operators. The other channels' Kraus sums drop out of each term, as
+    each amplitude vector has unit norm. N^2 products of d x d matrices."""
+    rho, c = scenario.input.mat, scenario.control.amplitudes
+    chans = scenario.channels
+    outs = [sum(k @ rho @ k.conj().T for k in ch.kraus) for ch in chans]
+    f = [sum(a.conjugate() * k for a, k in zip(ch.vacuum_amplitudes, ch.kraus))
+         for ch in chans]
+    blocks = []
+    for b in scenario.measurement_basis:
+        w = c * b.conj()  # c_l conj(b_kl)
+        block = sum(abs(w[l]) ** 2 * outs[l] for l in range(len(chans)))
+        for l in range(len(chans)):
+            for m in range(len(chans)):
+                if l != m:
+                    block = block + w[l] * w[m].conjugate() * (f[l] @ rho @ f[m].conj().T)
+        blocks.append(block)
+    return blocks
+
+
+def assert_run_stack_matches_interference_form(scenario, atol=1e-12) -> None:
+    """``run_stack`` at the scenario's own scales against
+    ``interference_blocks``, within ``atol``: every probability, and every
+    live outcome's post state times its probability, on the whole matrix.
+    An outcome that is not live has no block above ``ZERO_PROB``."""
+    support, probs, live, posts = run_stack(scenario, scale_row(scenario.channels)[None])
+    states = iter(posts)
+    for block, p, alive in zip(interference_blocks(scenario), probs[0], live[0]):
+        assert abs(p - np.trace(block).real) <= atol, (p, np.trace(block))
+        post = np.zeros_like(block)
+        if alive:
+            post[np.ix_(support, support)] = next(states) * p
+        else:
+            assert np.trace(block).real < ZERO_PROB + atol
+        assert np.max(np.abs(post - block)) <= atol
 
 
 def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -105,3 +162,10 @@ def oracle_fidelity(spec, p: float, q: float) -> float | None:
     if den <= 1e-14:
         raise ZeroDivisionError("vanishing outcome probability")
     return sqrt(max(num, 0.0) / den)
+
+
+def verify_sweep_oracle(records) -> float:
+    """Largest |fidelity - oracle| over records that carry an oracle value."""
+    gaps = [abs(r.fidelity - r.oracle_fidelity) for r in records
+            if r.oracle_fidelity is not None]
+    return max(gaps) if gaps else 0.0

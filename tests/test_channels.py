@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError
 from itertools import product
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from linksim import channels
 from linksim.channels import (
+    CPTP_TOL,
     BadChannelIndexError,
     BadLetterError,
     BadNormalizationError,
@@ -13,6 +15,7 @@ from linksim.channels import (
     NotUnitaryError,
     PAULI,
     PAULI_INDEX,
+    PauliString,
     VacuumExtendedChannel,
     X,
     Y,
@@ -23,8 +26,8 @@ from linksim.channels import (
     pauli_string,
     unitary_channel,
 )
-from linksim.linalg import LinksimError, kron_all
-from reference import channel_apply, validate
+from linksim.linalg import LinksimError
+from reference import channel_apply, kron_all, validate
 
 S2 = 1.0 / np.sqrt(2.0)
 
@@ -33,38 +36,68 @@ def test_pauli_index_order():
     assert PAULI_INDEX == ("I", "X", "Y", "Z")
 
 
+def assert_bitwise(a, b):
+    """Equal bit for bit, the sign of every zero included."""
+    assert a.shape == b.shape and a.dtype == b.dtype
+    a, b = np.ascontiguousarray(a).view(float), np.ascontiguousarray(b).view(float)
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def dense_pauli(spec):
+    """The literal Kronecker product of the letters of ``spec``."""
+    return kron_all(*(PAULI[c] for c in spec))
+
+
 def test_pauli_string_single_letters():
-    assert np.allclose(pauli_string("X"), X)
-    assert np.allclose(pauli_string("Y"), Y)
-    assert np.allclose(pauli_string("Z"), Z)
-    assert np.allclose(pauli_string("I"), np.eye(2))
+    for letter, mat in (("X", X), ("Y", Y), ("Z", Z), ("I", np.eye(2))):
+        assert_bitwise(np.asarray(pauli_string(letter)), np.asarray(mat, dtype=complex))
 
 
 def test_pauli_string_tensor():
     ix = pauli_string("IX")
     assert ix.shape == (4, 4)
-    assert np.allclose(ix, np.kron(np.eye(2), X))
+    assert_bitwise(np.asarray(ix), np.kron(np.eye(2, dtype=complex), X))
     # leftmost letter acts on the leftmost tensor factor
-    assert np.allclose(pauli_string("XI"), np.kron(X, np.eye(2)))
+    assert_bitwise(np.asarray(pauli_string("XI")), np.kron(X, np.eye(2, dtype=complex)))
 
 
-def test_pauli_string_is_cached_and_read_only(monkeypatch):
-    for size in (1, 2, 3):
-        for letters in product(PAULI_INDEX, repeat=size):
-            spec = "".join(letters)
-            out = pauli_string(spec)
-            expected = kron_all(*(PAULI[c] for c in spec))
-            assert out.dtype == expected.dtype
-            assert out.tobytes() == expected.tobytes(), spec
-            with pytest.raises(ValueError):
-                out[0, 0] = 0.0
+def _all_and_sampled_specs():
+    """Every Pauli string with n <= 3 and a seeded sample of 40 at n = 4."""
+    specs = ["".join(s) for n in (1, 2, 3) for s in product(PAULI_INDEX, repeat=n)]
+    rng = np.random.default_rng(31)
+    return specs + ["".join(rng.choice(list(PAULI_INDEX), 4)) for _ in range(40)]
 
-    def no_rebuild(*mats):
-        raise AssertionError("cached Pauli string was rebuilt")
 
+def test_pauli_string_is_the_kronecker_product_bitwise():
+    # the dense operator, the dense Kraus operator of its unitary channel
+    # and any gathered columns are those of the literal product, signed
+    # zeros included (Y and Z strings hold zeros of both signs)
+    rng = np.random.default_rng(7)
+    for spec in _all_and_sampled_specs():
+        op, expected = pauli_string(spec), dense_pauli(spec)
+        assert_bitwise(np.asarray(op), expected)
+        assert_bitwise(unitary_channel(op).kraus[0], 1.0 * expected)
+        d = len(expected)
+        for cols in (np.arange(d), rng.integers(0, d, size=3), [d - 1, 0, d - 1]):
+            assert_bitwise(op[:, cols], expected[:, cols])
+
+
+def test_pauli_string_is_cached_and_read_only():
+    # one shared operator per spec, which holds its letters and no array;
+    # a gather is kept and read-only, the dense operator is new each time
     first = pauli_string("XYZ")
-    monkeypatch.setattr(channels, "kron_all", no_rebuild)
-    assert pauli_string("XYZ") is first
+    assert pauli_string("XYZ") is first and isinstance(first, PauliString)
+    assert not any(isinstance(v, np.ndarray) for v in vars(first).values())
+    cols = first[:, np.array([1, 2])]
+    assert first[:, [1, 2]] is cols
+    with pytest.raises(ValueError):
+        cols[0, 0] = 0.0
+    dense = np.asarray(first)
+    dense[0, 0] = 1.0
+    assert_bitwise(np.asarray(first), dense_pauli("XYZ"))
+    with pytest.raises(FrozenInstanceError):
+        first.spec = "XXX"
 
 
 def test_pauli_string_bad_input():
@@ -72,6 +105,12 @@ def test_pauli_string_bad_input():
         pauli_string("XQ")
     with pytest.raises(BadLetterError):
         pauli_string("")
+    with pytest.raises(BadLetterError):
+        PauliString("x")
+    # a Pauli string gives whole columns only
+    for key in ((0, [1]), (slice(0, 2), [1]), (np.arange(4), [1])):
+        with pytest.raises(IndexError):
+            pauli_string("XX")[key]
 
 
 def test_depolarizing_kraus_weights():
@@ -208,40 +247,36 @@ def test_validate_reports_broken_channel():
     assert not rep.ok
 
 
-def assert_bitwise(a, b):
-    """Equal bit for bit, the sign of every zero included."""
-    assert a.shape == b.shape and a.dtype == b.dtype
-    a, b = np.ascontiguousarray(a).view(float), np.ascontiguousarray(b).view(float)
-    assert np.array_equal(a, b)
-    assert np.array_equal(np.signbit(a), np.signbit(b))
-
-
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
 def test_derived_kraus_is_the_dense_product(n, p):
     # the dense operators formed on first use are bitwise the products of
-    # scale and unit operator: sqrt(w) * P^n, sqrt(1 - p) * eye and 1.0 * u
+    # scale and the literal Kronecker product: sqrt(w) * P^n, sqrt(1 - p)
+    # * eye and 1.0 * u
     amps = np.full(4, 0.5)
     for weights in ((1 - p, p / 3, p / 3, p / 3), (1 - p, p, 0, 0),
                     (1 - p, 0, 0, p)):
         c = pauli_channel_correlated(weights, n, amps)
         assert len(c.kraus) == 4
         for k, w, letter in zip(c.kraus, weights, PAULI_INDEX):
-            assert_bitwise(k, np.sqrt(max(w, 0.0)) * pauli_string(letter * n))
+            assert_bitwise(k, np.sqrt(max(w, 0.0)) * dense_pauli(letter * n))
     for i in range(n):
         c = memoryless_bitflip(i, n, p, (S2, S2))
         assert_bitwise(c.kraus[0], np.sqrt(1.0 - p) * np.eye(2**n, dtype=complex))
-        assert_bitwise(c.kraus[1], np.sqrt(p) * pauli_string(
+        assert_bitwise(c.kraus[1], np.sqrt(p) * dense_pauli(
             "I" * i + "X" + "I" * (n - i - 1)))
     # a unitary channel holds u with scale one; Z^n and Y^n hold zeros of
     # both signs, and the product with 1.0 clears some of them
-    for u in (pauli_string("Z" * n), pauli_string("Y" * n), pauli_string("X" * n)):
+    for letter in "ZYX":
+        u = dense_pauli(letter * n)
+        assert_bitwise(unitary_channel(pauli_string(letter * n)).kraus[0], 1.0 * u)
         assert_bitwise(unitary_channel(u).kraus[0], 1.0 * u)
 
 
 def test_named_constructors_share_unit_operators():
-    # a new noise point reuses the cached unit operators: no dense Kraus
-    # operator is allocated until ``kraus`` is read
+    # a new noise point reuses the cached Pauli strings: no dense Kraus
+    # operator is allocated until ``kraus`` is read, which is then the
+    # literal product
     c = depolarizing_correlated(0.3, 3, np.full(4, 0.5))
     assert all(op is pauli_string(letter * 3)
                for op, letter in zip(c.ops, PAULI_INDEX))
@@ -250,6 +285,22 @@ def test_named_constructors_share_unit_operators():
     assert b.ops[0] is pauli_string("II") and b.ops[1] is pauli_string("XI")
     assert "kraus" not in vars(b)
     assert c.kraus is c.kraus
+    assert_bitwise(c.kraus[2], np.sqrt(0.1) * np.kron(np.kron(Y, Y), Y))
+    assert_bitwise(b.kraus[1], np.sqrt(0.3) * np.kron(X, np.eye(2, dtype=complex)))
+
+
+def test_unitarity_check_skipped_only_for_pauli_strings():
+    # every Pauli string with n <= 4 passes the dense u^dag u check, so a
+    # string skips it at no loss; a dense operator keeps it
+    for n in (1, 2, 3, 4):
+        for letters in product(PAULI_INDEX, repeat=n):
+            u = dense_pauli("".join(letters))
+            assert np.max(np.abs(u.conj().T @ u - np.eye(len(u)))) <= CPTP_TOL
+            assert unitary_channel(pauli_string("".join(letters))).ops[0] is \
+                pauli_string("".join(letters))
+    for bad in (np.diag([1.0, 1.0 + 2 * CPTP_TOL]), 0.5 * dense_pauli("XZ")):
+        with pytest.raises(NotUnitaryError):
+            unitary_channel(bad)
 
 
 def test_raw_kraus_channel_stores_ones():

@@ -17,7 +17,6 @@ from linksim.linalg import (
     NonHermitianError,
     eig_hermitian,
     hermiticity_defect,
-    kron_all,
     partial_trace,
     sqrt_psd,
     stack_partial_traces,
@@ -39,6 +38,7 @@ from linksim.scenarios import (
     evaluate_point,
 )
 from linksim.superposition import apply, run
+from reference import kron_all
 
 
 def random_density(rng, d):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from linksim import cli, linalg, scenarios, superposition
+from linksim import channels, cli, linalg, scenarios, superposition
 from linksim.channels import (
     BadNormalizationError,
     BadProbabilityError,
@@ -32,10 +32,10 @@ from linksim.scenarios import (
     published_configs,
     sweep,
     verify_propositions,
-    verify_sweep_oracle,
 )
 
 import reference
+from reference import verify_sweep_oracle
 from test_superposition import _bitwise_equal
 
 S2 = 1.0 / np.sqrt(2.0)
@@ -612,6 +612,32 @@ def test_objective_build_forms_no_whole_table():
         tracemalloc.stop()
     # less than one 256 x 256 complex matrix
     assert peak < 256 * 256 * 16
+
+
+@pytest.mark.parametrize("family, points", [("ghz_depolarizing", 11),
+                                             ("ideal_ghz", 3)])
+def test_an_n11_sweep_forms_no_dense_operator(family, points):
+    """A sweep at n = 11, the joint dimension cap, builds its channels,
+    gathers their columns and evolves its points in far less than one
+    dense 2048 x 2048 complex operator, 64 MiB: the Pauli strings form only
+    the columns asked of them, and an ideal family's strings are unitary
+    by construction, with no u^dag u product. The caches start empty, so
+    the strings and their gathers are counted. The peaks read 3.7 and 1.1
+    MiB (x86-64, Python 3.11, numpy 2.4), against 272 and 256 MiB when
+    each string was a dense array."""
+    import tracemalloc
+    config = PROP5_P05 if family == "ghz_depolarizing" else scenarios._ideal_config(2)
+    spec = ScenarioSpec("ghz11", family, 11, config)
+    channels.pauli_string.cache_clear()
+    channels._pauli_columns.cache_clear()
+    tracemalloc.start()
+    try:
+        records = list(sweep(spec, np.linspace(0.0, 1.0, points)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(records) == points
+    assert peak < 8 * 2**20
 
 
 def _hex(records):

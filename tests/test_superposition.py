@@ -42,7 +42,7 @@ from linksim.superposition import (
     run_stack,
     uniform_control,
 )
-from reference import channel_apply
+from reference import assert_run_stack_matches_interference_form, channel_apply
 
 S2 = 1.0 / np.sqrt(2.0)
 
@@ -479,6 +479,18 @@ def test_apply_matches_dense_reference_on_random_channels(seed, count, kind):
     joint = apply(scen)
     assert np.allclose(joint.mat, dense_apply(scen), atol=1e-12, rtol=0)
     assert_measure_matches_dense_projection(joint, scen.measurement_basis)
+    assert_run_stack_matches_interference_form(scen)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SPECS))
+def test_run_stack_equals_the_interference_form_on_builtins(name):
+    # the outcome blocks from the channel outputs and one interference
+    # operator per branch, a form that shares no code with the joint Kraus
+    # operators, at the noise points of ``tools/output_digest.py``
+    spec = replace(BUILTIN_SPECS[name], outcome_policy="all_outcomes")
+    for p in (0.0, 0.13, 0.5, 0.77, 1.0):
+        for q in (0.0, 0.31, 1.0):
+            assert_run_stack_matches_interference_form(build_scenario(spec, p, q))
 
 
 def test_run_stack_refuses_a_badly_shaped_scale_table():
