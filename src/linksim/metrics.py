@@ -82,7 +82,8 @@ def fidelities_pure(dims, support, blocks: np.ndarray, target) -> list[float]:
     ``support``, given as its blocks ``(P, s, s)``. It reads the whole
     matrices, as ``mat`` places them, and takes the last product as P
     products (1, d) @ (d,): on the blocks, or as one (P, d) @ (d,)
-    product, the sums round otherwise in the last bit."""
+    product, the sums round otherwise in the last bit. An empty stack
+    (the optimizer's objective on a round with no live row) gives []."""
     psi = np.asarray(target)
     if prod(dims) != len(psi):
         raise DimMismatchError("state and target dimensions differ")

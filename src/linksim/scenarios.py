@@ -398,9 +398,9 @@ def oracle_fidelity(spec: ScenarioSpec, p, q) -> float | list[float] | None:
 #: only the block entries that contribute (``linalg._support_plan``), the
 #: chunk's at once, each distinct one once: an n = 8 GHZ chunk decomposes
 #: one pair reduction per point, not 28. The optimizer's objective takes
-#: its proposals at most this many at a time too (``_lockstep``): it
-#: places each state in a d x d matrix, 33.5 MB for 32 proposals of an
-#: n = 8 W spec.
+#: its proposals at most this many at a time too, a round that fits in one
+#: call (``_lockstep``): it places each state in a d x d matrix, 33.5 MB
+#: for 32 proposals of an n = 8 W spec.
 _CHUNK = 32
 
 
@@ -500,27 +500,28 @@ def published_configs(family: str) -> list[VacuumConfig]:
     }.get(family, [])
 
 
-def _amplitudes(slots: list[np.ndarray],
+def _amplitudes(slots: list[np.ndarray], free: np.ndarray,
                 x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit amplitude vector of each channel from free real vectors.
 
     ``x`` is ``(..., dim)``: each row holds one equal block per channel,
-    one entry per free slot of its ``_free_slots`` mask; each block is
-    projected onto the unit sphere and scattered into its mask. Returns
+    one entry per free slot of its ``_free_slots`` mask in ``slots``; each
+    block is projected onto the unit sphere and scattered to ``free``,
+    ``np.flatnonzero(slots)``, which a command makes once. Returns
     ``(vectors, live)``: the ``(..., channels, len(mask))`` complex
     vectors, and whether every block of the row has a norm of at least
     1e-9; a block below it stays zero.
     """
-    masks = np.array(slots)
     x = np.asarray(x, dtype=float)
-    blocks = x.reshape(*x.shape[:-1], len(masks), -1)
+    lead = x.shape[:-1]
+    blocks = x.reshape(*lead, len(slots), -1)
     # each block's sum of squares as a (1, k) @ (k, 1) product, which
     # numpy takes as a dot; a row sum or an einsum rounds otherwise
     norm = np.sqrt(blocks[..., None, :] @ blocks[..., :, None])[..., 0]
     big = ~(norm < 1e-9)  # a NaN block is scored, and fails its check
-    units = np.divide(blocks, norm, out=np.zeros_like(blocks), where=big)
-    vectors = np.zeros((*x.shape[:-1], *masks.shape), dtype=complex)
-    vectors[..., masks] = units.reshape(*x.shape[:-1], -1)
+    units = np.divide(blocks, norm, out=np.zeros(blocks.shape), where=big)
+    vectors = np.zeros((*lead, len(slots), len(slots[0])), dtype=complex)
+    vectors.reshape(*lead, -1)[..., free] = units.reshape(*lead, -1)
     return vectors, big.all(axis=(-2, -1))
 
 
@@ -567,6 +568,7 @@ def _fixed_noise_objective(spec: ScenarioSpec, p, q):
     """
     scenario = build_scenario(spec, p, q)
     slots = _free_slots(spec.family, spec.n)
+    free = np.flatnonzero(slots)
     reach, branch, tables = _plus_tables(scenario)
     reach.setflags(write=False)  # the support every post state shares
     const = np.einsum("xxab->ab", tables)
@@ -575,7 +577,7 @@ def _fixed_noise_objective(spec: ScenarioSpec, p, q):
     dims, d = scenario.input.dims, scenario.input.dim
 
     def objective(x: np.ndarray) -> np.ndarray:
-        vectors, live = _amplitudes(slots, x)
+        vectors, live = _amplitudes(slots, free, x)
         a = vectors.reshape(len(vectors), -1)
         # each row's np.outer product, scored as one batched
         # (1, R^2) @ (R^2, s^2) product
@@ -608,7 +610,8 @@ def _nelder_mead(x0: np.ndarray):
     iteration count, counted from 1 (``_lockstep`` drives it). The
     operations and their order are those of the reference implementation
     that ``tests/test_scenarios.py`` names, so the two agree bitwise and an
-    optimizer result does not move with the implementation.
+    optimizer result does not move with the implementation (as ndarray
+    methods; ``argsort``'s default kind sorts ties as the reference does).
     """
     n = len(x0)
     sim = np.tile(x0, (n + 1, 1))
@@ -616,34 +619,35 @@ def _nelder_mead(x0: np.ndarray):
         sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
     fsim = np.array((yield sim), dtype=float)
     for _ in range(2):  # the reference sorts the first simplex twice
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+        ind = fsim.argsort()
+        sim, fsim = sim.take(ind, 0), fsim.take(ind, 0)
     nit = 1
     while nit < 500:
-        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= 1e-10
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-12):
+        if (np.abs(sim[1:] - sim[0]).max() <= 1e-10
+                and np.abs(fsim[0] - fsim[1:]).max() <= 1e-12):
             break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = 2 * xbar - sim[-1]  # reflect
+        xbar = sim[:-1].sum(0) / n
+        worst, fworst = sim[-1], fsim[-1]  # a view, read before it is replaced
+        xr = 2 * xbar - worst  # reflect
         fxr = (yield xr[None])[0]
         shrink = False
         if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[-1]  # expand
+            xe = 3 * xbar - 2 * worst  # expand
             fxe = (yield xe[None])[0]
             sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fxr
-        elif fxr < fsim[-1]:
-            xc = 1.5 * xbar - 0.5 * sim[-1]  # contract outside
+        elif fxr < fworst:
+            xc = 1.5 * xbar - 0.5 * worst  # contract outside
             fxc = (yield xc[None])[0]
             if fxc <= fxr:
                 sim[-1], fsim[-1] = xc, fxc
             else:
                 shrink = True
         else:
-            xcc = 0.5 * xbar + 0.5 * sim[-1]  # contract inside
+            xcc = 0.5 * xbar + 0.5 * worst  # contract inside
             fxcc = (yield xcc[None])[0]
-            if fxcc < fsim[-1]:
+            if fxcc < fworst:
                 sim[-1], fsim[-1] = xcc, fxcc
             else:
                 shrink = True
@@ -651,30 +655,31 @@ def _nelder_mead(x0: np.ndarray):
             sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
             fsim[1:] = yield sim[1:]
         nit += 1
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-    return sim[0], np.min(fsim), nit
+        ind = fsim.argsort()
+        sim, fsim = sim.take(ind, 0), fsim.take(ind, 0)
+    return sim[0], fsim.min(), nit
 
 
 def _lockstep(f, runs: list) -> list:
     """Drive the ``_nelder_mead`` generators ``runs`` together: each round
-    stacks the points every unfinished run asks for, scores them by calls
-    of ``f`` on at most ``_CHUNK`` rows, and sends each run its values.
-    Returns each run's result, in order. The rows of ``f`` must not depend
-    on how they are grouped, so each run ends as it would alone."""
+    stacks the points every unfinished run asks for (a lone ask as it is),
+    scores them by one call of ``f``, or by calls on ``_CHUNK`` rows when
+    they do not fit, and sends each run its values. Returns each run's
+    result, in order. The rows of ``f`` must not depend on how they are
+    grouped, so each run ends as it would alone."""
     results = [None] * len(runs)
-    asks = {i: next(run) for i, run in enumerate(runs)}
-    while asks:
-        points = np.concatenate(list(asks.values()))
-        values = np.concatenate([f(points[at:at + _CHUNK])
-                                 for at in range(0, len(points), _CHUNK)])
-        at = 0
-        for i, ask in list(asks.items()):
+    pending = [(i, run, next(run)) for i, run in enumerate(runs)]
+    while pending:
+        points = pending[0][2] if len(pending) == 1 else \
+            np.concatenate([ask for *_, ask in pending])
+        values = f(points) if len(points) <= _CHUNK else np.concatenate(
+            [f(points[at:at + _CHUNK]) for at in range(0, len(points), _CHUNK)])
+        asked, pending, at = pending, [], 0
+        for i, run, ask in asked:
             try:
-                asks[i] = runs[i].send(values[at:at + len(ask)])
+                pending.append((i, run, run.send(values[at:at + len(ask)])))
             except StopIteration as stop:
                 results[i] = stop.value
-                del asks[i]
             at += len(ask)
     return results
 
@@ -716,7 +721,8 @@ def optimize_amplitudes(spec: ScenarioSpec, p: float, q: float | None = None,
         if fun < best_val:
             best_val, best_x = fun, x
     return OptimizationResult(
-        best_config=VacuumConfig(tuple(_amplitudes(slots, best_x)[0])),
+        best_config=VacuumConfig(tuple(_amplitudes(slots, np.flatnonzero(slots),
+                                                   best_x)[0])),
         best_fidelity=-best_val,
         iterations=iterations,
         seed=seed,

@@ -15,6 +15,7 @@ from linksim.metrics import (
     fid_closed_bitphase,
     fid_closed_depolarizing,
     fid_closed_w3,
+    fidelities_pure,
     fidelity_pure,
     fidelity_up_to_phase,
     w_state,
@@ -86,6 +87,13 @@ def test_fidelity_pure_matches_uhlmann():
         # so its noise floor is sqrt(machine eps) ~ 1e-8
         assert fidelity_pure(rho, psi) == pytest.approx(
             uhlmann_fidelity(rho, sigma), abs=1e-6)
+
+
+def test_fidelities_pure_of_an_empty_stack_is_empty():
+    """The optimizer's objective scores a stack with no live row."""
+    for support in (np.array([0, 3]), np.arange(4)):
+        blocks = np.zeros((0, len(support), len(support)), dtype=complex)
+        assert fidelities_pure((2, 2), support, blocks, bell_state(+1)) == []
 
 
 def test_uhlmann_symmetric_and_reflexive():

@@ -269,7 +269,8 @@ def test_fixed_noise_objective_matches_run_path(name):
         objective = scenarios._fixed_noise_objective(spec, p, q)
         for _ in range(3):
             x = rng.standard_normal(dim)
-            cfg = VacuumConfig(tuple(scenarios._amplitudes(slots, x)[0]))
+            vectors = scenarios._amplitudes(slots, np.flatnonzero(slots), x)[0]
+            cfg = VacuumConfig(tuple(vectors))
             plus = ScenarioSpec(spec.name, spec.family, spec.n, cfg, None)
             out = run(build_scenario(plus, p, q))[0]
             expected = 1.0 if out.post_state is None else \
@@ -277,7 +278,7 @@ def test_fixed_noise_objective_matches_run_path(name):
             assert abs(objective(x[None])[0] - expected) <= 1e-12, (p, q, x)
         x[:np.count_nonzero(slots[0])] = 0.0  # first block has zero norm
         assert objective(x[None])[0] == 1.0
-        assert not scenarios._amplitudes(slots, x)[1]
+        assert not scenarios._amplitudes(slots, np.flatnonzero(slots), x)[1]
 
 
 @pytest.mark.parametrize("name", OPTIMIZABLE)
@@ -288,7 +289,7 @@ def test_slot_table_round_trips_published_configs(name):
     assert len({(len(m), np.count_nonzero(m)) for m in slots}) == 1
     for cfg in published_configs(spec.family):
         x = np.concatenate([v.real[m] for v, m in zip(cfg.vectors, slots)])
-        vectors, live = scenarios._amplitudes(slots, x)
+        vectors, live = scenarios._amplitudes(slots, np.flatnonzero(slots), x)
         assert live
         for v, got, mask in zip(cfg.vectors, vectors, slots, strict=True):
             # nothing outside the mask is dropped by the gather
@@ -373,6 +374,18 @@ def test_nelder_mead_is_scipys_on_test_functions(f, n):
             lambda xs: np.array([f(x) for x in xs]), x0)
 
 
+def test_nelder_mead_is_scipys_on_tied_values():
+    """At p = q = 0 on fig4a_red the start's two branches cancel on |+>, so
+    it and the vertices that only stretch a non-zero entry score exactly
+    1.0: the simplex holds ties, which must sort as scipy sorts them."""
+    objective = scenarios._fixed_noise_objective(builtin("fig4a_red"), 0.0, 0.0)
+    x0 = np.array([1.0, 0, 0, 0, -1.0, 0, 0, 0])
+    values = objective(next(scenarios._nelder_mead(x0)))
+    assert np.count_nonzero(values == 1.0) == 3
+    assert len(np.unique(values)) < len(values) - 2  # more ties than the 1.0s
+    _assert_nelder_mead_is_scipys(objective, x0)
+
+
 def _result_bits(result):
     x, fun, nit = result
     return x.dtype, x.tobytes(), float(fun).hex(), nit
@@ -416,6 +429,32 @@ def test_lockstep_restarts_end_as_they_end_alone(name):
     assert any(dim in s for s in sizes)
 
 
+@pytest.mark.parametrize("restarts", [1, 3, 4, 20])
+def test_lockstep_calls_f_once_per_round_that_fits_a_chunk(restarts):
+    """A round is one call of ``f`` when it fits ``_CHUNK`` rows and
+    ``_CHUNK``-row calls then the rest when it does not; there are as many
+    rounds as the longest restart makes requests. On fig4a_red (dim 8) the
+    first round of 3 restarts is 27 rows, of 4 restarts 36."""
+    spec = builtin("fig4a_red")
+    objective = scenarios._fixed_noise_objective(spec, 1.0, 0.0)
+    calls = []
+
+    def counted(x):
+        calls.append(len(x))
+        return objective(x)
+
+    rng = np.random.default_rng(restarts)
+    sizes = [[] for _ in range(restarts)]
+    scenarios._lockstep(counted, [_recorded(scenarios._nelder_mead(x0), s) for x0, s
+                                  in zip(rng.standard_normal((restarts, 8)), sizes)])
+    rounds = [sum(s[r] for s in sizes if len(s) > r)
+              for r in range(max(map(len, sizes)))]
+    chunk = scenarios._CHUNK
+    assert calls == [min(chunk, rows - at) for rows in rounds
+                     for at in range(0, rows, chunk)]
+    assert (rounds[0] > chunk) == (restarts > 3)
+
+
 def _proposals(name, rows):
     spec = builtin(name)
     dim = sum(np.count_nonzero(m)
@@ -449,7 +488,8 @@ def test_objective_scores_dead_rows_one_without_a_warning():
     x[1, :4] = 0.0  # the first channel's block has zero norm
     x[4] = [1, 0, 0, 0, -1, 0, 0, 0]  # the two branches cancel on |+>
     slots = scenarios._free_slots("bell_depolarizing", 2)
-    assert scenarios._amplitudes(slots, x)[1].tolist() == [True, False] + [True] * 4
+    live = scenarios._amplitudes(slots, np.flatnonzero(slots), x)[1]
+    assert live.tolist() == [True, False] + [True] * 4
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         values = objective(x)
@@ -461,6 +501,25 @@ def test_objective_scores_dead_rows_one_without_a_warning():
         # dividing the NaN block warns, alone as in a stack
         with pytest.raises(linalg.NonHermitianError), np.errstate(invalid="ignore"):
             objective(rows)
+
+
+@pytest.mark.parametrize("name", ["fig4a_red", "fig8_green"])
+def test_objective_scores_a_zero_norm_last_block_one(name):
+    """A row whose last block has zero norm (the second depolarizing
+    channel, or the third W channel) scores 1.0 in a stack, and the other
+    rows keep the bits they have alone."""
+    spec = builtin(name)
+    slots = scenarios._free_slots(spec.family, spec.n)
+    objective = scenarios._fixed_noise_objective(spec, 0.3, 0.6)
+    x = _proposals(name, 5)
+    x[2, -np.count_nonzero(slots[-1]):] = 0.0
+    assert scenarios._amplitudes(slots, np.flatnonzero(slots), x)[1].tolist() == \
+        [True, True, False, True, True]
+    values = objective(x)
+    assert values[2] == 1.0
+    for i in (0, 1, 3, 4):
+        assert values[i].tobytes() == objective(x[i:i + 1])[0].tobytes()
+        assert values[i] < 0
 
 
 def test_optimizer_hands_the_objective_at_most_a_chunk(monkeypatch):
