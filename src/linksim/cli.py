@@ -238,10 +238,8 @@ def cmd_optimize(args) -> int:
         "out": None})
     spec = _spec_from_config(cfg)
     # only a family with free vacuum amplitudes has anything to optimize
-    try:
-        scenarios._free_slots(spec.family, spec.n)
-    except ScenarioError as exc:
-        raise ConfigError(str(exc)) from None
+    if scenarios._FAMILY[spec.family].slots is None:
+        raise ConfigError(f"family {spec.family!r} has no free vacuum amplitudes")
     if cfg["p"] is ...:
         raise ConfigError("optimize requires --p")
     p = _number(cfg["p"], "p", 0, 1)

@@ -7,10 +7,11 @@ every reported result is reproducible by name from the CLI.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,22 +54,6 @@ from .superposition import (
     uniform_control,
 )
 
-FAMILIES = (
-    "ideal_bell",
-    "ideal_ghz",
-    "ideal_w",
-    "bell_depolarizing",
-    "bell_bitphase",
-    "ghz_depolarizing",
-    "ghz_bitphase",
-    "w_memoryless",
-)
-
-_BELL_FAMILIES = ("ideal_bell", "bell_depolarizing", "bell_bitphase")
-_DEPOL_FAMILIES = ("bell_depolarizing", "ghz_depolarizing")
-_BITPHASE_FAMILIES = ("bell_bitphase", "ghz_bitphase")
-_W_FAMILIES = ("ideal_w", "w_memoryless")
-
 
 class ScenarioError(LinksimError):
     pass
@@ -81,22 +66,10 @@ class UnknownScenarioError(ScenarioError, KeyError):
 
 
 def _free_slots(family: str, n: int) -> list[np.ndarray]:
-    """Which vacuum amplitudes of each channel may be non-zero.
-
-    The single statement of each family's amplitude layout: depolarizing
-    channels use all four Pauli slots, the bit flip uses (I, X) and the
-    phase flip (I, Z), and each memoryless W channel its two Kraus slots.
-    The channels of a family have vectors of one length and as many free
-    slots each, so a vector of free amplitudes splits into equal blocks.
-    """
-    if family in _DEPOL_FAMILIES:
-        return [np.ones(4, dtype=bool)] * 2
-    if family in _BITPHASE_FAMILIES:
-        return [np.array([True, True, False, False]),
-                np.array([True, False, False, True])]
-    if family == "w_memoryless":
-        return [np.ones(2, dtype=bool)] * n
-    raise ScenarioError(f"family {family!r} has no free vacuum amplitudes")
+    """Which vacuum amplitudes of each channel may be non-zero (``_FAMILY``)."""
+    if (slots := _FAMILY[family].slots) is None:
+        raise ScenarioError(f"family {family!r} has no free vacuum amplitudes")
+    return slots(n)
 
 
 @dataclass(frozen=True)
@@ -112,16 +85,17 @@ class ScenarioSpec:
     outcome_policy: str = "plus_only"  # or "all_outcomes"
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in FAMILIES:  # a tuple: an unhashable family is unknown
             raise ScenarioError(f"unknown family {self.family!r}")
         if not isinstance(self.n, int) or isinstance(self.n, bool):
             raise ScenarioError(f"n must be an integer, got {self.n!r}")
-        if self.n < 2 or (self.family in _BELL_FAMILIES and self.n != 2):
+        family = _FAMILY[self.family]
+        if self.n < 2 or (family.target == "bell" and self.n != 2):
             raise ScenarioError(f"family {self.family!r} cannot have n={self.n}")
         if self.outcome_policy not in ("plus_only", "all_outcomes"):
             raise ScenarioError(f"bad outcome policy {self.outcome_policy!r}")
         n, vectors = self.n, self.config.vectors
-        branches = n if self.family in _W_FAMILIES else 2
+        branches = n if family.target == "w" else 2
         # before anything of size 2^n is made; a huge n never reaches the power
         if n >= JOINT_DIM_CAP.bit_length() or 2**n * branches > JOINT_DIM_CAP:
             raise ScenarioError(f"{self.name}: {branches} branches on {n} qubits "
@@ -129,9 +103,9 @@ class ScenarioSpec:
         if len(vectors) != branches:
             raise ScenarioError(f"{self.name}: expected {branches} amplitude "
                                 f"vectors, got {len(vectors)}")
-        if self.family.startswith("ideal"):
+        if family.slots is None:
             return  # one unitary per channel: its vector is ignored
-        for v, mask in zip(vectors, _free_slots(self.family, n)):
+        for v, mask in zip(vectors, family.slots(n)):
             _check_amps(v, len(mask), np.flatnonzero(mask))
 
 
@@ -198,6 +172,71 @@ _BITPHASE_EVEN = VacuumConfig(((_S2, _S2, 0, 0), (_S2, 0, 0, _S2)))
 
 def _ideal_config(n: int) -> VacuumConfig:
     return VacuumConfig(tuple(np.array([1.0]) for _ in range(n)))
+
+
+# ---------------------------------------------------------------------------
+# the scenario families, by name in ``_FAMILY``, whose order is FAMILIES'.
+# Five noise models give their (channels, scales, slots). The slots are the
+# single statement of each family's amplitude layout: depolarizing channels
+# use all four Pauli slots, the bit flip uses (I, X) and the phase flip
+# (I, Z), and each memoryless W channel its two Kraus slots. The channels of
+# a family have vectors of one length and as many free slots each, so a
+# vector of free amplitudes splits into equal blocks.
+
+
+class _Family(NamedTuple):
+    """A scenario family: its noise model, target, oracle and published configs."""
+
+    channels: Callable  # (spec, p, q) -> the channels at the point (p, q)
+    scales: Callable  # (spec, p, q) -> the (P, K) table of ``_scale_table``
+    slots: Callable | None  # n -> a free-slot mask per channel; None: unitaries
+    target: str  # "bell" (n = 2), "ghz" or "w" (n branches, Fourier basis)
+    oracle: Callable | None  # (spec, p, q) -> closed-form fidelity or None
+    configs: tuple[VacuumConfig, ...]  # published amplitude configurations
+
+
+def _bitphase_channels(spec: ScenarioSpec, p: float, q: float):
+    weights = _bitphase_weights(np.array([p]), np.array([q]))[0]
+    return tuple(pauli_channel_correlated(w, spec.n, v, np.flatnonzero(m)) for w, v, m
+                 in zip(weights, spec.config.vectors, _free_slots(spec.family, spec.n)))
+
+
+_IDEAL_XZ = (lambda s, p, q: tuple(unitary_channel(pauli_string(c * s.n)) for c in "XZ"),
+             # an ideal family ignores the noise: one unitary per channel
+             lambda s, p, q: np.ones((len(p), len(s.config.vectors))), None)
+_IDEAL_X = (lambda s, p, q: tuple(
+    unitary_channel(pauli_string("I" * i + "X" + "I" * (s.n - i - 1)))
+    for i in range(s.n)), *_IDEAL_XZ[1:])
+_DEPOLARIZING = (
+    lambda s, p, q: (depolarizing_correlated(p, s.n, s.config.alpha),
+                     depolarizing_correlated(q, s.n, s.config.beta)),
+    lambda s, p, q: depolarizing_scales(np.column_stack([p, q])).reshape(len(p), -1),
+    lambda n: [np.ones(4, dtype=bool)] * 2)
+_BITPHASE = (
+    _bitphase_channels,
+    lambda s, p, q: pauli_scales(_bitphase_weights(p, q)).reshape(len(p), -1),
+    lambda n: [np.array([1, 1, 0, 0], dtype=bool), np.array([1, 0, 0, 1], dtype=bool)])
+_MEMORYLESS = (  # every channel at p
+    lambda s, p, q: tuple(memoryless_bitflip(i, s.n, p, s.config.vectors[i])
+                          for i in range(s.n)),
+    lambda s, p, q: np.tile(bitflip_scales(p), s.n),
+    lambda n: [np.ones(2, dtype=bool)] * n)
+_FAMILY = {
+    "ideal_bell": _Family(*_IDEAL_XZ, "bell", None, ()),
+    "ideal_ghz": _Family(*_IDEAL_XZ, "ghz", None, ()),
+    "ideal_w": _Family(*_IDEAL_X, "w", None, ()),
+    "bell_depolarizing": _Family(*_DEPOLARIZING, "bell", lambda s, p, q:
+                                 fid_closed_depolarizing(p, q, s.config),
+                                 (PROP4_P1, PROP4_P05)),
+    "bell_bitphase": _Family(*_BITPHASE, "bell", lambda s, p, q:
+                             fid_closed_bitphase(p, q, s.config), (COR1_P1, COR1_P05)),
+    "ghz_depolarizing": _Family(*_DEPOLARIZING, "ghz", None, (PROP5_P1, PROP5_P05)),
+    "ghz_bitphase": _Family(*_BITPHASE, "ghz", None, (COR2_P1, COR2_P05)),
+    "w_memoryless": _Family(*_MEMORYLESS, "w", lambda s, p, q: None if s.n != 3 else
+                            fid_closed_w3(np.stack([p] * 3, axis=-1), s.config),
+                            (PROP7_P1, W_BALANCED, W_TILTED)),
+}
+FAMILIES = tuple(_FAMILY)
 
 
 _BUILTINS: dict[str, ScenarioSpec] = {}
@@ -298,31 +337,12 @@ def build_scenario(spec: ScenarioSpec, p: float,
     and computes the Kraus scales; the spec made every other check. A sweep
     builds once, at its first point, and ``_scale_table`` checks each point.
     """
-    n, family, cfg = spec.n, spec.family, spec.config
-    q = p if q is None else q
-    if family == "ideal_bell" or family == "ideal_ghz":
-        channels = (unitary_channel(pauli_string("X" * n)),
-                    unitary_channel(pauli_string("Z" * n)))
-    elif family == "ideal_w":
-        channels = tuple(
-            unitary_channel(pauli_string("I" * i + "X" + "I" * (n - i - 1)))
-            for i in range(n)
-        )
-    elif family in _DEPOL_FAMILIES:
-        channels = (depolarizing_correlated(p, n, cfg.alpha),
-                    depolarizing_correlated(q, n, cfg.beta))
-    elif family in _BITPHASE_FAMILIES:
-        bit, phase = (np.flatnonzero(m) for m in _free_slots(family, n))
-        bit_w, phase_w = _bitphase_weights(np.array([p]), np.array([q]))[0]
-        channels = (pauli_channel_correlated(bit_w, n, cfg.alpha, bit),
-                    pauli_channel_correlated(phase_w, n, cfg.beta, phase))
-    else:  # w_memoryless
-        channels = tuple(memoryless_bitflip(i, n, p, cfg.vectors[i])
-                         for i in range(n))
+    family = _FAMILY[spec.family]
+    channels = family.channels(spec, p, p if q is None else q)
     # pm_basis, not fourier_basis(2): its |-> differs in the last bits
-    basis = fourier_basis(n) if family in _W_FAMILIES else pm_basis()
+    basis = fourier_basis(spec.n) if family.target == "w" else pm_basis()
     keep = 1 if spec.outcome_policy == "plus_only" else None
-    return SuperpositionScenario(channels, _zero_input(n),
+    return SuperpositionScenario(channels, _zero_input(spec.n),
                                  uniform_control(len(channels)), basis[:keep])
 
 
@@ -339,14 +359,7 @@ def _scale_table(spec: ScenarioSpec, p: np.ndarray, q: np.ndarray) -> np.ndarray
     constructors' table functions, so no channel is built. The noise values
     are checked point by point, p before q, as the constructors check them;
     the vacuum amplitudes were checked when the spec was made."""
-    if spec.family in _DEPOL_FAMILIES:
-        return depolarizing_scales(np.column_stack([p, q])).reshape(len(p), -1)
-    if spec.family in _BITPHASE_FAMILIES:
-        return pauli_scales(_bitphase_weights(p, q)).reshape(len(p), -1)
-    if spec.family == "w_memoryless":
-        return np.tile(bitflip_scales(p), spec.n)
-    # an ideal family ignores the noise: one unitary per channel
-    return np.ones((len(p), len(spec.config.vectors)))
+    return _FAMILY[spec.family].scales(spec, p, q)
 
 
 def outcome_fidelity(spec: ScenarioSpec, outcome: MeasurementOutcome) -> float:
@@ -366,9 +379,9 @@ def _fidelity_column(spec: ScenarioSpec, k: int, dims, support,
     Outcome 0 of a Bell family is scored against |Phi+>; the minus outcome
     and all GHZ outcomes up to the relative phase; W outcomes against the
     phase-corrected W state for that Fourier outcome."""
-    if spec.family in _W_FAMILIES:
+    if (target := _FAMILY[spec.family].target) == "w":
         return fidelities_pure(dims, support, blocks, w_state(spec.n, k))
-    if spec.family in _BELL_FAMILIES and k == 0:
+    if target == "bell" and k == 0:
         return fidelities_pure(dims, support, blocks, bell_state(+1))
     return fidelities_up_to_phase(dims, support, blocks, spec.n)
 
@@ -376,13 +389,8 @@ def _fidelity_column(spec: ScenarioSpec, k: int, dims, support,
 def oracle_fidelity(spec: ScenarioSpec, p, q) -> float | list[float] | None:
     """Closed-form plus-outcome fidelity where an exact expression exists,
     else None; elementwise over arrays of (p, q), a float for floats."""
-    if spec.family == "bell_depolarizing":
-        return fid_closed_depolarizing(p, q, spec.config)
-    if spec.family == "bell_bitphase":
-        return fid_closed_bitphase(p, q, spec.config)
-    if spec.family == "w_memoryless" and spec.n == 3:
-        return fid_closed_w3(np.stack([p] * 3, axis=-1), spec.config)
-    return None
+    oracle = _FAMILY[spec.family].oracle
+    return None if oracle is None else oracle(spec, p, q)
 
 
 #: points per ``run_stack`` call in ``sweep``, each chunk one table of
@@ -491,13 +499,7 @@ def sweep(spec: ScenarioSpec, p_grid, q_grid=None, *,
 
 def published_configs(family: str) -> list[VacuumConfig]:
     """Paper-reported configurations, used to anchor optimizer restarts."""
-    return {
-        "bell_depolarizing": [PROP4_P1, PROP4_P05],
-        "ghz_depolarizing": [PROP5_P1, PROP5_P05],
-        "bell_bitphase": [COR1_P1, COR1_P05],
-        "ghz_bitphase": [COR2_P1, COR2_P05],
-        "w_memoryless": [PROP7_P1, W_BALANCED, W_TILTED],
-    }.get(family, [])
+    return list(_FAMILY[family].configs) if family in _FAMILY else []
 
 
 def _amplitudes(slots: list[np.ndarray], free: np.ndarray,

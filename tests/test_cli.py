@@ -168,6 +168,27 @@ def test_inline_custom_family_is_a_config_error(tmp_path, capsys):
     assert "bad inline scenario" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("family", [["bell_depolarizing"], {"a": 1}])
+def test_inline_unhashable_family_is_an_unknown_family(family, tmp_path, capsys):
+    # a JSON list or object as the family is unknown, not a TypeError
+    cfg = {"scenario": {"family": family, "amps": [[1, 0, 0, 0], [1, 0, 0, 0]]}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["sweep", "--config", str(path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == \
+        f"error: bad inline scenario: unknown family {family!r}\n"
+
+
+def test_optimize_of_an_ideal_family_names_it(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["optimize", "--scenario", "ideal_bell", "--p", "0.5"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == \
+        "error: family 'ideal_bell' has no free vacuum amplitudes\n"
+
+
 def test_dump_config_round_trip(tmp_path, capsys):
     code = run_cli(["sweep", "--scenario", "fig4a_red", "--points", "5",
                     "--dump-config"])

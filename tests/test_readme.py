@@ -1,5 +1,6 @@
 """The README's examples run: every JSON block is a valid ``sweep`` config
-and every ``linksim`` command line parses."""
+and every ``linksim`` command line parses; its family table names every
+family, in order."""
 
 import json
 import re
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from linksim.cli import build_parser, main
+from linksim.scenarios import FAMILIES
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```", README, re.M | re.S)
@@ -35,3 +37,9 @@ def test_readme_config_is_valid(body, tmp_path, capsys):
 def test_readme_command_parses(line):
     argv = shlex.split(line)[1:]
     assert build_parser().parse_args(argv).command == argv[0]
+
+
+def test_readme_family_table_is_families():
+    table = README.split("| family | n |", 1)[1].split("\n\n", 1)[0]
+    names = re.findall(r"^\| `(\w+)` \|", table, re.M)
+    assert tuple(names) == FAMILIES

@@ -201,12 +201,42 @@ def test_spec_refuses_a_bad_layout_when_it_is_made():
             ("bell_depolarizing", 2, ((1 + 2.5e-12, 0, 0, 0), one),
              BadNormalizationError, "unit norm"),
             ("bell_bitphase", 2, ((S2, 0, S2, 0), (S2, 0, 0, S2)),
-             BadNormalizationError, "slot Y carries amplitude")):
+             BadNormalizationError, "slot Y carries amplitude"),
+            ("x", 2, (one, one), ScenarioError, "unknown family 'x'"),
+            ("bell_bitphase", 3, (one, one), ScenarioError,
+             r"family 'bell_bitphase' cannot have n=3"),
+            ("ideal_bell", 3, ((1,), (1,)), ScenarioError,
+             r"family 'ideal_bell' cannot have n=3"),
+            # a JSON list or object is an unknown family, not an unhashable key
+            (["bell_depolarizing"], 2, (one, one), ScenarioError,
+             r"^unknown family \['bell_depolarizing'\]$"),
+            ({"family": "ideal_bell"}, 2, (one, one), ScenarioError,
+             r"^unknown family \{'family': 'ideal_bell'\}$")):
         with pytest.raises(cls, match=match) as exc:
             ScenarioSpec("x", family, n, VacuumConfig(vectors))
         assert type(exc.value) is cls, (family, n)
     # an ideal family counts its vectors and ignores what they hold
     assert ScenarioSpec("x", "ideal_ghz", 3, VacuumConfig(((S2, S2), (1,))))
+
+
+@pytest.mark.parametrize("family", scenarios.FAMILIES)
+def test_family_table_gives_each_branch_one_mask_of_one_shape(family):
+    # _amplitudes splits a vector of free amplitudes into equal blocks, one
+    # per branch; an ideal family has no free amplitudes
+    entry = scenarios._FAMILY[family]
+    if family.startswith("ideal"):
+        assert entry.slots is None
+        with pytest.raises(ScenarioError, match="has no free vacuum amplitudes"):
+            scenarios._free_slots(family, 2)
+        return
+    for n in (2,) if entry.target == "bell" else range(2, 7):
+        masks = entry.slots(n)
+        assert len(masks) == (n if entry.target == "w" else 2), n
+        assert len({(m.dtype, m.shape, int(m.sum())) for m in masks}) == 1, n
+        assert masks[0].dtype == bool and masks[0].any(), n
+        # a vector on each mask's first free slot is one the spec accepts
+        vectors = [np.eye(len(m))[m.argmax()] for m in masks]
+        assert ScenarioSpec("x", family, n, VacuumConfig(vectors)).n == n
 
 
 @pytest.mark.parametrize("n", [3.5, 2.0, True, "2", None])
@@ -324,12 +354,7 @@ def _assert_nelder_mead_is_scipys(f, x0):
 
 
 def _has_free_amplitudes(name):
-    spec = builtin(name)
-    try:
-        scenarios._free_slots(spec.family, spec.n)
-    except ScenarioError:
-        return False
-    return True
+    return scenarios._FAMILY[builtin(name).family].slots is not None
 
 
 # The inputs of the two tests below run every branch of ``_nelder_mead``:
@@ -1168,7 +1193,7 @@ def test_scale_table_refuses_as_the_first_bad_constructor(spec):
                 except LinksimError as exc:
                     raised = type(exc), str(exc)
                 assert raised == expected, (bad, points, at, column)
-                ignored = spec.family.startswith("ideal") or (
+                ignored = scenarios._FAMILY[spec.family].slots is None or (
                     spec.family == "w_memoryless" and column == 1 and not at)
                 assert (expected is None) == ignored
 

@@ -141,9 +141,8 @@ def sweep_stack_digest() -> str:
 def objective_digest() -> str:
     h = hashlib.sha256()
     rng = np.random.default_rng(7)
-    specs = [builtin(name) for name in builtin_names()
-             if not builtin(name).family.startswith("ideal")]
-    specs += [s for s in stack_specs() if not s.family.startswith("ideal")]
+    specs = [s for s in [*map(builtin, builtin_names()), *stack_specs()]
+             if scenarios._FAMILY[s.family].slots is not None]
     for spec in specs:
         dim = sum(np.count_nonzero(m)
                   for m in scenarios._free_slots(spec.family, spec.n))
