@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import chain, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -51,6 +51,7 @@ from .superposition import (
     pm_basis,
     run,
     run_stack,
+    stack_row_bytes,
     uniform_control,
 )
 
@@ -393,23 +394,43 @@ def oracle_fidelity(spec: ScenarioSpec, p, q) -> float | list[float] | None:
     return None if oracle is None else oracle(spec, p, q)
 
 
-#: points per ``run_stack`` call in ``sweep``, each chunk one table of
-#: Kraus scales and one density check of its post states. The stack's
-#: arrays grow with it while the per-call numpy overhead it spreads
-#: flattens out. The largest is the joint on its reached target rows,
-#: P x Rt x n x d x n complex: 1 MB at 32 points for an n = 8 GHZ sweep,
-#: 75 MB for an n = 8 W sweep, the largest the joint dimension cap allows.
-#: On the benchmark's figures workload (2-core x86-64, Python 3.11, numpy
-#: 2.4) a whole 225-point grid in one stack read a peak RSS of 44.6 MB
-#: against 43.5 MB at 32 points. A chunk's post states are kept until its
-#: rows are made, its records until they are yielded; the reductions sum
-#: only the block entries that contribute (``linalg._support_plan``), the
-#: chunk's at once, each distinct one once: an n = 8 GHZ chunk decomposes
-#: one pair reduction per point, not 28. The optimizer's objective takes
-#: its proposals at most this many at a time too, a round that fits in one
-#: call (``_lockstep``): it places each state in a d x d matrix, 33.5 MB
-#: for 32 proposals of an n = 8 W spec.
-_CHUNK = 32
+#: the bytes one stack may hold: ``sweep`` puts ``_STACK_BYTES //
+#: _point_bytes`` points (at least one) into each ``run_stack`` call, and
+#: the optimizer's objective takes as many proposals per call as it
+#: holds at ``_row_bytes`` (``_lockstep``). A stack is one table of Kraus
+#: scales and one density check of its post states; its arrays grow with
+#: it, while the per-call numpy overhead it spreads flattens out. 512 KiB
+#: holds a 101-point fig4a_red sweep (2.7 kB a point) and the 11-point
+#: n = 8 GHZ sweep (35 kB) in one stack each, a 15 x 15 prop5_p05 grid in
+#: two, and one n = 8 W point (5.8 MB) per stack: a pass of the
+#: benchmark's figures workload runs 36 stacks, where 32-point stacks ran
+#: 53. Measured with tracemalloc (x86-64, Python 3.11, numpy 2.4), a
+#: 120 x 120 grid peaks at 0.89 MB for prop4_p05 (186-point stacks) and
+#: 0.59 MB for fig8_green (51), below the 1 MB the CLI tests allow; a
+#: 33-point n = 8 W sweep at 3.0 MB, and a 20-restart n = 8 W optimizer at
+#: 1.6 MB, where 32-row stacks read 95 and 34 MB. That 1 MB caps the
+#: budget, since a prop4_p05 point holds about 4.8 kB in all against the
+#: 2.8 kB counted; so points of a few hundred kB (GHZ from n = 10, W from
+#: n = 6) run one to three a stack, each stack paying its fixed set-up,
+#: and such sweeps take longer than in 32-point stacks. A stack's post states
+#: are kept until its rows are made, its records until they are yielded;
+#: the reductions sum only the block entries that contribute
+#: (``linalg._support_plan``), the stack's at once, each distinct one
+#: once: an n = 8 GHZ stack decomposes one pair reduction per point, not 28.
+_STACK_BYTES = 2**19
+
+
+def _placement_bytes(spec: ScenarioSpec, d: int) -> int:
+    """The d x d complex matrix ``fidelities_pure`` places each scored
+    state in, one outcome at a time: for W and Bell targets; a GHZ target
+    is scored on its block (``fidelities_up_to_phase``)."""
+    return 0 if _FAMILY[spec.family].target == "ghz" else 16 * d * d
+
+
+def _point_bytes(spec: ScenarioSpec, scenario: SuperpositionScenario) -> int:
+    """What one point adds to a ``sweep`` stack: ``run_stack``'s largest
+    arrays (``stack_row_bytes``) and the fidelity's placement."""
+    return stack_row_bytes(scenario) + _placement_bytes(spec, scenario.input.dim)
 
 
 def _record_rows(spec: ScenarioSpec, scenario: SuperpositionScenario,
@@ -452,9 +473,9 @@ def evaluate_point(spec: ScenarioSpec, p: float, q: float, *,
     """One record per non-zero outcome at one noise point, with its oracle if any.
 
     ``sweep`` calls this once per point, through the module attribute, with
-    the point's row of ``_record_rows`` over its chunk as ``_row``; without
+    the point's row of ``_record_rows`` over its stack as ``_row``; without
     it the point is built and run alone and its row taken by the same
-    functions, a one-point chunk, with bitwise the same records. A lone
+    functions, a one-point stack, with bitwise the same records. A lone
     call does not go through ``sweep``, which would call this again.
     """
     if _row is None:
@@ -471,9 +492,10 @@ def sweep(spec: ScenarioSpec, p_grid, q_grid=None, *,
     With no ``q_grid`` the sweep is one-dimensional with q locked to p.
     Records are ordered p-major, then q, then outcome. The scenario is built
     once, at the first point: ``run_stack`` reads the scales of each
-    chunk's table, not those the scenario's channels hold. Nothing runs,
+    stack's table, not those the scenario's channels hold. Nothing runs,
     or raises, until the first record is asked for. The points are taken
-    ``_CHUNK`` at a time: a chunk is one table of Kraus scales
+    as many at a time as ``_STACK_BYTES`` holds at the scenario's
+    ``_point_bytes``, at least one: a stack is one table of Kraus scales
     (``_scale_table``), evolved and measured as one stack by ``run_stack``,
     so memory does not grow with the number of points. Its records are
     taken as columns from the stack's arrays (``_record_rows``), with no
@@ -483,13 +505,16 @@ def sweep(spec: ScenarioSpec, p_grid, q_grid=None, *,
     """
     points = ((float(p), float(q)) for p in p_grid
               for q in (q_grid if q_grid is not None else [p]))
-    scenario = None
-    while chunk := list(islice(points, _CHUNK)):
-        scenario = scenario or build_scenario(spec, *chunk[0])
-        p, q = np.array(chunk).T
+    if (first := next(points, None)) is None:
+        return
+    scenario = build_scenario(spec, *first)
+    size = max(1, _STACK_BYTES // _point_bytes(spec, scenario))
+    points = chain([first], points)
+    while stack := list(islice(points, size)):
+        p, q = np.array(stack).T
         rows = _record_rows(spec, scenario, p, q, _scale_table(spec, p, q),
                             emit_oracle)
-        for point, row in zip(chunk, rows):
+        for point, row in zip(stack, rows):
             yield from evaluate_point(spec, *point, _row=row)
 
 
@@ -548,6 +573,14 @@ def _plus_tables(scenario: SuperpositionScenario):
     tables *= np.outer(cb, cb.conj())[:, :, None, None]
     hit = (tables.any(axis=(0, 1, 2)) | tables.any(axis=(0, 1, 3))).nonzero()[0]
     return rows[hit], branch, tables.take(hit, 2).take(hit, 3)
+
+
+def _row_bytes(spec: ScenarioSpec) -> int:
+    """What one proposal adds to a call of ``_fixed_noise_objective``: its
+    products of amplitudes, R^2 complex over the R Kraus operators of all
+    channels, and the fidelity's placement."""
+    r = sum(map(len, _free_slots(spec.family, spec.n)))
+    return 16 * r * r + _placement_bytes(spec, 2**spec.n)
 
 
 def _fixed_noise_objective(spec: ScenarioSpec, p, q):
@@ -662,20 +695,22 @@ def _nelder_mead(x0: np.ndarray):
     return sim[0], fsim.min(), nit
 
 
-def _lockstep(f, runs: list) -> list:
+def _lockstep(f, runs: list, row_bytes: int) -> list:
     """Drive the ``_nelder_mead`` generators ``runs`` together: each round
     stacks the points every unfinished run asks for (a lone ask as it is),
-    scores them by one call of ``f``, or by calls on ``_CHUNK`` rows when
-    they do not fit, and sends each run its values. Returns each run's
-    result, in order. The rows of ``f`` must not depend on how they are
+    scores them by one call of ``f`` when ``_STACK_BYTES`` holds them at
+    ``row_bytes`` a row, else by calls on as many rows as it holds (at
+    least one), and sends each run its values. Returns each run's result,
+    in order. The rows of ``f`` must not depend on how they are
     grouped, so each run ends as it would alone."""
+    size = max(1, _STACK_BYTES // row_bytes)
     results = [None] * len(runs)
     pending = [(i, run, next(run)) for i, run in enumerate(runs)]
     while pending:
         points = pending[0][2] if len(pending) == 1 else \
             np.concatenate([ask for *_, ask in pending])
-        values = f(points) if len(points) <= _CHUNK else np.concatenate(
-            [f(points[at:at + _CHUNK]) for at in range(0, len(points), _CHUNK)])
+        values = f(points) if len(points) <= size else np.concatenate(
+            [f(points[at:at + size]) for at in range(0, len(points), size)])
         asked, pending, at = pending, [], 0
         for i, run, ask in asked:
             try:
@@ -695,8 +730,9 @@ def optimize_amplitudes(spec: ScenarioSpec, p: float, q: float | None = None,
     per-channel unit spheres before the plus-outcome fidelity is evaluated.
     The channels are built once per call (see ``_fixed_noise_objective``).
     The restarts run in lockstep (``_lockstep``): each round scores the
-    proposals of every unfinished restart in stacks of at most ``_CHUNK``,
-    and each restart ends bitwise as it would alone.
+    proposals of every unfinished restart in stacks of at most
+    ``_STACK_BYTES`` at ``_row_bytes`` a proposal, and each restart ends
+    bitwise as it would alone.
     The published configurations with one vector per channel are always
     injected as the first restarts so the result is never worse than the
     paper's own operating point. Deterministic for a fixed seed.
@@ -718,7 +754,8 @@ def optimize_amplitudes(spec: ScenarioSpec, p: float, q: float | None = None,
     objective = _fixed_noise_objective(spec, p, q)
 
     best_x, best_val, iterations = None, np.inf, 0
-    for x, fun, nit in _lockstep(objective, [_nelder_mead(x0) for x0 in starts]):
+    for x, fun, nit in _lockstep(objective, [_nelder_mead(x0) for x0 in starts],
+                                 _row_bytes(spec)):
         iterations += nit
         if fun < best_val:
             best_val, best_x = fun, x

@@ -146,6 +146,19 @@ class MeasurementOutcome:
     post_state: DensityMatrix | None
 
 
+def _multi_indices(channels):
+    """``(idx, coeff)``: the multi-indices i whose coefficients
+    coeff_l(i) = prod_{k != l} a^(k)_{i_k} do not all vanish, (n, M) in
+    lexicographic order, and those coefficients, (n, M). They depend only
+    on the vacuum amplitudes."""
+    n = len(channels)
+    idx = np.indices([len(c.ops) for c in channels]).reshape(n, -1)
+    amps = [c.vacuum_amplitudes[i] for c, i in zip(channels, idx)]
+    coeff = np.array([prod(amps[k] for k in range(n) if k != l) for l in range(n)])
+    keep = coeff.any(axis=0).nonzero()[0]
+    return idx.take(keep, 1), coeff.take(keep, 1)
+
+
 def _joint_columns(channels, scales, cols):
     """Columns ``cols`` of the joint Kraus operators S_i whose coefficients
     do not all vanish, at every row of the (P, K) table ``scales`` of Kraus
@@ -166,23 +179,22 @@ def _joint_columns(channels, scales, cols):
     """
     n = len(channels)
     t, branch = np.divmod(cols, n)
-    idx = np.indices([len(c.ops) for c in channels]).reshape(n, -1)
-    amps = [c.vacuum_amplitudes[i] for c, i in zip(channels, idx)]
-    coeff = np.array([prod(amps[k] for k in range(n) if k != l) for l in range(n)])
-    keep = coeff.any(axis=0).nonzero()[0]
-    idx, coeff = idx.take(keep, 1), coeff.take(keep, 1)
+    idx, coeff = _multi_indices(channels)
     reach, kcols = kraus_columns(channels, scales, t)
     # position of each channel's first Kraus operator in kcols
     start = np.cumsum([0] + [len(c.ops) for c in channels])
-    # target (x) control with control as the rightmost factor: row r*n + l
-    out = np.empty((len(scales), idx.shape[1], len(reach), n, len(cols)),
+    # target (x) control with control as the rightmost factor: row r*n + l;
+    # branch l fills only its own columns
+    out = np.zeros((len(scales), idx.shape[1], len(reach), n, len(cols)),
                    dtype=complex)
     for l in range(n):
-        out[:, :, :, l] = np.where(
-            branch == l, coeff[l, :, None, None] * kcols.take(start[l] + idx[l], 1), 0)
+        on = (branch == l).nonzero()[0]
+        part = kcols.take(on, 3).take(start[l] + idx[l], 1)
+        out[:, :, :, l, on] = np.multiply(coeff[l, :, None, None], part, out=part)
     out = out.reshape(out.shape[:2] + (-1, len(cols)))
-    local = out.any(axis=(0, 1, 3)).nonzero()[0]
-    return reach, local, out.take(local, 2)
+    local = out.any(axis=0).any(axis=0).any(axis=1).nonzero()[0]  # as in kraus_columns
+    # a second copy only when some joint row is never reached
+    return reach, local, out if len(local) == out.shape[2] else out.take(local, 2)
 
 
 def global_kraus(channels) -> list[np.ndarray]:
@@ -209,16 +221,9 @@ def global_kraus(channels) -> list[np.ndarray]:
     return ops
 
 
-def _joint_blocks(scenario, scales):
-    """The joint states of ``scenario`` at every row of the table
-    ``scales``, on the joint rows any row reaches: ``(reach, local, rows,
-    blocks)``, with ``reach`` and ``local`` as ``_joint_columns``
-    returns them, ``rows`` the joint row of each position in ``local``, and
-    blocks of shape (P, len(rows), len(rows)), symmetrized, unchecked.
-
-    Only the columns of each S_i on the support ``sup`` of the input J are
-    built: sum_i S_i J S_i^dag = sum_i S_i[:, sup] J[sup, sup] S_i[:, sup]^dag.
-    """
+def _joint_input(scenario):
+    """``(sup, joint_in)``: the support ``sup`` of the joint input J =
+    rho (x) |c><c|, ascending, and J[sup, sup]."""
     rho, c = scenario.input, scenario.control.amplitudes
     n = len(c)
     # row t*n + l of J is non-zero exactly when row t of rho and c_l are;
@@ -232,19 +237,46 @@ def _joint_blocks(scenario, scales):
     c = c[c_sup]
     joint_in = (rho.block.take(pick, 0).take(pick, 1)[:, None, :, None]
                 * (c[:, None] * c.conj())[:, None, :])
-    joint_in = joint_in.reshape(len(sup), len(sup))
+    return sup, joint_in.reshape(len(sup), len(sup))
+
+
+def stack_row_bytes(scenario) -> int:
+    """The bytes of ``run_stack``'s two largest arrays per row of its
+    table, from the scenario's shapes: the joint columns of
+    ``_joint_columns`` before the unreached rows are cut, M kept
+    multi-indices by len(reach) * n joint rows by S input support columns,
+    and the joints on their reached target rows, len(reach) * n by d * n,
+    complex. The reached rows are the unit operators', at any scales."""
+    channels, n, d = scenario.channels, scenario.control.dim, scenario.input.dim
+    sup = _joint_input(scenario)[0]
+    reach = kraus_columns(channels, scale_row(channels)[None], sup // n)[0]
+    m = _multi_indices(channels)[0].shape[1]
+    return 16 * len(reach) * n * (m * len(sup) + d * n)
+
+
+def _joint_blocks(scenario, scales):
+    """The joint states of ``scenario`` at every row of the table
+    ``scales``, on the joint rows any row reaches: ``(reach, local, rows,
+    blocks)``, with ``reach`` and ``local`` as ``_joint_columns``
+    returns them, ``rows`` the joint row of each position in ``local``, and
+    blocks of shape (P, len(rows), len(rows)), symmetrized, unchecked.
+
+    Only the columns of each S_i on the support ``sup`` of the input J are
+    built: sum_i S_i J S_i^dag = sum_i S_i[:, sup] J[sup, sup] S_i[:, sup]^dag.
+    """
+    n = scenario.control.dim
+    sup, joint_in = _joint_input(scenario)
     reach, local, cols = _joint_columns(scenario.channels, scales, sup)
     r, l = np.divmod(local, n)
     rows = reach[r] * n + l
-    left = cols @ joint_in
-    right = cols.conj().swapaxes(-1, -2)
     blocks = np.zeros((len(scales), len(rows), len(rows)), dtype=complex)
     term = np.empty_like(blocks)
     # one term at a time, in multi-index order, for every point at once:
     # fusing the sum into one product would reorder it and change the
-    # rounding of the output
-    for m in range(cols.shape[1]):
-        blocks += np.matmul(left[:, m], right[:, m], out=term)
+    # rounding of the output. Each term forms its own S_i J and S_i^dag,
+    # the same products on the same slices as whole stacks of them would
+    for col in cols.swapaxes(0, 1):
+        blocks += np.matmul(col @ joint_in, col.conj().swapaxes(-1, -2), out=term)
     # symmetrize away accumulated rounding before the invariant checks
     return reach, local, rows, (blocks + blocks.conj().swapaxes(-1, -2)) / 2.0
 
@@ -291,7 +323,7 @@ def run_stack(scenario: SuperpositionScenario, scales) -> tuple[np.ndarray, ...]
     """The control measurement of ``scenario`` at every row of the (P, K)
     table ``scales`` of Kraus scales, K running over every channel's
     operators in channel order (a row is ``channels.scale_row``; a sweep's
-    chunk is ``scenarios._scale_table``), computed as one stack. The
+    stack is ``scenarios._scale_table``), computed as one stack. The
     scales the scenario's channels hold are not read.
 
     Returns ``(support, probs, live, posts)``: the read-only target rows

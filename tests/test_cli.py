@@ -1,6 +1,7 @@
 import importlib
 import inspect
 import json
+import math
 import os
 import pkgutil
 import subprocess
@@ -436,39 +437,45 @@ def test_sweep_and_grid_write_their_rows_as_they_are_made(tmp_path, capsys):
         assert capsys.readouterr().out == (
             f"prop4_p05: {len(fids)} records, fidelity range "
             f"[{min(fids, key=float)}, {max(fids, key=float)}] -> {out}\n")
-    for points in (40, 120):
-        tracemalloc.start()
-        try:
-            assert run_cli(["grid", "--scenario", "prop4_p05", "--points",
-                            str(points), "--out", str(out)]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
-        assert len(read_rows(out)) == points**2
-    assert f"{120**2} records" in capsys.readouterr().out
+    for name in ("prop4_p05", "fig8_green"):
+        for points in (40, 120):
+            tracemalloc.start()
+            try:
+                assert run_cli(["grid", "--scenario", name, "--points",
+                                str(points), "--out", str(out)]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, (name, points, peak)
+            assert len(read_rows(out)) == points**2
+        assert f"{name}: {120**2} records" in capsys.readouterr().out
 
 
 def test_a_failing_grid_keeps_the_rows_it_wrote(tmp_path, capsys, monkeypatch):
-    # the second chunk's records fail: one error line, exit 3, and the file
-    # holds the header and the first chunk's rows
+    # the second stack's records fail: one error line, exit 3, and the file
+    # holds the header and the first stack's rows; the grid is the
+    # smallest square of more points than one stack holds
+    spec = scenarios.builtin("prop4_p05")
+    size = scenarios._STACK_BYTES // scenarios._point_bytes(
+        spec, scenarios.build_scenario(spec, 0.5))
+    points = math.isqrt(size) + 1
     record_rows, calls = scenarios._record_rows, []
 
     def fails_second(*args, **kwargs):
         calls.append(None)
         if len(calls) == 2:
-            raise LinalgError("second chunk failed")
+            raise LinalgError("second stack failed")
         return record_rows(*args, **kwargs)
 
     monkeypatch.setattr(scenarios, "_record_rows", fails_second)
     out = tmp_path / "grid.csv"
     with pytest.raises(SystemExit) as exc:
-        run_cli(["grid", "--scenario", "prop4_p05", "--points", "6",
+        run_cli(["grid", "--scenario", "prop4_p05", "--points", str(points),
                  "--out", str(out)])
     assert exc.value.code == 3 and len(calls) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: second chunk failed\n" and captured.out == ""
-    assert len(read_rows(out)) == scenarios._CHUNK
+    assert captured.err == "error: second stack failed\n" and captured.out == ""
+    assert len(read_rows(out)) == size
 
 
 def test_walk_unknown_coin():

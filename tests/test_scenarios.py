@@ -346,7 +346,7 @@ def _assert_nelder_mead_is_scipys(f, x0):
     ``f``, returns bitwise what scipy's Nelder-Mead does on ``f``'s rows,
     whose path it repeats operation for operation."""
     minimize = pytest.importorskip("scipy.optimize").minimize
-    [(x, fun, nit)] = scenarios._lockstep(f, [scenarios._nelder_mead(x0)])
+    [(x, fun, nit)] = scenarios._lockstep(f, [scenarios._nelder_mead(x0)], 1)
     ref = minimize(lambda x: f(x[None])[0], x0, method="Nelder-Mead",
                    options=NM_OPTIONS)
     assert (x.dtype, x.tobytes(), float(fun).hex(), nit) == \
@@ -430,9 +430,10 @@ def _recorded(run, sizes):
 @pytest.mark.parametrize("name", OPTIMIZABLE)
 def test_lockstep_restarts_end_as_they_end_alone(name):
     """Each restart of 1, 4 or 20 run in lockstep ends bitwise as it ends
-    driven alone. The starts are ``optimize_amplitudes``'s; at (p, q) =
-    (1, 0) every family has restarts that stop in different rounds and
-    restarts that shrink (a request of dim points)."""
+    driven alone, in calls of at most 32 rows, so a round of 20 restarts
+    spans several calls. The starts are ``optimize_amplitudes``'s; at (p,
+    q) = (1, 0) every family has restarts that stop in different rounds
+    and restarts that shrink (a request of dim points)."""
     spec = builtin(name)
     slots = scenarios._free_slots(spec.family, spec.n)
     dim = sum(np.count_nonzero(m) for m in slots)
@@ -442,13 +443,14 @@ def test_lockstep_restarts_end_as_they_end_alone(name):
               if len(c.vectors) == len(slots)]
     starts += [rng.standard_normal(dim) for _ in range(20 - len(starts))]
     objective = scenarios._fixed_noise_objective(spec, 1.0, 0.0)
-    alone = [_result_bits(scenarios._lockstep(objective, [scenarios._nelder_mead(x0)])[0])
-             for x0 in starts]
+    row_bytes = scenarios._STACK_BYTES // 32
+    alone = [_result_bits(scenarios._lockstep(
+        objective, [scenarios._nelder_mead(x0)], row_bytes)[0]) for x0 in starts]
     for restarts in (1, 4, 20):
         sizes = [[] for _ in range(restarts)]
         together = scenarios._lockstep(
             objective, [_recorded(scenarios._nelder_mead(x0), s)
-                        for x0, s in zip(starts, sizes)])
+                        for x0, s in zip(starts, sizes)], row_bytes)
         assert [_result_bits(r) for r in together] == alone[:restarts], restarts
     assert len({nit for *_, nit in alone}) > 1
     assert any(dim in s for s in sizes)
@@ -456,10 +458,12 @@ def test_lockstep_restarts_end_as_they_end_alone(name):
 
 @pytest.mark.parametrize("restarts", [1, 3, 4, 20])
 def test_lockstep_calls_f_once_per_round_that_fits_a_chunk(restarts):
-    """A round is one call of ``f`` when it fits ``_CHUNK`` rows and
-    ``_CHUNK``-row calls then the rest when it does not; there are as many
-    rounds as the longest restart makes requests. On fig4a_red (dim 8) the
-    first round of 3 restarts is 27 rows, of 4 restarts 36."""
+    """A round is one call of ``f`` when ``_STACK_BYTES`` holds its rows
+    at ``row_bytes`` each, and calls on as many rows as it holds, then the
+    rest, when it does not; there are as many rounds as the longest
+    restart makes requests. At rows of just over 1/32 of the budget, 31
+    rows fit; on fig4a_red (dim 8) the first round of 3 restarts is 27
+    rows, of 4 restarts 36."""
     spec = builtin("fig4a_red")
     objective = scenarios._fixed_noise_objective(spec, 1.0, 0.0)
     calls = []
@@ -471,13 +475,14 @@ def test_lockstep_calls_f_once_per_round_that_fits_a_chunk(restarts):
     rng = np.random.default_rng(restarts)
     sizes = [[] for _ in range(restarts)]
     scenarios._lockstep(counted, [_recorded(scenarios._nelder_mead(x0), s) for x0, s
-                                  in zip(rng.standard_normal((restarts, 8)), sizes)])
+                                  in zip(rng.standard_normal((restarts, 8)), sizes)],
+                        scenarios._STACK_BYTES // 32 + 1)
     rounds = [sum(s[r] for s in sizes if len(s) > r)
               for r in range(max(map(len, sizes)))]
-    chunk = scenarios._CHUNK
-    assert calls == [min(chunk, rows - at) for rows in rounds
-                     for at in range(0, rows, chunk)]
-    assert (rounds[0] > chunk) == (restarts > 3)
+    fit = 31
+    assert calls == [min(fit, rows - at) for rows in rounds
+                     for at in range(0, rows, fit)]
+    assert (rounds[0] > fit) == (restarts > 3)
 
 
 def _proposals(name, rows):
@@ -549,8 +554,8 @@ def test_objective_scores_a_zero_norm_last_block_one(name):
 
 def test_optimizer_hands_the_objective_at_most_a_chunk(monkeypatch):
     """The first round of 1000 restarts on an n = 8 W spec asks for 17000
-    points; the objective sees them ``_CHUNK`` at a time, each call about
-    as large as a sweep chunk of the spec, not 16 GiB at once."""
+    points; the objective sees them as many at a time as ``_STACK_BYTES``
+    holds at the spec's ``_row_bytes``, not 16 GiB at once."""
     import tracemalloc
 
     make, seen = scenarios._fixed_noise_objective, []
@@ -578,8 +583,10 @@ def test_optimizer_hands_the_objective_at_most_a_chunk(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert seen == [scenarios._CHUNK] * 3
-    # one chunk's 32 placed 256 x 256 complex states are 33.5 MB
+    # one proposal's placed 256 x 256 complex state is 1 MiB, more than
+    # the budget holds: one proposal per call
+    assert scenarios._row_bytes(spec) > scenarios._STACK_BYTES
+    assert seen == [1] * 3
     assert peak < 48 * 2**20
 
 
@@ -730,6 +737,20 @@ def _hex(records):
             for r in records]
 
 
+def _stack_size(spec):
+    """The points ``sweep`` puts into each ``run_stack`` call for ``spec``."""
+    scenario = build_scenario(spec, 0.5)
+    return max(1, scenarios._STACK_BYTES // scenarios._point_bytes(spec, scenario))
+
+
+def _stacks_of(monkeypatch, spec, size):
+    """Patch the budget so that ``sweep`` puts ``size`` points of ``spec``
+    into each ``run_stack`` call."""
+    scenario = build_scenario(spec, 0.5)
+    monkeypatch.setattr(scenarios, "_STACK_BYTES",
+                        size * scenarios._point_bytes(spec, scenario))
+
+
 def _identity_only(family, n, channels, size):
     # every amplitude on the identity slot: at p = q = 0 both branches
     # apply the identity, so every outcome but the first has probability 0
@@ -783,17 +804,18 @@ def test_stacks_drop_zero_probability_outcomes_per_point():
 
 
 @pytest.mark.parametrize("extra", [-31, -1, 0, 1, 33])
-def test_sweeps_across_chunk_edges_equal_evaluate_point(extra):
-    # 1, 31, 32, 33 and 65 points for chunks of 32, with p = 0 in mid-chunk:
-    # there outcome 1 of the identity-only Bell spec has probability 0, and
-    # the chunk's pass for outcome 1 leaves that point out
-    points = scenarios._CHUNK + extra
+def test_sweeps_across_chunk_edges_equal_evaluate_point(monkeypatch, extra):
+    # 1, 31, 32, 33 and 65 points for a budget of 32 points, with p = 0 in
+    # mid-stack: there outcome 1 of the identity-only Bell spec has
+    # probability 0, and the stack's pass for outcome 1 leaves that point out
+    points = 32 + extra
     grid = np.linspace(0.0, 1.0, points)
     at = (points - 1) // 3
     grid[[0, at]] = grid[[at, 0]]
     for spec in (builtin("fig7a_green"),
                  _identity_only("bell_depolarizing", 2, 2, 4)):
         spec = replace(spec, outcome_policy="all_outcomes")
+        _stacks_of(monkeypatch, spec, 32)
         expected = [rec for p in grid
                     for rec in evaluate_point(spec, float(p), float(p))]
         records = list(sweep(spec, grid))
@@ -806,8 +828,9 @@ def test_sweeps_across_chunk_edges_equal_evaluate_point(extra):
 def test_sweep_records_come_from_evaluate_point(monkeypatch, tmp_path):
     # evaluate_point patched on the module, as the benchmark's self-test
     # patches it: it is called once per point, with the point's row of
-    # the chunk's record columns, and sweep yields, and the CLI writes,
-    # exactly the records it returns
+    # the stack's record columns, and sweep yields, and the CLI writes,
+    # exactly the records it returns; fig4a_red's 101 points fill two
+    # stacks of a budget patched to 64 points
     evaluate, calls, returned = scenarios.evaluate_point, [], []
 
     def perturbed(spec, p, q, **kwargs):
@@ -821,7 +844,9 @@ def test_sweep_records_come_from_evaluate_point(monkeypatch, tmp_path):
 
     monkeypatch.setattr(scenarios, "evaluate_point", perturbed)
     ghz8 = ScenarioSpec("ghz8", "ghz_depolarizing", 8, PROP5_P05)
-    for spec, points in ((builtin("fig4a_red"), scenarios._CHUNK + 1), (ghz8, 11)):
+    for spec, points in ((ghz8, 11), (builtin("fig4a_red"), 101)):
+        if points == 101:
+            _stacks_of(monkeypatch, spec, 64)
         calls.clear()
         returned.clear()
         grid = np.linspace(0.0, 1.0, points)
@@ -831,10 +856,10 @@ def test_sweep_records_come_from_evaluate_point(monkeypatch, tmp_path):
         assert all(a is b for a, b in zip(records, returned))
     returned.clear()
     out, expected = tmp_path / "sweep.csv", tmp_path / "expected.csv"
-    assert cli.main(["sweep", "--scenario", "fig4a_red", "--points", "33",
+    assert cli.main(["sweep", "--scenario", "fig4a_red", "--points", "101",
                      "--out", str(out)]) == 0
     cli._write_records(returned, str(expected))
-    assert len(returned) == 33 and out.read_text() == expected.read_text()
+    assert len(returned) == 101 and out.read_text() == expected.read_text()
 
 
 def _random_specs():
@@ -901,10 +926,12 @@ def test_record_columns_equal_the_one_point_formulas_bitwise(points):
         assert [_bits(row) for row in one_point] == [_bits(row) for row in expected]
 
 
-def test_no_oracle_leaves_every_other_column_bitwise():
-    grid = np.linspace(0.0, 1.0, scenarios._CHUNK + 1)
+def test_no_oracle_leaves_every_other_column_bitwise(monkeypatch):
+    # 33 points, two stacks of a budget of 32 points
+    grid = np.linspace(0.0, 1.0, 33)
     for name in ("fig4a_red", "fig4b_blue", "fig8_green", "fig7a_green"):
         spec = replace(builtin(name), outcome_policy="all_outcomes")
+        _stacks_of(monkeypatch, spec, 32)
         with_oracle = list(sweep(spec, grid))
         without = list(sweep(spec, grid, emit_oracle=False))
         assert len(without) >= len(grid)
@@ -1061,19 +1088,19 @@ def test_record_stage_peaks_below_the_per_point_gathers(monkeypatch, n, points,
                                                         per_point_peak):
     """The record stage of GHZ sweeps stays below the peak it read when
     each point's reductions were gathered alone (``per_point_peak``, in
-    bytes, measured by ``_record_stage_peak`` on that path): each chunk's
+    bytes, measured by ``_record_stage_peak`` on that path): each stack's
     reductions are summed over the block entries that contribute, and
-    read 0.65 MB at n = 8 and 2.75 MB at n = 10 (x86-64, Python 3.11,
-    numpy 2.4), where gathering every traced index read 0.88 and 4.83 MB
-    in slices of at most 2^12 entries, and 5.37 and 96.3 MB with the
-    whole chunk in one gather."""
+    read 0.08 MB at n = 8 (one stack) and 0.28 MB at n = 10 (3-point
+    stacks; x86-64, Python 3.11, numpy 2.4), where gathering every traced index
+    read 0.88 and 4.83 MB in slices of at most 2^12 entries, and 5.37 and
+    96.3 MB with a whole 32-point stack in one gather."""
     spec = ScenarioSpec(f"ghz{n}", "ghz_depolarizing", n, PROP5_P05)
     assert _record_stage_peak(monkeypatch, spec, points) < per_point_peak
 
 
 def test_sweep_builds_one_scenario(monkeypatch):
-    # one scenario, and one channel tuple, per sweep; a point adds only
-    # its row of its chunk's scale table
+    # one scenario, and one channel tuple, per sweep, over three stacks; a
+    # point adds only its row of its stack's scale table
     calls = []
 
     def counted(owner, name):
@@ -1085,7 +1112,7 @@ def test_sweep_builds_one_scenario(monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     spec = builtin("fig7a_green")
-    grid = np.linspace(0.0, 1.0, 2 * scenarios._CHUNK + 1)
+    grid = np.linspace(0.0, 1.0, 2 * _stack_size(spec) + 1)
     expected = list(sweep(spec, grid, [0.3]))
     counted(scenarios, "build_scenario")
     counted(VacuumExtendedChannel, "__post_init__")
@@ -1100,35 +1127,39 @@ def test_sweep_builds_one_scenario(monkeypatch):
 
 
 def test_plus_only_sweep_builds_one_post_state_per_point(monkeypatch):
-    # the scenario measures only the reported outcome, and each chunk's
-    # post blocks are checked as one stack: an n = 8 GHZ sweep of 55
-    # points checks 55 post blocks in 2 stacked calls, one per chunk, each
-    # after its chunk's joint states
+    # the scenario measures only the reported outcome, and each stack's
+    # post blocks are checked as one: an n = 8 GHZ sweep of 55 points
+    # checks 55 post blocks in one call per stack, each after its stack's
+    # joint states
     check, checked = superposition.check_densities, []
 
     def counted(mats):
         checked.append(mats.shape)
         return check(mats)
 
-    monkeypatch.setattr(superposition, "check_densities", counted)
     spec = ScenarioSpec("ghz8", "ghz_depolarizing", 8, PROP5_P05)
-    assert spec.outcome_policy == "plus_only"
-    assert scenarios._CHUNK == 32
+    size = _stack_size(spec)
+    stacks = [min(size, 55 - at) for at in range(0, 55, size)]
+    assert spec.outcome_policy == "plus_only" and len(stacks) > 1
+    monkeypatch.setattr(superposition, "check_densities", counted)
     assert len(list(sweep(spec, np.linspace(0.0, 1.0, 55)))) == 55
-    assert [shape[0] for shape in checked] == [32, 32, 23, 23]
-    assert checked[1::2] == [(32, 2, 2), (23, 2, 2)]
+    # the joint blocks, then the post blocks, of each stack
+    assert [shape[0] for shape in checked] == [s for s in stacks for _ in range(2)]
+    assert checked[1::2] == [(s, 2, 2) for s in stacks]
 
 
 def test_sweep_refuses_a_bad_point_in_a_later_chunk():
     # the scenario is checked at the first point; a bad noise value in the
-    # second chunk still raises the channel constructor's own error
-    good = list(np.linspace(0.0, 1.0, scenarios._CHUNK + 1))
+    # second stack still raises the channel constructor's own error
+    def good(name):
+        return list(np.linspace(0.0, 1.0, _stack_size(builtin(name)) + 1))
+
     for constructor, name, grids in (
             (lambda: depolarizing_correlated(1.5, 2, scenarios.PROP4_P05.alpha),
-             "fig4a_blue", (good + [1.5],)),
+             "fig4a_blue", (good("fig4a_blue") + [1.5],)),
             (lambda: pauli_channel_correlated((-0.5, 0, 0, 1.5), 3,
                                               scenarios.COR2_P05.beta, (0, 3)),
-             "fig7a_blue", ([0.5], good + [1.5]))):
+             "fig7a_blue", ([0.5], good("fig7a_blue") + [1.5]))):
         with pytest.raises(BadProbabilityError) as alone:
             constructor()
         with pytest.raises(BadProbabilityError) as swept:
@@ -1199,11 +1230,13 @@ def test_scale_table_refuses_as_the_first_bad_constructor(spec):
 
 
 def test_sweep_refuses_as_the_first_bad_constructor_in_any_chunk():
-    grid = list(np.linspace(0.0, 1.0, 2 * scenarios._CHUNK + 1))
+    # a bad p at the first point of each of three stacks
     for name in ("fig4a_blue", "fig7a_blue", "fig8_green"):
         spec = builtin(name)
+        size = _stack_size(spec)
+        grid = list(np.linspace(0.0, 1.0, 2 * size + 1))
         for bad in (np.nan, -np.inf, -1e-3, 1 + 1e-9):
-            for at in (0, scenarios._CHUNK, 2 * scenarios._CHUNK):
+            for at in (0, size, 2 * size):
                 p = grid[:at] + [bad] + grid[at + 1:]
                 with pytest.raises(LinksimError) as swept:
                     list(sweep(spec, p, [0.25]))
@@ -1233,7 +1266,7 @@ def test_pauli_scales_keep_the_distribution_message():
 
 
 def test_sweep_memory_does_not_grow_with_points():
-    # the peak less the records it returns: one chunk's working set,
+    # the peak less the records it returns: one stack's working set,
     # whatever the number of points
     import tracemalloc
 
@@ -1250,5 +1283,47 @@ def test_sweep_memory_does_not_grow_with_points():
 
     spec = ScenarioSpec("ghz6", "ghz_depolarizing", 6, PROP5_P05)
     list(sweep(spec, [0.5]))  # the cached unit operators and input
-    small, large = overhead(2 * scenarios._CHUNK), overhead(16 * scenarios._CHUNK)
+    size = _stack_size(spec)
+    small, large = overhead(2 * size), overhead(16 * size)
     assert large <= small + 64 * 1024, (small, large)
+
+
+def test_stacks_are_sized_by_their_bytes(monkeypatch):
+    """``sweep`` fills each ``run_stack`` call up to ``_STACK_BYTES`` at the
+    scenario's ``_point_bytes``: a 101-point fig4a_red sweep and the
+    11-point n = 8 GHZ sweep are one stack each, and an n = 8 W point,
+    whose joint on its reached rows alone is 2.4 MB, is more than the
+    budget: a stack of one point each, fewer than fig4a_red's, and at
+    least one. The optimizer's first round of 4 restarts on prop4_p05, 36
+    proposals, is one objective call."""
+    run_stack, stacks = scenarios.run_stack, []
+
+    def counted(scenario, scales):
+        stacks.append(len(scales))
+        return run_stack(scenario, scales)
+
+    monkeypatch.setattr(scenarios, "run_stack", counted)
+    ghz8 = ScenarioSpec("ghz8", "ghz_depolarizing", 8, PROP5_P05)
+    w8 = ScenarioSpec("w8", "w_memoryless", 8, VacuumConfig(((S2, S2),) * 8))
+    sizes = {}
+    for spec, points in ((builtin("fig4a_red"), 101), (ghz8, 11), (w8, 3)):
+        stacks.clear()
+        assert len(list(sweep(spec, np.linspace(0.0, 1.0, points)))) == points
+        sizes[spec.name] = stacks[:]
+    assert sizes["fig4a_red"] == [101] and sizes["ghz8"] == [11]
+    assert scenarios._point_bytes(w8, build_scenario(w8, 0.5)) > scenarios._STACK_BYTES
+    assert sizes["w8"] == [1, 1, 1]
+
+    make, calls = scenarios._fixed_noise_objective, []
+
+    def recorded(spec, p, q):
+        objective = make(spec, p, q)
+
+        def count(x):
+            calls.append(len(x))
+            return objective(x)
+        return count
+
+    monkeypatch.setattr(scenarios, "_fixed_noise_objective", recorded)
+    optimize_amplitudes(builtin("prop4_p05"), 0.5, restarts=4)
+    assert calls[0] == 4 * 9
