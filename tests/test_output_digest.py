@@ -24,6 +24,8 @@ RECORDED = {
     "walk": "e4de02359d022cc4cc3c3a82ad23d153d21404a43813f81cbbc89060b1df768a",
     # recorded before Pauli strings were held as signed permutations
     "kraus": "a980397acfb14671797d3d8615dde7c2bd88cf63f2fd39269161f2a6a0646150",
+    # recorded before the measurement read only the reached columns
+    "reach1": "5a3ced1b1a9f962e2f1b20a923a245181723bd7e9cb4b256165a59b8d4ee279e",
 }
 
 

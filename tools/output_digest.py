@@ -29,7 +29,13 @@ The digests cover:
 - ``walk``: the CSV of the default walk and of walks with each coin;
 - ``kraus``: ``kraus_columns`` of every column of every builtin's
   channels at the ``run`` noise points, and their dense ``kraus`` for
-  n <= 4.
+  n <= 4;
+- ``reach1``: two superposed phase-flip channels (I and Z strings) over a
+  9-point scale table, and a pair of diagonal dense unitaries, on |0...0>
+  for n = 1..3, where every joint state reaches a single target row; each
+  measured on |+> alone and on both of (|+>, |->): ``run_stack``'s
+  outcome lists, and ``run`` and ``measure_control(apply(s))`` at every
+  point.
 """
 
 from __future__ import annotations
@@ -42,15 +48,25 @@ from dataclasses import replace
 import numpy as np
 
 from linksim import cli, scenarios
-from linksim.channels import kraus_columns, scale_row
+from linksim.channels import (
+    VacuumExtendedChannel,
+    bitflip_scales,
+    kraus_columns,
+    pauli_string,
+    scale_row,
+    unitary_channel,
+)
 from linksim.metrics import VacuumConfig
 from linksim.scenarios import ScenarioSpec, build_scenario, builtin, builtin_names
 from linksim.superposition import (
+    SuperpositionScenario,
     _outcome_lists,
     apply,
     measure_control,
+    pm_basis,
     run,
     run_stack,
+    uniform_control,
 )
 
 _S2 = 1.0 / np.sqrt(2.0)
@@ -195,13 +211,50 @@ def kraus_digest() -> str:
     return h.hexdigest()
 
 
+def _all_outcomes(h, outcomes) -> None:
+    for out in outcomes:
+        h.update(f"{out.outcome_index} {out.probability.hex()};".encode())
+        h.update(b"none" if out.post_state is None else out.post_state.mat.tobytes())
+
+
+def reach1_digest() -> str:
+    h = hashlib.sha256()
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 3):
+        zero = scenarios._zero_input(n)
+        ops = (pauli_string("I" * n), pauli_string("Z" * n))
+        amps = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        amps /= np.linalg.norm(amps, axis=1)[:, None]
+        # phase flips of I and Z alone, as the named constructor also holds
+        # X and Y, which reach the row of |1...1>
+        flips = [[VacuumExtendedChannel(ops, a, bitflip_scales([q])[0])
+                  for q, a in zip((p, 1 - p), amps)]
+                 for p in np.linspace(0, 1, 9)]
+        phases = np.exp(1j * rng.uniform(0, 2 * np.pi, (2, 2**n)))
+        unitaries = [[unitary_channel(np.diag(u)) for u in phases]]
+        for stack in (flips, unitaries):
+            for basis in (pm_basis()[:1], pm_basis()):
+                points = [SuperpositionScenario(c, zero, uniform_control(2), basis)
+                          for c in stack]
+                scales = [scale_row(s.channels) for s in points]
+                for outcomes in _outcome_lists(zero.dims,
+                                               *run_stack(points[0], scales)):
+                    _all_outcomes(h, outcomes)
+                for s in points:
+                    _all_outcomes(h, run(s))
+                    joint = apply(s)
+                    h.update(joint.mat.tobytes())
+                    _all_outcomes(h, measure_control(joint, basis))
+    return h.hexdigest()
+
+
 def main() -> None:
     for name, digest in (("run", run_digest), ("sweep", sweep_digest),
                          ("run_stack", stack_digest),
                          ("sweep_stack", sweep_stack_digest),
                          ("objective", objective_digest),
                          ("optimize", optimize_digest), ("walk", walk_digest),
-                         ("kraus", kraus_digest)):
+                         ("kraus", kraus_digest), ("reach1", reach1_digest)):
         print(name, digest(), flush=True)
 
 
