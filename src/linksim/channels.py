@@ -169,11 +169,15 @@ def kraus_columns(channels, scales, cols) -> tuple[np.ndarray, np.ndarray]:
     (P, K, len(reach), len(cols)), on the sorted rows ``reach`` any unit
     operator reaches from them; every other row is zero. The unit columns,
     ``op[:, cols]`` of a dense operator or a Pauli string, are gathered
-    once, and each entry is the product scale * unit entry ``kraus`` holds."""
+    once, and each entry is the product scale * unit entry ``kraus`` holds,
+    ``scales[:, :, None, None] * units``. With ``scales`` None the unit
+    columns themselves are returned, (K, len(reach), len(cols)), for a
+    caller that scales them per table."""
     units = np.array([op[:, cols] for c in channels for op in c.ops])
     # one axis at a time: numpy reduces a tuple of axes several times slower
     reach = units.any(axis=0).any(axis=1).nonzero()[0]
-    return reach, scales[:, :, None, None] * units.take(reach, 1)
+    units = units.take(reach, 1)
+    return reach, units if scales is None else scales[:, :, None, None] * units
 
 
 def _check_amps(amps, length: int, used_slots=None) -> np.ndarray:

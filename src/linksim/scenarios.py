@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import chain, combinations, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -28,7 +28,7 @@ from .channels import (
     scale_row,
     unitary_channel,
 )
-from .linalg import DensityMatrix, LinksimError, check_densities
+from .linalg import DensityMatrix, LinksimError, _support_plan, check_densities
 from .metrics import (
     VacuumConfig,
     bell_state,
@@ -400,21 +400,21 @@ def oracle_fidelity(spec: ScenarioSpec, p, q) -> float | list[float] | None:
 #: holds at ``_row_bytes`` (``_lockstep``). A stack is one table of Kraus
 #: scales and one density check of its post states; its arrays grow with
 #: it, while the per-call numpy overhead it spreads flattens out. 512 KiB
-#: holds a 101-point fig4a_red sweep (2.7 kB a point) and the 11-point
-#: n = 8 GHZ sweep (35 kB) in one stack each, a 15 x 15 prop5_p05 grid in
-#: two, and one n = 8 W point (5.8 MB) per stack: a pass of the
-#: benchmark's figures workload runs 36 stacks, where 32-point stacks ran
-#: 53. Measured with tracemalloc (x86-64, Python 3.11, numpy 2.4), a
-#: 120 x 120 grid peaks at 0.89 MB for prop4_p05 (186-point stacks) and
-#: 0.59 MB for fig8_green (51), below the 1 MB the CLI tests allow; a
-#: 33-point n = 8 W sweep at 3.0 MB, and a 20-restart n = 8 W optimizer at
-#: 1.6 MB, where 32-row stacks read 95 and 34 MB. That 1 MB caps the
-#: budget, since a prop4_p05 point holds about 4.8 kB in all against the
-#: 2.8 kB counted; so points of a few hundred kB (GHZ from n = 10, W from
-#: n = 6) run one to three a stack, each stack paying its fixed set-up,
-#: and such sweeps take longer than in 32-point stacks. A stack's post states
-#: are kept until its rows are made, its records until they are yielded;
-#: the reductions sum only the block entries that contribute
+#: holds a 101-point fig4a_red sweep (3.1 kB a point), the 11-point n = 8
+#: GHZ sweep and a 33-point n = 11 one (3.3 kB a point at any n, as the
+#: joints are placed on the two rows and columns they reach) in one stack
+#: each, a 15 x 15 prop5_p05 grid in two, and one n = 8 W point (2.7 MB)
+#: per stack: a pass of the benchmark's figures workload runs 36 stacks,
+#: where 32-point stacks ran 53. Measured with tracemalloc (x86-64, Python
+#: 3.11, numpy 2.4; MB here is 2^20 bytes), a 120 x 120 grid peaks at
+#: 0.69 MB for prop4_p05 (157-point stacks), 0.55 MB for fig8_green (62),
+#: 0.62 MB for cor1_p05 and 0.58 MB for fig7a_green (199), below the 1 MB
+#: the CLI tests allow; a 33-point n = 8 W sweep at 3.0 MB, and a 20-restart
+#: n = 8 W optimizer at 1.6 MB, where 32-row stacks read 95 and 34 MB.
+#: W points weigh 32 kB at n = 4 and 330 kB at n = 6, so such sweeps run
+#: 16 and one point a stack, each stack paying its fixed set-up. A stack's
+#: post states are kept until its rows are made, its records until they
+#: are yielded; the reductions sum only the block entries that contribute
 #: (``linalg._support_plan``), the stack's at once, each distinct one
 #: once: an n = 8 GHZ stack decomposes one pair reduction per point, not 28.
 _STACK_BYTES = 2**19
@@ -428,9 +428,20 @@ def _placement_bytes(spec: ScenarioSpec, d: int) -> int:
 
 
 def _point_bytes(spec: ScenarioSpec, scenario: SuperpositionScenario) -> int:
-    """What one point adds to a ``sweep`` stack: ``run_stack``'s largest
-    arrays (``stack_row_bytes``) and the fidelity's placement."""
-    return stack_row_bytes(scenario) + _placement_bytes(spec, scenario.input.dim)
+    """What one point adds to a ``sweep`` stack: the larger of its two
+    stages, which hold their arrays one after the other. ``run_stack``'s
+    are ``stack_row_bytes``. The records' are the post blocks of the
+    point's outcomes and, one outcome at a time, the fidelity's placement
+    or the pair reductions' arrays, whichever is larger: about ten 4 x 4
+    complex arrays, 2.5 kB, for each distinct pair reduction while
+    ``pairwise_concurrences`` decomposes it (tracemalloc, x86-64, numpy
+    2.4), one for a GHZ or Bell target at any n."""
+    plan, dims = scenario._plan, scenario.input.dims
+    pairs = tuple(combinations(range(len(dims)), 2))
+    distinct = _support_plan(dims, tuple(plan.reach.tolist()), pairs)[2][0]
+    records = 16 * len(plan.basis) * len(plan.reach) ** 2 + max(
+        _placement_bytes(spec, scenario.input.dim), 2560 * distinct)
+    return max(stack_row_bytes(scenario), records)
 
 
 def _record_rows(spec: ScenarioSpec, scenario: SuperpositionScenario,

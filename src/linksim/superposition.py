@@ -19,24 +19,29 @@ outcomes and their post blocks. ``apply``, ``measure_control`` and
 ``run`` are its one-point calls, and only they hold a state in a
 ``DensityMatrix``. A noise point changes only the scales: the unit
 operators, vacuum amplitudes, input, control and basis are the
-scenario's. It forms rho_t (x) rho_c only on its support, which is a
-few rows for the paper's pure product inputs, and builds only the columns
-of each S_i that meet it. ``channels.kraus_columns`` gathers the unit
-columns once per stack and scales only them, per row of the table, so no
-2^n x 2^n operator is formed per noise point, and each scaled entry is the
-one product the dense operator holds. The measurement contracts only the
-target rows that the joint states reach, for every point and outcome in
-one einsum. Each step keeps the order of every sum that the whole-matrix
-computation of one point uses, so neither the restriction nor the
-stacking changes an output bit. ``global_kraus`` builds the dense
-operators literally from the formula and serves as the reference.
+scenario's, and what they fix is its plan (``_Plan``), formed on its
+first stack and read by every later one. It forms rho_t (x) rho_c only on
+its support, which is a few rows for the paper's pure product inputs, and
+builds only the columns of each S_i that meet it. ``channels.kraus_columns``
+gathers their unit columns once per scenario, and each stack scales only
+them, per row of the table, so no 2^n x 2^n operator is formed per noise
+point, and each scaled entry is the one product the dense operator holds.
+The measurement places each joint state on the target rows and columns it
+reaches, the columns padded to at least two, and contracts them for every
+point and outcome in one einsum. Each step keeps the order of every sum
+that the whole-matrix computation of one point uses, so neither the
+restriction nor the stacking changes an output bit. ``global_kraus``
+builds the dense operators literally from the formula and serves as the
+reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from math import prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,6 +53,10 @@ JOINT_DIM_CAP = 4096
 
 #: outcomes below this probability are flagged as zero-probability
 ZERO_PROB = 1e-12
+
+#: the bytes of the zero-filled diagonals ``_measure`` sums at once: 16
+#: points of an n = 8 GHZ stack, 2 at n = 11
+_DIAG_BYTES = 2**16
 
 
 class SuperpositionError(LinksimError):
@@ -132,6 +141,21 @@ class SuperpositionScenario:
                 f"joint dimension {d * n} exceeds cap {JOINT_DIM_CAP}"
             )
 
+    @cached_property
+    def _plan(self) -> _Plan:
+        """What ``run_stack`` reads at any scales, formed on first use and
+        kept (``_Plan``)."""
+        n = self.control.dim
+        sup, joint_in = _joint_input(self)
+        idx, coeff = _multi_indices(self.channels)
+        start = np.cumsum([0] + [len(c.ops) for c in self.channels])[:-1]
+        reach, units = kraus_columns(self.channels, None, sup // n)
+        plan = _Plan(sup, joint_in, idx + start[:, None], coeff, reach, units,
+                     np.array(self.measurement_basis))
+        for array in plan:
+            array.setflags(write=False)
+        return plan
+
 
 @dataclass(frozen=True)
 class MeasurementOutcome:
@@ -157,44 +181,6 @@ def _multi_indices(channels):
     coeff = np.array([prod(amps[k] for k in range(n) if k != l) for l in range(n)])
     keep = coeff.any(axis=0).nonzero()[0]
     return idx.take(keep, 1), coeff.take(keep, 1)
-
-
-def _joint_columns(channels, scales, cols):
-    """Columns ``cols`` of the joint Kraus operators S_i whose coefficients
-    do not all vanish, at every row of the (P, K) table ``scales`` of Kraus
-    scales (see ``kraus_columns``), on the joint rows that any row reaches.
-
-    Returns ``(reach, local, cols)``: ``reach``, the sorted target rows the
-    unit columns can reach; ``local``, the sorted kept positions in the
-    (len(reach), n) grid of joint rows reach[r] * n + l; and an array of
-    shape (P, M, len(local), len(cols)), one slice per row and kept
-    multi-index, in the lexicographic order of ``global_kraus``.
-
-    Column t*n + l of S_i is coeff_l(i) K^(l)_{i_l}[:, t] at rows l::n,
-    with coeff_l(i) = prod_{k != l} a^(k)_{i_k}. The multi-indices and
-    coefficients depend only on the amplitudes, and the Kraus columns in
-    ``t`` come from ``kraus_columns``, scaled per row on the rows they can
-    reach, with no sum reordered, so the result is bitwise the gather from
-    ``channel.kraus``, which is never built here.
-    """
-    n = len(channels)
-    t, branch = np.divmod(cols, n)
-    idx, coeff = _multi_indices(channels)
-    reach, kcols = kraus_columns(channels, scales, t)
-    # position of each channel's first Kraus operator in kcols
-    start = np.cumsum([0] + [len(c.ops) for c in channels])
-    # target (x) control with control as the rightmost factor: row r*n + l;
-    # branch l fills only its own columns
-    out = np.zeros((len(scales), idx.shape[1], len(reach), n, len(cols)),
-                   dtype=complex)
-    for l in range(n):
-        on = (branch == l).nonzero()[0]
-        part = kcols.take(on, 3).take(start[l] + idx[l], 1)
-        out[:, :, :, l, on] = np.multiply(coeff[l, :, None, None], part, out=part)
-    out = out.reshape(out.shape[:2] + (-1, len(cols)))
-    local = out.any(axis=0).any(axis=0).any(axis=1).nonzero()[0]  # as in kraus_columns
-    # a second copy only when some joint row is never reached
-    return reach, local, out if len(local) == out.shape[2] else out.take(local, 2)
 
 
 def global_kraus(channels) -> list[np.ndarray]:
@@ -240,67 +226,140 @@ def _joint_input(scenario):
     return sup, joint_in.reshape(len(sup), len(sup))
 
 
+class _Plan(NamedTuple):
+    """What every stack of one scenario shares, at any scales. Every array
+    is read-only.
+
+    - ``sup``, the support of the joint input, and ``joint_in`` on it
+      (``_joint_input``);
+    - ``at``, the kept multi-indices of ``_multi_indices`` as positions
+      in a scale row (i_l plus the number of Kraus operators before
+      channel l), (n, M), and their coefficients ``coeff``, (n, M);
+    - ``reach``, the sorted target rows the unit columns at ``sup``
+      reach, and ``units``, those unit columns on them, (K, len(reach),
+      len(sup)), from ``kraus_columns``;
+    - ``basis``, the measured vectors, (B, n).
+    """
+
+    sup: np.ndarray
+    joint_in: np.ndarray
+    at: np.ndarray
+    coeff: np.ndarray
+    reach: np.ndarray
+    units: np.ndarray
+    basis: np.ndarray
+
+
+def _joint_columns(plan: _Plan, scales):
+    """The columns ``plan.sup`` of the joint Kraus operators S_i whose
+    coefficients do not all vanish, at every row of the (P, K) table
+    ``scales`` of Kraus scales (see ``kraus_columns``), on the joint rows
+    that any row reaches.
+
+    Returns ``(local, cols)``: ``local``, the sorted kept positions in the
+    (len(reach), n) grid of joint rows reach[r] * n + l; and an array of
+    shape (P, M, len(local), len(sup)), one slice per row and kept
+    multi-index, in the lexicographic order of ``global_kraus``.
+
+    Column t*n + l of S_i is coeff_l(i) K^(l)_{i_l}[:, t] at rows l::n,
+    with coeff_l(i) = prod_{k != l} a^(k)_{i_k}. The plan's unit columns
+    are scaled per row as ``kraus_columns`` scales them, with no sum
+    reordered, so the result is bitwise the gather from ``channel.kraus``,
+    which is never built here.
+    """
+    n = len(plan.coeff)
+    on = [(plan.sup % n == l).nonzero()[0] for l in range(n)]
+    # branch l fills only its own columns, coeff_l(i) times the scaled unit
+    # columns of K^(l)_{i_l}, on every reached target row
+    parts = [np.multiply(plan.coeff[l, :, None, None],
+                         scales.take(plan.at[l], 1)[:, :, None, None]
+                         * plan.units.take(plan.at[l], 0).take(on[l], 2))
+             for l in range(n)]
+    # target (x) control with control as the rightmost factor: joint row
+    # r*n + l is kept if branch l reaches target row r at any row of the
+    # table; reduced one axis at a time, as in kraus_columns
+    hit = np.array([part.any(axis=0).any(axis=0).any(axis=1) for part in parts])
+    local = hit.T.ravel().nonzero()[0]
+    r, branch = np.divmod(local, n)
+    out = np.zeros((len(scales), plan.at.shape[1], len(local), len(plan.sup)),
+                   dtype=complex)
+    for l, part in enumerate(parts):
+        mine = (branch == l).nonzero()[0]
+        out[:, :, mine[:, None], on[l]] = part.take(r[mine], 2)
+    return local, out
+
+
 def stack_row_bytes(scenario) -> int:
-    """The bytes of ``run_stack``'s two largest arrays per row of its
-    table, from the scenario's shapes: the joint columns of
-    ``_joint_columns`` before the unreached rows are cut, M kept
-    multi-indices by len(reach) * n joint rows by S input support columns,
-    and the joints on their reached target rows, len(reach) * n by d * n,
-    complex. The reached rows are the unit operators', at any scales."""
-    channels, n, d = scenario.channels, scenario.control.dim, scenario.input.dim
-    sup = _joint_input(scenario)[0]
-    reach = kraus_columns(channels, scale_row(channels)[None], sup // n)[0]
-    m = _multi_indices(channels)[0].shape[1]
-    return 16 * len(reach) * n * (m * len(sup) + d * n)
+    """The bytes of ``run_stack``'s largest arrays per row of its table,
+    read from the scenario's plan, all complex. ``_joint_columns`` holds
+    every branch's part, M kept multi-indices by len(reach) target rows by
+    the input support columns it fills (S over all branches), and the
+    kept joint rows, M by at most len(reach) * n by S. ``_measure`` places
+    the joints on their reached rows and columns, len(reach) * n by
+    max(2, len(reach)) * n. The reached rows are the unit operators', at
+    any scales; the d-length diagonals that ``_measure`` sums are held a
+    slice of points at a time (``_DIAG_BYTES``), whatever the stack's
+    size."""
+    plan = scenario._plan
+    n, m = plan.coeff.shape
+    r, s = len(plan.reach), len(plan.sup)
+    return 16 * r * (m * s * (n + 1) + n * max(2, r) * n)
 
 
-def _joint_blocks(scenario, scales):
-    """The joint states of ``scenario`` at every row of the table
-    ``scales``, on the joint rows any row reaches: ``(reach, local, rows,
-    blocks)``, with ``reach`` and ``local`` as ``_joint_columns``
-    returns them, ``rows`` the joint row of each position in ``local``, and
-    blocks of shape (P, len(rows), len(rows)), symmetrized, unchecked.
+def _joint_blocks(plan: _Plan, scales):
+    """The joint states of the plan's scenario at every row of the table
+    ``scales``, on the joint rows any row reaches: ``(local, blocks)``,
+    with ``local`` as ``_joint_columns`` returns it and blocks of shape
+    (P, len(local), len(local)), symmetrized, unchecked.
 
     Only the columns of each S_i on the support ``sup`` of the input J are
     built: sum_i S_i J S_i^dag = sum_i S_i[:, sup] J[sup, sup] S_i[:, sup]^dag.
     """
-    n = scenario.control.dim
-    sup, joint_in = _joint_input(scenario)
-    reach, local, cols = _joint_columns(scenario.channels, scales, sup)
-    r, l = np.divmod(local, n)
-    rows = reach[r] * n + l
-    blocks = np.zeros((len(scales), len(rows), len(rows)), dtype=complex)
+    local, cols = _joint_columns(plan, scales)
+    blocks = np.zeros((len(scales), len(local), len(local)), dtype=complex)
     term = np.empty_like(blocks)
     # one term at a time, in multi-index order, for every point at once:
     # fusing the sum into one product would reorder it and change the
     # rounding of the output. Each term forms its own S_i J and S_i^dag,
     # the same products on the same slices as whole stacks of them would
     for col in cols.swapaxes(0, 1):
-        blocks += np.matmul(col @ joint_in, col.conj().swapaxes(-1, -2), out=term)
+        blocks += np.matmul(col @ plan.joint_in, col.conj().swapaxes(-1, -2), out=term)
     # symmetrize away accumulated rounding before the invariant checks
-    return reach, local, rows, (blocks + blocks.conj().swapaxes(-1, -2)) / 2.0
+    return local, (blocks + blocks.conj().swapaxes(-1, -2)) / 2.0
 
 
-def _measure(t, keep, basis):
-    """The control measurement of each joint state of the stack ``t`` (P,
-    len(keep), n, d, n): the joints on their reached target rows ``keep``,
-    every column kept. Returns ``(probs, live, posts)``: the (P, K)
-    outcome probabilities, the (P, K) mask of those not below
+def _measure(blocks, local, reach, d, basis):
+    """The control measurement of each joint state of the stack ``blocks``
+    (P, L, L), held on the positions ``local`` of the (len(reach), n) grid
+    of joint rows reach[r] * n + l. Returns ``(probs, live, posts)``: the
+    (P, B) outcome probabilities, the (P, B) mask of those not below
     ``ZERO_PROB``, and the normalized post blocks of the live outcomes on
-    the rows ``keep``, (m, s, s) in point-major, then outcome order,
-    unchecked.
+    the target rows ``reach``, (m, r, r) in point-major, then outcome
+    order, unchecked.
 
-    Only the rows are restricted: the einsum runs over every column, as on
-    the whole joint, so each sum over the control indices rounds as there
-    (with a single column the iterator could fuse those two sums into one
-    loop, which adds in another order). Each probability is summed over the
-    length-d diagonal with zeros in place, so it rounds as the d x d trace.
-    The post blocks are normalized together, so no d x d matrix is formed.
+    Each joint is placed on its reached rows and reached columns, r of
+    each, the columns padded with zeros to at least two: each sum over
+    the control indices then rounds as on the whole joint, where every
+    one of the d columns is kept (with a single column the iterator fuses
+    those two sums into one loop, which adds in another order). Each
+    probability is summed over the length-d diagonal with zeros in place,
+    so it rounds as the d x d trace. The post blocks are normalized
+    together, so no d x d matrix is formed.
     """
-    blocks = np.einsum("bk,pikjl,bl->pbij", basis.conj(), t, basis).take(keep, 3)
-    diag = np.zeros(blocks.shape[:2] + (t.shape[3],), dtype=complex)
-    diag[..., keep] = blocks.diagonal(axis1=2, axis2=3)
-    probs = diag.sum(axis=-1).real
+    p, r, n = len(blocks), len(reach), basis.shape[1]
+    t = np.zeros((p, r * n, max(2, r) * n), dtype=complex)
+    t[:, local[:, None], local] = blocks
+    t = t.reshape(p, r, n, -1, n)
+    blocks = np.einsum("bk,pikjl,bl->pbij", basis.conj(), t, basis)[..., :r]
+    # the diagonals in slices of points, so that they hold at most
+    # _DIAG_BYTES whatever the stack's size
+    size = max(1, _DIAG_BYTES // (16 * d * len(basis)))
+    diag = np.zeros((min(p, size), len(basis), d), dtype=complex)
+    probs = np.empty((p, len(basis)))
+    for at in range(0, p, size):
+        part = blocks[at:at + size]
+        diag[:len(part), :, reach] = part.diagonal(axis1=2, axis2=3)
+        probs[at:at + size] = diag[:len(part)].sum(axis=-1).real
     live = ~(probs < ZERO_PROB)  # a NaN stays, and fails the check
     posts = blocks[live]
     posts = (posts + posts.conj().swapaxes(-1, -2)) / (2.0 * probs[live])[:, None, None]
@@ -324,16 +383,18 @@ def run_stack(scenario: SuperpositionScenario, scales) -> tuple[np.ndarray, ...]
     table ``scales`` of Kraus scales, K running over every channel's
     operators in channel order (a row is ``channels.scale_row``; a sweep's
     stack is ``scenarios._scale_table``), computed as one stack. The
-    scales the scenario's channels hold are not read.
+    scales the scenario's channels hold are not read, and what does not
+    depend on them comes from the scenario's plan, formed on its first
+    stack and shared by every later one.
 
     Returns ``(support, probs, live, posts)``: the read-only target rows
     the post states are held on, and ``_measure``'s arrays. The joint
     states are evolved together (``_joint_blocks``) and checked as one
-    stack, then measured together on the target rows any of them reaches.
-    Outcome k has probability Tr[(I (x) |b_k><b_k|) rho]; outcomes below
-    ``ZERO_PROB`` carry no post block, and the normalized target blocks of
-    all others are checked as one stack. Each output is bitwise that of
-    its row evaluated alone.
+    stack, then measured together on the target rows and columns any of
+    them reaches. Outcome k has probability Tr[(I (x) |b_k><b_k|) rho];
+    outcomes below ``ZERO_PROB`` carry no post block, and the normalized
+    target blocks of all others are checked as one stack. Each output is
+    bitwise that of its row evaluated alone.
     """
     k = sum(len(c.ops) for c in scenario.channels)
     try:
@@ -344,17 +405,13 @@ def run_stack(scenario: SuperpositionScenario, scales) -> tuple[np.ndarray, ...]
             or scales.shape[1] != k):
         raise SuperpositionError(f"scale table of {scales.dtype} and shape "
                                  f"{scales.shape}, expected real (P, {k}), P >= 1")
-    reach, local, rows, blocks = _joint_blocks(scenario, scales)
-    reach.setflags(write=False)  # the support every post state shares
+    plan = scenario._plan
+    local, blocks = _joint_blocks(plan, scales)
     check_densities(blocks)
-    d, n = scenario.input.dim, scenario.control.dim
-    # the joints on the target rows the unit columns reach, every column kept
-    t = np.zeros((len(scales), len(reach) * n, d * n), dtype=complex)
-    t[:, local[:, None], rows] = blocks
-    t = t.reshape(len(scales), len(reach), n, d, n)
-    probs, live, posts = _measure(t, reach, np.array(scenario.measurement_basis))
+    probs, live, posts = _measure(blocks, local, plan.reach, scenario.input.dim,
+                                  plan.basis)
     check_densities(posts)
-    return reach, probs, live, posts
+    return plan.reach, probs, live, posts
 
 
 def apply(scenario: SuperpositionScenario) -> DensityMatrix:
@@ -363,15 +420,17 @@ def apply(scenario: SuperpositionScenario) -> DensityMatrix:
     rows it reaches. No command calls
     it; it stays because ``perfbench/tracer.py`` wraps it by name and
     ``tests/test_tracer_names.py`` requires it."""
-    _, _, rows, blocks = _joint_blocks(scenario, scale_row(scenario.channels)[None])
-    dims = scenario.input.dims + (scenario.control.dim,)
-    return DensityMatrix(dims, blocks[0], rows)
+    plan = scenario._plan
+    local, blocks = _joint_blocks(plan, scale_row(scenario.channels)[None])
+    n = scenario.control.dim
+    dims = scenario.input.dims + (n,)
+    return DensityMatrix(dims, blocks[0], plan.reach[local // n] * n + local % n)
 
 
 def measure_control(joint: DensityMatrix, basis) -> list[MeasurementOutcome]:
     """Projective control measurement in the given orthonormal basis:
     ``run_stack``'s measurement of this one joint state, on the target rows
-    where it has a non-zero entry.
+    where it has a non-zero entry and on the same columns.
 
     ``basis`` is held to the scenario's rule: 1 to n orthonormal vectors
     of length n, n the dimension of the last subsystem. Outcome k has
@@ -382,11 +441,15 @@ def measure_control(joint: DensityMatrix, basis) -> list[MeasurementOutcome]:
     """
     n = joint.dims[-1]
     basis = np.array(_checked_basis(basis, n))
-    d = joint.dim // n
-    t = joint.mat.reshape(d, n, d, n)
-    keep = t.any(axis=(1, 2, 3)).nonzero()[0]
-    return _outcome_lists(joint.dims[:-1], keep,
-                          *_measure(t.take(keep, 0)[None], keep, basis))[0]
+    target, branch = np.divmod(joint.support, n)
+    reach = np.unique(target[joint.block.any(axis=1)])
+    # the block's rows and columns on the reached target rows; an entry
+    # in another column is read by no output
+    keep = np.isin(target, reach).nonzero()[0]
+    local = np.searchsorted(reach, target[keep]) * n + branch[keep]
+    block = joint.block.take(keep, 0).take(keep, 1)
+    return _outcome_lists(joint.dims[:-1], reach, *_measure(
+        block[None], local, reach, joint.dim // n, basis))[0]
 
 
 def run(scenario: SuperpositionScenario) -> list[MeasurementOutcome]:

@@ -1,6 +1,7 @@
 """Reference formulas that only the tests use: the dense Kronecker
 product, the channel defects, the channel's reduced action, the
-interference-operator form of a measured superposition, the general
+interference-operator form of a measured superposition, the control
+measurement of a joint on every target column, the general
 Uhlmann fidelity, the GHZ state, the one-point fidelities and closed
 forms as scalar code, one Python float operation at a time, and a sweep's
 largest gap to its oracle. The package computes none of them; the tests
@@ -17,7 +18,7 @@ import numpy as np
 from linksim.channels import CPTP_TOL, VacuumExtendedChannel, scale_row
 from linksim.linalg import DensityMatrix, DimMismatchError, sqrt_psd
 from linksim.metrics import _sym, bell_state, w_state
-from linksim.superposition import ZERO_PROB, run_stack
+from linksim.superposition import ZERO_PROB, _outcome_lists, run_stack
 
 
 def kron_all(*mats) -> np.ndarray:
@@ -96,6 +97,36 @@ def assert_run_stack_matches_interference_form(scenario, atol=1e-12) -> None:
         else:
             assert np.trace(block).real < ZERO_PROB + atol
         assert np.max(np.abs(post - block)) <= atol
+
+
+def measure_every_column(t, keep, basis):
+    """The control measurement of each joint state of the stack ``t`` (P,
+    len(keep), n, d, n): the joints on their reached target rows ``keep``,
+    every one of the d target columns kept, as the package measured them
+    before it placed the joints on their reached columns alone. Returns
+    ``(probs, live, posts)`` as ``superposition._measure`` does. The
+    einsum runs over every column, as on the whole joint; each probability
+    is summed over the length-d diagonal with zeros in place."""
+    blocks = np.einsum("bk,pikjl,bl->pbij", basis.conj(), t, basis).take(keep, 3)
+    diag = np.zeros(blocks.shape[:2] + (t.shape[3],), dtype=complex)
+    diag[..., keep] = blocks.diagonal(axis1=2, axis2=3)
+    probs = diag.sum(axis=-1).real
+    live = ~(probs < ZERO_PROB)
+    posts = blocks[live]
+    posts = (posts + posts.conj().swapaxes(-1, -2)) / (2.0 * probs[live])[:, None, None]
+    return probs, live, posts
+
+
+def measure_joint_every_column(joint: DensityMatrix, basis) -> list:
+    """``measure_every_column`` of one joint state, formed as its whole
+    matrix, on the target rows where it has a non-zero entry: the outcome
+    list ``superposition.measure_control`` returns."""
+    n = joint.dims[-1]
+    d = joint.dim // n
+    t = joint.mat.reshape(d, n, d, n)
+    keep = t.any(axis=(1, 2, 3)).nonzero()[0]
+    return _outcome_lists(joint.dims[:-1], keep, *measure_every_column(
+        t.take(keep, 0)[None], keep, np.array(basis)))[0]
 
 
 def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -437,7 +437,7 @@ def test_sweep_and_grid_write_their_rows_as_they_are_made(tmp_path, capsys):
         assert capsys.readouterr().out == (
             f"prop4_p05: {len(fids)} records, fidelity range "
             f"[{min(fids, key=float)}, {max(fids, key=float)}] -> {out}\n")
-    for name in ("prop4_p05", "fig8_green"):
+    for name in ("prop4_p05", "fig8_green", "cor1_p05", "fig7a_green"):
         for points in (40, 120):
             tracemalloc.start()
             try:

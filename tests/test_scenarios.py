@@ -1138,9 +1138,11 @@ def test_plus_only_sweep_builds_one_post_state_per_point(monkeypatch):
         return check(mats)
 
     spec = ScenarioSpec("ghz8", "ghz_depolarizing", 8, PROP5_P05)
-    size = _stack_size(spec)
-    stacks = [min(size, 55 - at) for at in range(0, 55, size)]
-    assert spec.outcome_policy == "plus_only" and len(stacks) > 1
+    # 55 points fit one stack; a budget of 32 makes them cross an edge
+    assert _stack_size(spec) >= 55
+    _stacks_of(monkeypatch, spec, 32)
+    stacks = [32, 23]
+    assert spec.outcome_policy == "plus_only"
     monkeypatch.setattr(superposition, "check_densities", counted)
     assert len(list(sweep(spec, np.linspace(0.0, 1.0, 55)))) == 55
     # the joint blocks, then the post blocks, of each stack
@@ -1290,12 +1292,12 @@ def test_sweep_memory_does_not_grow_with_points():
 
 def test_stacks_are_sized_by_their_bytes(monkeypatch):
     """``sweep`` fills each ``run_stack`` call up to ``_STACK_BYTES`` at the
-    scenario's ``_point_bytes``: a 101-point fig4a_red sweep and the
-    11-point n = 8 GHZ sweep are one stack each, and an n = 8 W point,
-    whose joint on its reached rows alone is 2.4 MB, is more than the
-    budget: a stack of one point each, fewer than fig4a_red's, and at
-    least one. The optimizer's first round of 4 restarts on prop4_p05, 36
-    proposals, is one objective call."""
+    scenario's ``_point_bytes``: a 101-point fig4a_red sweep, the 11-point
+    n = 8 GHZ sweep and a 33-point n = 11 GHZ sweep are one stack each,
+    and an n = 8 W point, whose joint columns alone are 2.7 MB, is more
+    than the budget: a stack of one point each, fewer than fig4a_red's,
+    and at least one. The optimizer's first round of 4 restarts on
+    prop4_p05, 36 proposals, is one objective call."""
     run_stack, stacks = scenarios.run_stack, []
 
     def counted(scenario, scales):
@@ -1304,13 +1306,16 @@ def test_stacks_are_sized_by_their_bytes(monkeypatch):
 
     monkeypatch.setattr(scenarios, "run_stack", counted)
     ghz8 = ScenarioSpec("ghz8", "ghz_depolarizing", 8, PROP5_P05)
+    ghz11 = ScenarioSpec("ghz11", "ghz_depolarizing", 11, PROP5_P05)
     w8 = ScenarioSpec("w8", "w_memoryless", 8, VacuumConfig(((S2, S2),) * 8))
     sizes = {}
-    for spec, points in ((builtin("fig4a_red"), 101), (ghz8, 11), (w8, 3)):
+    for spec, points in ((builtin("fig4a_red"), 101), (ghz8, 11), (ghz11, 33),
+                         (w8, 3)):
         stacks.clear()
         assert len(list(sweep(spec, np.linspace(0.0, 1.0, points)))) == points
         sizes[spec.name] = stacks[:]
     assert sizes["fig4a_red"] == [101] and sizes["ghz8"] == [11]
+    assert sizes["ghz11"] == [33]
     assert scenarios._point_bytes(w8, build_scenario(w8, 0.5)) > scenarios._STACK_BYTES
     assert sizes["w8"] == [1, 1, 1]
 
@@ -1327,3 +1332,35 @@ def test_stacks_are_sized_by_their_bytes(monkeypatch):
     monkeypatch.setattr(scenarios, "_fixed_noise_objective", recorded)
     optimize_amplitudes(builtin("prop4_p05"), 0.5, restarts=4)
     assert calls[0] == 4 * 9
+
+
+def test_a_sweep_prepares_its_scenario_once(monkeypatch):
+    """A sweep of three stacks forms the joint input, the kept
+    multi-indices and the unit-column gather once, in the plan of the one
+    scenario it builds; every stack, and the sizing before them, reads
+    that plan. ``stack_row_bytes`` on a planned scenario gathers nothing."""
+    spec = builtin("fig7a_green")
+    _stacks_of(monkeypatch, spec, 4)
+    calls, stacks = [], []
+    for name in ("_joint_input", "_multi_indices", "kraus_columns"):
+        def counted(*args, _f=getattr(superposition, name), _name=name):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(superposition, name, counted)
+    run_stack = scenarios.run_stack
+
+    def stacked(scenario, scales):
+        stacks.append(len(scales))
+        return run_stack(scenario, scales)
+
+    monkeypatch.setattr(scenarios, "run_stack", stacked)
+    assert len(list(sweep(spec, np.linspace(0.0, 1.0, 11)))) == 11
+    assert stacks == [4, 4, 3]
+    assert sorted(calls) == ["_joint_input", "_multi_indices", "kraus_columns"]
+
+    scenario = build_scenario(spec, 0.3)
+    before = superposition.stack_row_bytes(scenario)
+    calls.clear()
+    assert superposition.stack_row_bytes(scenario) == before
+    run(scenario)
+    assert calls == []

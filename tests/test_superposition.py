@@ -42,7 +42,12 @@ from linksim.superposition import (
     run_stack,
     uniform_control,
 )
-from reference import assert_run_stack_matches_interference_form, channel_apply
+from reference import (
+    assert_run_stack_matches_interference_form,
+    channel_apply,
+    measure_every_column,
+    measure_joint_every_column,
+)
 
 S2 = 1.0 / np.sqrt(2.0)
 
@@ -370,16 +375,20 @@ def dense_joint_columns(channels, cols):
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_SPECS))
 def test_joint_columns_equal_the_dense_kraus_gather(name):
-    # scaling only the gathered unit columns gives bitwise the columns of
-    # the dense Kraus operators; the joint rows left out are zero
+    # scaling only the plan's unit columns gives bitwise the columns of the
+    # dense Kraus operators; the joint rows left out are zero. A maximally
+    # mixed input and a uniform control put every joint column in the plan
     for p in (0.0, 0.3, 1.0):
         channels = build_scenario(BUILTIN_SPECS[name], p).channels
-        n = len(channels)
-        cols = np.arange(channels[0].dim * n)
-        reach, local, scaled = superposition._joint_columns(
-            channels, scale_row(channels)[None], cols)
+        n, d = len(channels), channels[0].dim
+        mixed = DensityMatrix((2,) * (d.bit_length() - 1), np.eye(d) / d)
+        plan = SuperpositionScenario(channels, mixed, uniform_control(n),
+                                     fourier_basis(n))._plan
+        cols = np.arange(d * n)
+        assert np.array_equal(plan.sup, cols)
+        local, scaled = superposition._joint_columns(plan, scale_row(channels)[None])
         gathered = dense_joint_columns(channels, cols)
-        rows = reach[local // n] * n + local % n
+        rows = plan.reach[local // n] * n + local % n
         assert _bitwise_equal(scaled[0], gathered[:, rows]), p
         assert not np.delete(gathered, rows, axis=1).any(), p
 
@@ -514,6 +523,64 @@ def test_run_stack_nan_scale_fails_the_density_check():
     table[1, 2] = np.nan
     with pytest.raises(NonHermitianError):
         run_stack(scenario, table)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 3),
+       st.sampled_from(["one_row", "one_row", "mixed", "pure", "rank_deficient"]))
+def test_measurement_on_reached_columns_equals_every_column_bitwise(seed, count, kind):
+    # the joints placed on their reached columns alone, padded to two,
+    # measure bit for bit as on every target column, also where they reach
+    # a single target row (diagonal unitaries on a basis state); for a
+    # stack of scale rows, random Kraus weights some of them zero, and for
+    # one joint
+    rng = np.random.default_rng(seed)
+    d = int(rng.choice([2, 4, 8]))
+    ops = [tuple(np.diag(np.exp(2j * np.pi * rng.random(d))) if kind == "one_row"
+                 else _random_unitary(rng, d) for _ in range(rng.integers(1, 4)))
+           for _ in range(count)]
+    if kind == "one_row":
+        rho = np.zeros((d, d), dtype=complex)
+        rho[(x := rng.integers(d)), x] = 1.0
+    else:
+        rho = _random_input(rng, d, kind)
+    table = []
+    for _ in range(rng.integers(1, 5)):
+        table.append([])
+        for channel_ops in ops:
+            w = rng.random(len(channel_ops)) * (rng.random(len(channel_ops)) < 0.8)
+            table[-1].append(np.sqrt(w / w.sum() if w.any()
+                                     else np.eye(len(channel_ops))[0]))
+    # the scenario's channels hold the first row, which ``apply`` reads
+    channels = []
+    for channel_ops, scales in zip(ops, table[0]):
+        a = rng.normal(size=len(channel_ops)) + 1j * rng.normal(size=len(channel_ops))
+        channels.append(VacuumExtendedChannel(channel_ops, a / np.linalg.norm(a), scales))
+    table = np.array([np.concatenate(row) for row in table])
+    c = rng.normal(size=count) + 1j * rng.normal(size=count)
+    if rng.random() < 0.3:
+        c[rng.integers(count)] = 0.0
+    basis = fourier_basis(count)[:rng.integers(1, count + 1)]
+    scenario = SuperpositionScenario(tuple(channels), DensityMatrix((d,), rho),
+                                     ControlState(c / np.linalg.norm(c)), basis)
+    support, probs, live, posts = run_stack(scenario, table)
+    local, blocks = superposition._joint_blocks(scenario._plan, table)
+    n = count
+    t = np.zeros((len(table), len(support) * n, d * n), dtype=complex)
+    t[:, local[:, None], support[local // n] * n + local % n] = blocks
+    want = measure_every_column(t.reshape(len(table), len(support), n, d, n),
+                                support, np.array(basis))
+    assert _bitwise_equal(probs.astype(complex), want[0].astype(complex))
+    assert np.array_equal(live, want[1])
+    assert _bitwise_equal(posts, want[2])
+    joint = apply(scenario)
+    for got, ref in zip(measure_control(joint, basis),
+                        measure_joint_every_column(joint, basis), strict=True):
+        assert got.probability.hex() == ref.probability.hex()
+        assert (got.post_state is None) == (ref.post_state is None)
+        if ref.post_state is not None:
+            assert np.array_equal(got.post_state.support, ref.post_state.support)
+            assert _bitwise_equal(got.post_state.block, ref.post_state.block)
 
 
 def _random_unitary(rng, d):
