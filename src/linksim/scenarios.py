@@ -409,7 +409,7 @@ def oracle_fidelity(spec: ScenarioSpec, p, q) -> float | list[float] | None:
 #: 3.11, numpy 2.4; MB here is 2^20 bytes), a 120 x 120 grid peaks at
 #: 0.69 MB for prop4_p05 (157-point stacks), 0.55 MB for fig8_green (62),
 #: 0.62 MB for cor1_p05 and 0.58 MB for fig7a_green (199), below the 1 MB
-#: the CLI tests allow; a 33-point n = 8 W sweep at 3.0 MB, and a 20-restart
+#: the CLI tests allow; a 33-point n = 8 W sweep at 1.1 MB, and a 20-restart
 #: n = 8 W optimizer at 1.6 MB, where 32-row stacks read 95 and 34 MB.
 #: W points weigh 32 kB at n = 4 and 330 kB at n = 6, so such sweeps run
 #: 16 and one point a stack, each stack paying its fixed set-up. A stack's

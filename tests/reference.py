@@ -102,11 +102,11 @@ def assert_run_stack_matches_interference_form(scenario, atol=1e-12) -> None:
 def measure_every_column(t, keep, basis):
     """The control measurement of each joint state of the stack ``t`` (P,
     len(keep), n, d, n): the joints on their reached target rows ``keep``,
-    every one of the d target columns kept, as the package measured them
-    before it placed the joints on their reached columns alone. Returns
-    ``(probs, live, posts)`` as ``superposition._measure`` does. The
-    einsum runs over every column, as on the whole joint; each probability
-    is summed over the length-d diagonal with zeros in place."""
+    every one of the d target columns kept, the whole-joint measurement
+    that ``superposition._measure``, on the reached columns alone, is held
+    to bit for bit. Returns ``(probs, live, posts)`` as ``_measure`` does;
+    each probability is summed over the length-d diagonal with zeros in
+    place."""
     blocks = np.einsum("bk,pikjl,bl->pbij", basis.conj(), t, basis).take(keep, 3)
     diag = np.zeros(blocks.shape[:2] + (t.shape[3],), dtype=complex)
     diag[..., keep] = blocks.diagonal(axis1=2, axis2=3)

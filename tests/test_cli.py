@@ -424,8 +424,9 @@ def test_walk_writes_its_rows_as_they_are_made(tmp_path, capsys):
 def test_sweep_and_grid_write_their_rows_as_they_are_made(tmp_path, capsys):
     """A grid's tracemalloc peak stays below 1 MB at 40^2 and at 120^2
     points, where holding every record and row before writing read 0.97
-    and 8.5 MB. Both commands write to a file the bytes they print, and
-    the summary's count and fidelity range are the file's."""
+    and 8.5 MB, for prop4_p05, fig8_green, cor1_p05 and fig7a_green. Both
+    commands write to a file the bytes they print, and the summary's count
+    and fidelity range are the file's."""
     out = tmp_path / "grid.csv"
     for command in ("sweep", "grid"):
         argv = [command, "--scenario", "prop4_p05", "--points", "7"]

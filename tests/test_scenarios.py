@@ -1090,8 +1090,8 @@ def test_record_stage_peaks_below_the_per_point_gathers(monkeypatch, n, points,
     each point's reductions were gathered alone (``per_point_peak``, in
     bytes, measured by ``_record_stage_peak`` on that path): each stack's
     reductions are summed over the block entries that contribute, and
-    read 0.08 MB at n = 8 (one stack) and 0.28 MB at n = 10 (3-point
-    stacks; x86-64, Python 3.11, numpy 2.4), where gathering every traced index
+    read 0.08 MB at n = 8 and 0.28 MB at n = 10 (one stack each; x86-64,
+    Python 3.11, numpy 2.4), where gathering every traced index
     read 0.88 and 4.83 MB in slices of at most 2^12 entries, and 5.37 and
     96.3 MB with a whole 32-point stack in one gather."""
     spec = ScenarioSpec(f"ghz{n}", "ghz_depolarizing", n, PROP5_P05)
